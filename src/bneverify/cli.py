@@ -242,6 +242,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             for j, p in enumerate(partition)]
         _require(len(partition) in (1, game.n_agents), "partition",
                  "partition must have one entry or one per agent")
+        if prior is None:
+            # tau is derived from the prior; recorded data has none
+            for j, entry in enumerate(partition):
+                for k, cell in enumerate(entry["cells"]):
+                    _require(cell.get("tau") is not None,
+                             f"partition[{j}].cells[{k}].tau",
+                             "tau must be declared for every cell when the "
+                             "records come from a dataset")
     else:
         partition = None
         if prior is not None and prior.get("kind") == "correlated_common_value":

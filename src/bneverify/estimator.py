@@ -9,6 +9,11 @@ Two pipelines share the machinery here:
   * estimate_ex_ante: one constant best-response search per partition cell
     plus a direct estimate of the current strategy's expected utility.
 
+The combinatorial rule makes one batched winner determination per candidate
+bid: the candidate is spliced into agent i's row of every record's profile
+and the whole (N, n, 2**items) stack is solved in one call, as is the stack
+of stored profiles for the current-strategy term.
+
 Determinism contract: kernels emit per-sample values or exact integer
 counts, and every mean over records is fixed by the multiset of records
 alone, never by their order, the numpy version or the platform. Allocation
@@ -116,6 +121,15 @@ def _value_prefix(vals: np.ndarray) -> np.ndarray:
         [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1)
 
 
+def _own_bundle(profiles: np.ndarray, agent: int, items: int):
+    """Agent's accepted bundle in every profile of an (N, n, 2**items) stack,
+    from one batched winner determination: (won, bundle), bundle 0 where
+    the agent wins nothing."""
+    choice = winner_determination(profiles, items)[:, agent]
+    won = choice >= 0
+    return won, np.where(won, choice, 0)
+
+
 def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.ndarray:
     """Per-record normalized utility of the stored (valuation, bid) pairs."""
     kern = get_kernels()
@@ -137,17 +151,10 @@ def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.n
         prefix = _value_prefix(vals)
         value = np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
         return (value - pay) / H
-    # combinatorial: exact winner determination per record
-    items = config.mechanism.items
-    out = np.empty(len(ds), dtype=np.float64)
-    for j in range(len(ds)):
-        choice = winner_determination(ds.bids[j], items)
-        bundle = int(choice[agent])
-        if bundle >= 0:
-            out[j] = (vals[j, bundle] - own[j, bundle]) / H
-        else:
-            out[j] = 0.0
-    return out
+    # combinatorial: one exact winner determination over all records
+    won, bundle = _own_bundle(ds.bids, agent, config.mechanism.items)
+    rows = np.arange(len(ds))
+    return np.where(won, (vals[rows, bundle] - own[rows, bundle]) / H, 0.0)
 
 
 def _bid_stats(config: GameConfig, candidates: np.ndarray, bids: np.ndarray,
@@ -193,24 +200,18 @@ def _bid_stats(config: GameConfig, candidates: np.ndarray, bids: np.ndarray,
         _run_parallel(k_cand, work, threads)
         return mean_alloc, mean_pay
 
-    # combinatorial: splice the candidate into every profile and solve
+    # combinatorial: splice the candidate into every profile, solve them all
     items = config.mechanism.items
 
     def work(start, stop):
-        profile = np.empty_like(bids[0])
+        profiles = bids.copy()
         for k in range(start, stop):
-            counts = np.zeros(dim, dtype=np.int64)
-            pay_acc = np.zeros(n_rec, dtype=np.float64)
-            for j in range(n_rec):
-                profile[:] = bids[j]
-                profile[agent] = candidates[k]
-                choice = winner_determination(profile, items)
-                bundle = int(choice[agent])
-                if bundle >= 0:
-                    counts[bundle] += 1
-                    pay_acc[j] = candidates[k, bundle]
+            profiles[:, agent] = candidates[k]
+            won, bundle = _own_bundle(profiles, agent, items)
+            counts = np.bincount(bundle[won], minlength=dim)
             mean_alloc[k] = counts.astype(np.float64) / n_rec
-            mean_pay[k] = _record_mean(pay_acc, n_rec)
+            mean_pay[k] = _record_mean(
+                np.where(won, candidates[k, bundle], 0.0), n_rec)
 
     _run_parallel(k_cand, work, threads)
     return mean_alloc, mean_pay
@@ -330,18 +331,13 @@ def _cell_candidate_means(config: GameConfig, candidates: np.ndarray,
         return means
     items = config.mechanism.items
     means = np.empty(candidates.shape[0], dtype=np.float64)
-    profile = np.empty_like(cell_bids[0])
+    profiles = cell_bids.copy()
+    rows = np.arange(n_rec)
     for k in range(candidates.shape[0]):
-        utils = np.empty(n_rec, dtype=np.float64)
-        for j in range(n_rec):
-            profile[:] = cell_bids[j]
-            profile[agent] = candidates[k]
-            choice = winner_determination(profile, items)
-            bundle = int(choice[agent])
-            if bundle >= 0:
-                utils[j] = (cell_vals[j, bundle] - candidates[k, bundle]) / H
-            else:
-                utils[j] = 0.0
+        profiles[:, agent] = candidates[k]
+        won, bundle = _own_bundle(profiles, agent, items)
+        utils = np.where(
+            won, (cell_vals[rows, bundle] - candidates[k, bundle]) / H, 0.0)
         means[k] = _record_mean(utils, n_rec)
     return means
 

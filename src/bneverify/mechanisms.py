@@ -8,6 +8,7 @@ Conventions shared by every rule:
   * utilities are quasilinear, (allocation . valuation - payment) / scale,
     which keeps them inside [-1, 1] for the default scale.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,54 +65,64 @@ def assignment_value(bids: np.ndarray, choice) -> float:
 
 
 def winner_determination(bids, items: int) -> np.ndarray:
-    """Optimal item-disjoint XOR assignment of bundles to agents.
+    """Optimal item-disjoint XOR assignment of bundles to agents, batched.
 
-    Each agent submits one bid per bundle (indexed by item subsets); at most
-    one bundle per agent is accepted and accepted bundles must not share
-    items. Returns the bundle index per agent, -1 when no bid is accepted.
-    Ties break toward the option order (-1, 0, 1, ...) scanning agents by
-    index, matching exhaustive enumeration order.
+    bids has shape (..., n, 2**items): one bid per bundle (indexed by item
+    subsets) for each of n agents, for every profile in the leading batch
+    shape; an (n, 2**items) profile is the batch of shape (). At most one
+    bundle per agent is accepted and accepted bundles must not share items.
+    Returns the (..., n) bundle index per agent, -1 when no bid is accepted.
+
+    Each profile is solved exactly by a table over agents and item masks:
+    best[a][used] is the optimal total of agents a..n-1 when the items in
+    `used` are taken. It is built from the last agent backwards as
+    bids[a, b] + best[a+1][used | b], so totals are the floats
+    assignment_value gives, and an entry changes only on a strict
+    improvement over declining, with bundles scanned in index order.
+    Reconstruction runs in agent order: decline if that keeps the optimum,
+    else take the first bundle that reaches it. Ties therefore break toward
+    the option order (-1, 0, 1, ...) scanning agents by index, matching
+    exhaustive enumeration order. All profiles of a batch are solved
+    together with array operations.
     """
     bids = np.asarray(bids, dtype=np.float64)
     n_bundles = 1 << items
-    if bids.ndim != 2 or bids.shape[1] != n_bundles:
+    if bids.ndim < 2 or bids.shape[-1] != n_bundles:
         raise ValueError(
             f"bid vectors must have length {n_bundles} for {items} items, "
             f"got shape {bids.shape}")
-    n = bids.shape[0]
-    memo = {}
+    n = bids.shape[-2]
+    batch = bids.shape[:-2]
+    flat = bids.reshape((math.prod(batch), n, n_bundles))
+    size = flat.shape[0]
+    masks = np.arange(n_bundles)
 
-    def best(agent: int, used: int) -> float:
-        if agent == n:
-            return 0.0
-        key = (agent, used)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = best(agent + 1, used)  # decline every bundle
+    best = [None] * (n + 1)
+    best[n] = np.zeros((size, n_bundles), dtype=np.float64)
+    for agent in range(n - 1, -1, -1):
+        after = best[agent + 1]
+        value = after.copy()  # decline every bundle
         for bundle in range(n_bundles):
-            if bundle & used:
-                continue
-            cand = float(bids[agent, bundle]) + best(agent + 1, used | bundle)
-            if cand > value:
-                value = cand
-        memo[key] = value
-        return value
+            free = masks[(masks & bundle) == 0]
+            cand = flat[:, agent, bundle, None] + after[:, free | bundle]
+            cur = value[:, free]
+            value[:, free] = np.where(cand > cur, cand, cur)
+        best[agent] = value
 
-    choice = np.full(n, -1, dtype=np.intp)
-    used = 0
+    rows = np.arange(size)
+    choice = np.full((size, n), -1, dtype=np.intp)
+    used = np.zeros(size, dtype=np.intp)
     for agent in range(n):
-        target = best(agent, used)
-        if best(agent + 1, used) == target:
-            continue
-        for bundle in range(n_bundles):
-            if bundle & used:
-                continue
-            if float(bids[agent, bundle]) + best(agent + 1, used | bundle) == target:
-                choice[agent] = bundle
-                used |= bundle
-                break
-    return choice
+        after = best[agent + 1]
+        target = best[agent][rows, used]
+        options = used[:, None] | masks
+        cand = flat[:, agent, :] + after[rows[:, None], options]
+        hit = ((used[:, None] & masks) == 0) & (cand == target[:, None])
+        take = (after[rows, used] != target) & hit.any(axis=1)
+        pick = np.argmax(hit, axis=1)[take]  # first bundle reaching target
+        choice[take, agent] = pick
+        used[take] |= pick
+    return choice.reshape(batch + (n,))
 
 
 def _check_monotone_rows(bids: np.ndarray):

@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .mechanisms import assignment_value
 
@@ -40,6 +38,11 @@ def analytic_fpsb_loss(n_agents: int, c: float) -> OracleResult:
     numerically. The sup over valuations is a dense scan plus bounded
     refinement.
     """
+    # scipy is imported here, not at module level, so importing bneverify
+    # (and every verify run without --oracle) does not load it
+    from scipy.integrate import quad
+    from scipy.optimize import minimize_scalar
+
     if n_agents < 2:
         raise ValueError("need at least two agents")
     if not (0.0 < c <= 1.0):

@@ -119,6 +119,24 @@ def test_parse_config_partition_errors():
                         "partition", "cannot read partition file")
 
 
+def test_dataset_ex_ante_cells_must_declare_tau(tmp_path, capsys):
+    # tau is derived from the prior; with recorded data there is none, and
+    # an undeclared tau must be caught before any estimation runs
+    cells = [{"lo": [0.0], "hi": [0.5], "tau": 0.1, "kappa": 1.0},
+             {"lo": [0.5], "hi": [1.0], "kappa": 1.0}]
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="missing.jsonl", mode="ex_ante",
+                 partition={"cells": cells})
+    expect_config_error(raw, "partition[0].cells[1].tau",
+                        "tau must be declared for every cell")
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert "error: partition[0].cells[1].tau: tau must be declared" \
+        in capsys.readouterr().err
+    cells[1]["tau"] = 0.0
+    assert parse_config(raw).partition[0]["cells"][1]["tau"] == 0.0
+
+
 def test_parse_config_reads_partition_files_relative_to_the_config(tmp_path):
     part = {"agent": 0, "cells": [{"lo": [0.0], "hi": [1.0]}]}
     with open(tmp_path / "cells.json", "w", encoding="utf-8") as fh:
@@ -410,6 +428,30 @@ def test_console_script_is_installed(tmp_path):
     exe = shutil.which(name)
     assert exe, f"{name} is installed but its console script is not on PATH"
     _assert_missing_config_exits_2([exe], tmp_path)
+
+
+NO_SCIPY = ("import sys; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
+
+
+def test_import_and_verify_without_oracle_do_not_load_scipy(tmp_path):
+    env = dict(os.environ)
+    src_dir = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", "import bneverify; " + NO_SCIPY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    cfg_path = write_config(tmp_path / "config.json",
+                            eq_raw(n_records=2000, grid_w=0.1))
+    run = ("from bneverify.cli import main; "
+           f"rc = main(['verify', '--config', {cfg_path!r}]); "
+           "assert rc in (0, 3), rc; " + NO_SCIPY)
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True,
+                          text=True, env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(tmp_path / "out" / "report.json")
 
 
 # ------------------------------------------------------------ CSV emitters

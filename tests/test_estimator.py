@@ -34,6 +34,21 @@ def full_partition():
     return Partition(0, [Cell(lo=(0.0,), hi=(1.0,))])
 
 
+def comb_game(n=3, items=2):
+    return GameConfig(n_agents=n,
+                      mechanism=MechanismSpec(kind="first_price_combinatorial",
+                                              items=items))
+
+
+def lattice_comb_dataset(n_records, seed, n=3, items=2):
+    """Valuations and bids on the lattice {0, 0.5, 1} of make_grid(2**items,
+    1.0), so recorded bids coincide with grid points and ties are common."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    shape = (n_records, n, 1 << items)
+    vals = rng.integers(0, 3, shape) / 2.0
+    return Dataset(vals, vals.copy(), rng.integers(0, 3, shape) / 2.0)
+
+
 # ----------------------------------------------------------- input checking
 
 
@@ -133,15 +148,17 @@ def test_lattice_refinement_never_lowers_the_supremum():
 
 
 def test_thread_count_does_not_change_results():
-    ds = uniform_dataset(800, seed=5)
-    grid = make_grid(1, 0.05)
-    a = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0,
-                            threads=1)
-    b = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0,
-                            threads=8)
-    assert a.value == b.value
-    assert a.argmax_pair == b.argmax_pair
-    assert np.array_equal(a.per_point_gains, b.per_point_gains)
+    cases = [(uniform_dataset(800, seed=5), identity_profile(),
+              make_grid(1, 0.05), fpsb_game()),
+             # each worker splices candidates into its own copy of the records
+             (lattice_comb_dataset(60, seed=22), identity_profile(3),
+              make_grid(4, 1.0), comb_game())]
+    for ds, profile, grid, game in cases:
+        a = estimate_ex_interim(ds, profile, grid, game, 0, threads=1)
+        b = estimate_ex_interim(ds, profile, grid, game, 0, threads=8)
+        assert a.value == b.value
+        assert a.argmax_pair == b.argmax_pair
+        assert np.array_equal(a.per_point_gains, b.per_point_gains)
 
 
 def test_bids_only_dataset_is_estimated_but_flagged():
@@ -209,6 +226,58 @@ def test_combinatorial_estimate_matches_direct_evaluation():
         for c in pts:
             best = max(best, mean_util(c) - cur)
     assert est.value == pytest.approx(best, abs=1e-12)
+
+
+def ex_post(game, ds, agent, action=None):
+    """mechanisms.eval of every record, with agent's bid replaced by action
+    (None: the recorded bid)."""
+    bids = ds.bids.copy()
+    if action is not None:
+        bids[:, agent] = action
+    return [eval_game(game, ds.vals[j], bids[j]) for j in range(len(ds))]
+
+
+def fsum_mean_utility(game, ds, agent, action=None):
+    utils = [float(out.utilities[agent])
+             for out in ex_post(game, ds, agent, action)]
+    return math.fsum(utils) / len(ds)
+
+
+def test_combinatorial_estimates_beyond_agent_zero_match_direct_evaluation():
+    game = comb_game()
+    ds = lattice_comb_dataset(24, seed=21)
+    grid = make_grid(4, 1.0)
+    pts = grid.points()
+    profile = identity_profile(3)
+    for agent in (1, 2):
+        # ex ante: each mean is fsum of the ex post utilities over N
+        part = Partition(agent, [Cell(lo=(0.0,) * 4, hi=(1.0, 0.5, 1.0, 1.0)),
+                                 Cell(lo=(0.0, 0.5, 0.0, 0.0), hi=(1.0,) * 4)])
+        est = estimate_ex_ante(ds, profile, part, grid, game, agent)
+        assert est.current_utility == fsum_mean_utility(game, ds, agent)
+        for term, cell in zip(est.br_terms, part.cells):
+            idx = [j for j in range(len(ds)) if cell.contains(ds.obs[j, agent])]
+            assert term["n_records"] == len(idx) > 0
+            sub = Dataset(ds.obs[idx], ds.vals[idx], ds.bids[idx])
+            means = [fsum_mean_utility(game, sub, agent, c) for c in pts]
+            best = int(np.argmax(means))
+            assert term["best_bid"] == tuple(pts[best])
+            assert term["br_mean"] == means[best]
+        # ex interim: allocation and payment do not depend on the valuation,
+        # so one evaluation per bid serves every valuation grid point
+        est = estimate_ex_interim(ds, profile, grid, game, agent)
+        stats = []
+        for c in pts:
+            outs = ex_post(game, ds, agent, c)
+            stats.append((np.array([o.allocation[agent] for o in outs]),
+                          np.array([o.payments[agent] for o in outs])))
+        best = -np.inf
+        for t, (cur_alloc, cur_pay) in zip(pts, stats):  # identity: bid t
+            cur = np.mean(cur_alloc @ t - cur_pay) / game.utility_scale
+            for alloc, pay in stats:
+                dev = np.mean(alloc @ t - pay) / game.utility_scale
+                best = max(best, dev - cur)
+        assert est.value == pytest.approx(best, abs=1e-12)
 
 
 # -------------------------------------------------------- ex ante estimate
@@ -331,6 +400,14 @@ def test_record_order_does_not_change_any_estimate():
     assert_order_free_ex_interim(
         uniform_dataset(3000, seed=18, profile=shaded), None,
         make_grid(1, 0.05), fpsb_game(), 0)
+    # combinatorial, 3 agents and 2 items, ex interim and ex ante
+    comb = lattice_comb_dataset(60, seed=19)
+    assert_order_free_ex_interim(comb, identity_profile(3), make_grid(4, 1.0),
+                                 comb_game(), 1)
+    halves = Partition(2, [Cell(lo=(0.0,) * 4, hi=(0.5, 1.0, 1.0, 1.0)),
+                           Cell(lo=(0.5, 0.0, 0.0, 0.0), hi=(1.0,) * 4)])
+    assert_order_free_ex_ante(comb, identity_profile(3), halves,
+                              make_grid(4, 1.0), comb_game(), 2)
 
 
 def exact_mean(values):

@@ -8,6 +8,7 @@ from bneverify.mechanisms import (assignment_value, eval, eval_discriminatory,
                                   eval_fpsb, eval_uniform_price,
                                   multiunit_allocation, winner_determination)
 from bneverify.model import GameConfig, MechanismSpec
+from bneverify.oracle import exhaustive_wd
 
 
 def game(kind, n=2, **kw):
@@ -96,6 +97,48 @@ def test_wd_winners_hold_disjoint_items():
                 continue
             assert used & int(ch) == 0
             used |= int(ch)
+
+
+def test_wd_solves_every_profile_of_a_batch():
+    rng = np.random.Generator(np.random.Philox(6))
+    bids = rng.random((2, 3, 4, 8))
+    choice = winner_determination(bids, items=3)
+    assert choice.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(choice[idx], winner_determination(bids[idx], 3))
+    assert winner_determination(np.zeros((0, 4, 8)), items=3).shape == (0, 4)
+    with pytest.raises(ValueError, match="bid vectors must have length"):
+        winner_determination(np.zeros(2), items=1)
+
+
+BID_LATTICE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def lattice_profiles(draw):
+    """A batch of profiles with bids on a 5-point lattice, the empty bundle
+    included, so equal bids and equal bundle sums are common."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    items = draw(st.integers(min_value=1, max_value=2))
+    batch = draw(st.integers(min_value=1, max_value=6))
+    size = batch * n * (1 << items)
+    flat = draw(st.lists(BID_LATTICE, min_size=size, max_size=size))
+    return items, np.array(flat).reshape(batch, n, 1 << items)
+
+
+@given(lattice_profiles())
+@settings(max_examples=300, deadline=None)
+def test_wd_batched_unbatched_and_exhaustive_agree_at_exact_ties(case):
+    items, bids = case
+    batched = winner_determination(bids, items)
+    for profile, choice in zip(bids, batched):
+        single = winner_determination(profile, items)
+        exhaustive = exhaustive_wd(profile, items)
+        assert np.array_equal(choice, single)
+        assert np.array_equal(choice, exhaustive)
+        assert assignment_value(profile, choice) \
+            == assignment_value(profile, single) \
+            == assignment_value(profile, exhaustive)
 
 
 # ------------------------------------------------------- multi-unit rules
