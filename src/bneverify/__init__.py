@@ -8,9 +8,9 @@ multi-unit rules, with ex interim certificates for independent private
 values and ex ante certificates for interdependent priors.
 """
 from ._backend import BACKEND_NAME
-from .model import (Cell, ConfidenceBudget, Dataset, GameConfig, Grid,
-                    MechanismSpec, Partition, load_dataset, make_grid,
-                    save_dataset, split_by_partition)
+from .model import (Cell, Dataset, GameConfig, Grid, MechanismSpec,
+                    Partition, load_dataset, make_grid, save_dataset,
+                    split_by_partition)
 from .mechanisms import (Outcome, eval, eval_discriminatory, eval_fpsb,
                          eval_uniform_price, multiunit_allocation,
                          winner_determination)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND_NAME",
-    "Cell", "ConfidenceBudget", "Dataset", "GameConfig", "Grid",
+    "Cell", "Dataset", "GameConfig", "Grid",
     "MechanismSpec", "Partition", "load_dataset", "make_grid",
     "save_dataset", "split_by_partition",
     "Outcome", "eval", "eval_discriminatory", "eval_fpsb",

@@ -1,35 +1,13 @@
-"""Backend selection: compiled kernels when available, numpy otherwise.
+"""The kernel module the estimator calls.
 
-Set BNE_VERIFY_BACKEND=python to force the fallback (useful for
-benchmarking and for verifying the bit-exactness contract between the two
-implementations). Both backends produce identical outputs, so the choice
-never affects results, only speed.
+The estimator looks each kernel up as an attribute of get_kernels() at call
+time, so a tracer can wrap them from outside (perfbench/spans.py does).
 """
-import os
-
-from . import _kernels_py
-
-_FORCED = os.environ.get("BNE_VERIFY_BACKEND", "").strip().lower()
-
-if _FORCED in ("python", "numpy", "fallback"):
-    kernels = _kernels_py
-elif _FORCED in ("", "auto", "compiled", "c"):
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        if _FORCED in ("compiled", "c"):
-            raise ImportError(
-                "BNE_VERIFY_BACKEND requested the compiled backend but the "
-                "extension is not built; reinstall with Cython available")
-        kernels = _kernels_py
-else:
-    raise ValueError(
-        f"unknown BNE_VERIFY_BACKEND value: {_FORCED!r} "
-        "(expected 'python' or 'compiled')")
+from . import _kernels_py as kernels
 
 BACKEND_NAME = kernels.NAME
 
 
 def get_kernels():
-    """Active kernel module (compiled extension or numpy fallback)."""
+    """Kernel module (numpy)."""
     return kernels

@@ -1,11 +1,15 @@
-"""Pure-numpy compute kernels (fallback backend).
+"""Pure-numpy compute kernels.
 
-Every function here has a compiled twin in the optional extension module.
-The contract between the two backends is bit-exactness: identical float64
-and int64 outputs element by element. To make that achievable, kernels only
-produce per-sample values or exact integer counts; averaging over records is
-done by the caller (estimator), whose means do not depend on record order or
-on numpy's summation internals.
+Kernels only produce per-sample values or exact integer counts; averaging
+over records is done by the caller (estimator), whose means do not depend on
+record order or on numpy's summation internals.
+
+Multi-unit rules use critical bids (Lehmann, O'Callaghan and Shoham 2002).
+Against a record's fixed competing bids, the agent's slot mu wins exactly
+when its bid reaches that record's critical bid for the slot, so the
+critical bids are computed once per agent (or cell) and every candidate bid
+vector is then one comparison against them. Uniform-price payments read the
+competitors' next bid from the record's competing bids, sorted once.
 """
 import numpy as np
 
@@ -31,7 +35,11 @@ def fpsb_point_utils(vals, own, opp_max):
 
 
 def fpsb_dev_utils(theta, opp_max, bids):
-    """Per-sample utilities of constant deviation bids: (K, N) matrix."""
+    """Per-sample utilities of constant deviation bids: (K, N) matrix.
+
+    No estimator path calls it; the benchmark's tracer (perfbench/spans.py)
+    patches it by name.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     opp_max = np.asarray(opp_max, dtype=np.float64)
     bids = np.asarray(bids, dtype=np.float64)
@@ -39,31 +47,49 @@ def fpsb_dev_utils(theta, opp_max, bids):
     return np.where(win, theta[None, :] - bids[:, None], 0.0)
 
 
-def _multiunit_wins(own_rows, opp, senior, m_units):
-    # own_rows (R, m); opp (R, n1, m); senior (n1,) bool-ish
-    own_rows = np.asarray(own_rows, dtype=np.float64)
+def _descending(rows):
+    return np.sort(rows, axis=1)[:, ::-1]
+
+
+def multiunit_critical_bids(opp, senior, m_units):
+    """Critical bid of each of the agent's m_units slots per record: (N, m).
+
+    A slot's rank is its index mu plus the competing bids ahead of it: a
+    senior opponent's bid when >=, a junior one's when >; it wins when the
+    rank is below m_units. Raising each senior bid x to nextafter(x, inf)
+    turns both rules into >, since no float lies strictly between the two.
+    Slot mu therefore wins exactly when its bid is >= the (m_units - mu)-th
+    largest raised bid, its critical bid; that is -inf when fewer bids
+    compete.
+    """
     opp = np.asarray(opp, dtype=np.float64)
     sen = np.asarray(senior).astype(bool)
-    r, m = own_rows.shape
-    cmp_ge = opp[:, :, :, None] >= own_rows[:, None, None, :]
-    cmp_gt = opp[:, :, :, None] > own_rows[:, None, None, :]
-    ahead = np.where(sen[None, :, None, None], cmp_ge, cmp_gt)
-    counts = ahead.sum(axis=(1, 2))
-    ranks = counts + np.arange(m, dtype=np.int64)[None, :]
-    return (ranks < m_units).sum(axis=1).astype(np.int64)
+    raised = np.where(sen[None, :, None], np.nextafter(opp, np.inf), opp)
+    flat = raised.reshape(opp.shape[0], -1)
+    width = flat.shape[1]
+    desc = np.concatenate(
+        [_descending(flat), np.full((opp.shape[0], 1), -np.inf)], axis=1)
+    return desc[:, np.minimum(m_units - 1 - np.arange(m_units), width)]
 
 
-def multiunit_wins_rows(own, opp, senior, m_units):
-    """Units won per record for record-specific own bid vectors."""
-    return _multiunit_wins(own, opp, senior, int(m_units))
-
-
-def multiunit_wins_fixed(own, opp, senior, m_units):
-    """Units won per record for one fixed own bid vector against all records."""
+def multiunit_competing_desc(opp):
+    """Competing bids of each record in descending order, then a 0 column:
+    (N, width + 1) for width competing bids."""
     opp = np.asarray(opp, dtype=np.float64)
-    own_rows = np.broadcast_to(np.asarray(own, dtype=np.float64),
-                               (opp.shape[0], len(own)))
-    return _multiunit_wins(own_rows, opp, senior, int(m_units))
+    flat = opp.reshape(opp.shape[0], -1)
+    return np.concatenate(
+        [_descending(flat), np.zeros((opp.shape[0], 1))], axis=1)
+
+
+def multiunit_wins_rows(own, crit):
+    """Units won per record: the slots whose bid reaches the record's
+    critical bid. own is one bid vector per record (N, m) or a single (m,)
+    vector against every record."""
+    return np.count_nonzero(crit <= own, axis=1)
+
+
+# a fixed bid vector broadcasts against every record's critical bids
+multiunit_wins_fixed = multiunit_wins_rows
 
 
 def multiunit_pay_disc_rows(own, wins):
@@ -82,35 +108,27 @@ def multiunit_pay_disc_fixed(own, wins):
     return prefix[wins]
 
 
-def _competitor_next(opp, wins, m_units):
-    """(m - wins + 1)-th highest competing bid per record, 0 out of range."""
-    opp = np.asarray(opp, dtype=np.float64)
-    wins = np.asarray(wins, dtype=np.int64)
-    flat = opp.reshape(opp.shape[0], -1)
-    width = flat.shape[1]
-    asc = np.sort(flat, axis=1)
-    pos_desc = m_units - wins           # 0-indexed from the top
-    in_range = pos_desc < width
-    idx_asc = np.clip(width - 1 - pos_desc, 0, width - 1)
-    picked = np.take_along_axis(asc, idx_asc[:, None], axis=1)[:, 0]
-    return np.where(in_range, picked, 0.0)
+def _uniform_payment(own_next, comp_desc, wins, m_units):
+    # competitors' next bid: the (m_units - wins + 1)-th highest, 0 when the
+    # position falls past the last competing bid
+    width = comp_desc.shape[1] - 1
+    comp_next = comp_desc[np.arange(len(wins)),
+                          np.minimum(m_units - wins, width)]
+    return wins * np.maximum(own_next, comp_next)
 
 
-def multiunit_pay_unif_rows(own, opp, wins, m_units):
-    """Uniform-price payment wins * max(own next bid, competitors' next bid)."""
+def multiunit_pay_unif_rows(own, comp_desc, wins, m_units):
+    """Uniform-price payment wins * max(own next bid, competitors' next bid);
+    comp_desc as returned by multiunit_competing_desc."""
     own = np.asarray(own, dtype=np.float64)
     wins = np.asarray(wins, dtype=np.int64)
-    m = own.shape[1]
     own_padded = np.concatenate([own, np.zeros((own.shape[0], 1))], axis=1)
-    own_next = np.take_along_axis(
-        own_padded, np.minimum(wins, m)[:, None], axis=1)[:, 0]
-    comp_next = _competitor_next(opp, wins, int(m_units))
-    price = np.maximum(own_next, comp_next)
-    return wins.astype(np.float64) * price
+    own_next = np.take_along_axis(own_padded, wins[:, None], axis=1)[:, 0]
+    return _uniform_payment(own_next, comp_desc, wins, int(m_units))
 
 
-def multiunit_pay_unif_fixed(own, opp, wins, m_units):
-    opp = np.asarray(opp, dtype=np.float64)
-    own_rows = np.broadcast_to(np.asarray(own, dtype=np.float64),
-                               (opp.shape[0], len(own)))
-    return multiunit_pay_unif_rows(own_rows, opp, wins, m_units)
+def multiunit_pay_unif_fixed(own, comp_desc, wins, m_units):
+    own = np.asarray(own, dtype=np.float64)
+    wins = np.asarray(wins, dtype=np.int64)
+    own_next = np.append(own, 0.0)[wins]
+    return _uniform_payment(own_next, comp_desc, wins, int(m_units))

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 FLAG_DECLARED_KAPPA = "kappa declared, not derived"
+KAPPA_REQUIRED = "kappa is required: declare it or provide a built-in prior"
+KAPPA_REQUIRED_PER_CELL = ("kappa is required: declare it per cell or provide "
+                           "a built-in prior")
 FLAG_DECLARED_LINV = "inverse Lipschitz bound declared, not derived"
 
 
@@ -146,9 +150,24 @@ def _parse_partition_entry(entry, field):
     entry = dict(entry)
     entry.setdefault("agent", 0)
     try:
-        Partition.from_dict(entry)
+        cells = Partition.from_dict(entry).cells
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(field, f"invalid partition: {exc}")
+    # a tiling: some axis separates every pair of boxes, and their exact
+    # volumes add up to the unit cube's
+    lo = np.array([c.lo for c in cells])
+    hi = np.array([c.hi for c in cells])
+    for k in range(len(cells) - 1):
+        apart = (hi[k] <= lo[k + 1:]) | (hi[k + 1:] <= lo[k])
+        clash = np.flatnonzero(~apart.any(axis=1))
+        if clash.size:
+            raise ConfigError(field, f"invalid partition: cells {k} and "
+                                     f"{k + 1 + clash[0]} overlap")
+    volume = sum(math.prod(Fraction(b) - Fraction(a)
+                           for a, b in zip(c.lo, c.hi)) for c in cells)
+    _require(volume == 1, field,
+             f"invalid partition: cell volumes sum to {float(volume)!r}, "
+             "not 1, so the cells leave a gap")
     return entry
 
 
@@ -261,6 +280,16 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(isinstance(kappa, (int, float)) and kappa > 0, "kappa",
                  "kappa must be positive")
         kappa = float(kappa)
+    else:
+        # without a declared kappa the prior must supply one
+        kind = prior.get("kind") if prior is not None else None
+        if mode == "ex_interim":
+            _require(kind == "independent_product", "kappa", KAPPA_REQUIRED)
+        else:
+            _require(kind in ("independent_product", "correlated_common_value")
+                     or all(cell.get("kappa") is not None
+                            for entry in partition for cell in entry["cells"]),
+                     "kappa", KAPPA_REQUIRED_PER_CELL)
     l_inv_max = raw.get("l_inv_max")
     if l_inv_max is not None:
         _require(isinstance(l_inv_max, (int, float)) and l_inv_max > 0,
@@ -346,8 +375,7 @@ def _agent_kappa(config: RunConfig, prior, agent: int):
         return prior.kappa_opponents(agent), None
     if config.kappa is not None:
         return config.kappa, FLAG_DECLARED_KAPPA
-    raise ConfigError(
-        "kappa", "kappa is required: declare it or provide a built-in prior")
+    raise ConfigError("kappa", KAPPA_REQUIRED)
 
 
 def _cell_kappa(config: RunConfig, prior, agent: int, cell):
@@ -359,9 +387,7 @@ def _cell_kappa(config: RunConfig, prior, agent: int, cell):
         return prior.kappa_cell(cell), None
     if config.kappa is not None:
         return config.kappa, FLAG_DECLARED_KAPPA
-    raise ConfigError(
-        "kappa", "kappa is required: declare it per cell or provide a "
-        "built-in prior")
+    raise ConfigError("kappa", KAPPA_REQUIRED_PER_CELL)
 
 
 def _lipschitz_inputs(config: RunConfig, profile):

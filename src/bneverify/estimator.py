@@ -12,7 +12,9 @@ Two pipelines share the machinery here:
 The combinatorial rule makes one batched winner determination per candidate
 bid: the candidate is spliced into agent i's row of every record's profile
 and the whole (N, n, 2**items) stack is solved in one call, as is the stack
-of stored profiles for the current-strategy term.
+of stored profiles for the current-strategy term. The multi-unit rules
+compute each record's critical bids and sorted competing bids once per agent
+(once per cell ex ante); each candidate is then one comparison against them.
 
 Determinism contract: kernels emit per-sample values or exact integer
 counts, and every mean over records is fixed by the multiset of records
@@ -143,11 +145,13 @@ def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.n
         return kern.fpsb_point_utils(vals[:, 0], own[:, 0], opp_max) / H
     if kind in ("discriminatory", "uniform_price"):
         m = config.mechanism.units
-        wins = kern.multiunit_wins_rows(own, opp, senior, m)
+        crit = kern.multiunit_critical_bids(opp, senior, m)
+        wins = kern.multiunit_wins_rows(own, crit)
         if kind == "discriminatory":
             pay = kern.multiunit_pay_disc_rows(own, wins)
         else:
-            pay = kern.multiunit_pay_unif_rows(own, opp, wins, m)
+            pay = kern.multiunit_pay_unif_rows(
+                own, kern.multiunit_competing_desc(opp), wins, m)
         prefix = _value_prefix(vals)
         value = np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
         return (value - pay) / H
@@ -183,18 +187,20 @@ def _bid_stats(config: GameConfig, candidates: np.ndarray, bids: np.ndarray,
 
     if kind in ("discriminatory", "uniform_price"):
         m = config.mechanism.units
+        crit = kern.multiunit_critical_bids(opp, senior, m)
+        comp = kern.multiunit_competing_desc(opp)
 
         def work(start, stop):
             for k in range(start, stop):
                 cand = candidates[k]
-                wins = kern.multiunit_wins_fixed(cand, opp, senior, m)
+                wins = kern.multiunit_wins_fixed(cand, crit)
                 for mu in range(dim):
                     mean_alloc[k, mu] = float(
                         np.count_nonzero(wins > mu)) / n_rec
                 if kind == "discriminatory":
                     pay = kern.multiunit_pay_disc_fixed(cand, wins)
                 else:
-                    pay = kern.multiunit_pay_unif_fixed(cand, opp, wins, m)
+                    pay = kern.multiunit_pay_unif_fixed(cand, comp, wins, m)
                 mean_pay[k] = _record_mean(pay, n_rec)
 
         _run_parallel(k_cand, work, threads)
@@ -317,15 +323,17 @@ def _cell_candidate_means(config: GameConfig, candidates: np.ndarray,
         return (value_prefix[counts] - bids * counts) / H / n_rec
     if kind in ("discriminatory", "uniform_price"):
         m = config.mechanism.units
+        crit = kern.multiunit_critical_bids(opp, senior, m)
+        comp = kern.multiunit_competing_desc(opp)
         prefix = _value_prefix(cell_vals)
         means = np.empty(candidates.shape[0], dtype=np.float64)
         for k in range(candidates.shape[0]):
             cand = candidates[k]
-            wins = kern.multiunit_wins_fixed(cand, opp, senior, m)
+            wins = kern.multiunit_wins_fixed(cand, crit)
             if kind == "discriminatory":
                 pay = kern.multiunit_pay_disc_fixed(cand, wins)
             else:
-                pay = kern.multiunit_pay_unif_fixed(cand, opp, wins, m)
+                pay = kern.multiunit_pay_unif_fixed(cand, comp, wins, m)
             value = np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
             means[k] = _record_mean((value - pay) / H, n_rec)
         return means
@@ -383,7 +391,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     point_utils = profile_point_utilities(config, ds, agent)
     current = _record_mean(point_utils, n_rec)
 
-    index_lists, _ = split_by_partition(ds, partition)
+    index_lists = split_by_partition(ds, partition)
     n_cells = len(partition)
     cell_means = [None] * n_cells
 

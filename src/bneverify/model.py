@@ -8,7 +8,7 @@ count, numpy version or platform.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,14 +124,6 @@ class GameConfig:
         )
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One joint draw: per-agent observations, valuations and mapped bids."""
-    obs: np.ndarray   # (n_agents, obs_dim)
-    vals: np.ndarray  # (n_agents, val_dim)
-    bids: np.ndarray  # (n_agents, bid_dim)
-
-
 class Dataset:
     """Ordered collection of sample records, stored as dense float64 arrays.
 
@@ -157,14 +149,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.obs)
-
-    def record(self, j: int) -> SampleRecord:
-        return SampleRecord(self.obs[j], self.vals[j], self.bids[j])
-
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.obs[indices], self.vals[indices],
-                       self.bids[indices], seed=self.seed)
 
     def validate(self, config: GameConfig):
         n = config.n_agents
@@ -334,19 +318,6 @@ class Partition:
                 f"partition does not cover point {tuple(points[j])}")
         return out
 
-    def check_coverage(self, n_probes: int = 10_000, seed: int = 0):
-        """Probe uniformly random points; raise if any is uncovered or in
-        more than one cell (up to the boundary tie rule)."""
-        rng = np.random.Generator(np.random.Philox(seed))
-        pts = rng.random((n_probes, self.dim))
-        for p in pts:
-            hits = [k for k, c in enumerate(self.cells) if c.contains(p)]
-            if len(hits) == 0:
-                raise ValueError(f"partition does not cover point {tuple(p)}")
-            if len(hits) > 1:
-                raise ValueError(
-                    f"cells {hits} overlap at interior point {tuple(p)}")
-
     def to_dict(self) -> dict:
         return {
             "agent": self.agent,
@@ -372,24 +343,14 @@ class Partition:
         return cls(agent=int(d["agent"]), cells=cells)
 
 
-def assign_cell(partition: Partition, o) -> int:
-    return partition.assign(o)
-
-
 def split_by_partition(ds: Dataset, partition: Partition):
     """Group records by the cell containing the partition agent's observation.
 
-    Returns (per-cell index arrays, per-cell Datasets or None when empty).
+    Returns one index array per cell, empty for a cell no record falls in.
     Relative record order is preserved within each cell.
     """
     labels = partition.assign_many(ds.obs[:, partition.agent, :])
-    index_lists = []
-    subsets = []
-    for k in range(len(partition)):
-        idx = np.flatnonzero(labels == k)
-        index_lists.append(idx)
-        subsets.append(ds.subset(idx) if len(idx) else None)
-    return index_lists, subsets
+    return [np.flatnonzero(labels == k) for k in range(len(partition))]
 
 
 @dataclass(frozen=True)
@@ -433,32 +394,6 @@ def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
             f"(would need about {need} bytes)")
     return Grid(dim=dim, radius=radius, step=1.0 / segments,
                 points_per_axis=points_per_axis)
-
-
-@dataclass(frozen=True)
-class ConfidenceBudget:
-    """Per-event failure probability delta and the number of simultaneously
-    union-bounded events (3 for the ex interim bound, 4 for the ex ante one)."""
-    delta: float
-    multiplicity: int
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0,1)")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if self.delta * self.multiplicity >= 1.0:
-            raise ValueError("delta times multiplicity must stay below 1")
-
-    @classmethod
-    def from_total(cls, delta_total: float, multiplicity: int) -> "ConfidenceBudget":
-        if not (0.0 < delta_total < 1.0):
-            raise ValueError("delta_total must lie in (0,1)")
-        return cls(delta=delta_total / multiplicity, multiplicity=multiplicity)
-
-    @property
-    def confidence(self) -> float:
-        return 1.0 - self.delta * self.multiplicity
 
 
 def canonical_json(obj) -> str:

@@ -18,7 +18,6 @@ __all__ = [
     "Power",
     "PiecewiseLinearMonotone",
     "StrategyProfile",
-    "lipschitz_constants",
     "pushforward_density_bound",
     "strategy_from_dict",
     "profile_from_config",
@@ -173,11 +172,6 @@ class PiecewiseLinearMonotone(Strategy):
         return {"xs": self.xs.tolist(), "ys": self.ys.tolist()}
 
 
-def lipschitz_constants(s: Strategy):
-    """Forward/inverse Lipschitz constants of a strategy (module-level alias)."""
-    return s.lipschitz_constants()
-
-
 def pushforward_density_bound(kappa: float, strategies, dim: int = 1) -> float:
     """Density bound for observations pushed through bi-Lipschitz bid maps.
 
@@ -235,10 +229,6 @@ class StrategyProfile:
         for i, s in enumerate(self.strategies):
             bids[:, i, :] = s.apply(obs[:, i, :])
         return bids
-
-    def to_config(self) -> list:
-        return [dict(agent=i, **s.to_dict())
-                for i, s in enumerate(self.strategies)]
 
 
 _FAMILIES = {

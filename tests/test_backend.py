@@ -1,131 +1,7 @@
-"""Backend selection and the bit-exactness contract between the compiled
-and pure-numpy kernels."""
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
-from bneverify import _backend, _kernels_py
+"""The kernel module the estimator reaches through _backend."""
+from bneverify import BACKEND_NAME, _backend, _kernels_py
 
 
 def test_backend_name_is_one_of_the_two_implementations():
-    assert _backend.BACKEND_NAME in ("compiled", "python")
-    assert _backend.get_kernels().NAME == _backend.BACKEND_NAME
-
-
-def _random_multiunit_inputs(rng, n_records, n_opp, m):
-    own = -np.sort(-rng.uniform(0.0, 1.0, size=(n_records, m)), axis=1)
-    opp = -np.sort(-rng.uniform(0.0, 1.0, size=(n_records, n_opp, m)), axis=2)
-    # inject exact ties so the strict/weak rank rule is exercised
-    own[: n_records // 4, 0] = opp[: n_records // 4, 0, 0]
-    return own, opp
-
-
-class TestKernelParity:
-    """Every kernel must return bit-identical arrays from both backends."""
-
-    @pytest.fixture(autouse=True)
-    def _kernels(self):
-        self.compiled = pytest.importorskip(
-            "bneverify._kernels", reason="compiled extension not built")
-        self.py = _kernels_py
-        self.rng = np.random.default_rng(1234)
-
-    def check(self, name, *args):
-        lhs = getattr(self.py, name)(*args)
-        rhs = getattr(self.compiled, name)(*args)
-        assert lhs.dtype == rhs.dtype
-        assert np.array_equal(lhs, rhs)
-        return lhs
-
-    def test_fpsb_win_counts(self):
-        opp_max = np.sort(self.rng.uniform(0.0, 1.0, 500))
-        bids = self.rng.uniform(-0.1, 1.1, 64)
-        bids[:10] = opp_max[:10]  # exact ties must not count as wins
-        counts = self.check("fpsb_win_counts", opp_max, bids)
-        assert counts.dtype == np.int64
-
-    def test_fpsb_point_utils(self):
-        vals = self.rng.uniform(0.0, 1.0, 300)
-        own = self.rng.uniform(0.0, 1.0, 300)
-        opp = self.rng.uniform(0.0, 1.0, 300)
-        own[:40] = opp[:40]
-        utils = self.check("fpsb_point_utils", vals, own, opp)
-        assert np.all(utils[:40] == 0.0)
-
-    def test_fpsb_dev_utils(self):
-        theta = self.rng.uniform(0.0, 1.0, 200)
-        opp = self.rng.uniform(0.0, 1.0, 200)
-        bids = np.linspace(0.0, 1.0, 33)
-        mat = self.check("fpsb_dev_utils", theta, opp, bids)
-        assert mat.shape == (33, 200)
-
-    @pytest.mark.parametrize("senior", [(True,), (False,),
-                                        (True, False), (True, True)])
-    def test_multiunit_wins(self, senior):
-        m = 2
-        own, opp = _random_multiunit_inputs(self.rng, 80, len(senior), m)
-        sen = np.asarray(senior)
-        wins = self.check("multiunit_wins_rows", own, opp, sen, m)
-        assert wins.min() >= 0 and wins.max() <= m
-        self.check("multiunit_wins_fixed", own[0], opp, sen, m)
-
-    def test_multiunit_payments(self):
-        m = 3
-        own, opp = _random_multiunit_inputs(self.rng, 80, 2, m)
-        sen = np.asarray([True, False])
-        wins = self.py.multiunit_wins_rows(own, opp, sen, m)
-        assert set(np.unique(wins)) <= set(range(m + 1))
-        self.check("multiunit_pay_disc_rows", own, wins)
-        self.check("multiunit_pay_disc_fixed", own[0],
-                   self.py.multiunit_wins_fixed(own[0], opp, sen, m))
-        self.check("multiunit_pay_unif_rows", own, opp, wins, m)
-        self.check("multiunit_pay_unif_fixed", own[0], opp,
-                   self.py.multiunit_wins_fixed(own[0], opp, sen, m), m)
-
-    def test_multiunit_single_opponent_out_of_range_price(self):
-        # with one 1-unit opponent, a zero-win record's next competing bid
-        # position falls outside the book and must price at zero
-        m = 2
-        own = np.array([[0.1, 0.05]])
-        opp = np.array([[[0.9, 0.8]]])
-        sen = np.asarray([True])
-        wins = self.check("multiunit_wins_rows", own, opp, sen, m)
-        assert wins.tolist() == [0]
-        pay = self.check("multiunit_pay_unif_rows", own, opp, wins, m)
-        assert pay.tolist() == [0.0]
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("BNE_VERIFY_BACKEND", None)
-    else:
-        env["BNE_VERIFY_BACKEND"] = value
-    return subprocess.run(
-        [sys.executable, "-c",
-         "from bneverify import _backend; print(_backend.BACKEND_NAME)"],
-        capture_output=True, text=True, env=env)
-
-
-def test_env_var_forces_the_python_backend():
-    proc = _backend_in_subprocess("python")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "python"
-
-
-def test_env_var_accepts_the_compiled_aliases():
-    pytest.importorskip("bneverify._kernels",
-                        reason="compiled extension not built")
-    for value in ("compiled", "auto", ""):
-        proc = _backend_in_subprocess(value)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "compiled"
-
-
-def test_env_var_rejects_unknown_values():
-    proc = _backend_in_subprocess("bogus")
-    assert proc.returncode != 0
-    assert "unknown BNE_VERIFY_BACKEND value" in proc.stderr
+    assert _backend.get_kernels() is _kernels_py
+    assert BACKEND_NAME == _backend.BACKEND_NAME == _kernels_py.NAME == "python"

@@ -137,6 +137,72 @@ def test_dataset_ex_ante_cells_must_declare_tau(tmp_path, capsys):
     assert parse_config(raw).partition[0]["cells"][1]["tau"] == 0.0
 
 
+def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
+    # the dataset file does not exist: an error naming kappa shows that the
+    # job was refused before anything was loaded or estimated
+    cells = [{"lo": [0.0], "hi": [0.5], "tau": 0.1},
+             {"lo": [0.5], "hi": [1.0], "tau": 0.1}]
+    ante = eq_raw(prior=None, n_records=None, seed=None,
+                  dataset="missing.jsonl", mode="ex_ante",
+                  partition={"cells": cells})
+    expect_config_error(ante, "kappa", "declare it per cell")
+    cfg_path = write_config(tmp_path / "config.json", ante)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert "error: kappa: kappa is required" in capsys.readouterr().err
+    interim = eq_raw(prior=None, n_records=None, seed=None,
+                     dataset="missing.jsonl")
+    expect_config_error(interim, "kappa", "declare it or provide")
+    expect_config_error(eq_raw(prior={"kind": "external"}), "kappa",
+                        "declare it or provide")
+    # a kappa on every cell, a top-level kappa or a built-in prior suffices
+    for cell in cells:
+        cell["kappa"] = 2.0
+    assert parse_config(ante).kappa is None
+    cells[1]["kappa"] = None
+    expect_config_error(ante, "kappa", "declare it per cell")
+    assert parse_config(dict(ante, kappa=2.0)).kappa == 2.0
+    assert parse_config(dict(interim, kappa=2.0)).kappa == 2.0
+    correlated = eq_raw(prior={"kind": "correlated_common_value",
+                               "n_agents": 2}, mode="ex_ante",
+                        partition={"cells": [{"lo": [0.0], "hi": [1.0]}]})
+    assert parse_config(correlated).kappa is None
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([{"lo": [0.0], "hi": [0.6]}, {"lo": [0.5], "hi": [1.0]}],
+     "cells 0 and 1 overlap"),
+    ([{"lo": [0.0, 0.0], "hi": [1.0, 0.5]},
+      {"lo": [0.0, 0.5], "hi": [1.0, 1.0]},
+      {"lo": [0.4, 0.4], "hi": [0.6, 0.6]}],
+     "cells 0 and 2 overlap"),
+    ([{"lo": [0.0], "hi": [0.4]}, {"lo": [0.5], "hi": [1.0]}],
+     "volumes sum to 0.9, not 1, so the cells leave a gap"),
+    ([{"lo": [0.0, 0.0], "hi": [0.5, 1.0]},
+      {"lo": [0.5, 0.0], "hi": [1.0, 0.5]}],
+     "volumes sum to 0.75"),
+], ids=["overlap", "overlap_2d", "gap", "gap_2d"])
+def test_partitions_that_do_not_tile_the_cube_are_rejected(cells, message):
+    second = {"cells": [{"lo": [0.0], "hi": [1.0]}]}
+    raw = eq_raw(mode="ex_ante", partition=[second, {"cells": cells}])
+    expect_config_error(raw, "partition[1]", message)
+
+
+def test_partition_tiling_is_checked_exactly():
+    # 0.1 + 0.2 != 0.3 in floats, yet these boxes tile [0, 1] exactly
+    edges = [0.0, 0.1, 0.3, 0.7, 1.0]
+    spans = list(zip(edges, edges[1:]))
+    line = [{"lo": [a], "hi": [b]} for a, b in spans]
+    grid = [{"lo": [a, c], "hi": [b, d]} for a, b in spans for c, d in spans]
+    for cells in (line, grid):
+        raw = eq_raw(mode="ex_ante", partition={"cells": cells})
+        assert parse_config(raw).partition[0]["cells"] == cells
+    # a sliver between 0.3 and the next float up is a gap
+    cells = [{"lo": [0.0], "hi": [0.3]},
+             {"lo": [float(np.nextafter(0.3, 1.0))], "hi": [1.0]}]
+    expect_config_error(eq_raw(mode="ex_ante", partition={"cells": cells}),
+                        "partition[0]", "leave a gap")
+
+
 def test_parse_config_reads_partition_files_relative_to_the_config(tmp_path):
     part = {"agent": 0, "cells": [{"lo": [0.0], "hi": [1.0]}]}
     with open(tmp_path / "cells.json", "w", encoding="utf-8") as fh:
@@ -172,7 +238,8 @@ def test_load_config_resolves_dataset_paths(tmp_path):
     ds_path = tmp_path / "bids.jsonl"
     ds_path.write_text('{"obs": [[0.5], [0.5]], "vals": [[0.5], [0.5]], '
                        '"bids": [[0.25], [0.25]]}\n', encoding="utf-8")
-    raw = eq_raw(prior=None, n_records=None, seed=None, dataset="bids.jsonl")
+    raw = eq_raw(prior=None, n_records=None, seed=None, dataset="bids.jsonl",
+                 kappa=1.0)
     cfg_path = write_config(tmp_path / "cfg.json", raw)
     config = load_config(cfg_path)
     assert config.dataset == os.path.normpath(str(ds_path))

@@ -1,9 +1,10 @@
 """Ex post allocation, payment and utility rules for the four auctions."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bneverify import _kernels_py as kernels
 from bneverify.mechanisms import (assignment_value, eval, eval_discriminatory,
                                   eval_fpsb, eval_uniform_price,
                                   multiunit_allocation, winner_determination)
@@ -200,6 +201,51 @@ def test_discriminatory_and_uniform_share_allocations():
         assert np.array_equal(disc.allocation, unif.allocation)
         assert disc.allocation.sum() == m
         assert np.all(unif.payments >= 0) and np.all(disc.payments >= 0)
+
+
+@st.composite
+def multiunit_batches(draw):
+    """A batch of multi-unit profiles with non-increasing rows on the 5-point
+    lattice, so equal bids of senior and junior agents are common."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=3))
+    batch = draw(st.integers(min_value=1, max_value=5))
+    flat = draw(st.lists(BID_LATTICE, min_size=batch * n * m,
+                         max_size=batch * n * m))
+    return np.ascontiguousarray(
+        np.sort(np.array(flat).reshape(batch, n, m), axis=2)[:, :, ::-1])
+
+
+@given(multiunit_batches())
+# agent 1 wins nothing against its one opponent's two higher bids, so the
+# competitors' next-bid position falls past the book: it must pay 0
+@example(np.array([[[0.9, 0.8], [0.1, 0.05]]]))
+@settings(max_examples=300, deadline=None)
+def test_multiunit_kernels_match_the_ex_post_rules_at_exact_ties(profiles):
+    batch, n, m = profiles.shape
+    theta = np.zeros((n, m))
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        opp = profiles[:, others]
+        senior = np.array([j < i for j in others])
+        crit = kernels.multiunit_critical_bids(opp, senior, m)
+        comp = kernels.multiunit_competing_desc(opp)
+        own = profiles[:, i]
+        fixed = profiles.copy()
+        fixed[:, i] = own[0]   # the first record's bids against every record
+        for bids_i, spliced, wins_fn in ((own, profiles, "rows"),
+                                         (own[0], fixed, "fixed")):
+            wins = getattr(kernels, f"multiunit_wins_{wins_fn}")(bids_i, crit)
+            disc = getattr(kernels, f"multiunit_pay_disc_{wins_fn}")(
+                bids_i, wins)
+            unif = getattr(kernels, f"multiunit_pay_unif_{wins_fn}")(
+                bids_i, comp, wins, m)
+            for r, profile in enumerate(spliced):
+                assert wins[r] == multiunit_allocation(profile)[i]
+                for rule, pay in (("discriminatory", disc),
+                                  ("uniform_price", unif)):
+                    out = eval(game(rule, n=n, units=m), theta, profile)
+                    assert pay[r] == out.payments[i]
 
 
 # ----------------------------------------------------------- eval dispatch

@@ -1,4 +1,4 @@
-"""Core types: grids, datasets, partitions, confidence budgets, hashes."""
+"""Core types: grids, datasets, partitions, hashes."""
 import json
 import math
 
@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bneverify.model import (Cell, ConfidenceBudget, Dataset, GameConfig,
-                             Grid, MechanismSpec, Partition, canonical_json,
-                             config_hash, file_hash, load_dataset, make_grid,
-                             save_dataset, split_by_partition)
+from bneverify.model import (Cell, Dataset, GameConfig, Grid, MechanismSpec,
+                             Partition, canonical_json, config_hash,
+                             file_hash, load_dataset, make_grid, save_dataset,
+                             split_by_partition)
 
 
 def fpsb_game(n=2):
@@ -132,12 +132,8 @@ def make_dataset(n=4, n_agents=2, dim=1, seed=3):
 def test_dataset_basics():
     ds = make_dataset(n=5)
     assert len(ds) == 5
-    rec = ds.record(2)
-    assert rec.obs.shape == (2, 1)
-    sub = ds.subset([4, 0])
-    assert len(sub) == 2
-    assert np.array_equal(sub.obs[0], ds.obs[4])
-    assert np.array_equal(sub.obs[1], ds.obs[0])
+    assert ds.obs.shape == ds.vals.shape == ds.bids.shape == (5, 2, 1)
+    assert ds.seed == 3
 
 
 def test_dataset_rejects_empty_and_ragged():
@@ -248,19 +244,6 @@ def test_partition_reports_uncovered_points():
         gappy.assign((0.45,))
     with pytest.raises(ValueError, match="does not cover point"):
         gappy.assign_many(np.array([[0.1], [0.45]]))
-    with pytest.raises(ValueError, match="does not cover point"):
-        gappy.check_coverage(n_probes=2000)
-
-
-def test_partition_detects_overlap():
-    overlapping = Partition(0, [Cell(lo=(0.0,), hi=(0.6,)),
-                                Cell(lo=(0.5,), hi=(1.0,))])
-    with pytest.raises(ValueError, match="overlap at interior point"):
-        overlapping.check_coverage(n_probes=2000)
-
-
-def test_partition_coverage_probe_passes_on_clean_partition():
-    two_cell_partition().check_coverage(n_probes=10_000)
 
 
 def test_partition_round_trip_and_required_agent():
@@ -277,20 +260,18 @@ def test_split_by_partition_conserves_records_in_order():
                     [[0.4], [0.5]], [[0.5], [0.6]]])
     ds = Dataset(obs, obs.copy(), obs / 2.0)
     part = two_cell_partition()
-    idx, subsets = split_by_partition(ds, part)
+    idx = split_by_partition(ds, part)
     assert list(idx[0]) == [0, 2]
     assert list(idx[1]) == [1, 3]
     assert sorted(np.concatenate(idx).tolist()) == [0, 1, 2, 3]
-    assert np.array_equal(subsets[1].obs[0], ds.obs[1])
 
 
 def test_split_by_partition_empty_cell_yields_none():
     obs = np.full((3, 2, 1), 0.25)
     ds = Dataset(obs, obs.copy(), obs.copy())
-    idx, subsets = split_by_partition(ds, two_cell_partition())
+    idx = split_by_partition(ds, two_cell_partition())
+    assert list(idx[0]) == [0, 1, 2]
     assert len(idx[1]) == 0
-    assert subsets[1] is None
-    assert len(subsets[0]) == 3
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1,
@@ -306,28 +287,6 @@ def test_partition_from_sorted_boundaries_always_covers(bounds, seed):
     labels = part.assign_many(pts)
     for p, k in zip(pts, labels):
         assert cells[k].contains(p)
-
-
-# ------------------------------------------------------- confidence budgets
-
-
-def test_confidence_budget_split():
-    budget = ConfidenceBudget.from_total(0.05, 3)
-    assert budget.delta == 0.05 / 3
-    assert budget.multiplicity == 3
-    assert budget.confidence == pytest.approx(0.95)
-    assert ConfidenceBudget.from_total(0.05, 4).delta == 0.05 / 4
-
-
-def test_confidence_budget_validation():
-    with pytest.raises(ValueError, match="delta_total must lie in"):
-        ConfidenceBudget.from_total(0.0, 3)
-    with pytest.raises(ValueError, match="delta_total must lie in"):
-        ConfidenceBudget.from_total(1.0, 3)
-    with pytest.raises(ValueError, match="stay below 1"):
-        ConfidenceBudget(delta=0.5, multiplicity=3)
-    with pytest.raises(ValueError, match="multiplicity"):
-        ConfidenceBudget(delta=0.1, multiplicity=0)
 
 
 # ------------------------------------------------------------------- hashes
