@@ -1,7 +1,7 @@
 """The kernel module the estimator calls.
 
-The estimator looks each kernel up as an attribute of get_kernels() at call
-time, so a tracer can wrap them from outside (perfbench/spans.py does).
+The estimator looks each kernel up as a module attribute at call time, so a
+tracer can wrap them from outside (perfbench/spans.py does, through here).
 """
 from . import _kernels_py as kernels
 

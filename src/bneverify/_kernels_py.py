@@ -4,12 +4,20 @@ Kernels only produce per-sample values or exact integer counts; averaging
 over records is done by the caller (estimator), whose means do not depend on
 record order or on numpy's summation internals.
 
-Multi-unit rules use critical bids (Lehmann, O'Callaghan and Shoham 2002).
-Against a record's fixed competing bids, the agent's slot mu wins exactly
-when its bid reaches that record's critical bid for the slot, so the
-critical bids are computed once per agent (or cell) and every candidate bid
-vector is then one comparison against them. Uniform-price payments read the
-competitors' next bid from the record's competing bids, sorted once.
+Every rule but the combinatorial one uses critical bids (Lehmann,
+O'Callaghan and Shoham 2002). Against a record's fixed competing bids, the
+agent's slot mu wins exactly when its bid reaches that record's critical bid
+for the slot, so the critical bids are computed once per agent (or cell) and
+every candidate bid vector is then one comparison against them. Single-item
+first price is the one-slot case in which every opponent counts as senior.
+Uniform-price payments read the competitors' next bid from the record's
+competing bids, sorted once.
+
+The estimator no longer calls fpsb_win_counts, fpsb_point_utils,
+fpsb_dev_utils or multiunit_pay_disc_fixed: first price runs through the
+slot kernels, and pay-as-bid payment sums come from win counts. They stay
+only because the benchmark's tracer (perfbench/spans.py) looks up every name
+in its kernel list.
 """
 import numpy as np
 
@@ -17,38 +25,22 @@ NAME = "python"
 
 
 def fpsb_win_counts(sorted_opp_max, bids):
-    """Number of samples whose opponent max bid lies strictly below each bid.
-
-    sorted_opp_max must be ascending. Exact integer counts.
-    """
-    sorted_opp_max = np.ascontiguousarray(sorted_opp_max, dtype=np.float64)
-    bids = np.ascontiguousarray(bids, dtype=np.float64)
-    return np.searchsorted(sorted_opp_max, bids, side="left").astype(np.int64)
+    """Samples whose opponent max bid (ascending) lies strictly below each
+    bid. Tracer-only."""
+    return np.searchsorted(sorted_opp_max, bids, side="left")
 
 
 def fpsb_point_utils(vals, own, opp_max):
-    """Per-sample first-price utility (v - b when strictly winning, else 0)."""
-    vals = np.asarray(vals, dtype=np.float64)
-    own = np.asarray(own, dtype=np.float64)
-    opp_max = np.asarray(opp_max, dtype=np.float64)
-    return np.where(own > opp_max, vals - own, 0.0)
+    """Per-sample first-price utility: v - b when strictly winning, else 0.
+    Tracer-only."""
+    return np.where(np.greater(own, opp_max), np.subtract(vals, own), 0.0)
 
 
 def fpsb_dev_utils(theta, opp_max, bids):
     """Per-sample utilities of constant deviation bids: (K, N) matrix.
-
-    No estimator path calls it; the benchmark's tracer (perfbench/spans.py)
-    patches it by name.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    opp_max = np.asarray(opp_max, dtype=np.float64)
-    bids = np.asarray(bids, dtype=np.float64)
-    win = bids[:, None] > opp_max[None, :]
-    return np.where(win, theta[None, :] - bids[:, None], 0.0)
-
-
-def _descending(rows):
-    return np.sort(rows, axis=1)[:, ::-1]
+    Tracer-only."""
+    bids = np.asarray(bids, dtype=np.float64)[:, None]
+    return np.where(bids > opp_max, theta - bids, 0.0)
 
 
 def multiunit_critical_bids(opp, senior, m_units):
@@ -56,79 +48,72 @@ def multiunit_critical_bids(opp, senior, m_units):
 
     A slot's rank is its index mu plus the competing bids ahead of it: a
     senior opponent's bid when >=, a junior one's when >; it wins when the
-    rank is below m_units. Raising each senior bid x to nextafter(x, inf)
-    turns both rules into >, since no float lies strictly between the two.
-    Slot mu therefore wins exactly when its bid is >= the (m_units - mu)-th
-    largest raised bid, its critical bid; that is -inf when fewer bids
-    compete.
+    rank is below m_units. Raising each senior bid x (bids are >= 0) to
+    nextafter(x, inf) turns both rules into >, since no float lies strictly
+    between the two. Slot mu therefore wins exactly when its bid is >= the
+    (m_units - mu)-th largest raised bid, its critical bid; that is -inf when
+    fewer bids compete. Critical bids rise with mu, so a non-increasing bid
+    vector always wins its first slots. Single-item first price is the case
+    m_units = 1 with every opponent senior.
     """
     opp = np.asarray(opp, dtype=np.float64)
-    sen = np.asarray(senior).astype(bool)
-    raised = np.where(sen[None, :, None], np.nextafter(opp, np.inf), opp)
-    flat = raised.reshape(opp.shape[0], -1)
-    width = flat.shape[1]
-    desc = np.concatenate(
-        [_descending(flat), np.full((opp.shape[0], 1), -np.inf)], axis=1)
-    return desc[:, np.minimum(m_units - 1 - np.arange(m_units), width)]
+    junior = ~np.asarray(senior, dtype=bool)
+    # the next float up of x >= 0 has the next bit pattern once -0.0 is
+    # mapped to +0.0; in place, and ten times faster than np.nextafter
+    raised = opp + 0.0
+    raised.view(np.int64)[...] += 1
+    raised[:, junior] = opp[:, junior]
+    # ascending: the last m_units columns are the critical bids, slot order
+    asc = np.sort(raised.reshape(raised.shape[0], -1), axis=1)
+    short = max(m_units - asc.shape[1], 0)
+    if short:
+        asc = np.concatenate(
+            [np.full((asc.shape[0], short), -np.inf), asc], axis=1)
+    return asc[:, asc.shape[1] - m_units:]
 
 
 def multiunit_competing_desc(opp):
     """Competing bids of each record in descending order, then a 0 column:
     (N, width + 1) for width competing bids."""
-    opp = np.asarray(opp, dtype=np.float64)
-    flat = opp.reshape(opp.shape[0], -1)
+    flat = np.asarray(opp, dtype=np.float64).reshape(len(opp), -1)
     return np.concatenate(
-        [_descending(flat), np.zeros((opp.shape[0], 1))], axis=1)
+        [np.sort(flat, axis=1)[:, ::-1], np.zeros((len(flat), 1))], axis=1)
 
 
 def multiunit_wins_rows(own, crit):
     """Units won per record: the slots whose bid reaches the record's
     critical bid. own is one bid vector per record (N, m) or a single (m,)
-    vector against every record."""
+    vector against every record, here and in the payment kernels."""
     return np.count_nonzero(crit <= own, axis=1)
 
 
-# a fixed bid vector broadcasts against every record's critical bids
-multiunit_wins_fixed = multiunit_wins_rows
-
-
-def multiunit_pay_disc_rows(own, wins):
-    """Pay-as-bid payment: sum of the first wins[r] own bids per record."""
-    own = np.asarray(own, dtype=np.float64)
-    wins = np.asarray(wins, dtype=np.int64)
-    prefix = np.concatenate(
-        [np.zeros((own.shape[0], 1)), np.cumsum(own, axis=1)], axis=1)
-    return np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
-
-
-def multiunit_pay_disc_fixed(own, wins):
-    own = np.asarray(own, dtype=np.float64)
-    wins = np.asarray(wins, dtype=np.int64)
-    prefix = np.concatenate([[0.0], np.cumsum(own)])
-    return prefix[wins]
-
-
-def _uniform_payment(own_next, comp_desc, wins, m_units):
-    # competitors' next bid: the (m_units - wins + 1)-th highest, 0 when the
-    # position falls past the last competing bid
-    width = comp_desc.shape[1] - 1
-    comp_next = comp_desc[np.arange(len(wins)),
-                          np.minimum(m_units - wins, width)]
-    return wins * np.maximum(own_next, comp_next)
+def won_sums(rows, wins):
+    """Sum of the first wins[r] entries of row r, added left to right (the
+    floats np.cumsum gives), 0 where nothing is won: (N,)."""
+    rows = np.broadcast_to(rows, (len(wins), np.shape(rows)[-1]))
+    total = np.where(wins > 0, rows[:, 0], 0.0)
+    for mu in range(1, rows.shape[1]):
+        total = np.where(wins > mu, total + rows[:, mu], total)
+    return total
 
 
 def multiunit_pay_unif_rows(own, comp_desc, wins, m_units):
-    """Uniform-price payment wins * max(own next bid, competitors' next bid);
-    comp_desc as returned by multiunit_competing_desc."""
-    own = np.asarray(own, dtype=np.float64)
-    wins = np.asarray(wins, dtype=np.int64)
-    own_padded = np.concatenate([own, np.zeros((own.shape[0], 1))], axis=1)
-    own_next = np.take_along_axis(own_padded, wins[:, None], axis=1)[:, 0]
-    return _uniform_payment(own_next, comp_desc, wins, int(m_units))
+    """Uniform-price payment wins * max(own next bid, competitors' next
+    bid), the competitors' being the (m_units - wins + 1)-th highest in
+    comp_desc (from multiunit_competing_desc); either is 0 past the last
+    bid."""
+    own = np.broadcast_to(own, (len(wins), np.shape(own)[-1]))
+    rows = np.arange(len(wins))
+    last = own.shape[1] - 1
+    own_next = np.where(wins <= last,
+                        own[rows, np.minimum(wins, last)], 0.0)
+    comp_next = comp_desc[rows, np.minimum(m_units - wins,
+                                           comp_desc.shape[1] - 1)]
+    return wins * np.maximum(own_next, comp_next)
 
 
-def multiunit_pay_unif_fixed(own, comp_desc, wins, m_units):
-    own = np.asarray(own, dtype=np.float64)
-    wins = np.asarray(wins, dtype=np.int64)
-    own_next = np.append(own, 0.0)[wins]
-    return _uniform_payment(own_next, comp_desc, wins, int(m_units))
+# a fixed bid vector broadcasts against every record; pay-as-bid payments
+# are the sums of the first wins[r] own bids
+multiunit_wins_fixed = multiunit_wins_rows
+multiunit_pay_disc_rows = multiunit_pay_disc_fixed = won_sums
+multiunit_pay_unif_fixed = multiunit_pay_unif_rows

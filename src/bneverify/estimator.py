@@ -1,30 +1,37 @@
 """Grid-search estimators of the empirical utility loss.
 
-Two pipelines share the machinery here:
-
   * estimate_ex_interim: double-grid sweep over (valuation, deviation bid)
-    pairs for private-value data; the mechanism's allocation/payment are
-    averaged over opponent bids once per candidate, making each grid pair a
-    constant-time lookup afterwards.
+    pairs for private-value data; each candidate's allocation counts and
+    payment sum are computed once, so each grid pair is a lookup.
   * estimate_ex_ante: one constant best-response search per partition cell
     plus a direct estimate of the current strategy's expected utility.
 
-The combinatorial rule makes one batched winner determination per candidate
-bid: the candidate is spliced into agent i's row of every record's profile
-and the whole (N, n, 2**items) stack is solved in one call, as is the stack
-of stored profiles for the current-strategy term. The multi-unit rules
-compute each record's critical bids and sorted competing bids once per agent
-(once per cell ex ante); each candidate is then one comparison against them.
+Both run on one market view of the records, built by _market, the only
+place besides valid_actions that reads the rule. A market gives the
+per-record utility of the recorded bids and, per candidate bid, allocation
+counts, payment sum and (ex ante) utility sum.
 
-Determinism contract: kernels emit per-sample values or exact integer
-counts, and every mean over records is fixed by the multiset of records
-alone, never by their order, the numpy version or the platform. Allocation
-means are exact integer counts divided by the record count. First-price ex
-ante means take the winners' value sum as a sequential prefix sum over the
-records sorted by (opponent max bid, own value). Every other mean is a
-correctly rounded sum (math.fsum) divided by the record count. Argmax ties
-break toward the lexicographically smallest grid point; worker threads only
-fill disjoint output slots, so results are identical for any worker count.
+  * Slots (first price, discriminatory, uniform price): against a record's
+    competing bids, the agent's slot mu wins exactly when its bid reaches
+    the record's critical bid for that slot (Lehmann, O'Callaghan and
+    Shoham 2002). First price is the one-slot pay-as-bid auction in which
+    every opponent counts as senior, so exact ties lose.
+  * Bundles (combinatorial): one batched winner determination per candidate
+    over all records, with the candidate spliced into the agent's row.
+
+Determinism contract: every mean over records is fixed by the multiset of
+records alone, never by their order, the numpy version or the platform.
+Allocation means are exact counts over N; slot win counts come from
+searchsorted over each slot's sorted critical bids. Ex ante, the value won
+in a slot is a sequential prefix sum over the records sorted by (critical
+bid, own marginal value), and the slots' sums are added in slot order. A
+pay-as-bid payment sum is the correctly rounded sum over j of n_j * P_j (n_j
+records win exactly j units, P_j is the float sum of the first j bids),
+which equals math.fsum over the records; first price is its one-term case.
+Uniform-price payments, combinatorial outcomes and the current strategy's
+utility are math.fsum over the per-record values. Argmax ties break toward
+the lexicographically smallest grid point; worker threads only fill
+disjoint output slots, so results are identical for any worker count.
 """
 import math
 import os
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import get_kernels
+from . import _kernels_py as kernels
 from .model import (GRID_POINT_CAP, Dataset, GameConfig, Grid, Partition,
                     split_by_partition)
 from .mechanisms import winner_determination
@@ -54,6 +61,9 @@ __all__ = [
 FLAG_DEGRADED = ("degraded: current-strategy term evaluated at stored bids; "
                  "mapped-width dispersion term inapplicable")
 FLAG_UNOBSERVED = "unobserved cell"
+
+# gain-table elements per block of valuation rows in estimate_ex_interim
+_GAIN_BLOCK = 1 << 18
 
 
 def worker_count() -> int:
@@ -104,123 +114,167 @@ def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _opponent_view(bids: np.ndarray, agent: int):
-    others = [j for j in range(bids.shape[1]) if j != agent]
-    opp = np.ascontiguousarray(bids[:, others, :])
-    senior = np.array([j < agent for j in others], dtype=np.uint8)
-    return opp, senior
-
-
 def _record_mean(values: np.ndarray, n_rec: int) -> float:
     """Correctly rounded sum of per-record values divided by n_rec, so the
     mean does not depend on record order or numpy's summation internals."""
     return math.fsum(values.tolist()) / n_rec
 
 
-def _value_prefix(vals: np.ndarray) -> np.ndarray:
-    # vals (N, m) -> (N, m+1) prefix sums of marginal values
-    return np.concatenate(
-        [np.zeros((vals.shape[0], 1)), np.cumsum(vals, axis=1)], axis=1)
+def _count_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum over j of counts[k, j] * values[k, j], per k:
+    the float math.fsum gives over counts[k, j] copies of each values[k, j].
+
+    Each count (below 2**53) splits into a multiple of 2**26 with at most 27
+    significant bits and a remainder below 2**26, each value into two halves
+    of at most 26 significant bits (Veltkamp's split), so every partial
+    product fits in 53 bits and is exact; math.fsum then rounds once.
+    """
+    low = counts & ((1 << 26) - 1)
+    scaled = values * 134217729.0   # 2**27 + 1
+    high = scaled - (scaled - values)
+    terms = np.concatenate(
+        [c * v for c in ((counts - low).astype(np.float64),
+                         low.astype(np.float64))
+         for v in (high, values - high)], axis=1)
+    return np.array([math.fsum(row) for row in terms.tolist()],
+                    dtype=np.float64)
 
 
-def _own_bundle(profiles: np.ndarray, agent: int, items: int):
-    """Agent's accepted bundle in every profile of an (N, n, 2**items) stack,
-    from one batched winner determination: (won, bundle), bundle 0 where
-    the agent wins nothing."""
-    choice = winner_determination(profiles, items)[:, agent]
-    won = choice >= 0
-    return won, np.where(won, choice, 0)
+class _Slots:
+    """Agent's m slots against every record's competing bids.
+
+    Slot mu wins a record exactly when the mu-th bid reaches the record's
+    critical bid for it; critical bids rise with mu, so a non-increasing bid
+    vector wins its first slots, and the records a bid b wins in slot mu are
+    those with a critical bid <= b[mu]. Winners pay as bid, or the uniform
+    price read off comp, the competing bids sorted per record.
+    """
+
+    def __init__(self, bids, agent, senior, units, uniform, scale):
+        opp = np.delete(bids, agent, axis=1)
+        self.own = bids[:, agent]
+        self.crit = kernels.multiunit_critical_bids(opp, senior, units)
+        self.comp = kernels.multiunit_competing_desc(opp) if uniform else None
+        self.units = units
+        self.scale = scale
+
+    def utilities(self, vals):
+        """Per-record normalized utility of the recorded bids."""
+        wins = kernels.multiunit_wins_rows(self.own, self.crit)
+        if self.comp is None:
+            pay = kernels.multiunit_pay_disc_rows(self.own, wins)
+        else:
+            pay = kernels.multiunit_pay_unif_rows(self.own, self.comp, wins,
+                                                  self.units)
+        return (kernels.won_sums(vals, wins) - pay) / self.scale
+
+    def outcomes(self, cands, vals=None, threads=1):
+        """Allocation counts (K, m) and payment sums (K,) of constant bids,
+        and given the records' values (N, m) their summed normalized
+        utilities (K,), else None."""
+        counts = np.stack(
+            [np.searchsorted(col, cands[:, mu], side="right")
+             for mu, col in enumerate(np.sort(self.crit.T, axis=1))], axis=1)
+        pays = self._pay_sums(cands, counts, threads)
+        if vals is None:
+            return counts, pays, None
+        won = []
+        for mu in range(self.units):
+            # a slot's winners are a prefix of the records sorted by critical
+            # bid; ties are ordered by own marginal value
+            order = np.lexsort((vals[:, mu], self.crit[:, mu]))
+            prefix = np.concatenate([[0.0], np.cumsum(vals[:, mu][order])])
+            won.append(prefix[counts[:, mu]])
+        won = sum(won[1:], won[0])  # slot by slot
+        return counts, pays, (won - pays) / self.scale
+
+    def _pay_sums(self, cands, counts, threads):
+        if self.comp is None:
+            # exactly j units are won by counts[j-1] - counts[j] records, each
+            # paying the float sum of the first j bids
+            exact = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
+            return _count_weighted_sums(exact, np.cumsum(cands, axis=1))
+        sums = np.empty(len(cands), dtype=np.float64)
+
+        def work(start, stop):
+            for k in range(start, stop):
+                wins = kernels.multiunit_wins_fixed(cands[k], self.crit)
+                sums[k] = math.fsum(kernels.multiunit_pay_unif_fixed(
+                    cands[k], self.comp, wins, self.units).tolist())
+
+        _run_parallel(len(cands), work, threads)
+        return sums
+
+
+class _Bundles:
+    """Agent's bundle bids in the combinatorial auction: each outcome is one
+    exact winner determination over all records at once."""
+
+    def __init__(self, bids, agent, items, scale):
+        self.bids = bids
+        self.agent = agent
+        self.items = items
+        self.scale = scale
+
+    def _solve(self, profiles, vals):
+        """Agent's won flag, bundle (0 when none is won), bid paid and, given
+        the records' values, normalized utility in every profile of an
+        (N, n, 2**items) stack."""
+        choice = winner_determination(profiles, self.items)[:, self.agent]
+        won = choice >= 0
+        bundle = np.where(won, choice, 0)
+        rows = np.arange(len(profiles))
+        paid = np.where(won, profiles[rows, self.agent, bundle], 0.0)
+        if vals is None:
+            return won, bundle, paid, None
+        return won, bundle, paid, np.where(
+            won, (vals[rows, bundle] - paid) / self.scale, 0.0)
+
+    def utilities(self, vals):
+        """Per-record normalized utility of the recorded bids."""
+        return self._solve(self.bids, vals)[3]
+
+    def outcomes(self, cands, vals=None, threads=1):
+        """Allocation counts (K, 2**items) and payment sums (K,) of constant
+        bids, and given the records' values their summed normalized
+        utilities (K,), else None."""
+        counts = np.zeros(cands.shape, dtype=np.intp)
+        pays = np.empty(len(cands), dtype=np.float64)
+        sums = None if vals is None else np.empty(len(cands), dtype=np.float64)
+
+        def work(start, stop):
+            profiles = self.bids.copy()  # each worker splices its own copy
+            for k in range(start, stop):
+                profiles[:, self.agent] = cands[k]
+                won, bundle, paid, utils = self._solve(profiles, vals)
+                counts[k] = np.bincount(bundle[won], minlength=cands.shape[1])
+                pays[k] = math.fsum(paid.tolist())
+                if sums is not None:
+                    sums[k] = math.fsum(utils.tolist())
+
+        _run_parallel(len(cands), work, threads)
+        return counts, pays, sums
+
+
+def _market(config: GameConfig, bids: np.ndarray, agent: int):
+    """The records' bids (N, n, dim) as agent's market: bundles for the
+    combinatorial rule, slots for the others. First price is the one-slot
+    pay-as-bid auction in which every opponent counts as senior, so exact
+    ties lose; multi-unit ties go to the lower agent index."""
+    kind = config.mechanism.kind
+    scale = config.utility_scale
+    if kind == "first_price_combinatorial":
+        return _Bundles(bids, agent, config.mechanism.items, scale)
+    multiunit = kind in ("discriminatory", "uniform_price")
+    senior = [j < agent or not multiunit
+              for j in range(bids.shape[1]) if j != agent]
+    return _Slots(bids, agent, senior, config.mechanism.bid_dim,
+                  kind == "uniform_price", scale)
 
 
 def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.ndarray:
     """Per-record normalized utility of the stored (valuation, bid) pairs."""
-    kern = get_kernels()
-    H = config.utility_scale
-    kind = config.mechanism.kind
-    own = np.ascontiguousarray(ds.bids[:, agent, :])
-    vals = np.ascontiguousarray(ds.vals[:, agent, :])
-    opp, senior = _opponent_view(ds.bids, agent)
-    if kind == "first_price_single_item":
-        opp_max = np.max(opp[:, :, 0], axis=1)
-        return kern.fpsb_point_utils(vals[:, 0], own[:, 0], opp_max) / H
-    if kind in ("discriminatory", "uniform_price"):
-        m = config.mechanism.units
-        crit = kern.multiunit_critical_bids(opp, senior, m)
-        wins = kern.multiunit_wins_rows(own, crit)
-        if kind == "discriminatory":
-            pay = kern.multiunit_pay_disc_rows(own, wins)
-        else:
-            pay = kern.multiunit_pay_unif_rows(
-                own, kern.multiunit_competing_desc(opp), wins, m)
-        prefix = _value_prefix(vals)
-        value = np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
-        return (value - pay) / H
-    # combinatorial: one exact winner determination over all records
-    won, bundle = _own_bundle(ds.bids, agent, config.mechanism.items)
-    rows = np.arange(len(ds))
-    return np.where(won, (vals[rows, bundle] - own[rows, bundle]) / H, 0.0)
-
-
-def _bid_stats(config: GameConfig, candidates: np.ndarray, bids: np.ndarray,
-               agent: int, threads: int):
-    """Mean allocation vector and mean payment of each constant candidate bid
-    against the recorded opponent bids.
-
-    Allocation means come from exact integer win counts and payment means
-    from correctly rounded sums, so both are independent of record order.
-    """
-    kern = get_kernels()
-    n_rec = bids.shape[0]
-    kind = config.mechanism.kind
-    k_cand = candidates.shape[0]
-    dim = candidates.shape[1]
-    mean_alloc = np.zeros((k_cand, dim), dtype=np.float64)
-    mean_pay = np.zeros(k_cand, dtype=np.float64)
-    opp, senior = _opponent_view(bids, agent)
-
-    if kind == "first_price_single_item":
-        sorted_max = np.sort(np.max(opp[:, :, 0], axis=1))
-        counts = kern.fpsb_win_counts(sorted_max, candidates[:, 0])
-        mean_alloc[:, 0] = counts.astype(np.float64) / n_rec
-        mean_pay[:] = (candidates[:, 0] * counts.astype(np.float64)) / n_rec
-        return mean_alloc, mean_pay
-
-    if kind in ("discriminatory", "uniform_price"):
-        m = config.mechanism.units
-        crit = kern.multiunit_critical_bids(opp, senior, m)
-        comp = kern.multiunit_competing_desc(opp)
-
-        def work(start, stop):
-            for k in range(start, stop):
-                cand = candidates[k]
-                wins = kern.multiunit_wins_fixed(cand, crit)
-                for mu in range(dim):
-                    mean_alloc[k, mu] = float(
-                        np.count_nonzero(wins > mu)) / n_rec
-                if kind == "discriminatory":
-                    pay = kern.multiunit_pay_disc_fixed(cand, wins)
-                else:
-                    pay = kern.multiunit_pay_unif_fixed(cand, comp, wins, m)
-                mean_pay[k] = _record_mean(pay, n_rec)
-
-        _run_parallel(k_cand, work, threads)
-        return mean_alloc, mean_pay
-
-    # combinatorial: splice the candidate into every profile, solve them all
-    items = config.mechanism.items
-
-    def work(start, stop):
-        profiles = bids.copy()
-        for k in range(start, stop):
-            profiles[:, agent] = candidates[k]
-            won, bundle = _own_bundle(profiles, agent, items)
-            counts = np.bincount(bundle[won], minlength=dim)
-            mean_alloc[k] = counts.astype(np.float64) / n_rec
-            mean_pay[k] = _record_mean(
-                np.where(won, candidates[k, bundle], 0.0), n_rec)
-
-    _run_parallel(k_cand, work, threads)
-    return mean_alloc, mean_pay
+    return _market(config, ds.bids, agent).utilities(ds.vals[:, agent])
 
 
 @dataclass(frozen=True)
@@ -261,93 +315,54 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
     theta_pts = candidates  # private values share the action space
     n_rec = len(ds)
 
-    mean_alloc, mean_pay = _bid_stats(config, candidates, ds.bids, agent, threads)
+    market = _market(config, ds.bids, agent)
+    counts, pay_sums, _ = market.outcomes(candidates, threads=threads)
+    mean_alloc = counts / n_rec
+    mean_pay = pay_sums / n_rec
 
     if profile is not None:
         cur_bids = np.column_stack(
             [np.asarray(profile[agent].apply(theta_pts[:, d]), dtype=np.float64)
              for d in range(theta_pts.shape[1])])
-        cur_alloc, cur_pay = _bid_stats(config, cur_bids, ds.bids, agent, threads)
+        cur_counts, cur_pay_sums, _ = market.outcomes(cur_bids,
+                                                      threads=threads)
         cur = np.zeros(theta_pts.shape[0], dtype=np.float64)
         for d in range(theta_pts.shape[1]):
-            cur += theta_pts[:, d] * cur_alloc[:, d]
-        cur = (cur - cur_pay) / H
+            cur += theta_pts[:, d] * (cur_counts[:, d] / n_rec)
+        cur = (cur - cur_pay_sums / n_rec) / H
     else:
         flags.append(FLAG_DEGRADED)
         point_utils = profile_point_utilities(config, ds, agent)
         cur_scalar = _record_mean(point_utils, n_rec)
         cur = np.full(theta_pts.shape[0], cur_scalar)
 
-    dev = np.zeros((theta_pts.shape[0], candidates.shape[0]), dtype=np.float64)
-    for d in range(theta_pts.shape[1]):
-        dev += np.multiply.outer(theta_pts[:, d], mean_alloc[:, d])
-    dev = (dev - mean_pay[None, :]) / H
+    def gains(rows):
+        # gains[t, k] = dev[t, k] - cur[t] for the valuation rows given
+        dev = np.zeros((len(rows), candidates.shape[0]))
+        for d in range(theta_pts.shape[1]):
+            dev += np.multiply.outer(theta_pts[rows, d], mean_alloc[:, d])
+        return (dev - mean_pay[None, :]) / H - cur[rows, None]
 
-    gains = dev - cur[:, None]
-    flat_idx = int(np.argmax(gains))  # first maximum = lexicographic tie-break
-    t_idx, k_idx = np.unravel_index(flat_idx, gains.shape)
+    # the K x K table is built a block of rows at a time, so memory stays
+    # O(K); the first maximum (lexicographic tie-break) lies in the first
+    # row holding the largest per-point gain
+    step = max(1, _GAIN_BLOCK // candidates.shape[0])
+    per_point = np.concatenate(
+        [gains(np.arange(lo, min(lo + step, len(theta_pts)))).max(axis=1)
+         for lo in range(0, len(theta_pts), step)])
+    t_idx = int(np.argmax(per_point))
+    row = gains(np.array([t_idx]))[0]
+    k_idx = int(np.argmax(row))
     return ExInterimEstimate(
         agent=agent,
-        value=float(gains[t_idx, k_idx]),
+        value=float(row[k_idx]),
         argmax_pair=(tuple(float(x) for x in theta_pts[t_idx]),
                      tuple(float(x) for x in candidates[k_idx])),
-        per_point_gains=gains.max(axis=1),
+        per_point_gains=per_point,
         theta_points=theta_pts,
         n_records=n_rec,
         flags=tuple(flags),
     )
-
-
-def _cell_candidate_means(config: GameConfig, candidates: np.ndarray,
-                          cell_bids: np.ndarray, cell_vals: np.ndarray,
-                          agent: int) -> np.ndarray:
-    """Mean normalized utility of each candidate bid over one cell's records.
-
-    First price: a bid b wins the c records whose opponent max lies strictly
-    below it, so its summed utility is (value sum of those records) - b*c.
-    The records are sorted once by (opponent max, own value); the value sums
-    are then a sequential prefix sum read off at each win count.
-    """
-    kern = get_kernels()
-    H = config.utility_scale
-    kind = config.mechanism.kind
-    n_rec = cell_bids.shape[0]
-    opp, senior = _opponent_view(cell_bids, agent)
-    if kind == "first_price_single_item":
-        opp_max = np.max(opp[:, :, 0], axis=1)
-        theta = cell_vals[:, 0]
-        order = np.lexsort((theta, opp_max))
-        value_prefix = np.concatenate([[0.0], np.cumsum(theta[order])])
-        bids = candidates[:, 0]
-        counts = kern.fpsb_win_counts(opp_max[order], bids)
-        return (value_prefix[counts] - bids * counts) / H / n_rec
-    if kind in ("discriminatory", "uniform_price"):
-        m = config.mechanism.units
-        crit = kern.multiunit_critical_bids(opp, senior, m)
-        comp = kern.multiunit_competing_desc(opp)
-        prefix = _value_prefix(cell_vals)
-        means = np.empty(candidates.shape[0], dtype=np.float64)
-        for k in range(candidates.shape[0]):
-            cand = candidates[k]
-            wins = kern.multiunit_wins_fixed(cand, crit)
-            if kind == "discriminatory":
-                pay = kern.multiunit_pay_disc_fixed(cand, wins)
-            else:
-                pay = kern.multiunit_pay_unif_fixed(cand, comp, wins, m)
-            value = np.take_along_axis(prefix, wins[:, None], axis=1)[:, 0]
-            means[k] = _record_mean((value - pay) / H, n_rec)
-        return means
-    items = config.mechanism.items
-    means = np.empty(candidates.shape[0], dtype=np.float64)
-    profiles = cell_bids.copy()
-    rows = np.arange(n_rec)
-    for k in range(candidates.shape[0]):
-        profiles[:, agent] = candidates[k]
-        won, bundle = _own_bundle(profiles, agent, items)
-        utils = np.where(
-            won, (cell_vals[rows, bundle] - candidates[k, bundle]) / H, 0.0)
-        means[k] = _record_mean(utils, n_rec)
-    return means
 
 
 @dataclass(frozen=True)
@@ -381,7 +396,6 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             f"partition belongs to agent {partition.agent}, estimating {agent}")
     if threads is None:
         threads = worker_count()
-    H = config.utility_scale
     candidates = valid_actions(config, grid.points())
     if candidates.shape[0] == 0:
         raise ValueError("empty grid after feasibility filtering")
@@ -400,10 +414,9 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             idx = index_lists[k]
             if len(idx) == 0:
                 continue
-            cell_means[k] = _cell_candidate_means(
-                config, candidates,
-                np.ascontiguousarray(ds.bids[idx]),
-                np.ascontiguousarray(ds.vals[idx, agent, :]), agent)
+            market = _market(config, ds.bids[idx], agent)
+            cell_means[k] = market.outcomes(
+                candidates, ds.vals[idx, agent])[2] / len(idx)
 
     _run_parallel(n_cells, work, threads)
 
@@ -458,23 +471,21 @@ def brute_force_best_response(config: GameConfig, theta_i, opponent_bids,
     opponent_bids = np.asarray(opponent_bids, dtype=np.float64)
     if opponent_bids.ndim == 2:
         opponent_bids = opponent_bids[:, :, None]
-    n = config.n_agents
     dim = config.mechanism.bid_dim
     segments = int(np.ceil(1.0 / resolution - 1e-9))
     if (segments + 1) ** dim > cap:
         raise ValueError(
             f"resolution lattice exceeds size cap: {(segments + 1) ** dim} "
             f"points over cap {cap}")
-    axis = np.linspace(0.0, 1.0, segments + 1)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    lattice = np.stack([g.ravel() for g in mesh], axis=1)
-    lattice = valid_actions(config, lattice)
-
-    others = [j for j in range(n) if j != agent]
-    bids = np.zeros((opponent_bids.shape[0], n, dim), dtype=np.float64)
+    grid = Grid(dim=dim, radius=resolution * dim / 2.0, step=1.0 / segments,
+                points_per_axis=segments + 1)
+    lattice = valid_actions(config, grid.points())
+    others = [j for j in range(config.n_agents) if j != agent]
+    bids = np.zeros((opponent_bids.shape[0], config.n_agents, dim))
     bids[:, others, :] = opponent_bids
-
-    mean_alloc, mean_pay = _bid_stats(config, lattice, bids, agent, threads=1)
-    utilities = (mean_alloc @ theta_i - mean_pay) / config.utility_scale
+    counts, pay_sums, _ = _market(config, bids, agent).outcomes(lattice)
+    n_rec = bids.shape[0]
+    utilities = ((counts / n_rec) @ theta_i - pay_sums / n_rec) \
+        / config.utility_scale
     best = int(np.argmax(utilities))
     return lattice[best].copy(), float(utilities[best])

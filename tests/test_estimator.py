@@ -1,10 +1,14 @@
 """Empirical loss estimators against direct ex post evaluation."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bneverify import estimator
 from bneverify.estimator import (FLAG_DEGRADED, brute_force_best_response,
                                  estimate_ex_ante, estimate_ex_interim,
                                  profile_point_utilities, valid_actions)
@@ -280,6 +284,47 @@ def test_combinatorial_estimates_beyond_agent_zero_match_direct_evaluation():
         assert est.value == pytest.approx(best, abs=1e-12)
 
 
+def test_gain_table_blocks_do_not_change_the_estimate(monkeypatch):
+    # lattice bids make many gains tie, across blocks of valuation rows too
+    cases = [(uniform_dataset(300, seed=24), identity_profile(),
+              make_grid(1, 0.01), fpsb_game()),
+             (lattice_comb_dataset(40, seed=25), identity_profile(3),
+              make_grid(4, 1.0), comb_game())]
+    for ds, profile, grid, game in cases:
+        whole = estimate_ex_interim(ds, profile, grid, game, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_GAIN_BLOCK", 1)  # one row per block
+            rows = estimate_ex_interim(ds, profile, grid, game, 0)
+        assert rows.value == whole.value
+        assert rows.argmax_pair == whole.argmax_pair
+        assert np.array_equal(rows.per_point_gains, whole.per_point_gains)
+
+
+def test_fine_grid_gain_table_is_not_held_in_memory():
+    ds = uniform_dataset(200, seed=26)
+    grid = make_grid(1, 1.25e-4)
+    assert grid.size == 4001   # a whole K x K table would take 128 MB
+    tracemalloc.start()
+    try:
+        est = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert est.value == est.per_point_gains.max()
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2 ** 40),
+                          st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_count_weighted_sums_are_correctly_rounded(pairs):
+    counts = np.array([[c for c, _ in pairs]], dtype=np.int64)
+    values = np.array([[v for _, v in pairs]])
+    exact = sum(c * Fraction(v) for c, v in pairs)
+    assert estimator._count_weighted_sums(counts, values)[0] == float(exact)
+
+
 # -------------------------------------------------------- ex ante estimate
 
 
@@ -414,32 +459,67 @@ def exact_mean(values):
     return sum(map(Fraction, values.tolist()), Fraction(0)) / len(values)
 
 
-def test_ex_ante_means_are_within_their_rounding_bounds_of_the_exact_means():
+def assert_within_rounding_bounds(est, game, ds, agent, part, exact_utils):
     """current_utility is a correctly rounded sum divided by N: at most one
-    ulp from the exact mean. Each br_mean is a sequential prefix sum over the
-    cell's n records: relative error at most n * 2**-53."""
+    ulp from the exact mean. Each br_mean rests on sequential prefix sums
+    over the cell's n records: relative error at most n * 2**-53.
+    exact_utils(idx, bid) gives the exact utility of each record in idx when
+    the agent bids bid."""
+    exact = exact_mean(profile_point_utilities(game, ds, agent))
+    assert abs(Fraction(est.current_utility) - exact) \
+        <= Fraction(math.ulp(float(exact)))
+    for term, cell in zip(est.br_terms, part.cells):
+        idx = [r for r in range(len(ds)) if cell.contains(ds.obs[r, agent])]
+        assert term["n_records"] == len(idx)
+        exact = sum(exact_utils(idx, np.array(term["best_bid"])),
+                    Fraction(0)) / len(idx)
+        assert exact > 0
+        assert abs(Fraction(term["br_mean"]) - exact) \
+            <= exact * Fraction(term["n_records"], 2 ** 53)
+
+
+def test_ex_ante_means_are_within_their_rounding_bounds_of_the_exact_means():
     ds = correlated_dataset(20_000, seed=20)
     game = fpsb_game()
     for agent in range(2):
         part = quarter_partition(agent)
         est = estimate_ex_ante(ds, identity_profile(), part, make_grid(1, 0.02),
                                game, agent)
-        exact = exact_mean(profile_point_utilities(game, ds, agent))
-        assert abs(Fraction(est.current_utility) - exact) \
-            <= Fraction(math.ulp(float(exact)))
-        own_obs = ds.obs[:, agent, 0]
-        opp_max = ds.bids[:, 1 - agent, 0]
-        for term, cell in zip(est.br_terms, part.cells):
-            in_cell = np.array([cell.contains((x,)) for x in own_obs])
-            assert term["n_records"] == int(np.count_nonzero(in_cell))
-            bid = term["best_bid"][0]
-            utils = np.where(bid > opp_max[in_cell],
-                             ds.vals[in_cell, agent, 0] - bid, 0.0)
-            utils /= game.utility_scale
-            exact = exact_mean(utils)
-            assert exact > 0
-            assert abs(Fraction(term["br_mean"]) - exact) \
-                <= exact * Fraction(term["n_records"], 2 ** 53)
+
+        def exact_utils(idx, bid):
+            opp_max = ds.bids[idx, 1 - agent, 0]
+            utils = np.where(bid[0] > opp_max, ds.vals[idx, agent, 0] - bid[0],
+                             0.0)
+            return [Fraction(u) / Fraction(game.utility_scale)
+                    for u in utils.tolist()]
+
+        assert_within_rounding_bounds(est, game, ds, agent, part, exact_utils)
+
+    # multi-unit: exact value won minus the ex post rule's payment, per record
+    prior = IndependentProduct([[Uniform(), Uniform()]] * 3, sort_desc=True)
+    ds = sample_dataset(prior, identity_profile(3), 3000, seed=27)
+    for kind in ("discriminatory", "uniform_price"):
+        game = GameConfig(n_agents=3,
+                          mechanism=MechanismSpec(kind=kind, units=2))
+        for agent in range(3):
+            part = Partition(agent, [Cell(lo=(0.0, 0.0), hi=(0.5, 1.0)),
+                                     Cell(lo=(0.5, 0.0), hi=(1.0, 1.0))])
+            est = estimate_ex_ante(ds, identity_profile(3), part,
+                                   make_grid(2, 0.05), game, agent)
+
+            def exact_utils(idx, bid):
+                for r in idx:
+                    bids = ds.bids[r].copy()
+                    bids[agent] = bid
+                    out = eval_game(game, ds.vals[r], bids)
+                    won = int(out.allocation[agent].sum())
+                    value = sum(map(Fraction, ds.vals[r, agent, :won].tolist()),
+                                Fraction(0))
+                    yield (value - Fraction(float(out.payments[agent]))) \
+                        / Fraction(game.utility_scale)
+
+            assert_within_rounding_bounds(est, game, ds, agent, part,
+                                          exact_utils)
 
 
 # ----------------------------------------------------------- brute force

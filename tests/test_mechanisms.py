@@ -205,29 +205,38 @@ def test_discriminatory_and_uniform_share_allocations():
 
 @st.composite
 def multiunit_batches(draw):
-    """A batch of multi-unit profiles with non-increasing rows on the 5-point
-    lattice, so equal bids of senior and junior agents are common."""
+    """A rule and a batch of its profiles with non-increasing rows on the
+    5-point lattice, so equal bids of senior and junior agents are common.
+    The single-item rule is the one-unit case."""
+    single = draw(st.booleans())
     n = draw(st.integers(min_value=2, max_value=4))
-    m = draw(st.integers(min_value=1, max_value=3))
+    m = 1 if single else draw(st.integers(min_value=1, max_value=3))
     batch = draw(st.integers(min_value=1, max_value=5))
     flat = draw(st.lists(BID_LATTICE, min_size=batch * n * m,
                          max_size=batch * n * m))
-    return np.ascontiguousarray(
+    return single, np.ascontiguousarray(
         np.sort(np.array(flat).reshape(batch, n, m), axis=2)[:, :, ::-1])
 
 
 @given(multiunit_batches())
 # agent 1 wins nothing against its one opponent's two higher bids, so the
 # competitors' next-bid position falls past the book: it must pay 0
-@example(np.array([[[0.9, 0.8], [0.1, 0.05]]]))
+@example((False, np.array([[[0.9, 0.8], [0.1, 0.05]]])))
+# single item: a tie for the top bid loses for both
+@example((True, np.array([[[0.5], [0.5], [0.25]]])))
 @settings(max_examples=300, deadline=None)
-def test_multiunit_kernels_match_the_ex_post_rules_at_exact_ties(profiles):
+def test_multiunit_kernels_match_the_ex_post_rules_at_exact_ties(case):
+    single, profiles = case
     batch, n, m = profiles.shape
     theta = np.zeros((n, m))
+    # single item: one pay-as-bid slot, and every opponent counts as senior,
+    # so exact ties lose
+    rules = (("first_price_single_item",) if single
+             else ("discriminatory", "uniform_price"))
     for i in range(n):
         others = [j for j in range(n) if j != i]
         opp = profiles[:, others]
-        senior = np.array([j < i for j in others])
+        senior = np.array([single or j < i for j in others])
         crit = kernels.multiunit_critical_bids(opp, senior, m)
         comp = kernels.multiunit_competing_desc(opp)
         own = profiles[:, i]
@@ -241,11 +250,26 @@ def test_multiunit_kernels_match_the_ex_post_rules_at_exact_ties(profiles):
             unif = getattr(kernels, f"multiunit_pay_unif_{wins_fn}")(
                 bids_i, comp, wins, m)
             for r, profile in enumerate(spliced):
-                assert wins[r] == multiunit_allocation(profile)[i]
-                for rule, pay in (("discriminatory", disc),
-                                  ("uniform_price", unif)):
+                for rule in rules:
                     out = eval(game(rule, n=n, units=m), theta, profile)
+                    assert wins[r] == out.allocation[i].sum()
+                    pay = unif if rule == "uniform_price" else disc
                     assert pay[r] == out.payments[i]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                max_size=12), st.integers(min_value=1, max_value=4))
+@example([-0.0, 0.0, 5e-324, 1.0], 2)
+@settings(max_examples=200, deadline=None)
+def test_critical_bids_raise_senior_bids_to_the_next_float(bids, m):
+    """Against one record of non-negative bids, each all-senior critical bid
+    is the next float above an order statistic, as np.nextafter gives."""
+    opp = np.array(bids).reshape(1, -1, 1)
+    crit = kernels.multiunit_critical_bids(opp, [True] * len(bids), m)
+    top = sorted(np.nextafter(np.array(bids), np.inf).tolist(), reverse=True)
+    want = [top[m - 1 - mu] if m - 1 - mu < len(top) else -np.inf
+            for mu in range(m)]
+    assert crit[0].tolist() == want
 
 
 # ----------------------------------------------------------- eval dispatch
