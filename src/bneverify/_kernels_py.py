@@ -14,8 +14,10 @@ Uniform-price payments read the competitors' next bid from the record's
 competing bids, sorted once.
 
 The estimator no longer calls fpsb_win_counts, fpsb_point_utils,
-fpsb_dev_utils or multiunit_pay_disc_fixed: first price runs through the
-slot kernels, and pay-as-bid payment sums come from win counts. They stay
+fpsb_dev_utils, multiunit_wins_fixed, multiunit_pay_disc_fixed or
+multiunit_pay_unif_fixed: first price runs through the slot kernels, and the
+payment sums of constant bids come from win counts and prefix sums over the
+sorted critical bids, with no pass over the records per candidate. They stay
 only because the benchmark's tracer (perfbench/spans.py) looks up every name
 in its kernel list.
 """
@@ -113,7 +115,7 @@ def multiunit_pay_unif_rows(own, comp_desc, wins, m_units):
 
 
 # a fixed bid vector broadcasts against every record; pay-as-bid payments
-# are the sums of the first wins[r] own bids
+# are the sums of the first wins[r] own bids (the _fixed names: tracer-only)
 multiunit_wins_fixed = multiunit_wins_rows
 multiunit_pay_disc_rows = multiunit_pay_disc_fixed = won_sums
 multiunit_pay_unif_fixed = multiunit_pay_unif_rows

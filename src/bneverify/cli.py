@@ -420,15 +420,25 @@ def _partitions_by_agent(config: RunConfig):
     return out
 
 
-def _cell_taus(prior, partition):
-    """Per-cell TV radii: declared values win, otherwise derived from the
-    prior's conditional structure."""
-    profile = priors_mod.tv_profile(prior, partition)
-    return profile.values, profile.sources
+def _tau_profiles(prior, partitions):
+    """Per agent, its cells' TV radii: declared values win, otherwise derived
+    from the prior's conditional structure. Agents whose partitions have the
+    same cells share one derivation."""
+    by_cells, out = {}, {}
+    for agent, part in partitions.items():
+        key = tuple(part.cells)
+        if key not in by_cells:
+            by_cells[key] = priors_mod.tv_profile(prior, part)
+        out[agent] = by_cells[key]
+    return out
 
 
 def _run_single_width(config: RunConfig, width: float, prior, profile,
-                      ds: Dataset, ds_hash: str, threads: int) -> RunReport:
+                      ds: Dataset, ds_hash: str, threads: int,
+                      partitions, taus) -> RunReport:
+    """One report at one grid width. Ex ante, partitions and taus map each
+    agent to its partition and that partition's TvProfile; ex interim,
+    both are None."""
     game = config.game
     grid = make_grid(game.mechanism.bid_dim, width)
     budget_k = 3 if config.mode == "ex_interim" else 4
@@ -459,13 +469,11 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
         n_cells_max = None
     else:
         l_inv, lip_flags = _lipschitz_inputs(config, profile)
-        partitions = _partitions_by_agent(config)
         n_cells_max = max(len(p) for p in partitions.values())
         for agent in range(game.n_agents):
             part = partitions[agent]
             est = estimate_ex_ante(ds, profile, part, grid, game, agent,
                                    threads=threads)
-            taus, sources = _cell_taus(prior, part)
             kappas = []
             extra = list(lip_flags)
             for cell in part.cells:
@@ -474,11 +482,11 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
                 if kflag and kflag not in extra:
                     extra.append(kflag)
             specs = bounds_mod.ExAnteSpecs(
-                width=width, delta=delta, taus=tuple(taus),
+                width=width, delta=delta, taus=taus[agent].values,
                 kappas=tuple(kappas), l_inv_max=l_inv,
                 pdim_constant=config.pdim_constant,
                 disp_constant=config.disp_constant,
-                n_cells_max=n_cells_max, tau_sources=tuple(sources),
+                n_cells_max=n_cells_max, tau_sources=taus[agent].sources,
                 extra_flags=tuple(extra))
             ab = bounds_mod.assemble_ex_ante(est, specs, game)
             agent_bounds.append(ab)
@@ -652,15 +660,16 @@ def run(config: RunConfig, oracle: bool = False) -> int:
     widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
     sweep = isinstance(config.grid_w, list)
 
-    partition_cells = None
+    partitions = taus = partition_cells = None
     if config.mode == "ex_ante":
-        partition_cells = {a: p.cells
-                           for a, p in _partitions_by_agent(config).items()}
+        partitions = _partitions_by_agent(config)
+        taus = _tau_profiles(prior, partitions)
+        partition_cells = {a: p.cells for a, p in partitions.items()}
 
     reports = []
     for w in widths:
         report = _run_single_width(config, w, prior, profile, ds, ds_hash,
-                                   threads)
+                                   threads, partitions, taus)
         reports.append(report)
         suffix = _width_suffix(w) if sweep else ""
         report_path = os.path.join(config.out_dir, f"report{suffix}.json")

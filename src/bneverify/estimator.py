@@ -22,21 +22,27 @@ counts, payment sum and (ex ante) utility sum.
 Determinism contract: every mean over records is fixed by the multiset of
 records alone, never by their order, the numpy version or the platform.
 Allocation means are exact counts over N; slot win counts come from
-searchsorted over each slot's sorted critical bids. Ex ante, the value won
-in a slot is a sequential prefix sum over the records sorted by (critical
-bid, own marginal value), and the slots' sums are added in slot order. A
-pay-as-bid payment sum is the correctly rounded sum over j of n_j * P_j (n_j
-records win exactly j units, P_j is the float sum of the first j bids),
-which equals math.fsum over the records; first price is its one-term case.
-Uniform-price payments, combinatorial outcomes and the current strategy's
-utility are math.fsum over the per-record values. Argmax ties break toward
-the lexicographically smallest grid point; worker threads only fill
-disjoint output slots, so results are identical for any worker count.
+searchsorted over each slot's sorted critical bids. Each slot sorts its
+records once by critical bid, and only runs of equal critical bids are
+ordered further: by own marginal value ex ante, by the raw competing bid
+for uniform-price payments. Ex ante, the value won in a slot is a
+sequential prefix sum over that order, and the slots' sums are added in
+slot order. A pay-as-bid payment sum is the correctly rounded sum over j of
+n_j * P_j (n_j records win exactly j units, P_j is the float sum of the
+first j bids), which equals math.fsum over the records; first price is its
+one-term case. A uniform-price payment sum is an exact integer prefix sum in
+units of 2**-1074, rounded once, so it too equals math.fsum over the
+records. Combinatorial outcomes and the current strategy's utility are
+math.fsum over the per-record values. Argmax ties break toward the
+lexicographically smallest grid point; worker threads (bundles candidates,
+ex ante cells) only fill disjoint output slots, so results are identical
+for any worker count.
 """
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +146,43 @@ def _count_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
                     dtype=np.float64)
 
 
+def _sort_ties(keys: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Order sorting keys ascending, each run of equal keys ordered by tie.
+
+    This is np.lexsort((tie, keys)) up to swaps of records equal in both,
+    but only the records in tied runs are sorted a second time.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    start = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+    if start.all():
+        return order
+    # positions in runs of two or more; a run's id is its start's rank
+    pos = np.flatnonzero(~(start & np.append(start[1:], True)))
+    run = np.cumsum(start)[pos]
+    order[pos] = order[pos][np.lexsort((tie[order[pos]], run))]
+    return order
+
+
+# a non-negative float is an integer multiple of 2**-1074, the smallest
+# subnormal; sums of such integers are exact, and int / _SUBNORMAL rounds once
+_SUBNORMAL = 1 << 1074
+
+
+def _exact_ints(values: np.ndarray):
+    """Non-negative floats as exact Python ints n (an object array) and one
+    shift s in [0, 1074], each value being n * 2**(s - 1074). s is as large
+    as the smallest nonzero value allows, which keeps the ints short."""
+    bits = (np.asarray(values, dtype=np.float64) + 0.0).view(np.int64)
+    exp = bits >> 52   # +0.0 above turned -0.0 into +0.0: no sign bit
+    mant = (bits & ((1 << 52) - 1)) | ((exp > 0).astype(np.int64) << 52)
+    unit = np.maximum(exp, 1) - 1   # value = mant * 2**(unit - 1074)
+    nonzero = mant > 0
+    shift = int(unit[nonzero].min(initial=1074))
+    return (mant.astype(object)
+            << np.where(nonzero, unit - shift, 0).astype(object)), shift
+
+
 class _Slots:
     """Agent's m slots against every record's competing bids.
 
@@ -147,7 +190,8 @@ class _Slots:
     critical bid for it; critical bids rise with mu, so a non-increasing bid
     vector wins its first slots, and the records a bid b wins in slot mu are
     those with a critical bid <= b[mu]. Winners pay as bid, or the uniform
-    price read off comp, the competing bids sorted per record.
+    price read off comp, the competing bids sorted per record. Outcomes of
+    constant bids are lookups into the records sorted once per slot.
     """
 
     def __init__(self, bids, agent, senior, units, uniform, scale):
@@ -168,53 +212,85 @@ class _Slots:
                                                   self.units)
         return (kernels.won_sums(vals, wins) - pay) / self.scale
 
-    def outcomes(self, cands, vals=None, threads=1):
+    def outcomes(self, cands, vals=None):
         """Allocation counts (K, m) and payment sums (K,) of constant bids,
         and given the records' values (N, m) their summed normalized
         utilities (K,), else None."""
+        if vals is None:
+            cols = np.sort(self.crit, axis=0).T
+        else:
+            # a slot's winners are a prefix of the records sorted by critical
+            # bid; tied runs are ordered by own marginal value
+            orders = [_sort_ties(self.crit[:, mu], vals[:, mu])
+                      for mu in range(self.units)]
+            cols = [self.crit[order, mu] for mu, order in enumerate(orders)]
         counts = np.stack(
             [np.searchsorted(col, cands[:, mu], side="right")
-             for mu, col in enumerate(np.sort(self.crit.T, axis=1))], axis=1)
-        pays = self._pay_sums(cands, counts, threads)
+             for mu, col in enumerate(cols)], axis=1)
+        # exactly j units are won by exact[:, j-1] records
+        exact = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
+        if self.comp is None:
+            # each paying the float sum of the first j bids
+            pays = _count_weighted_sums(exact, np.cumsum(cands, axis=1))
+        else:
+            pays = self._uniform_pay_sums(cands, counts, exact)
         if vals is None:
             return counts, pays, None
-        won = []
-        for mu in range(self.units):
-            # a slot's winners are a prefix of the records sorted by critical
-            # bid; ties are ordered by own marginal value
-            order = np.lexsort((vals[:, mu], self.crit[:, mu]))
-            prefix = np.concatenate([[0.0], np.cumsum(vals[:, mu][order])])
-            won.append(prefix[counts[:, mu]])
+        won = [np.concatenate([[0.0], np.cumsum(vals[order, mu])])[count]
+               for mu, (order, count) in enumerate(zip(orders, counts.T))]
         won = sum(won[1:], won[0])  # slot by slot
         return counts, pays, (won - pays) / self.scale
 
-    def _pay_sums(self, cands, counts, threads):
-        if self.comp is None:
-            # exactly j units are won by counts[j-1] - counts[j] records, each
-            # paying the float sum of the first j bids
-            exact = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
-            return _count_weighted_sums(exact, np.cumsum(cands, axis=1))
-        sums = np.empty(len(cands), dtype=np.float64)
+    @cached_property
+    def _uniform_prefixes(self):
+        """Per j = 1..m, over the records sorted by critical bid for slot
+        j-1 with ties ordered by x, the competing bid comp[:, m-j]: the x
+        values, ascending in this order too, and the prefix sums of fl(j*x)
+        as exact ints with their shift (see _exact_ints)."""
+        out = []
+        for j in range(1, self.units + 1):
+            x = self.comp[:, self.units - j]
+            x = x[_sort_ties(self.crit[:, j - 1], x)]
+            ints, shift = _exact_ints(j * x)
+            prefix = np.zeros(len(x) + 1, dtype=object)
+            prefix[1:] = np.cumsum(ints)
+            out.append((x, prefix, shift))
+        return out
 
-        def work(start, stop):
-            for k in range(start, stop):
-                wins = kernels.multiunit_wins_fixed(cands[k], self.crit)
-                sums[k] = math.fsum(kernels.multiunit_pay_unif_fixed(
-                    cands[k], self.comp, wins, self.units).tolist())
+    def _uniform_pay_sums(self, cands, counts, exact):
+        """Exact uniform-price payment sums, rounded once.
 
-        _run_parallel(len(cands), work, threads)
-        return sums
+        A record winning exactly j units pays fl(j*max(b[j], x)), with b[m]
+        taken as 0 and x its competing bid comp[r, m-j]. The critical bid c
+        for slot j-1 is x or the next float above it (a senior bid is raised
+        by one float), so in the order of (c, x) both rise. The records paying fl(j*x) have x > b[j], which
+        already loses slot j, and c <= b[j-1]: one contiguous range. Every
+        other record winning j units pays fl(j*b[j]).
+        """
+        below = np.pad(cands[:, 1:], ((0, 0), (0, 1)))   # b[j], b[m] = 0
+        total = np.zeros(len(cands), dtype=object)   # units of 2**-1074
+        for j, (x, prefix, shift) in enumerate(self._uniform_prefixes,
+                                               start=1):
+            hi = counts[:, j - 1]
+            lo = np.minimum(np.searchsorted(x, below[:, j - 1], side="right"),
+                            hi)
+            rest = (exact[:, j - 1] - (hi - lo)).astype(object)
+            own, own_shift = _exact_ints(j * below[:, j - 1])
+            total += (((prefix[hi] - prefix[lo]) << shift)
+                      + ((rest * own) << own_shift))
+        return (total / _SUBNORMAL).astype(np.float64)
 
 
 class _Bundles:
     """Agent's bundle bids in the combinatorial auction: each outcome is one
     exact winner determination over all records at once."""
 
-    def __init__(self, bids, agent, items, scale):
+    def __init__(self, bids, agent, items, scale, threads):
         self.bids = bids
         self.agent = agent
         self.items = items
         self.scale = scale
+        self.threads = threads
 
     def _solve(self, profiles, vals):
         """Agent's won flag, bundle (0 when none is won), bid paid and, given
@@ -234,7 +310,7 @@ class _Bundles:
         """Per-record normalized utility of the recorded bids."""
         return self._solve(self.bids, vals)[3]
 
-    def outcomes(self, cands, vals=None, threads=1):
+    def outcomes(self, cands, vals=None):
         """Allocation counts (K, 2**items) and payment sums (K,) of constant
         bids, and given the records' values their summed normalized
         utilities (K,), else None."""
@@ -252,19 +328,21 @@ class _Bundles:
                 if sums is not None:
                     sums[k] = math.fsum(utils.tolist())
 
-        _run_parallel(len(cands), work, threads)
+        _run_parallel(len(cands), work, self.threads)
         return counts, pays, sums
 
 
-def _market(config: GameConfig, bids: np.ndarray, agent: int):
+def _market(config: GameConfig, bids: np.ndarray, agent: int,
+            threads: int = 1):
     """The records' bids (N, n, dim) as agent's market: bundles for the
     combinatorial rule, slots for the others. First price is the one-slot
     pay-as-bid auction in which every opponent counts as senior, so exact
-    ties lose; multi-unit ties go to the lower agent index."""
+    ties lose; multi-unit ties go to the lower agent index. Only bundles
+    spread their candidates over worker threads."""
     kind = config.mechanism.kind
     scale = config.utility_scale
     if kind == "first_price_combinatorial":
-        return _Bundles(bids, agent, config.mechanism.items, scale)
+        return _Bundles(bids, agent, config.mechanism.items, scale, threads)
     multiunit = kind in ("discriminatory", "uniform_price")
     senior = [j < agent or not multiunit
               for j in range(bids.shape[1]) if j != agent]
@@ -315,8 +393,8 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
     theta_pts = candidates  # private values share the action space
     n_rec = len(ds)
 
-    market = _market(config, ds.bids, agent)
-    counts, pay_sums, _ = market.outcomes(candidates, threads=threads)
+    market = _market(config, ds.bids, agent, threads)
+    counts, pay_sums, _ = market.outcomes(candidates)
     mean_alloc = counts / n_rec
     mean_pay = pay_sums / n_rec
 
@@ -324,8 +402,7 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
         cur_bids = np.column_stack(
             [np.asarray(profile[agent].apply(theta_pts[:, d]), dtype=np.float64)
              for d in range(theta_pts.shape[1])])
-        cur_counts, cur_pay_sums, _ = market.outcomes(cur_bids,
-                                                      threads=threads)
+        cur_counts, cur_pay_sums, _ = market.outcomes(cur_bids)
         cur = np.zeros(theta_pts.shape[0], dtype=np.float64)
         for d in range(theta_pts.shape[1]):
             cur += theta_pts[:, d] * (cur_counts[:, d] / n_rec)

@@ -162,8 +162,10 @@ class Dataset:
             if arr.shape[1:] != want:
                 raise ValueError(
                     f"{name} shaped {arr.shape[1:]} does not match config {want}")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValueError(f"{name} coordinate out of range")
+            # one pass; a NaN fails both comparisons
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
+                raise ValueError(f"{name} coordinate out of range or not "
+                                 "a number")
 
 
 def _parse_record_arrays(row: dict, line_no: int):
@@ -212,8 +214,13 @@ def load_dataset(path, config: GameConfig) -> Dataset:
                     raise ValueError(
                         f"dimension mismatch, line {line_no}: {key} has shape "
                         f"{arr.shape}, config requires {expected[key]}")
-                if np.any(arr < 0.0) or np.any(arr > 1.0):
-                    raise ValueError(f"coordinate out of range, line {line_no}")
+                # json.loads accepts NaN and Infinity; a NaN fails both
+                # comparisons
+                if not np.all((arr >= 0.0) & (arr <= 1.0)):
+                    what = ("out of range" if np.all(np.isfinite(arr))
+                            else "not a finite number")
+                    raise ValueError(
+                        f"{key} coordinate {what}, line {line_no}")
             obs_rows.append(o)
             val_rows.append(v)
             bid_rows.append(b)
@@ -304,18 +311,18 @@ class Partition:
         """Vectorized assignment; lowest cell index wins on boundaries."""
         points = np.asarray(points, dtype=np.float64)
         out = np.full(len(points), -1, dtype=np.intp)
+        cols = np.ascontiguousarray(points.T)   # one row per coordinate
+        free = np.ones(len(points), dtype=bool)  # not yet assigned
         for k, cell in enumerate(self.cells):
-            lo = np.asarray(cell.lo)
-            hi = np.asarray(cell.hi)
-            inside = np.all(points >= lo, axis=1)
-            top_closed = hi >= 1.0
-            below = np.where(top_closed, points <= hi, points < hi)
-            inside &= np.all(below, axis=1)
-            out[(out == -1) & inside] = k
-        if np.any(out == -1):
-            j = int(np.argmax(out == -1))
-            raise ValueError(
-                f"partition does not cover point {tuple(points[j])}")
+            inside = free.copy()
+            for col, a, b in zip(cols, cell.lo, cell.hi):
+                inside &= col >= a
+                inside &= (col <= b) if b >= 1.0 else (col < b)
+            out[inside] = k
+            free ^= inside
+        if free.any():
+            raise ValueError(f"partition does not cover point "
+                             f"{tuple(points[np.argmax(free)])}")
         return out
 
     def to_dict(self) -> dict:

@@ -16,8 +16,9 @@ from bneverify.bounds import FLAG_DEGRADED_BOUND
 from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
                            run)
-from bneverify.model import canonical_json, file_hash
-from bneverify.priors import Beta, prior_from_dict, sample_dataset
+from bneverify.model import Partition, canonical_json, file_hash
+from bneverify.priors import (Beta, CorrelatedCommonValue, prior_from_dict,
+                              sample_dataset, tv_profile)
 from bneverify.strategies import LinearShade, profile_from_config
 
 
@@ -389,6 +390,87 @@ def test_bids_only_dataset_run_flags_every_declared_input(tmp_path):
     assert FLAG_DEGRADED_BOUND in flags
     assert cli.FLAG_DECLARED_KAPPA in flags
     assert cli.FLAG_DECLARED_LINV in flags
+
+
+@pytest.mark.parametrize("field,bad", [("bids", "NaN"),
+                                       ("vals", "Infinity")])
+def test_non_finite_dataset_entries_exit_2(tmp_path, capsys, field, bad):
+    # json.loads reads NaN and Infinity; such a record must be refused, not
+    # estimated, with its line and field named
+    rows = [{"obs": [[0.5], [0.4]], "vals": [[0.5], [0.4]],
+             "bids": [[0.25], [0.2]]} for _ in range(4)]
+    rows[2][field] = [[float(bad)], [0.2]]
+    lines = [json.dumps(r) for r in rows]
+    assert bad in lines[2]
+    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n")
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="records.jsonl", kappa=1.0)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} coordinate not a finite number, line 3" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def correlated_ante_raw(partition, grid_w):
+    return eq_raw(mode="ex_ante", n_records=2000, grid_w=grid_w,
+                  prior={"kind": "correlated_common_value", "n_agents": 2},
+                  strategies=[{"agent": a, "family": "identity",
+                               "params": {}} for a in range(2)],
+                  partition=partition)
+
+
+def count_tv_pairs(monkeypatch):
+    calls = []
+    pair = CorrelatedCommonValue.tv_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return pair(self, *args, **kwargs)
+
+    monkeypatch.setattr(CorrelatedCommonValue, "tv_pair", counted)
+    return calls
+
+
+def test_tau_is_derived_once_per_distinct_partition(tmp_path, monkeypatch):
+    edges = [0.0, 0.1, 0.3, 0.6, 1.0]
+    cells = [{"lo": [a], "hi": [b]} for a, b in zip(edges, edges[1:])]
+    calls = count_tv_pairs(monkeypatch)
+    prior = CorrelatedCommonValue(2)
+    for cell in Partition.from_dict({"agent": 0, "cells": cells}).cells:
+        prior.tv_radius(cell)   # cells touching 0 or 1 make no calls
+    one_sweep = len(calls)
+    assert one_sweep == 2 * (16 * 15 // 2)   # two interior cells
+    calls.clear()
+    raw = correlated_ante_raw({"cells": cells}, [0.1, 0.05])
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    # two agents share the partition, and two widths share the taus
+    assert len(calls) == one_sweep
+    taus = [[c["tau"] for c in read_json(out, name)["agents"][a]["cells"]]
+            for name in ("report_w0.1.json", "report_w0.05.json")
+            for a in range(2)]
+    assert all(t == taus[0] for t in taus)
+
+
+def test_per_agent_partitions_get_their_own_taus(tmp_path):
+    split = [[0.0, 0.2, 0.5, 1.0], [0.0, 0.1, 0.4, 0.7, 1.0]]
+    partition = [{"agent": a, "cells": [{"lo": [lo], "hi": [hi]}
+                                        for lo, hi in zip(e, e[1:])]}
+                 for a, e in enumerate(split)]
+    raw = correlated_ante_raw(partition, 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    report = read_json(out, "report.json")
+    prior = CorrelatedCommonValue(2)
+    for agent, entry in enumerate(partition):
+        want = tv_profile(prior, Partition.from_dict(entry)).values
+        got = tuple(c["tau"] for c in report["agents"][agent]["cells"])
+        assert got == want
+        assert 0.0 < min(want[1:-1])   # interior cells are derived, not 0
 
 
 def test_ex_ante_run_writes_per_cell_breakdowns(tmp_path):

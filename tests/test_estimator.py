@@ -12,7 +12,8 @@ from bneverify import estimator
 from bneverify.estimator import (FLAG_DEGRADED, brute_force_best_response,
                                  estimate_ex_ante, estimate_ex_interim,
                                  profile_point_utilities, valid_actions)
-from bneverify.mechanisms import eval_discriminatory, eval_fpsb, eval as eval_game
+from bneverify.mechanisms import (eval_discriminatory, eval_fpsb,
+                                  eval_uniform_price, eval as eval_game)
 from bneverify.model import (Cell, Dataset, GameConfig, MechanismSpec,
                              Partition, make_grid)
 from bneverify.priors import (CorrelatedCommonValue, IndependentProduct,
@@ -202,6 +203,33 @@ def test_multiunit_estimate_matches_direct_evaluation():
                                                              ds.bids[j, 1:]]), 0)
                            for j in range(len(ds))])
             best = max(best, dev - cur)
+    assert est.value == pytest.approx(best, abs=1e-12)
+
+
+def test_uniform_price_sums_make_no_per_candidate_record_scan(monkeypatch):
+    # candidate outcomes come from prefix sums over sorted critical bids;
+    # the per-candidate kernels over every record must not be reached
+    def refuse(*args):
+        raise AssertionError("per-candidate scan over the records")
+
+    monkeypatch.setattr(estimator.kernels, "multiunit_wins_fixed", refuse)
+    monkeypatch.setattr(estimator.kernels, "multiunit_pay_unif_fixed", refuse)
+    game = GameConfig(n_agents=3,
+                      mechanism=MechanismSpec(kind="uniform_price", units=2))
+    prior = IndependentProduct([[Uniform(), Uniform()]] * 3, sort_desc=True)
+    profile = identity_profile(3)
+    ds = sample_dataset(prior, profile, 40, seed=9)
+    grid = make_grid(2, 0.5)
+    est = estimate_ex_interim(ds, profile, grid, game, 1)
+    actions = valid_actions(game, grid.points())
+
+    def mean_utility(t, c):
+        return math.fsum(eval_uniform_price(t, np.vstack(
+            [ds.bids[j, :1], c[None, :], ds.bids[j, 2:]]), 1)
+            for j in range(len(ds))) / len(ds)
+
+    best = max(mean_utility(t, c) - mean_utility(t, t)
+               for t in actions for c in actions)
     assert est.value == pytest.approx(best, abs=1e-12)
 
 

@@ -1,10 +1,13 @@
 """Ex post allocation, payment and utility rules for the four auctions."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bneverify import _kernels_py as kernels
+from bneverify import estimator
 from bneverify.mechanisms import (assignment_value, eval, eval_discriminatory,
                                   eval_fpsb, eval_uniform_price,
                                   multiunit_allocation, winner_determination)
@@ -255,6 +258,76 @@ def test_multiunit_kernels_match_the_ex_post_rules_at_exact_ties(case):
                     assert wins[r] == out.allocation[i].sum()
                     pay = unif if rule == "uniform_price" else disc
                     assert pay[r] == out.payments[i]
+
+
+# a lattice point, or the next float above one (below 1), so that exact ties
+# are common, and so are a senior bid y and a junior bid nextafter(y), which
+# give the same critical bid
+NEAR_LATTICE = st.one_of(
+    BID_LATTICE,
+    st.sampled_from([float(np.nextafter(x, 1.0))
+                     for x in (0.0, 0.25, 0.5, 0.75)]))
+
+
+@st.composite
+def slot_markets(draw):
+    """A slot rule, records of non-increasing bid rows, values and candidate
+    bids near the lattice, and the agent: its index sets which opponents are
+    senior (lower index) and which junior."""
+    rule = draw(st.sampled_from(
+        ["first_price_single_item", "discriminatory", "uniform_price"]))
+    n = draw(st.integers(min_value=2, max_value=4))
+    m = 1 if rule == "first_price_single_item" else draw(
+        st.integers(min_value=1, max_value=3))
+
+    def rows(count):
+        flat = draw(st.lists(NEAR_LATTICE, min_size=count * m,
+                             max_size=count * m))
+        return np.sort(np.array(flat).reshape(count, m), axis=1)[:, ::-1]
+
+    n_rec = draw(st.integers(min_value=1, max_value=6))
+    bids = rows(n_rec * n).reshape(n_rec, n, m)
+    return (rule, bids, rows(n_rec), rows(draw(st.integers(1, 4))),
+            draw(st.integers(min_value=0, max_value=n - 1)))
+
+
+Y = 0.5
+Y_UP = float(np.nextafter(Y, 1.0))
+
+
+@given(slot_markets())
+# uniform price, agent 1 between a senior and a junior opponent: a senior
+# bid Y and a junior bid nextafter(Y) give the same critical bid for slot 0
+# but different competing bids x, so the records paying x > b[1] are a
+# contiguous range only once tied critical bids are ordered by x
+@example(("uniform_price",
+          np.array([[[0.0, 0.0], [0.0, 0.0], [Y_UP, Y_UP]],
+                    [[Y, Y], [0.0, 0.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [0.0, 0.0], [Y_UP, Y_UP]]]),
+          np.ones((3, 2)), np.array([[0.75, Y]]), 1))
+@settings(max_examples=300, deadline=None)
+def test_slot_sums_match_the_ex_post_rules_at_ulp_ties(case):
+    rule, bids, vals, cands, agent = case
+    n, m = bids.shape[1:]
+    config = game(rule, n=n, **({} if rule == "first_price_single_item"
+                                else {"units": m}))
+    market = estimator._market(config, bids, agent)
+    counts, pays, utils = market.outcomes(cands, vals)
+    assert np.array_equal(market.outcomes(cands)[1], pays)
+    theta = np.zeros((n, m))
+    for k, cand in enumerate(cands):
+        outs = []
+        for r, profile in enumerate(bids):
+            profile = profile.copy()
+            profile[agent] = cand
+            theta[agent] = vals[r]
+            outs.append(eval(config, theta, profile))
+        assert counts[k].sum() == sum(o.allocation[agent].sum() for o in outs)
+        assert pays[k] == math.fsum(o.payments[agent] for o in outs)
+        # the market rounds the won values' sum, the payment sum and their
+        # difference, each record's utility rounds its own difference
+        assert utils[k] == pytest.approx(
+            math.fsum(o.utilities[agent] for o in outs), rel=1e-13, abs=1e-15)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,

@@ -289,6 +289,34 @@ def test_partition_from_sorted_boundaries_always_covers(bounds, seed):
         assert cells[k].contains(p)
 
 
+EDGE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def boxes_and_points(draw):
+    """2-D boxes with corners on the quarter lattice, overlapping freely,
+    then the whole cube so every point is covered; points on cell edges, on
+    the closed top faces or anywhere."""
+    cells = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        (x0, x1), (y0, y1) = (sorted(draw(st.lists(EDGE, min_size=2,
+                                                     max_size=2)))
+                              for _ in range(2))
+        cells.append(Cell(lo=(x0, y0), hi=(x1, y1)))
+    cells.append(Cell(lo=(0.0, 0.0), hi=(1.0, 1.0)))
+    coord = st.one_of(EDGE, st.floats(min_value=0.0, max_value=1.0))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    return Partition(0, cells), np.array(points)
+
+
+@given(boxes_and_points())
+@settings(max_examples=200, deadline=None)
+def test_assign_many_matches_assign_on_edges_and_top_faces(case):
+    part, points = case
+    assert part.assign_many(points).tolist() == \
+        [part.assign(p) for p in points]
+
+
 # ------------------------------------------------------------------- hashes
 
 
