@@ -16,8 +16,9 @@ counts, payment sum and (ex ante) utility sum.
     the record's critical bid for that slot (Lehmann, O'Callaghan and
     Shoham 2002). First price is the one-slot pay-as-bid auction in which
     every opponent counts as senior, so exact ties lose.
-  * Bundles (combinatorial): one batched winner determination per candidate
-    over all records, with the candidate spliced into the agent's row.
+  * Bundles (combinatorial): one batched winner determination per block of
+    candidates (about _SOLVE_BLOCK record profiles), over the records once
+    per candidate with the candidate spliced into the agent's row.
 
 Determinism contract: every mean over records is fixed by the multiset of
 records alone, never by their order, the numpy version or the platform.
@@ -32,12 +33,16 @@ n_j * P_j (n_j records win exactly j units, P_j is the float sum of the
 first j bids), which equals math.fsum over the records; first price is its
 one-term case. A uniform-price payment sum is an exact integer prefix sum in
 units of 2**-1074, rounded once, so it too equals math.fsum over the
-records. Combinatorial outcomes and the current strategy's utility are
+records. A combinatorial winner pays the candidate's own bid for its
+bundle, so a combinatorial payment sum is the correctly rounded sum over
+bundles b of n_b * bid_b, which equals math.fsum over the records too.
+Combinatorial utility sums and the current strategy's utility are
 math.fsum over the per-record values. Argmax ties break toward the
 lexicographically smallest grid point; worker threads (bundles candidates,
 ex ante cells) only fill disjoint output slots, so results are identical
 for any worker count.
 """
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -70,6 +75,8 @@ FLAG_UNOBSERVED = "unobserved cell"
 
 # gain-table elements per block of valuation rows in estimate_ex_interim
 _GAIN_BLOCK = 1 << 18
+# record profiles per batched winner determination in _Bundles.outcomes
+_SOLVE_BLOCK = 1 << 12
 
 
 def worker_count() -> int:
@@ -179,8 +186,20 @@ def _exact_ints(values: np.ndarray):
     unit = np.maximum(exp, 1) - 1   # value = mant * 2**(unit - 1074)
     nonzero = mant > 0
     shift = int(unit[nonzero].min(initial=1074))
-    return (mant.astype(object)
-            << np.where(nonzero, unit - shift, 0).astype(object)), shift
+    ints = mant.astype(object)
+    # in place, so each unshifted int is freed as its shifted one is made
+    np.left_shift(ints, np.where(nonzero, unit - shift, 0).astype(object),
+                  out=ints)
+    return ints, shift
+
+
+def _exact_prefix_sums(values: np.ndarray):
+    """Prefix sums of non-negative floats (len + 1 of them, from 0) as exact
+    ints, with their shift (see _exact_ints). Each int is made once, from an
+    iterator, and the per-value ints are freed on return."""
+    ints, shift = _exact_ints(values)
+    return np.fromiter(itertools.accumulate(ints, initial=0), dtype=object,
+                       count=len(ints) + 1), shift
 
 
 class _Slots:
@@ -251,10 +270,7 @@ class _Slots:
         for j in range(1, self.units + 1):
             x = self.comp[:, self.units - j]
             x = x[_sort_ties(self.crit[:, j - 1], x)]
-            ints, shift = _exact_ints(j * x)
-            prefix = np.zeros(len(x) + 1, dtype=object)
-            prefix[1:] = np.cumsum(ints)
-            out.append((x, prefix, shift))
+            out.append((x, *_exact_prefix_sums(j * x)))
         return out
 
     def _uniform_pay_sums(self, cands, counts, exact):
@@ -282,8 +298,10 @@ class _Slots:
 
 
 class _Bundles:
-    """Agent's bundle bids in the combinatorial auction: each outcome is one
-    exact winner determination over all records at once."""
+    """Agent's bundle bids in the combinatorial auction. Outcomes of a block
+    of candidates come from one exact winner determination over a stack of
+    the records, one copy per candidate with the candidate spliced into the
+    agent's row."""
 
     def __init__(self, bids, agent, items, scale, threads):
         self.bids = bids
@@ -293,43 +311,53 @@ class _Bundles:
         self.threads = threads
 
     def _solve(self, profiles, vals):
-        """Agent's won flag, bundle (0 when none is won), bid paid and, given
-        the records' values, normalized utility in every profile of an
-        (N, n, 2**items) stack."""
-        choice = winner_determination(profiles, self.items)[:, self.agent]
+        """Agent's won flag and bundle (0 when none is won) in every profile
+        of a (..., N, n, 2**items) stack, and given the records' values
+        (N, 2**items) its normalized utilities, else None."""
+        choice = winner_determination(profiles, self.items)[..., self.agent]
         won = choice >= 0
         bundle = np.where(won, choice, 0)
-        rows = np.arange(len(profiles))
-        paid = np.where(won, profiles[rows, self.agent, bundle], 0.0)
         if vals is None:
-            return won, bundle, paid, None
-        return won, bundle, paid, np.where(
-            won, (vals[rows, bundle] - paid) / self.scale, 0.0)
+            return won, bundle, None
+        paid = np.take_along_axis(profiles[..., self.agent, :],
+                                  bundle[..., None], axis=-1)[..., 0]
+        worth = vals[np.arange(len(vals)), bundle]
+        return won, bundle, np.where(won, (worth - paid) / self.scale, 0.0)
 
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids."""
-        return self._solve(self.bids, vals)[3]
+        return self._solve(self.bids, vals)[2]
 
     def outcomes(self, cands, vals=None):
         """Allocation counts (K, 2**items) and payment sums (K,) of constant
         bids, and given the records' values their summed normalized
-        utilities (K,), else None."""
+        utilities (K,), else None.
+
+        A record that wins bundle b pays the candidate's own bid for b, so
+        each payment sum is the count-weighted sum of the candidate's bids.
+        """
+        n_bundles = cands.shape[1]
         counts = np.zeros(cands.shape, dtype=np.intp)
-        pays = np.empty(len(cands), dtype=np.float64)
         sums = None if vals is None else np.empty(len(cands), dtype=np.float64)
+        step = max(1, _SOLVE_BLOCK // len(self.bids))
 
         def work(start, stop):
-            profiles = self.bids.copy()  # each worker splices its own copy
-            for k in range(start, stop):
-                profiles[:, self.agent] = cands[k]
-                won, bundle, paid, utils = self._solve(profiles, vals)
-                counts[k] = np.bincount(bundle[won], minlength=cands.shape[1])
-                pays[k] = math.fsum(paid.tolist())
+            # each worker splices candidates into its own stack of records
+            stack = np.repeat(self.bids[None], min(step, stop - start), axis=0)
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                profiles = stack[:hi - lo]
+                profiles[:, :, self.agent] = cands[lo:hi, None]
+                won, bundle, utils = self._solve(profiles, vals)
+                cells = np.arange(hi - lo)[:, None] * n_bundles + bundle
+                counts[lo:hi] = np.bincount(
+                    cells[won], minlength=(hi - lo) * n_bundles
+                ).reshape(hi - lo, n_bundles)
                 if sums is not None:
-                    sums[k] = math.fsum(utils.tolist())
+                    sums[lo:hi] = [math.fsum(row) for row in utils.tolist()]
 
         _run_parallel(len(cands), work, self.threads)
-        return counts, pays, sums
+        return counts, _count_weighted_sums(counts, cands), sums
 
 
 def _market(config: GameConfig, bids: np.ndarray, agent: int,

@@ -109,19 +109,22 @@ def winner_determination(bids, items: int) -> np.ndarray:
             value[:, free] = np.where(cand > cur, cand, cur)
         best[agent] = value
 
-    rows = np.arange(size)
+    # tables read through flat offsets; only profiles whose optimum changes
+    # at an agent scan its bundles, and the sums below are the forward
+    # pass's floats, so a bundle reaching the target exists in each of them
+    base = np.arange(size) * n_bundles
     choice = np.full((size, n), -1, dtype=np.intp)
     used = np.zeros(size, dtype=np.intp)
     for agent in range(n):
-        after = best[agent + 1]
-        target = best[agent][rows, used]
-        options = used[:, None] | masks
-        cand = flat[:, agent, :] + after[rows[:, None], options]
-        hit = ((used[:, None] & masks) == 0) & (cand == target[:, None])
-        take = (after[rows, used] != target) & hit.any(axis=1)
-        pick = np.argmax(hit, axis=1)[take]  # first bundle reaching target
-        choice[take, agent] = pick
-        used[take] |= pick
+        after = best[agent + 1].ravel()
+        target = best[agent].ravel()[base + used]
+        at = np.flatnonzero(after[base + used] != target)
+        free = used[at, None]
+        cand = flat[at, agent, :] + after[base[at, None] + (free | masks)]
+        hit = ((free & masks) == 0) & (cand == target[at, None])
+        pick = np.argmax(hit, axis=1)  # first bundle reaching target
+        choice[at, agent] = pick
+        used[at] |= pick
     return choice.reshape(batch + (n,))
 
 

@@ -168,28 +168,70 @@ class Dataset:
                                  "a number")
 
 
-def _parse_record_arrays(row: dict, line_no: int):
+_DATASET_FIELDS = ("obs", "vals", "bids")
+
+
+def _parse_record_arrays(row: dict, line_no: int, expected: dict):
     out = []
-    for key in ("obs", "vals", "bids"):
+    for key in _DATASET_FIELDS:
         if key not in row:
             raise ValueError(f"malformed row, line {line_no}: missing {key!r}")
-        arr = np.asarray(row[key], dtype=np.float64)
+        try:
+            arr = np.asarray(row[key], dtype=np.float64)
+        except (TypeError, ValueError):   # ragged lists, strings, objects
+            raise ValueError(f"malformed row, line {line_no}: {key} is not "
+                             "an array of numbers") from None
         if arr.ndim == 1:  # allow scalar-per-agent shorthand
             arr = arr[:, None]
         if arr.ndim != 2:
             raise ValueError(f"malformed row, line {line_no}: {key} must be a "
                              "list of per-agent vectors")
+        if arr.shape != expected[key]:
+            raise ValueError(
+                f"dimension mismatch, line {line_no}: {key} has shape "
+                f"{arr.shape}, config requires {expected[key]}")
         out.append(arr)
     return out
+
+
+def _check_dataset_ranges(rows, line_nos):
+    """Raise for the first record, in file order, holding a coordinate that
+    is outside [0, 1] or not a finite number; name its first such field.
+
+    rows maps each field to its per-record arrays; each field is stacked and
+    checked in one pass (json.loads accepts NaN and Infinity, and a NaN
+    fails both comparisons).
+    """
+    if not line_nos:
+        return {}
+    stacked = {key: np.stack(rows[key]) for key in _DATASET_FIELDS}
+    bad = {key: ~((arr >= 0.0) & (arr <= 1.0)).all(axis=(1, 2))
+           for key, arr in stacked.items()}
+    first = np.flatnonzero(bad["obs"] | bad["vals"] | bad["bids"])
+    if first.size:
+        rec = int(first[0])
+        key = next(k for k in _DATASET_FIELDS if bad[k][rec])
+        what = ("out of range" if np.isfinite(stacked[key][rec]).all()
+                else "not a finite number")
+        raise ValueError(f"{key} coordinate {what}, line {line_nos[rec]}")
+    return stacked
 
 
 def load_dataset(path, config: GameConfig) -> Dataset:
     """Read a JSON-lines dataset file and validate it against config.
 
     An optional first line without an "obs" key is treated as a header
-    carrying the generator seed and config hash.
+    carrying the generator seed and config hash. Faults are reported for
+    the first offending line; value ranges are checked once over all
+    records, and before a later line's parse fault is reported.
     """
-    obs_rows, val_rows, bid_rows = [], [], []
+    expected = {
+        "obs": (config.n_agents, config.obs_dim),
+        "vals": (config.n_agents, config.val_dim),
+        "bids": (config.n_agents, config.mechanism.bid_dim),
+    }
+    rows = {key: [] for key in _DATASET_FIELDS}
+    line_nos = []
     seed = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -198,36 +240,26 @@ def load_dataset(path, config: GameConfig) -> Dataset:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed row, line {line_no}: {exc}") from exc
-            if "obs" not in row and line_no == 1:
-                seed = row.get("seed")
-                continue
-            o, v, b = _parse_record_arrays(row, line_no)
-            expected = {
-                "obs": (config.n_agents, config.obs_dim),
-                "vals": (config.n_agents, config.val_dim),
-                "bids": (config.n_agents, config.mechanism.bid_dim),
-            }
-            for key, arr in zip(("obs", "vals", "bids"), (o, v, b)):
-                if arr.shape != expected[key]:
+                if not isinstance(row, dict):
                     raise ValueError(
-                        f"dimension mismatch, line {line_no}: {key} has shape "
-                        f"{arr.shape}, config requires {expected[key]}")
-                # json.loads accepts NaN and Infinity; a NaN fails both
-                # comparisons
-                if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                    what = ("out of range" if np.all(np.isfinite(arr))
-                            else "not a finite number")
+                        f"malformed row, line {line_no}: not a JSON object")
+                if "obs" not in row and line_no == 1:
+                    seed = row.get("seed")
+                    continue
+                arrays = _parse_record_arrays(row, line_no, expected)
+            except ValueError as exc:
+                _check_dataset_ranges(rows, line_nos)  # earlier lines first
+                if isinstance(exc, json.JSONDecodeError):
                     raise ValueError(
-                        f"{key} coordinate {what}, line {line_no}")
-            obs_rows.append(o)
-            val_rows.append(v)
-            bid_rows.append(b)
-    if not obs_rows:
+                        f"malformed row, line {line_no}: {exc}") from exc
+                raise
+            for key, arr in zip(_DATASET_FIELDS, arrays):
+                rows[key].append(arr)
+            line_nos.append(line_no)
+    if not line_nos:
         raise ValueError("dataset empty")
-    return Dataset(np.stack(obs_rows), np.stack(val_rows), np.stack(bid_rows),
-                   seed=seed)
+    stacked = _check_dataset_ranges(rows, line_nos)
+    return Dataset(stacked["obs"], stacked["vals"], stacked["bids"], seed=seed)
 
 
 def save_dataset(ds: Dataset, path, config_hash=None):

@@ -328,6 +328,59 @@ def test_gain_table_blocks_do_not_change_the_estimate(monkeypatch):
         assert np.array_equal(rows.per_point_gains, whole.per_point_gains)
 
 
+def test_solve_blocks_and_workers_do_not_change_bundle_outcomes(monkeypatch):
+    # lattice bids tie often; 100 records make the default block hold 40 of
+    # the 81 candidates, a 1-profile block one, a 10**6-profile block all
+    game = comb_game()
+    ds = lattice_comb_dataset(100, seed=28)
+    cands = valid_actions(game, make_grid(4, 1.0).points())
+    agent = 1
+    vals = ds.vals[:, agent]
+    runs = []
+    for block in (1, estimator._SOLVE_BLOCK, 10 ** 6):
+        for threads in (1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_SOLVE_BLOCK", block)
+                market = estimator._market(game, ds.bids, agent, threads)
+                runs.append((market.outcomes(cands),
+                             market.outcomes(cands, vals)))
+    (counts, pays, none), (_, _, sums) = runs[0]
+    assert none is None
+    for run in runs:
+        for got, want in zip(run[0][:2] + run[1], (counts, pays) * 2 + (sums,)):
+            assert np.array_equal(got, want)
+    for k, cand in enumerate(cands):
+        outs = ex_post(game, ds, agent, cand)
+        alloc = np.sum([o.allocation[agent] for o in outs], axis=0)
+        assert np.array_equal(counts[k], alloc)
+        assert pays[k] == math.fsum(float(o.payments[agent]) for o in outs)
+        assert sums[k] == math.fsum(float(o.utilities[agent]) for o in outs)
+
+
+def test_bundle_candidates_share_one_solver_call_per_block(monkeypatch):
+    # the benchmark's shape: 250 records, 121 candidates, ex interim
+    game = comb_game(n=2, items=1)
+    rng = np.random.Generator(np.random.Philox(29))
+    vals = rng.random((250, 2, 2))
+    profile = StrategyProfile((LinearShade(0.7), LinearShade(0.95)))
+    bids = np.stack([profile[i].apply(vals[:, i]) for i in range(2)], axis=1)
+    ds = Dataset(vals, vals.copy(), bids)
+    grid = make_grid(2, 0.1)
+    assert len(grid.points()) == 121
+    solve = estimator.winner_determination
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(estimator, "winner_determination", counted)
+    estimate_ex_interim(ds, profile, grid, game, 0, threads=1)
+    # 4096 // 250 = 16 candidates per block, for the deviation candidates
+    # and the current-strategy bids; one call per candidate would make 242
+    assert len(calls) == 2 * math.ceil(121 / 16) == 16
+
+
 def test_fine_grid_gain_table_is_not_held_in_memory():
     ds = uniform_dataset(200, seed=26)
     grid = make_grid(1, 1.25e-4)

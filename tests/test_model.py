@@ -160,7 +160,9 @@ def test_dataset_validate_range_and_shape():
 
 def test_dataset_file_round_trip_is_bit_exact(tmp_path):
     game = fpsb_game()
-    ds = make_dataset(n=7, seed=11)
+    ds = make_dataset(n=1000, seed=11)
+    ds.bids[::7] = 0.0   # both ends of [0, 1] are inside it
+    ds.vals[::11] = 1.0
     path = tmp_path / "records.jsonl"
     save_dataset(ds, path, config_hash="ab12")
     again = load_dataset(path, game)
@@ -185,6 +187,19 @@ def test_load_dataset_reports_offending_line(tmp_path):
     with pytest.raises(ValueError, match="malformed row, line 1: missing 'bids'"):
         load_dataset(path, game)
 
+    path.write_text(good + "\n" + "[0.5, 0.2]\n")
+    with pytest.raises(ValueError, match="malformed row, line 2: not a JSON "
+                                         "object"):
+        load_dataset(path, game)
+
+    for bad in ('[[0.2, 0.1], [0.2]]', '[["x"], [0.2]]',
+                '[{"b": 0.2}, [0.2]]'):
+        path.write_text(good + "\n" + good.replace('[[0.2], [0.2]]', bad)
+                        + "\n")
+        with pytest.raises(ValueError, match="malformed row, line 2: bids is "
+                                             "not an array of numbers"):
+            load_dataset(path, game)
+
     path.write_text(good + "\n"
                     + '{"obs": [[0.5, 0.1], [0.5, 0.1]], '
                     '"vals": [[0.5], [0.5]], "bids": [[0.2], [0.2]]}\n')
@@ -198,6 +213,36 @@ def test_load_dataset_reports_offending_line(tmp_path):
 
     path.write_text('{"seed": 1}\n')
     with pytest.raises(ValueError, match="dataset empty"):
+        load_dataset(path, game)
+
+
+def test_load_dataset_names_the_first_fault_in_file_order(tmp_path):
+    game = fpsb_game()
+    good = {"obs": [[0.5], [0.5]], "vals": [[0.5], [0.5]],
+            "bids": [[0.2], [0.2]]}
+    path = tmp_path / "bad.jsonl"
+
+    def write(*rows):
+        path.write_text("\n".join(r if isinstance(r, str) else json.dumps(r)
+                                  for r in rows) + "\n")
+
+    # a range fault on line 2 comes before a shape or JSON fault on line 4
+    wide = dict(good, obs=[[0.5, 0.1], [0.5, 0.1]])
+    for later in (wide, "{not json}"):
+        write(good, dict(good, vals=[[1.5], [0.5]]), good, later)
+        with pytest.raises(ValueError,
+                           match="^vals coordinate out of range, line 2$"):
+            load_dataset(path, game)
+    # within a line, the first faulty field is named
+    write(good, good, dict(good, obs=[[0.5], [-0.1]],
+                           bids=[[float("nan")], [0.2]]))
+    with pytest.raises(ValueError, match="^obs coordinate out of range, "
+                                         "line 3$"):
+        load_dataset(path, game)
+    write(good, dict(good, bids=[[float("nan")], [0.2]]),
+          dict(good, obs=[[2.0], [0.5]]))
+    with pytest.raises(ValueError, match="^bids coordinate not a finite "
+                                         "number, line 2$"):
         load_dataset(path, game)
 
 
