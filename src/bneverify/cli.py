@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 config/validation error, 3 run succeeded but every
 agent's certified bound is vacuous (> 2 in normalized units).
 
 Determinism: reports embed the config hash and dataset hash, never
-timestamps; report bytes are identical across reruns and worker counts.
+timestamps; report bytes are identical across reruns.
 """
 import argparse
 import csv
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import priors as priors_mod
-from .estimator import (estimate_ex_ante, estimate_ex_interim, worker_count)
+from .estimator import estimate_ex_ante, estimate_ex_interim
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
                     Partition, canonical_json, config_hash, file_hash,
                     load_dataset, make_grid)
@@ -234,11 +234,6 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             profile_from_config(strategies, game.n_agents)
         except ValueError as exc:
             raise ConfigError("strategies", str(exc))
-        if prior is None and mode == "ex_interim":
-            pass  # external data with a known profile is fine
-    if prior is None and strategies == "bids-only":
-        _require(mode != "ex_ante" or raw.get("partition") is not None,
-                 "partition", "mode ex_ante requires a partition")
 
     partition = raw.get("partition")
     if mode == "ex_ante":
@@ -295,6 +290,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(isinstance(l_inv_max, (int, float)) and l_inv_max > 0,
                  "l_inv_max", "l_inv_max must be positive")
         l_inv_max = float(l_inv_max)
+    else:
+        # without strategies no slope bound can be derived
+        _require(strategies != "bids-only", "l_inv_max",
+                 "l_inv_max is required in bids-only mode")
 
     pdim_constant = float(raw.get("pdim_constant", 1.0))
     _require(pdim_constant > 0, "pdim_constant",
@@ -370,39 +369,31 @@ def _resolve_dataset(config: RunConfig, prior, profile):
 
 
 def _agent_kappa(config: RunConfig, prior, agent: int):
-    """Opponent prior density bound for the ex interim route."""
-    if prior is not None and isinstance(prior, priors_mod.IndependentProduct):
+    """Opponent prior density bound for the ex interim route; parse_config
+    has checked that the prior or the config supplies one."""
+    if isinstance(prior, priors_mod.IndependentProduct):
         return prior.kappa_opponents(agent), None
-    if config.kappa is not None:
-        return config.kappa, FLAG_DECLARED_KAPPA
-    raise ConfigError("kappa", KAPPA_REQUIRED)
+    return config.kappa, FLAG_DECLARED_KAPPA
 
 
 def _cell_kappa(config: RunConfig, prior, agent: int, cell):
+    """A cell's opponent density bound; parse_config has checked that the
+    cell, the prior or the config supplies one."""
     if cell.kappa is not None:
         return cell.kappa, FLAG_DECLARED_KAPPA
     if isinstance(prior, priors_mod.IndependentProduct):
         return prior.kappa_opponents(agent), None
     if isinstance(prior, priors_mod.CorrelatedCommonValue):
         return prior.kappa_cell(cell), None
-    if config.kappa is not None:
-        return config.kappa, FLAG_DECLARED_KAPPA
-    raise ConfigError("kappa", KAPPA_REQUIRED_PER_CELL)
+    return config.kappa, FLAG_DECLARED_KAPPA
 
 
 def _lipschitz_inputs(config: RunConfig, profile):
-    flags = []
-    if profile is not None:
-        if not profile.certified:
-            flags.append(FLAG_UNCERTIFIED)
-        l_inv = profile.l_inv_max
-    elif config.l_inv_max is not None:
-        l_inv = config.l_inv_max
-        flags.append(FLAG_DECLARED_LINV)
-    else:
-        raise ConfigError(
-            "l_inv_max", "l_inv_max is required in bids-only mode")
-    return l_inv, flags
+    """Inverse slope bound and its flags: the profile's, or in bids-only
+    mode the declared one (parse_config requires it there)."""
+    if profile is None:
+        return config.l_inv_max, [FLAG_DECLARED_LINV]
+    return profile.l_inv_max, [] if profile.certified else [FLAG_UNCERTIFIED]
 
 
 def _partitions_by_agent(config: RunConfig):
@@ -434,8 +425,8 @@ def _tau_profiles(prior, partitions):
 
 
 def _run_single_width(config: RunConfig, width: float, prior, profile,
-                      ds: Dataset, ds_hash: str, threads: int,
-                      partitions, taus) -> RunReport:
+                      ds: Dataset, ds_hash: str, partitions,
+                      taus) -> RunReport:
     """One report at one grid width. Ex ante, partitions and taus map each
     agent to its partition and that partition's TvProfile; ex interim,
     both are None."""
@@ -447,12 +438,11 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
     agents_payload = []
     plots = {}
     agent_bounds = []
+    l_inv, lip_flags = _lipschitz_inputs(config, profile)
 
     if config.mode == "ex_interim":
-        l_inv, lip_flags = _lipschitz_inputs(config, profile)
         for agent in range(game.n_agents):
-            est = estimate_ex_interim(ds, profile, grid, game, agent,
-                                      threads=threads)
+            est = estimate_ex_interim(ds, profile, grid, game, agent)
             kappa, kflag = _agent_kappa(config, prior, agent)
             extra = list(lip_flags)
             if kflag:
@@ -468,12 +458,10 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
             plots[agent] = (est.theta_points, est.per_point_gains)
         n_cells_max = None
     else:
-        l_inv, lip_flags = _lipschitz_inputs(config, profile)
         n_cells_max = max(len(p) for p in partitions.values())
         for agent in range(game.n_agents):
             part = partitions[agent]
-            est = estimate_ex_ante(ds, profile, part, grid, game, agent,
-                                   threads=threads)
+            est = estimate_ex_ante(ds, profile, part, grid, game, agent)
             kappas = []
             extra = list(lip_flags)
             for cell in part.cells:
@@ -604,10 +592,7 @@ def _emit_cells_csv(report: RunReport, path: str, partition_cells=None):
 def _csv_num(x):
     if x is None:
         return ""
-    x = float(x)
-    if math.isinf(x) or math.isnan(x):
-        return repr(x)
-    return repr(x)
+    return repr(float(x))
 
 
 def _width_suffix(w: float) -> str:
@@ -650,7 +635,6 @@ def _oracle_block(config: RunConfig, prior, profile):
 def run(config: RunConfig, oracle: bool = False) -> int:
     """Execute a run config; writes report/CSV files and returns the exit
     code (0 ok, 3 all-vacuous)."""
-    threads = worker_count()
     prior = (priors_mod.prior_from_dict(config.prior, config.game.n_agents)
              if config.prior is not None else None)
     profile = _resolve_profile(config)
@@ -669,7 +653,7 @@ def run(config: RunConfig, oracle: bool = False) -> int:
     reports = []
     for w in widths:
         report = _run_single_width(config, w, prior, profile, ds, ds_hash,
-                                   threads, partitions, taus)
+                                   partitions, taus)
         reports.append(report)
         suffix = _width_suffix(w) if sweep else ""
         report_path = os.path.join(config.out_dir, f"report{suffix}.json")

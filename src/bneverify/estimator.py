@@ -38,14 +38,10 @@ bundle, so a combinatorial payment sum is the correctly rounded sum over
 bundles b of n_b * bid_b, which equals math.fsum over the records too.
 Combinatorial utility sums and the current strategy's utility are
 math.fsum over the per-record values. Argmax ties break toward the
-lexicographically smallest grid point; worker threads (bundles candidates,
-ex ante cells) only fill disjoint output slots, so results are identical
-for any worker count.
+lexicographically smallest grid point.
 """
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,7 +60,6 @@ __all__ = [
     "brute_force_best_response",
     "valid_actions",
     "profile_point_utilities",
-    "worker_count",
     "FLAG_DEGRADED",
     "FLAG_UNOBSERVED",
 ]
@@ -77,41 +72,6 @@ FLAG_UNOBSERVED = "unobserved cell"
 _GAIN_BLOCK = 1 << 18
 # record profiles per batched winner determination in _Bundles.outcomes
 _SOLVE_BLOCK = 1 << 12
-
-
-def worker_count() -> int:
-    """Worker cap from BNE_VERIFY_THREADS (default 1). Results never depend
-    on this value, only wall-clock time does."""
-    raw = os.environ.get("BNE_VERIFY_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError("BNE_VERIFY_THREADS must be a positive integer")
-    return count
-
-
-def _chunked(n_items: int, n_chunks: int):
-    bounds = np.linspace(0, n_items, min(n_items, n_chunks) + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_parallel(n_items: int, work, threads: int):
-    """Run work(start, stop) over a fixed chunking of range(n_items).
-
-    Each invocation writes only to its own slice of preallocated outputs, so
-    any thread count yields identical results.
-    """
-    if n_items == 0:
-        return
-    if threads <= 1:
-        work(0, n_items)
-        return
-    chunks = _chunked(n_items, threads * 4)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, a, b) for a, b in chunks]
-        for f in futures:
-            f.result()
 
 
 def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
@@ -303,12 +263,11 @@ class _Bundles:
     the records, one copy per candidate with the candidate spliced into the
     agent's row."""
 
-    def __init__(self, bids, agent, items, scale, threads):
+    def __init__(self, bids, agent, items, scale):
         self.bids = bids
         self.agent = agent
         self.items = items
         self.scale = scale
-        self.threads = threads
 
     def _solve(self, profiles, vals):
         """Agent's won flag and bundle (0 when none is won) in every profile
@@ -340,37 +299,31 @@ class _Bundles:
         counts = np.zeros(cands.shape, dtype=np.intp)
         sums = None if vals is None else np.empty(len(cands), dtype=np.float64)
         step = max(1, _SOLVE_BLOCK // len(self.bids))
-
-        def work(start, stop):
-            # each worker splices candidates into its own stack of records
-            stack = np.repeat(self.bids[None], min(step, stop - start), axis=0)
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                profiles = stack[:hi - lo]
-                profiles[:, :, self.agent] = cands[lo:hi, None]
-                won, bundle, utils = self._solve(profiles, vals)
-                cells = np.arange(hi - lo)[:, None] * n_bundles + bundle
-                counts[lo:hi] = np.bincount(
-                    cells[won], minlength=(hi - lo) * n_bundles
-                ).reshape(hi - lo, n_bundles)
-                if sums is not None:
-                    sums[lo:hi] = [math.fsum(row) for row in utils.tolist()]
-
-        _run_parallel(len(cands), work, self.threads)
+        # one stack of the records; each block splices its candidates in
+        stack = np.repeat(self.bids[None], min(step, len(cands)), axis=0)
+        for lo in range(0, len(cands), step):
+            hi = min(lo + step, len(cands))
+            profiles = stack[:hi - lo]
+            profiles[:, :, self.agent] = cands[lo:hi, None]
+            won, bundle, utils = self._solve(profiles, vals)
+            cells = np.arange(hi - lo)[:, None] * n_bundles + bundle
+            counts[lo:hi] = np.bincount(
+                cells[won], minlength=(hi - lo) * n_bundles
+            ).reshape(hi - lo, n_bundles)
+            if sums is not None:
+                sums[lo:hi] = [math.fsum(row) for row in utils.tolist()]
         return counts, _count_weighted_sums(counts, cands), sums
 
 
-def _market(config: GameConfig, bids: np.ndarray, agent: int,
-            threads: int = 1):
+def _market(config: GameConfig, bids: np.ndarray, agent: int):
     """The records' bids (N, n, dim) as agent's market: bundles for the
     combinatorial rule, slots for the others. First price is the one-slot
     pay-as-bid auction in which every opponent counts as senior, so exact
-    ties lose; multi-unit ties go to the lower agent index. Only bundles
-    spread their candidates over worker threads."""
+    ties lose; multi-unit ties go to the lower agent index."""
     kind = config.mechanism.kind
     scale = config.utility_scale
     if kind == "first_price_combinatorial":
-        return _Bundles(bids, agent, config.mechanism.items, scale, threads)
+        return _Bundles(bids, agent, config.mechanism.items, scale)
     multiunit = kind in ("discriminatory", "uniform_price")
     senior = [j < agent or not multiunit
               for j in range(bids.shape[1]) if j != agent]
@@ -396,7 +349,7 @@ class ExInterimEstimate:
 
 
 def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
-                        agent: int, threads: int = None) -> ExInterimEstimate:
+                        agent: int) -> ExInterimEstimate:
     """Empirical ex interim utility-loss estimate for one agent.
 
     profile may be None (bids-only datasets): the current-strategy term then
@@ -412,8 +365,6 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
         raise ValueError(
             "ex interim estimation requires private values "
             "(observations identical to valuations)")
-    if threads is None:
-        threads = worker_count()
     H = config.utility_scale
     flags = []
 
@@ -421,7 +372,7 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
     theta_pts = candidates  # private values share the action space
     n_rec = len(ds)
 
-    market = _market(config, ds.bids, agent, threads)
+    market = _market(config, ds.bids, agent)
     counts, pay_sums, _ = market.outcomes(candidates)
     mean_alloc = counts / n_rec
     mean_pay = pay_sums / n_rec
@@ -484,8 +435,7 @@ class ExAnteEstimate:
 
 
 def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
-                     config: GameConfig, agent: int,
-                     threads: int = None) -> ExAnteEstimate:
+                     config: GameConfig, agent: int) -> ExAnteEstimate:
     """Empirical ex ante utility-loss estimate for one agent.
 
     The current-strategy term always uses the dataset's stored bids, so no
@@ -499,8 +449,6 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     if partition.agent != agent:
         raise ValueError(
             f"partition belongs to agent {partition.agent}, estimating {agent}")
-    if threads is None:
-        threads = worker_count()
     candidates = valid_actions(config, grid.points())
     if candidates.shape[0] == 0:
         raise ValueError("empty grid after feasibility filtering")
@@ -510,26 +458,10 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     point_utils = profile_point_utilities(config, ds, agent)
     current = _record_mean(point_utils, n_rec)
 
-    index_lists = split_by_partition(ds, partition)
-    n_cells = len(partition)
-    cell_means = [None] * n_cells
-
-    def work(start, stop):
-        for k in range(start, stop):
-            idx = index_lists[k]
-            if len(idx) == 0:
-                continue
-            market = _market(config, ds.bids[idx], agent)
-            cell_means[k] = market.outcomes(
-                candidates, ds.vals[idx, agent])[2] / len(idx)
-
-    _run_parallel(n_cells, work, threads)
-
     br_terms = []
     weighted_sum = 0.0
     curve = np.zeros(candidates.shape[0], dtype=np.float64)
-    for k in range(n_cells):
-        idx = index_lists[k]
+    for k, idx in enumerate(split_by_partition(ds, partition)):
         n_cell = len(idx)
         weight = n_cell / n_rec
         if n_cell == 0:
@@ -537,7 +469,8 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             br_terms.append({"cell": k, "n_records": 0, "weight": 0.0,
                              "best_bid": None, "br_mean": 0.0})
             continue
-        means = cell_means[k]
+        market = _market(config, ds.bids[idx], agent)
+        means = market.outcomes(candidates, ds.vals[idx, agent])[2] / n_cell
         best = int(np.argmax(means))  # first maximum = lexicographic tie-break
         br_terms.append({
             "cell": k,

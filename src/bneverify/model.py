@@ -2,8 +2,8 @@
 
 Every empirical mean over a dataset's records is fixed by the multiset of
 records alone (exact counts, sorted prefix sums or correctly rounded sums;
-see estimator), so it is bit-reproducible regardless of record order, worker
-count, numpy version or platform.
+see estimator), so it is bit-reproducible regardless of record order,
+numpy version or platform.
 """
 import hashlib
 import json
@@ -171,6 +171,14 @@ class Dataset:
 _DATASET_FIELDS = ("obs", "vals", "bids")
 
 
+def _json_numbers(value, depth: int) -> bool:
+    """Whether every entry of value, JSON lists nested depth deep, is a JSON
+    number. Exact types exclude bool (an int subclass) and str."""
+    if depth == 0:
+        return type(value) in (int, float)
+    return all(_json_numbers(v, depth - 1) for v in value)
+
+
 def _parse_record_arrays(row: dict, line_no: int, expected: dict):
     out = []
     for key in _DATASET_FIELDS:
@@ -179,8 +187,11 @@ def _parse_record_arrays(row: dict, line_no: int, expected: dict):
         try:
             arr = np.asarray(row[key], dtype=np.float64)
         except (TypeError, ValueError):   # ragged lists, strings, objects
+            arr = None
+        # np.asarray also converts numeric strings, booleans and null
+        if arr is None or not _json_numbers(row[key], arr.ndim):
             raise ValueError(f"malformed row, line {line_no}: {key} is not "
-                             "an array of numbers") from None
+                             "an array of numbers")
         if arr.ndim == 1:  # allow scalar-per-agent shorthand
             arr = arr[:, None]
         if arr.ndim != 2:

@@ -1,10 +1,10 @@
-"""Prior models: independent product samplers, a correlated common-value
-demo model, and externally supplied data.
+"""Prior models: independent product samplers and a correlated
+common-value demo model.
 
 Each model declares the density bounds (kappa) and per-cell conditional
-total-variation radii (tau) that the certified error terms consume. For the
-built-in families these are derived analytically or by quadrature; for
-external data they must be declared by the user and are flagged as such.
+total-variation radii (tau) that the certified error terms consume, derived
+analytically or by quadrature. Recorded datasets have no prior: their tau
+and kappa must be declared by the user and are flagged as such.
 
 Sampling uses a counter-based generator (Philox) with one spawned stream per
 agent plus one shared stream, so datasets are reproducible across platforms
@@ -23,7 +23,6 @@ __all__ = [
     "Beta",
     "IndependentProduct",
     "CorrelatedCommonValue",
-    "ExternalDataOnly",
     "TvProfile",
     "sample_dataset",
     "tv_radius",
@@ -34,6 +33,9 @@ __all__ = [
 ]
 
 FLAG_DECLARED_TAU = "tau declared, not derived"
+
+# midpoint-rule panels per piece in CorrelatedCommonValue.tv_pair
+_TV_PANELS = 4096
 
 
 class Uniform:
@@ -253,7 +255,7 @@ class CorrelatedCommonValue:
             return math.inf
         return self.opponent_density_bound(lo)
 
-    def tv_pair(self, s_lo: float, s_hi: float, panels: int = 4096) -> float:
+    def tv_pair(self, s_lo: float, s_hi: float) -> float:
         """TV distance between value posteriors at two observations.
 
         Piecewise midpoint quadrature aligned with the support edges, where
@@ -265,6 +267,7 @@ class CorrelatedCommonValue:
             raise ValueError("tv_pair needs 0 < s_lo < s_hi < 1")
         c_lo = -math.log(s_lo)
         c_hi = -math.log(s_hi)
+        panels = _TV_PANELS
         # on (s_lo, s_hi] only the low posterior has mass
         mid1 = s_lo + (np.arange(panels) + 0.5) * (s_hi - s_lo) / panels
         part1 = float(np.sum(1.0 / (mid1 * c_lo))) * (s_hi - s_lo) / panels
@@ -274,7 +277,7 @@ class CorrelatedCommonValue:
         part2 = float(np.sum(gap)) * (1.0 - s_hi) / panels
         return 0.5 * (part1 + part2)
 
-    def tv_radius(self, cell: Cell, panels: int = 4096, sweep: int = 16) -> float:
+    def tv_radius(self, cell: Cell) -> float:
         """Certified TV radius of a 1-D cell.
 
         The radius bounds the TV distance between the joint conditional laws
@@ -285,9 +288,11 @@ class CorrelatedCommonValue:
 
         Cells touching 0 or 1 get radius 1 (the posterior family degenerates
         at both ends: unbounded density at 0, a point mass in the limit at
-        1). Elsewhere the radius is the maximum over a sweep x sweep grid of
-        observation pairs, evaluated by quadrature; the maximum is attained
-        at the cell's extreme corner pair. Since tv_pair falls short of the
+        1). Elsewhere the radius is tv_pair at the cell's corner pair
+        (lo, hi). For observations s < t in (0, 1) the exact distance is
+        1 - ln(t)/ln(s), which rises as s falls (ln(s) grows in magnitude)
+        and as t rises (ln(t) shrinks toward 0), so over pairs in the cell
+        it is largest at s = lo, t = hi. Since tv_pair falls short of the
         exact distance, so does this radius, by a relative 1.3e-9 to 9.1e-8
         on the interior cells of configs/correlated_partition.json; the
         closed form 1 - ln(hi)/ln(lo) would be exact.
@@ -298,37 +303,10 @@ class CorrelatedCommonValue:
             return 1.0
         if lo == hi:
             return 0.0
-        points = np.linspace(lo, hi, sweep)
-        worst = 0.0
-        for a_idx in range(sweep):
-            for b_idx in range(a_idx + 1, sweep):
-                worst = max(worst, self.tv_pair(points[a_idx],
-                                                points[b_idx], panels))
-        return worst
+        return self.tv_pair(lo, hi)
 
     def to_dict(self):
         return {"kind": self.kind, "n_agents": self.n_agents}
-
-
-class ExternalDataOnly:
-    """Marker model for datasets produced outside the package.
-
-    Carries no sampler; tau and kappa must be declared in the partition file
-    and are reported as declared rather than derived.
-    """
-
-    kind = "external"
-
-    def sample(self, n_records: int, seed: int):
-        raise ValueError(
-            "external prior carries no sampler; provide a dataset file")
-
-    def tv_radius(self, cell: Cell) -> float:
-        raise ValueError(
-            "external prior requires user-declared tau values per cell")
-
-    def to_dict(self):
-        return {"kind": self.kind}
 
 
 def _agent_streams(seed: int, count: int):
@@ -371,16 +349,12 @@ class TvProfile:
 def tv_profile(prior, partition: Partition) -> TvProfile:
     """Resolve per-cell tau: declared values win, the rest are derived."""
     values, sources = [], []
-    for k, cell in enumerate(partition.cells):
+    for cell in partition.cells:
         if cell.tau is not None:
             values.append(float(cell.tau))
             sources.append("declared")
         else:
-            try:
-                values.append(float(tv_radius(prior, cell)))
-            except ValueError as exc:
-                raise ValueError(f"cell {k} has no tau and none can be "
-                                 f"derived: {exc}") from exc
+            values.append(float(tv_radius(prior, cell)))
             sources.append("derived")
     return TvProfile(values=tuple(values), sources=tuple(sources))
 
@@ -415,12 +389,9 @@ def prior_from_dict(d: dict, n_agents: int = None):
         prior = IndependentProduct(marginals, sort_desc=d.get("sort_desc", False))
     elif kind == "correlated_common_value":
         prior = CorrelatedCommonValue(d.get("n_agents", n_agents or 2))
-    elif kind == "external":
-        prior = ExternalDataOnly()
     else:
         raise ValueError(f"unknown prior kind: {kind!r}")
-    if n_agents is not None and hasattr(prior, "n_agents"):
-        if prior.n_agents != n_agents:
-            raise ValueError(
-                f"prior declares {prior.n_agents} agents, game has {n_agents}")
+    if n_agents is not None and prior.n_agents != n_agents:
+        raise ValueError(
+            f"prior declares {prior.n_agents} agents, game has {n_agents}")
     return prior

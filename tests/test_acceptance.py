@@ -38,23 +38,15 @@ RUN_SPECS = {
 }
 
 
-def _run_config(base_name, out_dir, threads, overrides=None):
+def _run_config(base_name, out_dir, overrides=None):
     with open(CONFIGS / f"{base_name}.json", encoding="utf-8") as fh:
         raw = json.load(fh)
     raw.update(overrides or {})
     raw["out_dir"] = str(out_dir)
     config = cli.parse_config(raw, base_dir=str(CONFIGS))
-    old = os.environ.get("BNE_VERIFY_THREADS")
-    os.environ["BNE_VERIFY_THREADS"] = str(threads)
-    try:
-        t0 = time.monotonic()
-        rc = cli.run(config)
-        elapsed = time.monotonic() - t0
-    finally:
-        if old is None:
-            os.environ.pop("BNE_VERIFY_THREADS", None)
-        else:
-            os.environ["BNE_VERIFY_THREADS"] = old
+    t0 = time.monotonic()
+    rc = cli.run(config)
+    elapsed = time.monotonic() - t0
     with open(os.path.join(str(out_dir), "report.json"), "rb") as fh:
         report_bytes = fh.read()
     return {"rc": rc, "elapsed": elapsed, "report_bytes": report_bytes,
@@ -63,19 +55,13 @@ def _run_config(base_name, out_dir, threads, overrides=None):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Every verification job used below, run single- and eight-worker."""
-    out = {}
-    for name, (base, overrides) in RUN_SPECS.items():
-        out[name] = {
-            threads: _run_config(
-                base, tmp_path_factory.mktemp(f"{name}_t{threads}"), threads,
-                overrides)
-            for threads in (1, 8)}
-    return out
+    """Every verification job used below, run once."""
+    return {name: _run_config(base, tmp_path_factory.mktemp(name), overrides)
+            for name, (base, overrides) in RUN_SPECS.items()}
 
 
 def test_equilibrium_profile_certifies_a_small_gap(pipeline):
-    job = pipeline["fpsb_eq"][1]
+    job = pipeline["fpsb_eq"]
     assert job["rc"] == 0
     assert job["elapsed"] <= 60.0
     report = job["report"]
@@ -89,13 +75,13 @@ def test_equilibrium_profile_certifies_a_small_gap(pipeline):
 
 
 def test_overbidding_agent_is_measured_against_the_reference_loss(pipeline):
-    dev = pipeline["fpsb_dev"][1]
+    dev = pipeline["fpsb_dev"]
     assert dev["rc"] == 0
     reference = analytic_fpsb_loss(2, 0.9).value
     assert reference == pytest.approx(0.4, abs=1e-12)
     measured = dev["report"]["agents"][0]["empirical"]
     assert measured == pytest.approx(reference, abs=0.02)
-    equilibrium = pipeline["fpsb_eq"][1]["report"]["agents"][0]["empirical"]
+    equilibrium = pipeline["fpsb_eq"]["report"]["agents"][0]["empirical"]
     assert measured - equilibrium >= 3 * 0.02
 
 
@@ -237,7 +223,7 @@ def test_two_unit_worked_example_prices_exactly():
 
 
 def test_single_cell_partition_reduces_to_the_global_composition(pipeline):
-    job = pipeline["trivial_exante"][1]
+    job = pipeline["trivial_exante"]
     assert job["rc"] == 0
     entry = job["report"]["agents"][0]
     cell = entry["cells"][0]
@@ -258,7 +244,7 @@ def test_single_cell_partition_reduces_to_the_global_composition(pipeline):
 def test_correlated_demo_certifies_below_one_with_quadrature_backed_taus(
         pipeline):
     t0 = time.monotonic()
-    job = pipeline["correlated_demo"][1]
+    job = pipeline["correlated_demo"]
     assert job["rc"] == 0
     report = job["report"]
     assert report["n_records"] == 100_000
@@ -282,11 +268,9 @@ def test_correlated_demo_certifies_below_one_with_quadrature_backed_taus(
     assert job["elapsed"] + (time.monotonic() - t0) <= 300.0
 
 
-def test_reports_are_byte_identical_across_reruns_and_worker_counts(
-        pipeline, tmp_path_factory):
+def test_reports_are_byte_identical_across_reruns(pipeline,
+                                                   tmp_path_factory):
     for name, (base, overrides) in RUN_SPECS.items():
-        assert pipeline[name][1]["report_bytes"] \
-            == pipeline[name][8]["report_bytes"], name
         again = _run_config(base, tmp_path_factory.mktemp(f"{name}_again"),
-                            threads=1, overrides=overrides)
-        assert again["report_bytes"] == pipeline[name][1]["report_bytes"], name
+                            overrides)
+        assert again["report_bytes"] == pipeline[name]["report_bytes"], name

@@ -86,8 +86,9 @@ def test_parse_config_field_errors():
                         "'bids-only' requires a dataset path")
     expect_config_error(eq_raw(strategies=[{"agent": 0, "family": "warp"}]),
                         "strategies", "unknown strategy family")
-    expect_config_error(eq_raw(prior={"kind": "mystery"}), "prior",
-                        "unknown prior kind")
+    for kind in ("mystery", "external"):
+        expect_config_error(eq_raw(prior={"kind": kind}), "prior",
+                            "unknown prior kind")
     expect_config_error(eq_raw(mode="ex_ante"), "partition",
                         "mode ex_ante requires a partition")
     expect_config_error(eq_raw(n_records=None), "n_records",
@@ -153,8 +154,6 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
     interim = eq_raw(prior=None, n_records=None, seed=None,
                      dataset="missing.jsonl")
     expect_config_error(interim, "kappa", "declare it or provide")
-    expect_config_error(eq_raw(prior={"kind": "external"}), "kappa",
-                        "declare it or provide")
     # a kappa on every cell, a top-level kappa or a built-in prior suffices
     for cell in cells:
         cell["kappa"] = 2.0
@@ -392,6 +391,22 @@ def test_bids_only_dataset_run_flags_every_declared_input(tmp_path):
     assert cli.FLAG_DECLARED_LINV in flags
 
 
+def test_bids_only_without_l_inv_max_is_rejected_before_loading(
+        tmp_path, capsys, monkeypatch):
+    def no_load(*args):
+        raise AssertionError("load_dataset called")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    raw = eq_raw(prior=None, n_records=None, seed=None, dataset="bids.jsonl",
+                 strategies="bids-only", kappa=1.0)
+    expect_config_error(raw, "l_inv_max", "required in bids-only mode")
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert ("error: l_inv_max: l_inv_max is required in bids-only mode"
+            in capsys.readouterr().err)
+    assert parse_config(dict(raw, l_inv_max=2.0)).l_inv_max == 2.0
+
+
 @pytest.mark.parametrize("field,bad", [("bids", "NaN"),
                                        ("vals", "Infinity")])
 def test_non_finite_dataset_entries_exit_2(tmp_path, capsys, field, bad):
@@ -441,7 +456,7 @@ def test_tau_is_derived_once_per_distinct_partition(tmp_path, monkeypatch):
     for cell in Partition.from_dict({"agent": 0, "cells": cells}).cells:
         prior.tv_radius(cell)   # cells touching 0 or 1 make no calls
     one_sweep = len(calls)
-    assert one_sweep == 2 * (16 * 15 // 2)   # two interior cells
+    assert one_sweep == 2   # two interior cells, one corner pair each
     calls.clear()
     raw = correlated_ante_raw({"cells": cells}, [0.1, 0.05])
     cfg_path = write_config(tmp_path / "config.json", raw)

@@ -152,20 +152,6 @@ def test_lattice_refinement_never_lowers_the_supremum():
     assert fine.value >= coarse.value
 
 
-def test_thread_count_does_not_change_results():
-    cases = [(uniform_dataset(800, seed=5), identity_profile(),
-              make_grid(1, 0.05), fpsb_game()),
-             # each worker splices candidates into its own copy of the records
-             (lattice_comb_dataset(60, seed=22), identity_profile(3),
-              make_grid(4, 1.0), comb_game())]
-    for ds, profile, grid, game in cases:
-        a = estimate_ex_interim(ds, profile, grid, game, 0, threads=1)
-        b = estimate_ex_interim(ds, profile, grid, game, 0, threads=8)
-        assert a.value == b.value
-        assert a.argmax_pair == b.argmax_pair
-        assert np.array_equal(a.per_point_gains, b.per_point_gains)
-
-
 def test_bids_only_dataset_is_estimated_but_flagged():
     ds = uniform_dataset(200, seed=6,
                          profile=StrategyProfile((LinearShade(0.5),
@@ -338,12 +324,11 @@ def test_solve_blocks_and_workers_do_not_change_bundle_outcomes(monkeypatch):
     vals = ds.vals[:, agent]
     runs = []
     for block in (1, estimator._SOLVE_BLOCK, 10 ** 6):
-        for threads in (1, 3):
-            with monkeypatch.context() as patch:
-                patch.setattr(estimator, "_SOLVE_BLOCK", block)
-                market = estimator._market(game, ds.bids, agent, threads)
-                runs.append((market.outcomes(cands),
-                             market.outcomes(cands, vals)))
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_SOLVE_BLOCK", block)
+            market = estimator._market(game, ds.bids, agent)
+            runs.append((market.outcomes(cands),
+                         market.outcomes(cands, vals)))
     (counts, pays, none), (_, _, sums) = runs[0]
     assert none is None
     for run in runs:
@@ -375,7 +360,7 @@ def test_bundle_candidates_share_one_solver_call_per_block(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(estimator, "winner_determination", counted)
-    estimate_ex_interim(ds, profile, grid, game, 0, threads=1)
+    estimate_ex_interim(ds, profile, grid, game, 0)
     # 4096 // 250 = 16 candidates per block, for the deviation candidates
     # and the current-strategy bids; one call per candidate would make 242
     assert len(calls) == 2 * math.ceil(121 / 16) == 16

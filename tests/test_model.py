@@ -192,8 +192,10 @@ def test_load_dataset_reports_offending_line(tmp_path):
                                          "object"):
         load_dataset(path, game)
 
+    # json strings, booleans and null would each convert to a float
     for bad in ('[[0.2, 0.1], [0.2]]', '[["x"], [0.2]]',
-                '[{"b": 0.2}, [0.2]]'):
+                '[{"b": 0.2}, [0.2]]', '[["0.2"], [0.2]]',
+                '[[true], [false]]', '[[null], [0.2]]'):
         path.write_text(good + "\n" + good.replace('[[0.2], [0.2]]', bad)
                         + "\n")
         with pytest.raises(ValueError, match="malformed row, line 2: bids is "

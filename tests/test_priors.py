@@ -1,5 +1,7 @@
 """Value priors: sampling, density bounds, and conditional TV radii."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,13 @@ from scipy.integrate import quad
 
 from bneverify.model import Cell, Partition
 from bneverify.oracle import quadrature_tv
-from bneverify.priors import (Beta, CorrelatedCommonValue, ExternalDataOnly,
-                              IndependentProduct, Uniform,
-                              _order_statistic_factor, prior_from_dict,
-                              sample_dataset, tv_integral_bound, tv_profile,
-                              tv_radius)
+from bneverify.priors import (Beta, CorrelatedCommonValue, IndependentProduct,
+                              Uniform, _order_statistic_factor,
+                              prior_from_dict, sample_dataset,
+                              tv_integral_bound, tv_profile, tv_radius)
 from bneverify.strategies import Identity, LinearShade, StrategyProfile
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def uniform_pair(**kw):
@@ -174,21 +177,37 @@ def test_correlated_tv_radius_edge_conventions():
 def test_correlated_tv_radius_peaks_at_the_corner_pair_and_grows():
     prior = CorrelatedCommonValue(2)
     small = prior.tv_radius(Cell(lo=(0.3,), hi=(0.4,)))
-    assert small >= prior.tv_pair(0.3, 0.4)
-    assert small == pytest.approx(prior.tv_pair(0.3, 0.4), abs=1e-12)
+    assert small == prior.tv_pair(0.3, 0.4)
     large = prior.tv_radius(Cell(lo=(0.25,), hi=(0.45,)))
     assert large > small
 
 
-# ------------------------------------------------------------ external data
+def _tv_pair_sweep(prior, lo, hi, sweep=16):
+    """Reference radius: the largest tv_pair over every pair of sweep
+    evenly spaced observations in [lo, hi]."""
+    points = np.linspace(lo, hi, sweep)
+    return max(prior.tv_pair(points[a], points[b])
+               for a in range(sweep) for b in range(a + 1, sweep))
 
 
-def test_external_prior_requires_declared_inputs():
-    prior = ExternalDataOnly()
-    with pytest.raises(ValueError, match="no sampler"):
-        prior.sample(10, seed=0)
-    with pytest.raises(ValueError, match="user-declared tau"):
-        prior.tv_radius(Cell(lo=(0.0,), hi=(1.0,)))
+def test_correlated_tv_radius_equals_the_full_pair_sweep():
+    # the corner pair is the largest pair to the last bit, so taking it
+    # alone changes no derived tau
+    prior = CorrelatedCommonValue(2)
+    with open(REPO / "configs" / "correlated_partition.json",
+              encoding="utf-8") as fh:
+        shipped = Partition.from_dict(json.load(fh)).cells
+    rng = np.random.Generator(np.random.Philox(31))
+    wide = np.sort(rng.uniform(1e-3, 1.0 - 1e-3, (12, 2)), axis=1)
+    narrow = rng.uniform(1e-3, 0.99, 6)
+    bounds = ([(c.lo[0], c.hi[0]) for c in shipped]
+              + [tuple(pair) for pair in wide.tolist()]
+              + [(a, a + rng.uniform(1e-6, 1e-3)) for a in narrow.tolist()])
+    interior = [(lo, hi) for lo, hi in bounds if 0.0 < lo < hi < 1.0]
+    assert len(interior) == 6 + 12 + 6
+    for lo, hi in interior:
+        got = prior.tv_radius(Cell(lo=(lo,), hi=(hi,)))
+        assert got == _tv_pair_sweep(prior, lo, hi), (lo, hi)
 
 
 # ------------------------------------------------------- datasets and taus
@@ -213,12 +232,6 @@ def test_tv_profile_prefers_declared_values():
     assert prof.values == (0.33, 1.0)
     assert prof.sources == ("declared", "derived")
     assert prof.any_declared
-
-
-def test_tv_profile_reports_underivable_cells():
-    part = Partition(0, [Cell(lo=(0.0,), hi=(1.0,))])
-    with pytest.raises(ValueError, match="cell 0 has no tau and none can be derived"):
-        tv_profile(ExternalDataOnly(), part)
 
 
 def test_tv_integral_bound_values():
@@ -274,9 +287,9 @@ def test_prior_from_dict():
     corr = prior_from_dict({"kind": "correlated_common_value",
                             "n_agents": 3}, n_agents=3)
     assert isinstance(corr, CorrelatedCommonValue)
-    assert isinstance(prior_from_dict({"kind": "external"}), ExternalDataOnly)
-    with pytest.raises(ValueError, match="unknown prior kind"):
-        prior_from_dict({"kind": "gaussian"})
+    for kind in ("gaussian", "external"):
+        with pytest.raises(ValueError, match="unknown prior kind"):
+            prior_from_dict({"kind": kind})
     with pytest.raises(ValueError, match="declares 3 agents, game has 2"):
         prior_from_dict({"kind": "correlated_common_value", "n_agents": 3},
                         n_agents=2)
