@@ -192,14 +192,21 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(0.0 < float(grid_w) <= 1.0, "grid_w",
                  "grid_w must lie in (0, 1]")
         grid_w = float(grid_w)
+        widths = {"grid_w": grid_w}
     elif isinstance(grid_w, list) and grid_w:
         for j, w in enumerate(grid_w):
             _require(isinstance(w, (int, float)) and 0.0 < float(w) <= 1.0,
                      f"grid_w[{j}]", "grid widths must lie in (0, 1]")
         grid_w = [float(w) for w in grid_w]
+        widths = {f"grid_w[{j}]": w for j, w in enumerate(grid_w)}
     else:
         raise ConfigError("grid_w",
                           "grid_w must be a number or a nonempty list")
+    for field, w in widths.items():
+        try:   # sizes the lattice without building it
+            make_grid(game.mechanism.bid_dim, w)
+        except ValueError as exc:
+            raise ConfigError(field, str(exc))
 
     prior = raw.get("prior")
     dataset = raw.get("dataset")

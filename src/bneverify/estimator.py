@@ -6,10 +6,12 @@
   * estimate_ex_ante: one constant best-response search per partition cell
     plus a direct estimate of the current strategy's expected utility.
 
-Both run on one market view of the records, built by _market, the only
-place besides valid_actions that reads the rule. A market gives the
+Both run on one market view of the records per agent, built by _market, the
+only place besides valid_actions that reads the rule. A market gives the
 per-record utility of the recorded bids and, per candidate bid, allocation
-counts, payment sum and (ex ante) utility sum.
+counts, payment sum and (ex ante) utility sum. Ex ante, each cell's market
+is a row subset of the agent's market (its rows method), so critical bids
+are computed once per agent, not once per cell.
 
   * Slots (first price, discriminatory, uniform price): against a record's
     competing bids, the agent's slot mu wins exactly when its bid reaches
@@ -36,9 +38,11 @@ units of 2**-1074, rounded once, so it too equals math.fsum over the
 records. A combinatorial winner pays the candidate's own bid for its
 bundle, so a combinatorial payment sum is the correctly rounded sum over
 bundles b of n_b * bid_b, which equals math.fsum over the records too.
-Combinatorial utility sums and the current strategy's utility are
-math.fsum over the per-record values. Argmax ties break toward the
-lexicographically smallest grid point.
+Combinatorial utility sums are math.fsum over the per-record values. The
+current strategy's mean utility is an exact sum bucketed by binary exponent
+(_exact_sum) and rounded once, which equals math.fsum over the per-record
+values bit for bit. Argmax ties break toward the lexicographically smallest
+grid point.
 """
 import itertools
 import math
@@ -87,10 +91,68 @@ def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
     return points
 
 
+# values per exact sum; more could carry a bucket sum past 2**53
+_EXACT_SUM_MAX = 1 << 26
+# values per pass of _exact_sum, so its temporaries stay small
+_EXACT_SUM_CHUNK = 1 << 15
+# np.frexp exponents of nonzero finite floats lie in [-1073, 1024]
+_FREXP_LOW, _FREXP_BUCKETS = -1073, 2098
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()) bit for bit, without the list.
+
+    Each value is frac * 2**e (np.frexp), and frac * 2**27 splits into an
+    integer high part, |high| <= 2**27, and a low part in [0, 1), a multiple
+    of 2**-26. Both are summed per exponent with np.bincount: with at most
+    2**26 values every partial sum is at most 2**53 of its unit (1 or
+    2**-26), so the bucket sums are exact. They are combined as Python ints and
+    rounded once (half to even, as math.fsum rounds); an exact zero is +0.0,
+    as math.fsum returns. math.fsum itself runs for more than 2**26 values,
+    for non-finite input, and where its own partial sums could overflow.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(values.sum())   # no NaN or infinity
+    if len(values) > _EXACT_SUM_MAX or not finite:
+        return math.fsum(values.tolist())
+    high_sums = np.zeros(_FREXP_BUCKETS)
+    low_sums = np.zeros(_FREXP_BUCKETS)
+    top = _FREXP_LOW
+    for lo in range(0, len(values), _EXACT_SUM_CHUNK):
+        frac, exp = np.frexp(values[lo:lo + _EXACT_SUM_CHUNK])
+        top = max(top, int(exp.max()))
+        np.ldexp(frac, 27, out=frac)
+        high = np.floor(frac)
+        frac -= high
+        bucket = exp.astype(np.intp)
+        bucket -= _FREXP_LOW
+        high_sums += np.bincount(bucket, high, _FREXP_BUCKETS)
+        low_sums += np.bincount(bucket, frac, _FREXP_BUCKETS)
+    # every |value| is below 2**top, so no partial sum of math.fsum can
+    # overflow while len(values) * 2**top <= 2**1023
+    if top + len(values).bit_length() > 1023:
+        return math.fsum(values.tolist())
+    low_sums *= 2.0 ** 26
+    used = np.flatnonzero((high_sums != 0) | (low_sums != 0))[::-1].tolist()
+    if not used:
+        return 0.0
+    # the sum is total * 2**(bucket + _FREXP_LOW - 53), Horner from the top
+    total, bucket = 0, used[0]
+    for b in used:
+        total = ((total << (bucket - b)) + (int(high_sums[b]) << 26)
+                 + int(low_sums[b]))
+        bucket = b
+    shift = bucket + _FREXP_LOW - 53
+    if shift >= 0:
+        return float(total << shift)
+    return total / (1 << -shift)   # int / int rounds once
+
+
 def _record_mean(values: np.ndarray, n_rec: int) -> float:
     """Correctly rounded sum of per-record values divided by n_rec, so the
     mean does not depend on record order or numpy's summation internals."""
-    return math.fsum(values.tolist()) / n_rec
+    return _exact_sum(values) / n_rec
 
 
 def _count_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -169,17 +231,24 @@ class _Slots:
     critical bid for it; critical bids rise with mu, so a non-increasing bid
     vector wins its first slots, and the records a bid b wins in slot mu are
     those with a critical bid <= b[mu]. Winners pay as bid, or the uniform
-    price read off comp, the competing bids sorted per record. Outcomes of
-    constant bids are lookups into the records sorted once per slot.
+    price read off comp, the competing bids sorted per record (None for pay
+    as bid). Outcomes of constant bids are lookups into the records sorted
+    once per slot.
     """
 
-    def __init__(self, bids, agent, senior, units, uniform, scale):
-        opp = np.delete(bids, agent, axis=1)
-        self.own = bids[:, agent]
-        self.crit = kernels.multiunit_critical_bids(opp, senior, units)
-        self.comp = kernels.multiunit_competing_desc(opp) if uniform else None
+    def __init__(self, own, crit, comp, units, scale):
+        self.own = own
+        self.crit = crit
+        self.comp = comp
         self.units = units
         self.scale = scale
+
+    def rows(self, idx):
+        """The market of the records idx alone: a gather of each record's
+        own bids, critical bids and competing bids, with nothing cached."""
+        return _Slots(self.own[idx], self.crit[idx],
+                      None if self.comp is None else self.comp[idx],
+                      self.units, self.scale)
 
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids."""
@@ -283,6 +352,10 @@ class _Bundles:
         worth = vals[np.arange(len(vals)), bundle]
         return won, bundle, np.where(won, (worth - paid) / self.scale, 0.0)
 
+    def rows(self, idx):
+        """The market of the records idx alone."""
+        return _Bundles(self.bids[idx], self.agent, self.items, self.scale)
+
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids."""
         return self._solve(self.bids, vals)[2]
@@ -319,7 +392,8 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
     """The records' bids (N, n, dim) as agent's market: bundles for the
     combinatorial rule, slots for the others. First price is the one-slot
     pay-as-bid auction in which every opponent counts as senior, so exact
-    ties lose; multi-unit ties go to the lower agent index."""
+    ties lose; multi-unit ties go to the lower agent index. A market's rows
+    method gives the market of a subset of the records."""
     kind = config.mechanism.kind
     scale = config.utility_scale
     if kind == "first_price_combinatorial":
@@ -327,8 +401,13 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
     multiunit = kind in ("discriminatory", "uniform_price")
     senior = [j < agent or not multiunit
               for j in range(bids.shape[1]) if j != agent]
-    return _Slots(bids, agent, senior, config.mechanism.bid_dim,
-                  kind == "uniform_price", scale)
+    units = config.mechanism.bid_dim
+    opp = np.delete(bids, agent, axis=1)
+    return _Slots(bids[:, agent],
+                  kernels.multiunit_critical_bids(opp, senior, units),
+                  kernels.multiunit_competing_desc(opp)
+                  if kind == "uniform_price" else None,
+                  units, scale)
 
 
 def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.ndarray:
@@ -439,7 +518,8 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     """Empirical ex ante utility-loss estimate for one agent.
 
     The current-strategy term always uses the dataset's stored bids, so no
-    Strategy object is needed for the empirical part.
+    Strategy object is needed for the empirical part. The agent's market is
+    built once; each cell's outcomes come from its rows of that market.
     """
     ds.validate(config)
     if grid.dim != config.mechanism.bid_dim:
@@ -455,8 +535,9 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     n_rec = len(ds)
     flags = []
 
-    point_utils = profile_point_utilities(config, ds, agent)
-    current = _record_mean(point_utils, n_rec)
+    market = _market(config, ds.bids, agent)
+    vals = ds.vals[:, agent]
+    current = _record_mean(market.utilities(vals), n_rec)
 
     br_terms = []
     weighted_sum = 0.0
@@ -469,8 +550,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             br_terms.append({"cell": k, "n_records": 0, "weight": 0.0,
                              "best_bid": None, "br_mean": 0.0})
             continue
-        market = _market(config, ds.bids[idx], agent)
-        means = market.outcomes(candidates, ds.vals[idx, agent])[2] / n_cell
+        means = market.rows(idx).outcomes(candidates, vals[idx])[2] / n_cell
         best = int(np.argmax(means))  # first maximum = lexicographic tie-break
         br_terms.append({
             "cell": k,

@@ -9,6 +9,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -351,22 +353,30 @@ class Partition:
         raise ValueError(f"partition does not cover point {tuple(point)}")
 
     def assign_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized assignment; lowest cell index wins on boundaries."""
+        """Vectorized assignment; lowest cell index wins on boundaries.
+
+        Labels are the smallest unsigned integer type that holds every
+        cell index. Cell k scores K - k (K cells) where it contains a
+        point, and a point takes the highest score: its lowest cell.
+        """
         points = np.asarray(points, dtype=np.float64)
-        out = np.full(len(points), -1, dtype=np.intp)
+        n_cells = len(self.cells)
         cols = np.ascontiguousarray(points.T)   # one row per coordinate
-        free = np.ones(len(points), dtype=bool)  # not yet assigned
+        score = np.zeros(len(points), dtype=np.min_scalar_type(n_cells))
+        inside = np.empty(len(points), dtype=bool)
+        edge = np.empty(len(points), dtype=bool)
         for k, cell in enumerate(self.cells):
-            inside = free.copy()
+            inside.fill(True)
             for col, a, b in zip(cols, cell.lo, cell.hi):
-                inside &= col >= a
-                inside &= (col <= b) if b >= 1.0 else (col < b)
-            out[inside] = k
-            free ^= inside
-        if free.any():
+                inside &= np.greater_equal(col, a, out=edge)
+                inside &= (np.less_equal if b >= 1.0 else np.less)(
+                    col, b, out=edge)
+            np.maximum(score, np.multiply(inside, n_cells - k,
+                                          dtype=score.dtype), out=score)
+        if not score.all():
             raise ValueError(f"partition does not cover point "
-                             f"{tuple(points[np.argmax(free)])}")
-        return out
+                             f"{tuple(points[np.argmin(score)])}")
+        return n_cells - score
 
     def to_dict(self) -> dict:
         return {
@@ -396,11 +406,13 @@ class Partition:
 def split_by_partition(ds: Dataset, partition: Partition):
     """Group records by the cell containing the partition agent's observation.
 
-    Returns one index array per cell, empty for a cell no record falls in.
-    Relative record order is preserved within each cell.
+    Returns one ascending index array per cell, empty for a cell no record
+    falls in: the pieces of one stable argsort of the cell labels.
     """
     labels = partition.assign_many(ds.obs[:, partition.agent, :])
-    return [np.flatnonzero(labels == k) for k in range(len(partition))]
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=len(partition)))
+    return np.split(order, ends[:-1])
 
 
 @dataclass(frozen=True)
@@ -427,21 +439,31 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _short_count(n: int) -> str:
+    """n in full below 10**12, else to four significant digits (5.000e+599),
+    rounded from the exact int, which may be too large for a float."""
+    return str(n) if n < 10 ** 12 else format(Decimal(n), ".3e")
+
+
 def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
+    """The lattice for a width; it builds no points, so an oversized width
+    fails here, before any data is sampled or loaded."""
     if dim < 1:
         raise ValueError("grid dim must be at least 1")
     if radius <= 0:
         raise ValueError("grid radius must be positive")
     h = min(2.0 * radius / dim, 1.0)
-    # small epsilon so 1/0.04 = 25.000000000000004 still yields 25 segments
-    segments = int(math.ceil(1.0 / h - 1e-9))
+    if h > 0.0 and 1.0 / h < math.inf:
+        # small epsilon so 1/0.04 = 25.000000000000004 still yields 25 segments
+        segments = int(math.ceil(1.0 / h - 1e-9))
+    else:   # 1/h overflows: count exactly
+        segments = math.ceil(Fraction(dim) / (2 * Fraction(radius)))
     points_per_axis = segments + 1
     total = points_per_axis ** dim
     if total > cap:
-        need = total * dim * 8
         raise ValueError(
-            f"grid too large: {total} points exceed cap {cap} "
-            f"(would need about {need} bytes)")
+            f"grid too large: {_short_count(total)} points exceed cap {cap} "
+            f"(would need about {_short_count(total * dim * 8)} bytes)")
     return Grid(dim=dim, radius=radius, step=1.0 / segments,
                 points_per_axis=points_per_axis)
 

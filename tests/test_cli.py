@@ -78,6 +78,8 @@ def test_parse_config_field_errors():
                         "number or a nonempty list")
     expect_config_error(eq_raw(grid_w=[0.1, 2.0]), "grid_w[1]",
                         r"grid widths must lie in \(0, 1\]")
+    expect_config_error(eq_raw(grid_w=1e-9), "grid_w",
+                        "grid too large: 500000001 points")
     expect_config_error(eq_raw(dataset="x.jsonl"), "prior",
                         "exactly one of prior and dataset")
     expect_config_error(eq_raw(prior=None), "prior",
@@ -357,6 +359,25 @@ def test_grid_sweep_writes_one_report_per_width(tmp_path):
         assert fine["agents"][a]["empirical"] \
             >= coarse["agents"][a]["empirical"]
     assert os.path.exists(os.path.join(out, "plot_agent1_w0.05.csv"))
+
+
+@pytest.mark.parametrize("width", ["1e-9", "1e-300", "5e-324"])
+def test_oversized_sweep_width_fails_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, width):
+    def refuse(*args):
+        raise AssertionError("records sampled before the grid was sized")
+
+    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    raw = correlated_ante_raw({"cells": [{"lo": [0.0], "hi": [1.0]}]}, 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["verify", "--config", cfg_path, "--out", str(out),
+                 "--grid-sweep", f"0.1,{width}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_w[1]: grid too large: ")
+    assert len(err) < 200
+    assert list(out.iterdir()) == []
 
 
 def test_tiny_sample_run_is_reported_vacuous(tmp_path):

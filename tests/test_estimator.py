@@ -314,7 +314,7 @@ def test_gain_table_blocks_do_not_change_the_estimate(monkeypatch):
         assert np.array_equal(rows.per_point_gains, whole.per_point_gains)
 
 
-def test_solve_blocks_and_workers_do_not_change_bundle_outcomes(monkeypatch):
+def test_solve_blocks_do_not_change_bundle_outcomes(monkeypatch):
     # lattice bids tie often; 100 records make the default block hold 40 of
     # the 81 candidates, a 1-profile block one, a 10**6-profile block all
     game = comb_game()
@@ -389,6 +389,76 @@ def test_count_weighted_sums_are_correctly_rounded(pairs):
     values = np.array([[v for _, v in pairs]])
     exact = sum(c * Fraction(v) for c, v in pairs)
     assert estimator._count_weighted_sums(counts, values)[0] == float(exact)
+
+
+def fsum_or_overflow(values):
+    """repr of math.fsum(values), which shows the sign of a zero, or the
+    name of the error when its partial sums overflow."""
+    try:
+        return repr(math.fsum(values))
+    except OverflowError:
+        return "OverflowError"
+
+
+def exact_sum_or_overflow(values):
+    try:
+        return repr(estimator._exact_sum(np.array(values, dtype=np.float64)))
+    except OverflowError:
+        return "OverflowError"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),   # up to 1.8e308
+    st.floats(min_value=-1e-300, max_value=1e-300),     # subnormals too
+    st.floats(min_value=-1.0, max_value=1.0))
+
+
+@st.composite
+def cancelling_lists(draw):
+    """Values, their negations and a few more, in a drawn order: the exact
+    sum is small or zero against the terms."""
+    values = draw(st.lists(FLOATS, max_size=12))
+    extra = draw(st.lists(FLOATS, max_size=3))
+    return draw(st.permutations(values + [-v for v in values] + extra))
+
+
+@given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()))
+@settings(max_examples=1000, deadline=None)
+def test_exact_sum_equals_math_fsum_bit_for_bit(values):
+    assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+
+
+def test_exact_sum_edge_cases_and_chunks():
+    cases = [[], [-0.0], [-0.0, -0.0], [1.0, -1.0], [-5e-324, 5e-324],
+             [5e-324] * 3, [2.0 ** 1023, 2.0 ** 1023, -(2.0 ** 1023)],
+             [1e308, -1e308, 1e-300], [0.5, 2.0 ** -53, 2.0 ** -53]]
+    rng = np.random.Generator(np.random.Philox(30))
+    # more values than one pass takes, spread over many binades
+    spread = rng.standard_normal(100_000) * 10.0 ** rng.integers(-300, 300,
+                                                                 100_000)
+    cancelled = np.concatenate([spread, -spread[::-1]])
+    cases += [spread.tolist(), cancelled.tolist(),
+              (rng.random(100_000) - 0.5).tolist()]
+    for values in cases:
+        assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+
+
+def test_exact_sum_falls_back_to_fsum_past_its_exactness_limit(monkeypatch):
+    fsum = math.fsum
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    values = [0.1, 0.2, 0.3, -0.6, 1e-17]
+    want = repr(fsum(values))
+    assert repr(estimator._exact_sum(np.array(values))) == want
+    assert calls == []
+    monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", len(values) - 1)
+    assert repr(estimator._exact_sum(np.array(values))) == want
+    assert calls == [len(values)]
 
 
 # -------------------------------------------------------- ex ante estimate
@@ -487,6 +557,69 @@ def assert_order_free_ex_interim(ds, *args):
         b = estimate_ex_interim(other, *args)
         assert a.value == b.value
         assert np.array_equal(a.per_point_gains, b.per_point_gains)
+
+
+def test_ex_ante_builds_one_market_per_agent(monkeypatch):
+    market = estimator._market
+    critical = estimator.kernels.multiunit_critical_bids
+    calls = []
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(estimator, "_market", counted(market, "market"))
+    monkeypatch.setattr(estimator.kernels, "multiunit_critical_bids",
+                        counted(critical, "critical"))
+    ds = correlated_dataset(400, seed=31)
+    for agent in range(2):
+        calls.clear()
+        part = quarter_partition(agent)
+        est = estimate_ex_ante(ds, identity_profile(), part,
+                               make_grid(1, 0.05), fpsb_game(), agent)
+        assert all(t["n_records"] > 0 for t in est.br_terms)
+        assert sorted(calls) == ["critical", "market"]
+    # the bundles market computes no critical bids; cells are its row subsets
+    comb = lattice_comb_dataset(60, seed=32)
+    quarters = Partition(1, [Cell(lo=(a, b, 0.0, 0.0), hi=(a + 0.5, b + 0.5,
+                                                          1.0, 1.0))
+                             for a in (0.0, 0.5) for b in (0.0, 0.5)])
+    calls.clear()
+    est = estimate_ex_ante(comb, identity_profile(3), quarters,
+                           make_grid(4, 1.0), comb_game(), 1)
+    assert all(t["n_records"] > 0 for t in est.br_terms)
+    assert calls == ["market"]
+
+
+def test_row_subsets_match_markets_built_from_the_subset():
+    # a subset's market gathers the whole market's rows; a uniform-price
+    # view must not reuse the whole market's cached prefix sums
+    multiunit = IndependentProduct([[Uniform(), Uniform()]] * 3,
+                                   sort_desc=True)
+    cases = [(fpsb_game(), correlated_dataset(300, seed=33), 1),
+             (comb_game(), lattice_comb_dataset(60, seed=34), 4)]
+    for kind in ("discriminatory", "uniform_price"):
+        game = GameConfig(n_agents=3,
+                          mechanism=MechanismSpec(kind=kind, units=2))
+        cases.append((game, sample_dataset(multiunit, identity_profile(3),
+                                           300, seed=35), 2))
+    for game, ds, dim in cases:
+        cands = valid_actions(game, make_grid(dim, 0.5).points())
+        rng = np.random.Generator(np.random.Philox(36))
+        for agent in (0, 1):
+            whole = estimator._market(game, ds.bids, agent)
+            whole.outcomes(cands)   # fills any cache of the whole market
+            idx = np.flatnonzero(rng.random(len(ds)) < 0.4)
+            view = whole.rows(idx)
+            own = estimator._market(game, ds.bids[idx], agent)
+            vals = ds.vals[idx, agent]
+            assert np.array_equal(view.utilities(vals), own.utilities(vals))
+            got = view.outcomes(cands) + view.outcomes(cands, vals)
+            want = own.outcomes(cands) + own.outcomes(cands, vals)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w)
 
 
 def test_record_order_does_not_change_any_estimate():

@@ -1,6 +1,7 @@
 """Core types: grids, datasets, partitions, hashes."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_grid_halving_width_refines_the_lattice_bit_exactly():
 def test_grid_size_cap():
     with pytest.raises(ValueError, match="grid too large"):
         make_grid(3, 0.005)
+
+
+@pytest.mark.parametrize("dim, width, count", [
+    (1, 1e-300, "5.000e+299"),
+    (1, 5e-324, "1.012e+323"),   # 1 / (2 * width) overflows a float
+    (16, 5e-324, "2.233e+5187"),  # 2 * width / 16 underflows to 0
+])
+def test_grid_size_cap_prints_huge_counts_briefly(dim, width, count):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"grid too large: {count} points")) \
+            as exc_info:
+        make_grid(dim, width)
+    assert len(str(exc_info.value)) < 120
 
 
 def test_grid_validation():
@@ -313,12 +327,46 @@ def test_split_by_partition_conserves_records_in_order():
     assert sorted(np.concatenate(idx).tolist()) == [0, 1, 2, 3]
 
 
-def test_split_by_partition_empty_cell_yields_none():
+def test_split_by_partition_empty_cell_yields_an_empty_index_array():
     obs = np.full((3, 2, 1), 0.25)
     ds = Dataset(obs, obs.copy(), obs.copy())
     idx = split_by_partition(ds, two_cell_partition())
     assert list(idx[0]) == [0, 1, 2]
     assert len(idx[1]) == 0
+
+
+@st.composite
+def labelled_records(draw):
+    """Records whose agent's observation lies in a drawn cell of a 1-D
+    partition into 2**p equal cells, on a cell's lower edge, inside it, or
+    on the closed top face; many cells stay empty."""
+    n_cells = 2 ** draw(st.integers(min_value=0, max_value=4))
+    agent = draw(st.integers(min_value=0, max_value=1))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=n_cells - 1),
+                           min_size=1, max_size=80))
+    # sixteenths of a cell are exact, and the top one is the next cell's
+    spots = draw(st.lists(st.integers(min_value=0, max_value=15),
+                          min_size=len(labels), max_size=len(labels)))
+    obs = np.full((len(labels), 2, 1), 0.5)
+    obs[:, agent, 0] = [(k + j / 16) / n_cells
+                        for k, j in zip(labels, spots)]
+    top = [r for r, k in enumerate(labels) if k == n_cells - 1]
+    obs[top[:draw(st.integers(min_value=0, max_value=len(top)))], agent] = 1.0
+    cells = [Cell(lo=(k / n_cells,), hi=((k + 1) / n_cells,))
+             for k in range(n_cells)]
+    ds = Dataset(obs, obs.copy(), obs.copy())
+    return ds, Partition(agent, cells), np.array(labels)
+
+
+@given(labelled_records())
+@settings(max_examples=200, deadline=None)
+def test_split_by_partition_matches_a_scan_per_cell(case):
+    ds, part, labels = case
+    got = split_by_partition(ds, part)
+    want = [np.flatnonzero(labels == k) for k in range(len(part))]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1,
