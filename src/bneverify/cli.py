@@ -60,6 +60,16 @@ def _require(cond, field, message):
         raise ConfigError(field, message)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number; true and false are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class RunConfig:
     """Resolved run configuration; to_dict() round-trips byte-identically
     through parse_config (defaults filled, stable key order)."""
@@ -117,7 +127,7 @@ class RunConfig:
 def _parse_game(d) -> GameConfig:
     _require(isinstance(d, dict), "game", "game must be an object")
     n = d.get("n_agents")
-    _require(isinstance(n, int) and n >= 2, "game.n_agents",
+    _require(_is_int(n) and n >= 2, "game.n_agents",
              "game.n_agents must be an integer >= 2")
     mech_d = d.get("mechanism")
     _require(isinstance(mech_d, dict), "game.mechanism",
@@ -127,9 +137,9 @@ def _parse_game(d) -> GameConfig:
              f"game.mechanism.kind must be one of {sorted(MECHANISM_KINDS)}")
     items = mech_d.get("items", 0)
     units = mech_d.get("units", 1)
-    _require(isinstance(items, int) and items >= 0, "game.mechanism.items",
+    _require(_is_int(items) and items >= 0, "game.mechanism.items",
              "game.mechanism.items must be a nonnegative integer")
-    _require(isinstance(units, int) and units >= 1, "game.mechanism.units",
+    _require(_is_int(units) and units >= 1, "game.mechanism.units",
              "game.mechanism.units must be a positive integer")
     if kind == "first_price_combinatorial":
         _require(items >= 1, "game.mechanism.items",
@@ -137,7 +147,7 @@ def _parse_game(d) -> GameConfig:
     mech = MechanismSpec(kind=kind, items=items, units=units)
     scale = d.get("utility_scale")
     if scale is not None:
-        _require(isinstance(scale, (int, float)) and scale > 0,
+        _require(_is_number(scale) and scale > 0,
                  "game.utility_scale", "game.utility_scale must be positive")
         return GameConfig(n_agents=n, mechanism=mech,
                           utility_scale=float(scale))
@@ -181,21 +191,21 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
              "mode must be ex_interim or ex_ante")
 
     delta_total = raw.get("delta_total")
-    _require(isinstance(delta_total, (int, float)), "delta_total",
+    _require(_is_number(delta_total), "delta_total",
              "delta_total must lie in (0,1)")
     _require(0.0 < float(delta_total) < 1.0, "delta_total",
              "delta_total must lie in (0,1)")
     delta_total = float(delta_total)
 
     grid_w = raw.get("grid_w")
-    if isinstance(grid_w, (int, float)):
+    if _is_number(grid_w):
         _require(0.0 < float(grid_w) <= 1.0, "grid_w",
                  "grid_w must lie in (0, 1]")
         grid_w = float(grid_w)
         widths = {"grid_w": grid_w}
     elif isinstance(grid_w, list) and grid_w:
         for j, w in enumerate(grid_w):
-            _require(isinstance(w, (int, float)) and 0.0 < float(w) <= 1.0,
+            _require(_is_number(w) and 0.0 < float(w) <= 1.0,
                      f"grid_w[{j}]", "grid widths must lie in (0, 1]")
         grid_w = [float(w) for w in grid_w]
         widths = {f"grid_w[{j}]": w for j, w in enumerate(grid_w)}
@@ -218,10 +228,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         except ValueError as exc:
             raise ConfigError("prior", str(exc))
         n_records = raw.get("n_records")
-        _require(isinstance(n_records, int) and n_records >= 1, "n_records",
+        _require(_is_int(n_records) and n_records >= 1, "n_records",
                  "n_records must be a positive integer in simulation mode")
         seed = raw.get("seed")
-        _require(isinstance(seed, int) and seed >= 0, "seed",
+        _require(_is_int(seed) and seed >= 0, "seed",
                  "seed must be a nonnegative integer in simulation mode")
     else:
         _require(isinstance(dataset, str), "dataset",
@@ -279,7 +289,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     kappa = raw.get("kappa")
     if kappa is not None:
-        _require(isinstance(kappa, (int, float)) and kappa > 0, "kappa",
+        _require(_is_number(kappa) and kappa > 0, "kappa",
                  "kappa must be positive")
         kappa = float(kappa)
     else:
@@ -294,7 +304,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                      "kappa", KAPPA_REQUIRED_PER_CELL)
     l_inv_max = raw.get("l_inv_max")
     if l_inv_max is not None:
-        _require(isinstance(l_inv_max, (int, float)) and l_inv_max > 0,
+        _require(_is_number(l_inv_max) and l_inv_max > 0,
                  "l_inv_max", "l_inv_max must be positive")
         l_inv_max = float(l_inv_max)
     else:
@@ -302,12 +312,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(strategies != "bids-only", "l_inv_max",
                  "l_inv_max is required in bids-only mode")
 
-    pdim_constant = float(raw.get("pdim_constant", 1.0))
-    _require(pdim_constant > 0, "pdim_constant",
-             "pdim_constant must be positive")
-    disp_constant = float(raw.get("disp_constant", 1.0))
-    _require(disp_constant > 0, "disp_constant",
-             "disp_constant must be positive")
+    pdim_constant = raw.get("pdim_constant", 1.0)
+    _require(_is_number(pdim_constant) and pdim_constant > 0,
+             "pdim_constant", "pdim_constant must be positive")
+    pdim_constant = float(pdim_constant)
+    disp_constant = raw.get("disp_constant", 1.0)
+    _require(_is_number(disp_constant) and disp_constant > 0,
+             "disp_constant", "disp_constant must be positive")
+    disp_constant = float(disp_constant)
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
@@ -330,7 +342,7 @@ def load_config(path: str) -> RunConfig:
 def _array_hash(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 

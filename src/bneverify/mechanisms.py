@@ -52,9 +52,9 @@ def eval_fpsb(theta_i: float, bids, i: int) -> float:
 def assignment_value(bids: np.ndarray, choice) -> float:
     """Total accepted bid of an XOR assignment (-1 = no accepted bundle).
 
-    Accumulated from the last agent backwards so the branch-and-bound solver
-    and the exhaustive oracle produce bit-identical floats for every
-    candidate assignment.
+    Accumulated from the last agent backwards, as winner_determination's
+    table builds its totals, so the solver and the exhaustive oracle give
+    bit-identical floats for every candidate assignment.
     """
     total = 0.0
     for agent in range(len(choice) - 1, -1, -1):
@@ -73,17 +73,23 @@ def winner_determination(bids, items: int) -> np.ndarray:
     bundle per agent is accepted and accepted bundles must not share items.
     Returns the (..., n) bundle index per agent, -1 when no bid is accepted.
 
-    Each profile is solved exactly by a table over agents and item masks:
-    best[a][used] is the optimal total of agents a..n-1 when the items in
-    `used` are taken. It is built from the last agent backwards as
-    bids[a, b] + best[a+1][used | b], so totals are the floats
-    assignment_value gives, and an entry changes only on a strict
-    improvement over declining, with bundles scanned in index order.
-    Reconstruction runs in agent order: decline if that keeps the optimum,
-    else take the first bundle that reaches it. Ties therefore break toward
-    the option order (-1, 0, 1, ...) scanning agents by index, matching
-    exhaustive enumeration order. All profiles of a batch are solved
-    together with array operations.
+    Each profile is solved exactly by a table over item masks, built from
+    the last agent backwards. For agent a, value[used] is the optimal total
+    of agents a..n-1 when the items in `used` are taken, and the pick table
+    pick[a][used] holds the bundle agent a takes in that state, -1 to
+    decline. Agent a starts from declining (agent a+1's totals, pick -1)
+    and scans its bundles in index order: bids[a, b] + value[used | b]
+    replaces an entry, and sets its pick to b, only when it is strictly
+    greater. Totals are thus the floats assignment_value gives, and a pick
+    is the first option in the order (-1, 0, 1, ...) that reaches the
+    optimum of agents a..n-1. Only the current agent's totals are kept.
+    Reconstruction replays the picks in agent order from used = 0, one
+    gather per agent. When bundle sums are exact this is the first optimal
+    assignment in exhaustive enumeration order (agents by index, options in
+    the order above). When rounding makes a total tie with one built on a
+    smaller sum for the later agents, the larger sum is kept: both totals
+    are optimal, but the enumeration may take the other. All profiles of a
+    batch are solved together with array operations.
     """
     bids = np.asarray(bids, dtype=np.float64)
     n_bundles = 1 << items
@@ -93,38 +99,46 @@ def winner_determination(bids, items: int) -> np.ndarray:
             f"got shape {bids.shape}")
     n = bids.shape[-2]
     batch = bids.shape[:-2]
-    flat = bids.reshape((math.prod(batch), n, n_bundles))
-    size = flat.shape[0]
+    size = math.prod(batch)
+    # tables hold one row per item mask and one column per profile, so a
+    # set of masks is gathered as whole rows
+    cols = np.ascontiguousarray(
+        bids.reshape((size, n, n_bundles)).transpose(1, 2, 0))
     masks = np.arange(n_bundles)
+    # per bundle, the masks it fits beside and their unions with it
+    fits = []
+    for bundle in range(n_bundles):
+        free = masks[(masks & bundle) == 0]
+        fits.append((bundle, free, free | bundle))
+    # the smallest signed type that holds -1 and every bundle index
+    pick_type = np.min_scalar_type(-n_bundles)
 
-    best = [None] * (n + 1)
-    best[n] = np.zeros((size, n_bundles), dtype=np.float64)
+    value = np.zeros((n_bundles, size), dtype=np.float64)
+    picks = [None] * n
     for agent in range(n - 1, -1, -1):
-        after = best[agent + 1]
+        after = value
         value = after.copy()  # decline every bundle
-        for bundle in range(n_bundles):
-            free = masks[(masks & bundle) == 0]
-            cand = flat[:, agent, bundle, None] + after[:, free | bundle]
-            cur = value[:, free]
-            value[:, free] = np.where(cand > cur, cand, cur)
-        best[agent] = value
+        pick = np.full((n_bundles, size), -1, dtype=pick_type)
+        for bundle, free, union in fits:
+            cand = cols[agent, bundle] + after[union]
+            cur = value[free]
+            better = (cand > cur).astype(pick_type)
+            # entries start at +0.0 and only grow, so they are never NaN or
+            # -0.0 and fmax is the strict update; a pick is -1 or an
+            # earlier bundle, so the larger of it and (bundle if better
+            # else -1) is the updated pick
+            value[free] = np.fmax(cur, cand)
+            pick[free] = np.maximum(pick[free],
+                                    better * bundle + (better - 1))
+        picks[agent] = pick
 
-    # tables read through flat offsets; only profiles whose optimum changes
-    # at an agent scan its bundles, and the sums below are the forward
-    # pass's floats, so a bundle reaching the target exists in each of them
-    base = np.arange(size) * n_bundles
-    choice = np.full((size, n), -1, dtype=np.intp)
+    profiles = np.arange(size)
+    choice = np.empty((size, n), dtype=np.intp)
     used = np.zeros(size, dtype=np.intp)
     for agent in range(n):
-        after = best[agent + 1].ravel()
-        target = best[agent].ravel()[base + used]
-        at = np.flatnonzero(after[base + used] != target)
-        free = used[at, None]
-        cand = flat[at, agent, :] + after[base[at, None] + (free | masks)]
-        hit = ((free & masks) == 0) & (cand == target[at, None])
-        pick = np.argmax(hit, axis=1)  # first bundle reaching target
-        choice[at, agent] = pick
-        used[at] |= pick
+        taken = picks[agent][used, profiles]
+        choice[:, agent] = taken
+        used |= np.maximum(taken, 0)
     return choice.reshape(batch + (n,))
 
 

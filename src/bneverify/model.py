@@ -6,6 +6,7 @@ see estimator), so it is bit-reproducible regardless of record order,
 numpy version or platform.
 """
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -148,11 +149,23 @@ class Dataset:
         self.vals = vals
         self.bids = bids
         self.seed = seed
+        self._in_range = None   # per field, set by the first validate
 
     def __len__(self) -> int:
         return len(self.obs)
 
     def validate(self, config: GameConfig):
+        """Check the arrays' shapes against config and every coordinate
+        against [0, 1]. The coordinates are scanned on the first call only;
+        from then on the dataset's arrays are read-only views, so the scan
+        cannot go stale through them."""
+        if self._in_range is None:
+            self._in_range = {}
+            for name in _DATASET_FIELDS:
+                arr = getattr(self, name).view()
+                arr.flags.writeable = False
+                setattr(self, name, arr)
+                self._in_range[name] = _in_unit_range(arr)
         n = config.n_agents
         shapes = {
             "obs": (n, config.obs_dim),
@@ -164,10 +177,15 @@ class Dataset:
             if arr.shape[1:] != want:
                 raise ValueError(
                     f"{name} shaped {arr.shape[1:]} does not match config {want}")
-            # one pass; a NaN fails both comparisons
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
+            if not self._in_range[name]:
                 raise ValueError(f"{name} coordinate out of range or not "
                                  "a number")
+
+
+def _in_unit_range(arr: np.ndarray) -> bool:
+    """Whether every coordinate lies in [0, 1], in one pass; a NaN fails
+    both comparisons."""
+    return bool(np.all((arr >= 0.0) & (arr <= 1.0)))
 
 
 _DATASET_FIELDS = ("obs", "vals", "bids")
@@ -207,17 +225,38 @@ def _parse_record_arrays(row: dict, line_no: int, expected: dict):
     return out
 
 
-def _check_dataset_ranges(rows, line_nos):
-    """Raise for the first record, in file order, holding a coordinate that
-    is outside [0, 1] or not a finite number; name its first such field.
+_NUMBER_TYPES = frozenset((int, float))
 
-    rows maps each field to its per-record arrays; each field is stacked and
-    checked in one pass (json.loads accepts NaN and Infinity, and a NaN
-    fails both comparisons).
+
+def _record_numbers(row: dict, n: int, dim: int):
+    """The record's numbers, obs then vals then bids, as one flat list when
+    every field is a list of n per-agent lists of dim JSON numbers; else
+    None. Exact types exclude bool (an int subclass) and str."""
+    fields = [row.get(key) for key in _DATASET_FIELDS]
+    if any(type(f) is not list or len(f) != n for f in fields):
+        return None
+    vectors = fields[0] + fields[1] + fields[2]
+    if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {dim}:
+        return None
+    flat = list(itertools.chain.from_iterable(vectors))
+    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+        return None
+    return flat
+
+
+def _check_dataset_ranges(numbers, line_nos, shape):
+    """Split the records' numbers (one flat list, each record's obs, vals
+    and bids in turn) into (N, *shape) arrays per field and raise for the
+    first record, in file order, holding a coordinate that is outside
+    [0, 1] or not a finite number; name its first such field.
+
+    Each field is checked in one pass (json.loads accepts NaN and Infinity,
+    and a NaN fails both comparisons).
     """
-    if not line_nos:
-        return {}
-    stacked = {key: np.stack(rows[key]) for key in _DATASET_FIELDS}
+    records = np.array(numbers, dtype=np.float64).reshape(
+        (len(line_nos), len(_DATASET_FIELDS)) + shape)
+    stacked = {key: np.ascontiguousarray(records[:, j])
+               for j, key in enumerate(_DATASET_FIELDS)}
     bad = {key: ~((arr >= 0.0) & (arr <= 1.0)).all(axis=(1, 2))
            for key, arr in stacked.items()}
     first = np.flatnonzero(bad["obs"] | bad["vals"] | bad["bids"])
@@ -236,14 +275,16 @@ def load_dataset(path, config: GameConfig) -> Dataset:
     An optional first line without an "obs" key is treated as a header
     carrying the generator seed and config hash. Faults are reported for
     the first offending line; value ranges are checked once over all
-    records, and before a later line's parse fault is reported.
+    records, and before a later line's parse fault is reported. A record
+    in the common form (per-agent lists of numbers in the config's shape)
+    is appended to one flat list of numbers, converted once at the end;
+    any other record is parsed field by field, which reads the
+    scalar-per-agent shorthand and names the fault.
     """
-    expected = {
-        "obs": (config.n_agents, config.obs_dim),
-        "vals": (config.n_agents, config.val_dim),
-        "bids": (config.n_agents, config.mechanism.bid_dim),
-    }
-    rows = {key: [] for key in _DATASET_FIELDS}
+    # GameConfig makes the observation, value and bid dimensions equal
+    shape = (config.n_agents, config.mechanism.bid_dim)
+    expected = dict.fromkeys(_DATASET_FIELDS, shape)
+    numbers = []
     line_nos = []
     seed = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -259,19 +300,23 @@ def load_dataset(path, config: GameConfig) -> Dataset:
                 if "obs" not in row and line_no == 1:
                     seed = row.get("seed")
                     continue
-                arrays = _parse_record_arrays(row, line_no, expected)
+                record = _record_numbers(row, *shape)
+                if record is None:
+                    record = np.concatenate(
+                        _parse_record_arrays(row, line_no, expected),
+                        axis=None).tolist()
             except ValueError as exc:
-                _check_dataset_ranges(rows, line_nos)  # earlier lines first
+                # earlier lines first
+                _check_dataset_ranges(numbers, line_nos, shape)
                 if isinstance(exc, json.JSONDecodeError):
                     raise ValueError(
                         f"malformed row, line {line_no}: {exc}") from exc
                 raise
-            for key, arr in zip(_DATASET_FIELDS, arrays):
-                rows[key].append(arr)
+            numbers += record
             line_nos.append(line_no)
     if not line_nos:
         raise ValueError("dataset empty")
-    stacked = _check_dataset_ranges(rows, line_nos)
+    stacked = _check_dataset_ranges(numbers, line_nos, shape)
     return Dataset(stacked["obs"], stacked["vals"], stacked["bids"], seed=seed)
 
 

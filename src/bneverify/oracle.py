@@ -86,8 +86,9 @@ def exhaustive_wd(bids: np.ndarray, items: int) -> np.ndarray:
 
     Iterates every (2^l + 1)^n choice vector in lexicographic order with
     decline (-1) first, keeping the first strict improvement; totals are
-    accumulated by assignment_value so the result is float-for-float
-    comparable with the production solver.
+    accumulated by assignment_value so the optimal total is float-for-float
+    the production solver's. The assignments agree when bundle sums are
+    exact; see winner_determination for ties made by rounding.
     """
     bids = np.asarray(bids, dtype=np.float64)
     n = bids.shape[0]

@@ -1,5 +1,6 @@
 """Config parsing, the batch runner, report determinism, and CSV emitters."""
 import csv
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -103,6 +104,48 @@ def test_parse_config_field_errors():
     expect_config_error(eq_raw(pdim_constant=-2.0), "pdim_constant",
                         "must be positive")
     expect_config_error(eq_raw(out_dir=""), "out_dir", "nonempty path")
+
+
+@pytest.mark.parametrize("field", [
+    "game.n_agents", "game.mechanism.items", "game.mechanism.units",
+    "game.utility_scale", "grid_w", "grid_w[1]", "delta_total",
+    "n_records", "seed", "kappa", "l_inv_max", "pdim_constant",
+    "disp_constant"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, field, flag):
+    # isinstance(True, int) holds in Python; JSON true and false must still
+    # be rejected wherever a number is wanted
+    raw = eq_raw()
+    if field == "grid_w[1]":
+        raw["grid_w"] = [0.1, flag]
+    elif field.startswith("game."):
+        raw["game"] = {"n_agents": 2, "mechanism": {
+            "kind": "first_price_combinatorial", "items": 1}}
+        *parents, key = field.split(".")[1:]
+        node = raw["game"]
+        for name in parents:
+            node = node[name]
+        node[key] = flag
+    else:
+        raw[field] = flag
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(raw)
+    assert exc_info.value.field == field
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_array_hash_is_the_digest_of_the_arrays_bytes():
+    rng = np.random.default_rng(4)
+    a = rng.random((6, 2, 3))
+    b = rng.random((5, 4))[:, ::2]   # not contiguous
+    c = np.asfortranarray(rng.random((3, 5)))
+    assert not b.flags.c_contiguous and not c.flags.c_contiguous
+    want = hashlib.sha256()
+    for arr in (a, b, c):
+        want.update(arr.tobytes())
+    assert cli._array_hash(a, b, c) == want.hexdigest()
 
 
 def test_parse_config_rejects_correlated_values_ex_interim():

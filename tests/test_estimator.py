@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bneverify import estimator
+from bneverify import estimator, model
 from bneverify.estimator import (FLAG_DEGRADED, brute_force_best_response,
                                  estimate_ex_ante, estimate_ex_interim,
                                  profile_point_utilities, valid_actions)
@@ -70,6 +70,37 @@ def test_ex_interim_checks_grid_dimension():
     with pytest.raises(ValueError, match="grid dimension 2 does not match"):
         estimate_ex_interim(ds, identity_profile(), make_grid(2, 0.25),
                             fpsb_game(), 0)
+
+
+def test_dataset_ranges_are_scanned_once_per_dataset(monkeypatch):
+    scanned = []
+    scan = model._in_unit_range
+
+    def counted(arr):
+        scanned.append(arr.shape)
+        return scan(arr)
+
+    monkeypatch.setattr(model, "_in_unit_range", counted)
+    ds = uniform_dataset(40, seed=2)
+    for width in (0.25, 0.1):
+        for agent in (0, 1):
+            estimate_ex_interim(ds, identity_profile(), make_grid(1, width),
+                                fpsb_game(), agent)
+            estimate_ex_ante(ds, identity_profile(),
+                             Partition(agent, [Cell(lo=(0.0,), hi=(1.0,))]),
+                             make_grid(1, width), fpsb_game(), agent)
+    assert scanned == [(40, 2, 1)] * 3   # obs, vals and bids, once each
+    with pytest.raises(ValueError, match="read-only"):
+        ds.bids[0, 0, 0] = 2.0
+    # shapes are still checked on every call
+    with pytest.raises(ValueError, match="does not match config"):
+        ds.validate(fpsb_game(n=3))
+    bad = uniform_dataset(40, seed=2)
+    bad.bids[3, 1, 0] = 1.5
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bids coordinate out of range"):
+            bad.validate(fpsb_game())
+    assert len(scanned) == 6
 
 
 def test_ex_ante_checks_partition_owner():
