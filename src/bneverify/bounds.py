@@ -46,6 +46,9 @@ FLAG_DEGRADED_BOUND = ("degraded: mapped-width dispersion term omitted "
 
 VACUOUS_THRESHOLD = 2.0
 
+# piecewise Lipschitz constant of the utility off its jump set, every rule
+UTILITY_LIPSCHITZ = 1.0
+
 
 def _check_delta(delta: float):
     if not (0.0 < delta < 1.0):
@@ -263,7 +266,6 @@ class InterimSpecs:
     kappa: float            # opponent prior density bound
     l_inv_max: float        # max inverse-strategy Lipschitz constant
     l_fwd: float = None     # agent's own forward Lipschitz constant
-    lipschitz: float = 1.0  # piecewise Lipschitz constant of the utility
     pdim_constant: float = 1.0
     disp_constant: float = 1.0
     extra_flags: tuple = ()
@@ -277,7 +279,6 @@ class ExAnteSpecs:
     taus: tuple             # per cell, None allowed only on empty cells
     kappas: tuple           # per cell
     l_inv_max: float
-    lipschitz: float = 1.0
     pdim_constant: float = 1.0
     disp_constant: float = 1.0
     n_cells_max: int = 1    # max cell count across all agents' partitions
@@ -343,7 +344,7 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> Agent
             flags.append(FLAG_VACUOUS_DISPERSION)
         for f in d_flags:
             flags.append(f)
-        value = eps_disp(width, n_rec, count, specs.lipschitz)
+        value = eps_disp(width, n_rec, count, UTILITY_LIPSCHITZ)
         disp_terms.append({
             "width": width,
             "count_raw": count_raw,
@@ -446,7 +447,8 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
             flags.append(FLAG_VACUOUS_DISPERSION)
         for f in d_flags:
             flags.append(f)
-        e_disp_cell = eps_disp(specs.width, n_cell, count, specs.lipschitz)
+        e_disp_cell = eps_disp(specs.width, n_cell, count,
+                               UTILITY_LIPSCHITZ)
         inner = tau + e_pdim_cell + e_disp_cell
         contribution = term["weight"] * min(1.0, inner)
         entry.update({

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,28 +71,30 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """Resolved run configuration; to_dict() round-trips byte-identically
-    through parse_config (defaults filled, stable key order)."""
+    through parse_config (defaults filled, stable key order). The raw fields
+    are what the report hashes; run uses the inputs built from them."""
 
-    def __init__(self, game, mode, prior, dataset, strategies, partition,
-                 grid_w, delta_total, n_records, seed, kappa, l_inv_max,
-                 pdim_constant, disp_constant, out_dir):
-        self.game = game              # GameConfig
-        self.mode = mode
-        self.prior = prior            # raw dict or None
-        self.dataset = dataset        # path or None
-        self.strategies = strategies  # list of entries or "bids-only"
-        self.partition = partition    # list of partition dicts or None
-        self.grid_w = grid_w          # float or list of floats
-        self.delta_total = delta_total
-        self.n_records = n_records
-        self.seed = seed
-        self.kappa = kappa            # declared density bound or None
-        self.l_inv_max = l_inv_max    # declared inverse slope bound or None
-        self.pdim_constant = pdim_constant
-        self.disp_constant = disp_constant
-        self.out_dir = out_dir
+    game: GameConfig
+    mode: str
+    prior: dict               # raw dict or None
+    dataset: str              # path or None
+    strategies: object        # list of entries or "bids-only"
+    partition: list           # list of partition dicts or None
+    grid_w: object            # float or list of floats
+    delta_total: float
+    n_records: int
+    seed: int
+    kappa: float              # declared density bound or None
+    l_inv_max: float          # declared inverse slope bound or None
+    pdim_constant: float
+    disp_constant: float
+    out_dir: str
+    prior_model: object       # built from prior, or None
+    profile: StrategyProfile  # built from strategies; None for bids-only
+    partitions: dict          # ex ante: agent -> Partition; else None
 
     def to_dict(self) -> dict:
         mech = self.game.mechanism
@@ -124,6 +127,30 @@ class RunConfig:
         return config_hash(d)
 
 
+def _build(field, fn, *args):
+    """fn(*args) on raw JSON; a fault in that JSON (a bad value, a missing
+    key, a wrong type) becomes a ConfigError naming field."""
+    try:
+        return fn(*args)
+    except KeyError as exc:
+        raise ConfigError(field, f"missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
+def _kappa(prior, declared, agent, cell=None):
+    """The opponent density bound for agent, over one cell of its partition
+    in ex ante, and its flag: the cell's declared kappa, else the prior's,
+    else the declared top-level one, which may be None."""
+    if cell is not None and cell.kappa is not None:
+        return cell.kappa, FLAG_DECLARED_KAPPA
+    if isinstance(prior, priors_mod.IndependentProduct):
+        return prior.kappa_opponents(agent), None
+    if cell is not None and isinstance(prior, priors_mod.CorrelatedCommonValue):
+        return prior.kappa_cell(cell), None
+    return declared, FLAG_DECLARED_KAPPA
+
+
 def _parse_game(d) -> GameConfig:
     _require(isinstance(d, dict), "game", "game must be an object")
     n = d.get("n_agents")
@@ -154,15 +181,19 @@ def _parse_game(d) -> GameConfig:
     return GameConfig(n_agents=n, mechanism=mech)
 
 
-def _parse_partition_entry(entry, field):
+def _parse_partition_entry(entry, field, agent, dim):
+    """The raw entry with its agent filled in, and its Partition; agent is
+    the default for a missing "agent" key, dim the game's observation
+    dimension."""
     _require(isinstance(entry, dict), field, f"{field} must be an object")
     _require("cells" in entry, field, f"{field} must contain a cells list")
     entry = dict(entry)
-    entry.setdefault("agent", 0)
-    try:
-        cells = Partition.from_dict(entry).cells
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(field, f"invalid partition: {exc}")
+    entry.setdefault("agent", agent)
+    part = _build(field, Partition.from_dict, entry)
+    _require(part.dim == dim, field,
+             f"invalid partition: cells have dimension {part.dim}, "
+             f"observations have {dim}")
+    cells = part.cells
     # a tiling: some axis separates every pair of boxes, and their exact
     # volumes add up to the unit cube's
     lo = np.array([c.lo for c in cells])
@@ -178,7 +209,7 @@ def _parse_partition_entry(entry, field):
     _require(volume == 1, field,
              f"invalid partition: cell volumes sum to {float(volume)!r}, "
              "not 1, so the cells leave a gap")
-    return entry
+    return entry, part
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -222,37 +253,37 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     dataset = raw.get("dataset")
     _require((prior is None) != (dataset is None), "prior",
              "exactly one of prior and dataset must be given")
+    seed = raw.get("seed")
     if prior is not None:
-        try:
-            priors_mod.prior_from_dict(prior, game.n_agents)
-        except ValueError as exc:
-            raise ConfigError("prior", str(exc))
+        prior_model = _build("prior", priors_mod.prior_from_dict, prior,
+                             game.n_agents)
         n_records = raw.get("n_records")
         _require(_is_int(n_records) and n_records >= 1, "n_records",
                  "n_records must be a positive integer in simulation mode")
-        seed = raw.get("seed")
         _require(_is_int(seed) and seed >= 0, "seed",
                  "seed must be a nonnegative integer in simulation mode")
     else:
         _require(isinstance(dataset, str), "dataset",
                  "dataset must be a file path")
         dataset = os.path.normpath(os.path.join(base_dir, dataset))
-        n_records = None
-        seed = raw.get("seed")
+        prior_model = n_records = None
+        _require(seed is None or (_is_int(seed) and seed >= 0), "seed",
+                 "seed must be a nonnegative integer or absent in dataset "
+                 "mode")
 
     strategies = raw.get("strategies")
     if strategies == "bids-only":
         _require(dataset is not None, "strategies",
                  "strategies 'bids-only' requires a dataset path")
+        profile = None
     else:
         _require(isinstance(strategies, list), "strategies",
                  "strategies must be a list of entries or 'bids-only'")
-        try:
-            profile_from_config(strategies, game.n_agents)
-        except ValueError as exc:
-            raise ConfigError("strategies", str(exc))
+        profile = _build("strategies", profile_from_config, strategies,
+                         game.n_agents)
 
     partition = raw.get("partition")
+    partitions = None
     if mode == "ex_ante":
         _require(partition is not None, "partition",
                  "mode ex_ante requires a partition")
@@ -268,22 +299,32 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             partition = [partition]
         _require(isinstance(partition, list) and partition, "partition",
                  "partition must be an object, list, or file path")
-        partition = [
-            _parse_partition_entry(p, f"partition[{j}]")
-            for j, p in enumerate(partition)]
-        _require(len(partition) in (1, game.n_agents), "partition",
+        parsed = [_parse_partition_entry(p, f"partition[{j}]", j,
+                                         game.mechanism.bid_dim)
+                  for j, p in enumerate(partition)]
+        _require(len(parsed) in (1, game.n_agents), "partition",
                  "partition must have one entry or one per agent")
+        partition = [entry for entry, _ in parsed]
+        if len(parsed) == 1:   # one partition for every agent
+            cells = parsed[0][1].cells
+            partitions = {a: Partition(a, cells)
+                          for a in range(game.n_agents)}
+        else:
+            for j, entry in enumerate(partition):
+                _require(entry["agent"] == j, f"partition[{j}]",
+                         "per-agent partitions must be listed in agent order")
+            partitions = dict(enumerate(part for _, part in parsed))
         if prior is None:
             # tau is derived from the prior; recorded data has none
-            for j, entry in enumerate(partition):
-                for k, cell in enumerate(entry["cells"]):
-                    _require(cell.get("tau") is not None,
+            for j, (_, part) in enumerate(parsed):
+                for k, cell in enumerate(part.cells):
+                    _require(cell.tau is not None,
                              f"partition[{j}].cells[{k}].tau",
                              "tau must be declared for every cell when the "
                              "records come from a dataset")
     else:
         partition = None
-        if prior is not None and prior.get("kind") == "correlated_common_value":
+        if isinstance(prior_model, priors_mod.CorrelatedCommonValue):
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
@@ -292,16 +333,13 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(_is_number(kappa) and kappa > 0, "kappa",
                  "kappa must be positive")
         kappa = float(kappa)
+    if partitions is None:
+        _require(all(_kappa(prior_model, kappa, a)[0] is not None
+                     for a in range(game.n_agents)), "kappa", KAPPA_REQUIRED)
     else:
-        # without a declared kappa the prior must supply one
-        kind = prior.get("kind") if prior is not None else None
-        if mode == "ex_interim":
-            _require(kind == "independent_product", "kappa", KAPPA_REQUIRED)
-        else:
-            _require(kind in ("independent_product", "correlated_common_value")
-                     or all(cell.get("kappa") is not None
-                            for entry in partition for cell in entry["cells"]),
-                     "kappa", KAPPA_REQUIRED_PER_CELL)
+        _require(all(_kappa(prior_model, kappa, a, cell)[0] is not None
+                     for a, part in partitions.items() for cell in part.cells),
+                 "kappa", KAPPA_REQUIRED_PER_CELL)
     l_inv_max = raw.get("l_inv_max")
     if l_inv_max is not None:
         _require(_is_number(l_inv_max) and l_inv_max > 0,
@@ -330,12 +368,18 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                      grid_w=grid_w, delta_total=delta_total,
                      n_records=n_records, seed=seed, kappa=kappa,
                      l_inv_max=l_inv_max, pdim_constant=pdim_constant,
-                     disp_constant=disp_constant, out_dir=out_dir)
+                     disp_constant=disp_constant, out_dir=out_dir,
+                     prior_model=prior_model, profile=profile,
+                     partitions=partitions)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict = None) -> RunConfig:
+    """Parse the config file at path, with the fields in overrides
+    replaced; relative paths in it are read from its directory."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    _require(isinstance(raw, dict), "config", "config must be a JSON object")
+    raw.update(overrides or {})
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -372,62 +416,22 @@ class RunReport:
                           allow_nan=False) + "\n"
 
 
-def _resolve_profile(config: RunConfig):
-    if config.strategies == "bids-only":
-        return None
-    return profile_from_config(config.strategies, config.game.n_agents)
-
-
-def _resolve_dataset(config: RunConfig, prior, profile):
+def _resolve_dataset(config: RunConfig):
     if config.dataset is not None:
         ds = load_dataset(config.dataset, config.game)
         return ds, file_hash(config.dataset)
-    ds = priors_mod.sample_dataset(prior, profile, config.n_records,
-                                   config.seed)
+    ds = priors_mod.sample_dataset(config.prior_model, config.profile,
+                                   config.n_records, config.seed)
     return ds, _array_hash(ds.obs, ds.vals, ds.bids)
 
 
-def _agent_kappa(config: RunConfig, prior, agent: int):
-    """Opponent prior density bound for the ex interim route; parse_config
-    has checked that the prior or the config supplies one."""
-    if isinstance(prior, priors_mod.IndependentProduct):
-        return prior.kappa_opponents(agent), None
-    return config.kappa, FLAG_DECLARED_KAPPA
-
-
-def _cell_kappa(config: RunConfig, prior, agent: int, cell):
-    """A cell's opponent density bound; parse_config has checked that the
-    cell, the prior or the config supplies one."""
-    if cell.kappa is not None:
-        return cell.kappa, FLAG_DECLARED_KAPPA
-    if isinstance(prior, priors_mod.IndependentProduct):
-        return prior.kappa_opponents(agent), None
-    if isinstance(prior, priors_mod.CorrelatedCommonValue):
-        return prior.kappa_cell(cell), None
-    return config.kappa, FLAG_DECLARED_KAPPA
-
-
-def _lipschitz_inputs(config: RunConfig, profile):
+def _lipschitz_inputs(config: RunConfig):
     """Inverse slope bound and its flags: the profile's, or in bids-only
     mode the declared one (parse_config requires it there)."""
+    profile = config.profile
     if profile is None:
         return config.l_inv_max, [FLAG_DECLARED_LINV]
     return profile.l_inv_max, [] if profile.certified else [FLAG_UNCERTIFIED]
-
-
-def _partitions_by_agent(config: RunConfig):
-    entries = config.partition
-    out = {}
-    for agent in range(config.game.n_agents):
-        if len(entries) == 1:
-            entry = dict(entries[0])
-            entry["agent"] = agent
-        else:
-            entry = entries[agent]
-            _require(entry.get("agent", agent) == agent, f"partition[{agent}]",
-                     "per-agent partitions must be listed in agent order")
-        out[agent] = Partition.from_dict(entry)
-    return out
 
 
 def _tau_profiles(prior, partitions):
@@ -443,13 +447,12 @@ def _tau_profiles(prior, partitions):
     return out
 
 
-def _run_single_width(config: RunConfig, width: float, prior, profile,
-                      ds: Dataset, ds_hash: str, partitions,
-                      taus) -> RunReport:
-    """One report at one grid width. Ex ante, partitions and taus map each
-    agent to its partition and that partition's TvProfile; ex interim,
-    both are None."""
+def _run_single_width(config: RunConfig, width: float, ds: Dataset,
+                      ds_hash: str, taus) -> RunReport:
+    """One report at one grid width. Ex ante, taus maps each agent to its
+    partition's TvProfile; ex interim, it is None."""
     game = config.game
+    prior, profile = config.prior_model, config.profile
     grid = make_grid(game.mechanism.bid_dim, width)
     budget_k = 3 if config.mode == "ex_interim" else 4
     delta = config.delta_total / budget_k
@@ -457,12 +460,12 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
     agents_payload = []
     plots = {}
     agent_bounds = []
-    l_inv, lip_flags = _lipschitz_inputs(config, profile)
+    l_inv, lip_flags = _lipschitz_inputs(config)
 
     if config.mode == "ex_interim":
         for agent in range(game.n_agents):
             est = estimate_ex_interim(ds, profile, grid, game, agent)
-            kappa, kflag = _agent_kappa(config, prior, agent)
+            kappa, kflag = _kappa(prior, config.kappa, agent)
             extra = list(lip_flags)
             if kflag:
                 extra.append(kflag)
@@ -477,14 +480,14 @@ def _run_single_width(config: RunConfig, width: float, prior, profile,
             plots[agent] = (est.theta_points, est.per_point_gains)
         n_cells_max = None
     else:
-        n_cells_max = max(len(p) for p in partitions.values())
+        n_cells_max = max(len(p) for p in config.partitions.values())
         for agent in range(game.n_agents):
-            part = partitions[agent]
+            part = config.partitions[agent]
             est = estimate_ex_ante(ds, profile, part, grid, game, agent)
             kappas = []
             extra = list(lip_flags)
             for cell in part.cells:
-                kap, kflag = _cell_kappa(config, prior, agent, cell)
+                kap, kflag = _kappa(prior, config.kappa, agent, cell)
                 kappas.append(kap)
                 if kflag and kflag not in extra:
                     extra.append(kflag)
@@ -568,7 +571,9 @@ def emit_density_diagnostic(marginal, strategy, path: str, bins: int = 200,
                              repr(float(bound))])
 
 
-def _emit_cells_csv(report: RunReport, path: str, partition_cells=None):
+def _emit_cells_csv(report: RunReport, path: str, partitions):
+    """Per-cell (ex ante) or per-term (ex interim) rows of a report;
+    partitions maps each agent to its Partition in ex ante."""
     payload = report.payload
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -579,13 +584,11 @@ def _emit_cells_csv(report: RunReport, path: str, partition_cells=None):
                              "contribution"])
             for entry in payload["agents"]:
                 agent = entry["agent"]
-                cells_geo = (partition_cells or {}).get(agent)
+                cells_geo = partitions[agent].cells
                 for cell in entry["cells"]:
                     k = cell["cell"]
-                    lo = hi = ""
-                    if cells_geo is not None:
-                        lo = ";".join(repr(float(x)) for x in cells_geo[k].lo)
-                        hi = ";".join(repr(float(x)) for x in cells_geo[k].hi)
+                    lo = ";".join(repr(float(x)) for x in cells_geo[k].lo)
+                    hi = ";".join(repr(float(x)) for x in cells_geo[k].hi)
                     writer.writerow([
                         agent, k, lo, hi, cell["n_records"],
                         repr(float(cell["weight"])),
@@ -618,11 +621,12 @@ def _width_suffix(w: float) -> str:
     return f"_w{w:g}"
 
 
-def _oracle_block(config: RunConfig, prior, profile):
+def _oracle_block(config: RunConfig):
     """Closed-form reference losses where the model admits them: single-item
     first-price, uniform i.i.d. values, linear-shade opponents at the
     symmetric equilibrium shade (n-1)/n."""
     game = config.game
+    prior, profile = config.prior_model, config.profile
     entries = {}
     applicable_game = (
         game.mechanism.kind == "first_price_single_item"
@@ -654,25 +658,19 @@ def _oracle_block(config: RunConfig, prior, profile):
 def run(config: RunConfig, oracle: bool = False) -> int:
     """Execute a run config; writes report/CSV files and returns the exit
     code (0 ok, 3 all-vacuous)."""
-    prior = (priors_mod.prior_from_dict(config.prior, config.game.n_agents)
-             if config.prior is not None else None)
-    profile = _resolve_profile(config)
-    ds, ds_hash = _resolve_dataset(config, prior, profile)
+    ds, ds_hash = _resolve_dataset(config)
 
     os.makedirs(config.out_dir, exist_ok=True)
     widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
     sweep = isinstance(config.grid_w, list)
 
-    partitions = taus = partition_cells = None
+    taus = None
     if config.mode == "ex_ante":
-        partitions = _partitions_by_agent(config)
-        taus = _tau_profiles(prior, partitions)
-        partition_cells = {a: p.cells for a, p in partitions.items()}
+        taus = _tau_profiles(config.prior_model, config.partitions)
 
     reports = []
     for w in widths:
-        report = _run_single_width(config, w, prior, profile, ds, ds_hash,
-                                   partitions, taus)
+        report = _run_single_width(config, w, ds, ds_hash, taus)
         reports.append(report)
         suffix = _width_suffix(w) if sweep else ""
         report_path = os.path.join(config.out_dir, f"report{suffix}.json")
@@ -680,7 +678,7 @@ def run(config: RunConfig, oracle: bool = False) -> int:
             fh.write(report.to_json())
         _emit_cells_csv(report,
                         os.path.join(config.out_dir, f"cells{suffix}.csv"),
-                        partition_cells)
+                        config.partitions)
         for agent in range(config.game.n_agents):
             emit_plot_data(
                 report,
@@ -688,7 +686,7 @@ def run(config: RunConfig, oracle: bool = False) -> int:
                 agent=agent)
 
     if oracle:
-        block = _oracle_block(config, prior, profile)
+        block = _oracle_block(config)
         with open(os.path.join(config.out_dir, "oracle.json"), "w",
                   encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(_json_safe(block), indent=2) + "\n")
@@ -723,29 +721,19 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", help="override the output directory")
 
     args = parser.parse_args(argv)
+    overrides = {key: value for key, value in (
+        ("mode", args.mode), ("grid_w", args.grid_w),
+        ("delta_total", args.delta), ("seed", args.seed),
+        ("out_dir", args.out)) if value is not None}
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("config", "config must be a JSON object")
-        if args.mode is not None:
-            raw["mode"] = args.mode
-        if args.grid_w is not None:
-            raw["grid_w"] = args.grid_w
         if args.grid_sweep is not None:
             try:
-                raw["grid_w"] = [float(x) for x in args.grid_sweep.split(",")]
+                overrides["grid_w"] = [float(x)
+                                       for x in args.grid_sweep.split(",")]
             except ValueError:
                 raise ConfigError("grid_w",
                                   "grid sweep must be comma-separated numbers")
-        if args.delta is not None:
-            raw["delta_total"] = args.delta
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["out_dir"] = args.out
-        config = parse_config(
-            raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
+        config = load_config(args.config, overrides)
         return run(config, oracle=args.oracle)
     except ConfigError as exc:
         print(f"error: {exc.field}: {exc}", file=sys.stderr)

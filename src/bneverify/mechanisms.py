@@ -225,9 +225,9 @@ def eval(config: GameConfig, theta, bids) -> Outcome:
     want = (n, mech.bid_dim)
     if bids.shape != want:
         raise ValueError(f"bid profile shaped {bids.shape}, expected {want}")
-    if theta.shape != (n, config.val_dim):
+    if theta.shape != want:
         raise ValueError(
-            f"valuation profile shaped {theta.shape}, expected {(n, config.val_dim)}")
+            f"valuation profile shaped {theta.shape}, expected {want}")
     H = config.utility_scale
     alloc = np.zeros((n, mech.bid_dim), dtype=np.float64)
     pay = np.zeros(n, dtype=np.float64)

@@ -62,69 +62,27 @@ class MechanismSpec:
             return float(self.units)
         return 1.0
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "first_price_combinatorial":
-            d["items"] = self.items
-        if self.kind in ("discriminatory", "uniform_price"):
-            d["units"] = self.units
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MechanismSpec":
-        return cls(kind=d["kind"], items=int(d.get("items", 0)),
-                   units=int(d.get("units", 0)))
-
 
 @dataclass(frozen=True)
 class GameConfig:
     """Static description of the Bayesian auction game.
 
-    Observations and valuations live in [0,1]^dim per agent; utility_scale H
-    is the factor that maps raw quasilinear payoffs into [-1, 1].
+    Observations, valuations and bids live in [0,1]^bid_dim per agent, with
+    bid_dim the mechanism's; utility_scale H is the factor that maps raw
+    quasilinear payoffs into [-1, 1].
     """
     n_agents: int
     mechanism: MechanismSpec
-    obs_dim: int = 0
-    val_dim: int = 0
     utility_scale: float = 0.0
 
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("n_agents must be at least 2")
-        required = self.mechanism.bid_dim
-        if self.obs_dim == 0:
-            object.__setattr__(self, "obs_dim", required)
-        if self.val_dim == 0:
-            object.__setattr__(self, "val_dim", required)
         if self.utility_scale == 0.0:
             object.__setattr__(self, "utility_scale",
                                self.mechanism.default_utility_scale)
-        if self.obs_dim != required or self.val_dim != required:
-            raise ValueError(
-                f"obs_dim/val_dim must equal the mechanism's bid dimension "
-                f"({required}), got {self.obs_dim}/{self.val_dim}")
         if self.utility_scale <= 0:
             raise ValueError("utility_scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_agents": self.n_agents,
-            "mechanism": self.mechanism.to_dict(),
-            "obs_dim": self.obs_dim,
-            "val_dim": self.val_dim,
-            "utility_scale": self.utility_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GameConfig":
-        return cls(
-            n_agents=int(d["n_agents"]),
-            mechanism=MechanismSpec.from_dict(d["mechanism"]),
-            obs_dim=int(d.get("obs_dim", 0)),
-            val_dim=int(d.get("val_dim", 0)),
-            utility_scale=float(d.get("utility_scale", 0.0)),
-        )
 
 
 class Dataset:
@@ -166,13 +124,8 @@ class Dataset:
                 arr.flags.writeable = False
                 setattr(self, name, arr)
                 self._in_range[name] = _in_unit_range(arr)
-        n = config.n_agents
-        shapes = {
-            "obs": (n, config.obs_dim),
-            "vals": (n, config.val_dim),
-            "bids": (n, config.mechanism.bid_dim),
-        }
-        for name, want in shapes.items():
+        want = (config.n_agents, config.mechanism.bid_dim)
+        for name in _DATASET_FIELDS:
             arr = getattr(self, name)
             if arr.shape[1:] != want:
                 raise ValueError(
@@ -281,7 +234,6 @@ def load_dataset(path, config: GameConfig) -> Dataset:
     any other record is parsed field by field, which reads the
     scalar-per-agent shorthand and names the fault.
     """
-    # GameConfig makes the observation, value and bid dimensions equal
     shape = (config.n_agents, config.mechanism.bid_dim)
     expected = dict.fromkeys(_DATASET_FIELDS, shape)
     numbers = []
@@ -436,16 +388,24 @@ class Partition:
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
         cells = []
-        for raw in d["cells"]:
+        for k, raw in enumerate(d["cells"]):
             tau = raw.get("tau")
             kappa = raw.get("kappa")
             cells.append(Cell(
-                lo=tuple(float(x) for x in raw["lo"]),
-                hi=tuple(float(x) for x in raw["hi"]),
-                tau=None if tau is None else float(tau),
-                kappa=None if kappa is None else float(kappa),
+                lo=tuple(_number(x, f"cells[{k}].lo") for x in raw["lo"]),
+                hi=tuple(_number(x, f"cells[{k}].hi") for x in raw["hi"]),
+                tau=None if tau is None else _number(tau, f"cells[{k}].tau"),
+                kappa=(None if kappa is None
+                       else _number(kappa, f"cells[{k}].kappa")),
             ))
         return cls(agent=int(d["agent"]), cells=cells)
+
+
+def _number(x, what: str) -> float:
+    """x as a float when it is a number; true, false and strings are not."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ValueError(f"{what} must be a number")
+    return float(x)
 
 
 def split_by_partition(ds: Dataset, partition: Partition):

@@ -386,7 +386,10 @@ def prior_from_dict(d: dict, n_agents: int = None):
     if kind == "independent_product":
         marginals = [[marginal_from_dict(m) for m in per_agent]
                      for per_agent in d["marginals"]]
-        prior = IndependentProduct(marginals, sort_desc=d.get("sort_desc", False))
+        sort_desc = d.get("sort_desc", False)
+        if not isinstance(sort_desc, bool):
+            raise ValueError("sort_desc must be true or false")
+        prior = IndependentProduct(marginals, sort_desc=sort_desc)
     elif kind == "correlated_common_value":
         prior = CorrelatedCommonValue(d.get("n_agents", n_agents or 2))
     else:

@@ -98,6 +98,9 @@ def test_parse_config_field_errors():
                         "positive integer in simulation mode")
     expect_config_error(eq_raw(seed=None), "seed",
                         "nonnegative integer in simulation mode")
+    expect_config_error(eq_raw(prior=None, n_records=None, seed="abc",
+                               dataset="x.jsonl", kappa=1.0), "seed",
+                        "nonnegative integer or absent in dataset mode")
     expect_config_error(eq_raw(kappa=-1.0), "kappa", "kappa must be positive")
     expect_config_error(eq_raw(l_inv_max=0.0), "l_inv_max",
                         "must be positive")
@@ -110,12 +113,14 @@ def test_parse_config_field_errors():
     "game.n_agents", "game.mechanism.items", "game.mechanism.units",
     "game.utility_scale", "grid_w", "grid_w[1]", "delta_total",
     "n_records", "seed", "kappa", "l_inv_max", "pdim_constant",
-    "disp_constant"])
+    "disp_constant", "cells[0].tau", "cells[0].kappa", "dataset seed",
+    "prior.sort_desc"])
 @pytest.mark.parametrize("flag", [True, False])
 def test_json_booleans_are_not_numbers(tmp_path, capsys, field, flag):
     # isinstance(True, int) holds in Python; JSON true and false must still
-    # be rejected wherever a number is wanted
+    # be rejected wherever a number is wanted, and a string where a boolean is
     raw = eq_raw()
+    named = field
     if field == "grid_w[1]":
         raw["grid_w"] = [0.1, flag]
     elif field.startswith("game."):
@@ -126,14 +131,73 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, field, flag):
         for name in parents:
             node = node[name]
         node[key] = flag
+    elif field.startswith("cells[0]."):
+        cell = {"lo": [0.0], "hi": [1.0], field.split(".")[1]: flag}
+        raw.update(mode="ex_ante", partition={"cells": [cell]})
+        named = "partition[0]"
+    elif field == "dataset seed":
+        raw.update(prior=None, n_records=None, dataset="missing.jsonl",
+                   kappa=1.0, seed=flag)
+        named = "seed"
+    elif field == "prior.sort_desc":
+        raw["prior"]["sort_desc"] = str(flag).lower()
+        named = "prior"
     else:
         raw[field] = flag
     with pytest.raises(ConfigError) as exc_info:
         parse_config(raw)
-    assert exc_info.value.field == field
+    assert exc_info.value.field == named
     cfg_path = write_config(tmp_path / "config.json", raw)
     assert main(["verify", "--config", cfg_path]) == 2
-    assert f"error: {field}: " in capsys.readouterr().err
+    assert f"error: {named}: " in capsys.readouterr().err
+
+
+UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
+
+
+def shade_strategies(*params):
+    return [{"agent": a, "family": "linear_shade", "params": p}
+            for a, p in enumerate(params)]
+
+
+# malformed configs whose raw-JSON builders raise KeyError, TypeError or
+# AttributeError rather than ValueError
+MALFORMED = {
+    "power_exponent": ("strategies", dict(strategies=[
+        {"agent": a, "family": "power", "params": {"exponent": 2}}
+        for a in range(2)])),
+    "linear_shade_without_c": ("strategies", dict(
+        strategies=shade_strategies({"c": 0.5}, {}))),
+    "strategy_without_agent": ("strategies", dict(strategies=[
+        {"family": "identity"}, {"agent": 1, "family": "identity"}])),
+    "strategy_not_an_object": ("strategies", dict(strategies=[1, 2])),
+    "params_a_list": ("strategies", dict(
+        strategies=shade_strategies([0.5], [0.5]))),
+    "piecewise_linear_without_ys": ("strategies", dict(strategies=[
+        {"agent": a, "family": "piecewise_linear",
+         "params": {"xs": [0.0, 1.0]}} for a in range(2)])),
+    "beta_without_alpha": ("prior", dict(prior={
+        "kind": "independent_product",
+        "marginals": [[{"kind": "beta", "beta": 2.0}], [UNIFORM]]})),
+    "marginal_not_an_object": ("prior", dict(prior={
+        "kind": "independent_product", "marginals": [[0.5], [UNIFORM]]})),
+    "no_marginals": ("prior", dict(prior={"kind": "independent_product"})),
+    "prior_a_list": ("prior", dict(prior=[UNIFORM, UNIFORM])),
+    "n_agents_a_string": ("prior", dict(
+        mode="ex_ante", partition={"cells": [{"lo": [0.0], "hi": [1.0]}]},
+        prior={"kind": "correlated_common_value", "n_agents": "2"})),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_builder_input_exits_2_naming_the_field(tmp_path, capsys,
+                                                         case):
+    field, overrides = MALFORMED[case]
+    cfg_path = write_config(tmp_path / "config.json", eq_raw(**overrides))
+    assert main(["verify", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: "), err
+    assert "Traceback" not in err
 
 
 def test_array_hash_is_the_digest_of_the_arrays_bytes():
@@ -213,6 +277,12 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
     assert parse_config(correlated).kappa is None
 
 
+def game_of_dim(dim):
+    """A two-agent game whose observations have dim coordinates."""
+    return {"n_agents": 2, "mechanism": {"kind": "discriminatory",
+                                         "units": dim}}
+
+
 @pytest.mark.parametrize("cells, message", [
     ([{"lo": [0.0], "hi": [0.6]}, {"lo": [0.5], "hi": [1.0]}],
      "cells 0 and 1 overlap"),
@@ -227,8 +297,10 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
      "volumes sum to 0.75"),
 ], ids=["overlap", "overlap_2d", "gap", "gap_2d"])
 def test_partitions_that_do_not_tile_the_cube_are_rejected(cells, message):
-    second = {"cells": [{"lo": [0.0], "hi": [1.0]}]}
-    raw = eq_raw(mode="ex_ante", partition=[second, {"cells": cells}])
+    dim = len(cells[0]["lo"])
+    second = {"cells": [{"lo": [0.0] * dim, "hi": [1.0] * dim}]}
+    raw = eq_raw(mode="ex_ante", partition=[second, {"cells": cells}],
+                 game=game_of_dim(dim))
     expect_config_error(raw, "partition[1]", message)
 
 
@@ -239,7 +311,8 @@ def test_partition_tiling_is_checked_exactly():
     line = [{"lo": [a], "hi": [b]} for a, b in spans]
     grid = [{"lo": [a, c], "hi": [b, d]} for a, b in spans for c, d in spans]
     for cells in (line, grid):
-        raw = eq_raw(mode="ex_ante", partition={"cells": cells})
+        raw = eq_raw(mode="ex_ante", partition={"cells": cells},
+                     game=game_of_dim(len(cells[0]["lo"])))
         assert parse_config(raw).partition[0]["cells"] == cells
     # a sliver between 0.3 and the next float up is a gap
     cells = [{"lo": [0.0], "hi": [0.3]},
@@ -372,9 +445,7 @@ def test_oracle_block_requires_equilibrium_opponents():
     config = parse_config(eq_raw(strategies=[
         {"agent": 0, "family": "linear_shade", "params": {"c": 0.4}},
         {"agent": 1, "family": "linear_shade", "params": {"c": 0.5}}]))
-    prior = prior_from_dict(config.prior, 2)
-    profile = profile_from_config(config.strategies, 2)
-    block = cli._oracle_block(config, prior, profile)
+    block = cli._oracle_block(config)
     assert block["0"]["value"] == pytest.approx(0.02, abs=1e-9)
     assert block["1"]["value"] is None and "note" in block["1"]
 
@@ -382,10 +453,7 @@ def test_oracle_block_requires_equilibrium_opponents():
 def test_oracle_block_is_null_outside_its_domain():
     raw = eq_raw()
     raw["game"]["mechanism"] = {"kind": "discriminatory", "units": 1}
-    config = parse_config(raw)
-    prior = prior_from_dict(config.prior, 2)
-    profile = profile_from_config(config.strategies, 2)
-    assert cli._oracle_block(config, prior, profile) == {"0": None, "1": None}
+    assert cli._oracle_block(parse_config(raw)) == {"0": None, "1": None}
 
 
 def test_grid_sweep_writes_one_report_per_width(tmp_path):
@@ -550,6 +618,76 @@ def test_per_agent_partitions_get_their_own_taus(tmp_path):
         got = tuple(c["tau"] for c in report["agents"][agent]["cells"])
         assert got == want
         assert 0.0 < min(want[1:-1])   # interior cells are derived, not 0
+
+
+def test_per_agent_partitions_default_each_agent_to_its_position(tmp_path):
+    halves = [{"lo": [0.0], "hi": [0.5]}, {"lo": [0.5], "hi": [1.0]}]
+    whole = [{"lo": [0.0], "hi": [1.0]}]
+    raw = correlated_ante_raw([{"cells": halves}, {"cells": whole}], 0.1)
+    config = parse_config(raw)
+    assert [e["agent"] for e in config.partition] == [0, 1]
+    assert {a: (p.agent, len(p)) for a, p in config.partitions.items()} \
+        == {0: (0, 2), 1: (1, 1)}
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    report = read_json(out, "report.json")
+    assert [len(a["cells"]) for a in report["agents"]] == [2, 1]
+
+
+def test_out_of_order_partitions_fail_before_sampling(tmp_path, capsys,
+                                                      monkeypatch):
+    def refuse(*args):
+        raise AssertionError("records sampled before the partitions were "
+                             "checked")
+
+    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    whole = [{"lo": [0.0], "hi": [1.0]}]
+    raw = correlated_ante_raw([{"agent": 1, "cells": whole},
+                               {"agent": 0, "cells": whole}], 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == (
+        "error: partition[0]: per-agent partitions must be listed in agent "
+        "order\n")
+
+
+def test_partition_dimension_must_match_the_observations(tmp_path, capsys):
+    # a 2-D tiling on a 1-D game: zip would read only the first coordinate
+    # and leave the second cell empty
+    cells = [{"lo": [0.0, 0.0], "hi": [1.0, 0.5]},
+             {"lo": [0.0, 0.5], "hi": [1.0, 1.0]}]
+    raw = correlated_ante_raw({"cells": cells}, 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: partition[0]: invalid partition: cells have dimension 2, "
+        "observations have 1")
+
+
+def test_each_run_input_is_built_once_per_job(tmp_path, monkeypatch):
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(cli.priors_mod, "prior_from_dict")
+    count(cli, "profile_from_config")
+    count(Partition, "from_dict")
+    raw = eq_raw(mode="ex_ante", n_records=2000, grid_w=[0.1, 0.05],
+                 partition={"cells": [{"lo": [0.0], "hi": [0.5]},
+                                      {"lo": [0.5], "hi": [1.0]}]})
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    assert calls == {"prior_from_dict": 1, "profile_from_config": 1,
+                     "from_dict": 1}
 
 
 def test_ex_ante_run_writes_per_cell_breakdowns(tmp_path):

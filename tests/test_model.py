@@ -46,19 +46,12 @@ def test_default_utility_scale_covers_multiunit_payoff_range():
 def test_game_config_dims_autofill_and_check():
     game = GameConfig(n_agents=2,
                       mechanism=MechanismSpec(kind="discriminatory", units=2))
-    assert (game.obs_dim, game.val_dim, game.utility_scale) == (2, 2, 2.0)
-    with pytest.raises(ValueError, match="bid dimension"):
-        GameConfig(n_agents=2, mechanism=MechanismSpec(kind="discriminatory",
-                                                       units=2), obs_dim=1)
+    assert (game.mechanism.bid_dim, game.utility_scale) == (2, 2.0)
+    with pytest.raises(ValueError, match="utility_scale"):
+        GameConfig(n_agents=2, mechanism=game.mechanism, utility_scale=-1.0)
     with pytest.raises(ValueError, match="n_agents"):
         GameConfig(n_agents=1,
                    mechanism=MechanismSpec(kind="first_price_single_item"))
-
-
-def test_game_config_round_trip():
-    game = GameConfig(n_agents=3,
-                      mechanism=MechanismSpec(kind="uniform_price", units=2))
-    assert GameConfig.from_dict(game.to_dict()) == game
 
 
 # --------------------------------------------------------------------- grid

@@ -1,0 +1,40 @@
+"""The benchmark's traced child process runs on this checkout: every name its
+tracer wraps still exists as a module attribute, and the verify path still
+calls it, so a rename fails here rather than in a benchmark run."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_traced_child_records_the_verify_spans(tmp_path):
+    raw = {
+        "game": {"n_agents": 2,
+                 "mechanism": {"kind": "first_price_single_item"}},
+        "mode": "ex_ante",
+        "prior": {"kind": "independent_product",
+                  "marginals": [[{"kind": "uniform"}]] * 2},
+        "strategies": [{"agent": a, "family": "linear_shade",
+                        "params": {"c": 0.5}} for a in range(2)],
+        "partition": {"cells": [{"lo": [0.0], "hi": [1.0]}]},
+        "grid_w": 0.1,
+        "delta_total": 0.05,
+        "n_records": 2000,
+        "seed": 1,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "timing.json",
+         "1", "verify", "--config", "config.json", "--out", "out"],
+        capture_output=True, text=True, env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "timing.json").read_text(encoding="utf-8"))
+    assert Path(record["package"]) == REPO / "src" / "bneverify" / "__init__.py"
+    for name in ("cli.parse_config", "cli.run", "estimator.estimate_ex_ante"):
+        assert record["spans"][name]["calls"] >= 1, name
