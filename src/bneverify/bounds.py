@@ -7,9 +7,7 @@ constant factor and are flagged as such. Totals are left folds over the
 stored terms so a reader can recompute them from the report to the last ulp.
 """
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .model import GameConfig
 
@@ -18,6 +16,7 @@ __all__ = [
     "FLAG_ASYMPTOTIC",
     "FLAG_WIDTH_RANGE",
     "FLAG_DEGRADED_BOUND",
+    "FAILURE_EVENTS",
     "PdimSpec",
     "InterimSpecs",
     "ExAnteSpecs",
@@ -35,6 +34,7 @@ __all__ = [
     "pdim",
     "assemble_interim",
     "assemble_ex_ante",
+    "confidence",
     "all_vacuous",
 ]
 
@@ -45,6 +45,10 @@ FLAG_DEGRADED_BOUND = ("degraded: mapped-width dispersion term omitted "
                        "(forward Lipschitz constant unknown)")
 
 VACUOUS_THRESHOLD = 2.0
+
+# failure events each certificate takes a union bound over, each at
+# probability delta; a run splits its delta_total evenly among them
+FAILURE_EVENTS = {"ex_interim": 3, "ex_ante": 4}
 
 # piecewise Lipschitz constant of the utility off its jump set, every rule
 UTILITY_LIPSCHITZ = 1.0
@@ -314,6 +318,60 @@ def _merge_flags(*groups):
     return tuple(seen)
 
 
+def confidence(mode: str, delta: float) -> float:
+    """Confidence of a certificate whose failure events each have
+    probability delta: one minus the union over FAILURE_EVENTS[mode]."""
+    return 1.0 - FAILURE_EVENTS[mode] * delta
+
+
+def _pdim_preamble(specs, config: GameConfig):
+    """Checks shared by both certificates; returns the pseudo-dimension and
+    the certificate's flag list, which starts with the asymptotic flag when
+    the pseudo-dimension is only a growth order."""
+    _check_positive("width", specs.width)
+    _check_delta(specs.delta)
+    spec_d = pdim(config, specs.pdim_constant)
+    return spec_d, [FLAG_ASYMPTOTIC] if spec_d.kind != "exact" else []
+
+
+def _disp_term(config: GameConfig, specs, width: float, n_records: int,
+               kappa: float, n_cells_max: int, flags: list):
+    """One dispersion term over n_records records: the raw count, the count
+    clamped at n_records, and eps_disp at that count. Appends the vacuity
+    flag (when clamped) and then the count's own flags to flags."""
+    count_raw, d_flags = dispersion_count(
+        config, width, n_records, kappa, specs.l_inv_max, specs.delta,
+        n_cells_max=n_cells_max, constant=specs.disp_constant)
+    count, clamped = clamp_dispersion_count(count_raw, n_records)
+    if clamped:
+        flags.append(FLAG_VACUOUS_DISPERSION)
+    flags.extend(d_flags)
+    return count_raw, count, eps_disp(width, n_records, count,
+                                      UTILITY_LIPSCHITZ)
+
+
+def _agent_bound(estimate, mode: str, specs, config: GameConfig, body: dict,
+                 total: float, flags: list) -> AgentBound:
+    """The report entry: agent, mode, record count and empirical gain, then
+    the mode's terms in body, then delta, confidence and the totals."""
+    H = config.utility_scale
+    payload = {
+        "agent": estimate.agent,
+        "mode": mode,
+        "n_records": estimate.n_records,
+        "empirical": estimate.value,
+        **body,
+        "delta": specs.delta,
+        "confidence": confidence(mode, specs.delta),
+        "total": total,
+        "total_denormalized": total * H,
+        "utility_scale": H,
+    }
+    all_flags = _merge_flags(estimate.flags, flags, specs.extra_flags)
+    return AgentBound(agent=estimate.agent, mode=mode, total=total,
+                      payload=payload, flags=all_flags)
+
+
 def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> AgentBound:
     """Compose the ex interim certificate:
 
@@ -322,52 +380,25 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> Agent
     at confidence 1 - 3 delta. Without a forward Lipschitz constant the
     mapped-width term cannot be evaluated; it is omitted and flagged.
     """
-    _check_positive("width", specs.width)
-    _check_delta(specs.delta)
-    n = config.n_agents
+    spec_d, flags = _pdim_preamble(specs, config)
     n_rec = estimate.n_records
-    spec_d = pdim(config, specs.pdim_constant)
-    flags = []
-    if spec_d.kind != "exact":
-        flags.append(FLAG_ASYMPTOTIC)
-
-    e_pdim = eps_pdim_interim(n_rec, spec_d.value, n, specs.delta)
-
-    disp_terms = []
-
-    def disp_entry(width, multiplier):
-        count_raw, d_flags = dispersion_count(
-            config, width, n_rec, specs.kappa, specs.l_inv_max, specs.delta,
-            n_cells_max=1, constant=specs.disp_constant)
-        count, clamped = clamp_dispersion_count(count_raw, n_rec)
-        if clamped:
-            flags.append(FLAG_VACUOUS_DISPERSION)
-        for f in d_flags:
-            flags.append(f)
-        value = eps_disp(width, n_rec, count, UTILITY_LIPSCHITZ)
-        disp_terms.append({
-            "width": width,
-            "count_raw": count_raw,
-            "count": count,
-            "value": value,
-            "multiplier": multiplier,
-        })
-        return value
-
-    d_w = disp_entry(specs.width, 3.0)
+    e_pdim = eps_pdim_interim(n_rec, spec_d.value, config.n_agents,
+                              specs.delta)
+    widths = [(specs.width, 3.0)]
     if specs.l_fwd is not None:
-        d_mapped = disp_entry(specs.l_fwd * specs.width, 1.0)
-        total = estimate.value + e_pdim + 3.0 * d_w + d_mapped
-    else:
+        widths.append((specs.l_fwd * specs.width, 1.0))
+    disp_terms = []
+    total = estimate.value + e_pdim
+    for width, multiplier in widths:
+        count_raw, count, value = _disp_term(
+            config, specs, width, n_rec, specs.kappa, 1, flags)
+        disp_terms.append({"width": width, "count_raw": count_raw,
+                           "count": count, "value": value,
+                           "multiplier": multiplier})
+        total += multiplier * value
+    if specs.l_fwd is None:
         flags.append(FLAG_DEGRADED_BOUND)
-        total = estimate.value + e_pdim + 3.0 * d_w
-    confidence = 1.0 - 3.0 * specs.delta
-    H = config.utility_scale
-    payload = {
-        "agent": estimate.agent,
-        "mode": "ex_interim",
-        "n_records": n_rec,
-        "empirical": estimate.value,
+    body = {
         "argmax_valuation": list(estimate.argmax_pair[0]),
         "argmax_bid": list(estimate.argmax_pair[1]),
         "pdim_value": spec_d.value,
@@ -376,15 +407,9 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> Agent
         "eps_pdim": e_pdim,
         "width": specs.width,
         "disp_terms": disp_terms,
-        "delta": specs.delta,
-        "confidence": confidence,
-        "total": total,
-        "total_denormalized": total * H,
-        "utility_scale": H,
     }
-    all_flags = _merge_flags(estimate.flags, flags, specs.extra_flags)
-    return AgentBound(agent=estimate.agent, mode="ex_interim", total=total,
-                      payload=payload, flags=all_flags)
+    return _agent_bound(estimate, "ex_interim", specs, config, body, total,
+                        flags)
 
 
 def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentBound:
@@ -396,19 +421,12 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
     at confidence 1 - 4 delta. Empty cells contribute zero through their
     weight and skip the per-cell terms.
     """
-    _check_positive("width", specs.width)
-    _check_delta(specs.delta)
+    spec_d, flags = _pdim_preamble(specs, config)
     n = config.n_agents
-    n_rec = estimate.n_records
     n_cells = len(estimate.br_terms)
     if len(specs.taus) != n_cells or len(specs.kappas) != n_cells:
         raise ValueError("per-cell tau/kappa lists must match the partition size")
-    spec_d = pdim(config, specs.pdim_constant)
-    flags = []
-    if spec_d.kind != "exact":
-        flags.append(FLAG_ASYMPTOTIC)
-
-    e_hoeff = eps_hoeffding(n_rec, n, specs.delta)
+    e_hoeff = eps_hoeffding(estimate.n_records, n, specs.delta)
     sources = specs.tau_sources or tuple("" for _ in range(n_cells))
 
     cells = []
@@ -426,33 +444,25 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
                          if term["best_bid"] is not None else None),
             "br_mean": term["br_mean"],
         }
+        cells.append(entry)
         if n_cell == 0:
             entry.update({"kappa": None, "eps_pdim": None,
                           "disp_count_raw": None, "disp_count": None,
                           "eps_disp": None, "inner_sum": None,
                           "clamped": False, "contribution": 0.0})
-            cells.append(entry)
             continue
         tau = specs.taus[k]
         if tau is None:
             raise ValueError(f"cell {k} has no tau")
-        kappa = specs.kappas[k]
         e_pdim_cell = eps_pdim_ex_ante(n_cell, spec_d.value, n, specs.delta,
                                        specs.n_cells_max)
-        count_raw, d_flags = dispersion_count(
-            config, specs.width, n_cell, kappa, specs.l_inv_max, specs.delta,
-            n_cells_max=specs.n_cells_max, constant=specs.disp_constant)
-        count, clamped = clamp_dispersion_count(count_raw, n_cell)
-        if clamped:
-            flags.append(FLAG_VACUOUS_DISPERSION)
-        for f in d_flags:
-            flags.append(f)
-        e_disp_cell = eps_disp(specs.width, n_cell, count,
-                               UTILITY_LIPSCHITZ)
+        count_raw, count, e_disp_cell = _disp_term(
+            config, specs, specs.width, n_cell, specs.kappas[k],
+            specs.n_cells_max, flags)
         inner = tau + e_pdim_cell + e_disp_cell
         contribution = term["weight"] * min(1.0, inner)
         entry.update({
-            "kappa": kappa,
+            "kappa": specs.kappas[k],
             "eps_pdim": e_pdim_cell,
             "disp_count_raw": count_raw,
             "disp_count": count,
@@ -461,17 +471,10 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
             "clamped": inner > 1.0,
             "contribution": contribution,
         })
-        cells.append(entry)
         cell_sum += contribution
 
     total = estimate.value + 2.0 * e_hoeff + cell_sum
-    confidence = 1.0 - 4.0 * specs.delta
-    H = config.utility_scale
-    payload = {
-        "agent": estimate.agent,
-        "mode": "ex_ante",
-        "n_records": n_rec,
-        "empirical": estimate.value,
+    body = {
         "current_utility": estimate.current_utility,
         "eps_hoeffding": e_hoeff,
         "hoeffding_multiplier": 2.0,
@@ -482,15 +485,9 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
         "n_cells_max": specs.n_cells_max,
         "cells": cells,
         "cell_sum": cell_sum,
-        "delta": specs.delta,
-        "confidence": confidence,
-        "total": total,
-        "total_denormalized": total * H,
-        "utility_scale": H,
     }
-    all_flags = _merge_flags(estimate.flags, flags, specs.extra_flags)
-    return AgentBound(agent=estimate.agent, mode="ex_ante", total=total,
-                      payload=payload, flags=all_flags)
+    return _agent_bound(estimate, "ex_ante", specs, config, body, total,
+                        flags)
 
 
 def all_vacuous(agent_bounds) -> bool:

@@ -23,8 +23,8 @@ from . import bounds as bounds_mod
 from . import priors as priors_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
-                    Partition, canonical_json, config_hash, file_hash,
-                    load_dataset, make_grid)
+                    Partition, config_hash, file_hash, load_dataset,
+                    make_grid)
 from .oracle import analytic_fpsb_loss
 from .strategies import (FLAG_UNCERTIFIED, StrategyProfile,
                          profile_from_config, pushforward_density_bound)
@@ -172,13 +172,15 @@ def _parse_game(d) -> GameConfig:
         _require(items >= 1, "game.mechanism.items",
                  "game.mechanism.items must be >= 1 for the combinatorial rule")
     mech = MechanismSpec(kind=kind, items=items, units=units)
+    payoff_range = mech.default_utility_scale
     scale = d.get("utility_scale")
-    if scale is not None:
-        _require(_is_number(scale) and scale > 0,
-                 "game.utility_scale", "game.utility_scale must be positive")
-        return GameConfig(n_agents=n, mechanism=mech,
-                          utility_scale=float(scale))
-    return GameConfig(n_agents=n, mechanism=mech)
+    if scale is None:
+        scale = payoff_range
+    # every error term assumes normalized utilities in [-1, 1]
+    _require(_is_number(scale) and scale >= payoff_range, "game.utility_scale",
+             f"game.utility_scale must be a number no less than the payoff "
+             f"range {payoff_range!r} of {kind}")
+    return GameConfig(n_agents=n, mechanism=mech, utility_scale=float(scale))
 
 
 def _parse_partition_entry(entry, field, agent, dim):
@@ -257,6 +259,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if prior is not None:
         prior_model = _build("prior", priors_mod.prior_from_dict, prior,
                              game.n_agents)
+        _require(prior_model.dim == game.mechanism.bid_dim, "prior",
+                 f"prior observations have dimension {prior_model.dim}, "
+                 f"bids under {game.mechanism.kind} have "
+                 f"{game.mechanism.bid_dim}")
         n_records = raw.get("n_records")
         _require(_is_int(n_records) and n_records >= 1, "n_records",
                  "n_records must be a positive integer in simulation mode")
@@ -454,8 +460,7 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
     game = config.game
     prior, profile = config.prior_model, config.profile
     grid = make_grid(game.mechanism.bid_dim, width)
-    budget_k = 3 if config.mode == "ex_interim" else 4
-    delta = config.delta_total / budget_k
+    delta = config.delta_total / bounds_mod.FAILURE_EVENTS[config.mode]
 
     agents_payload = []
     plots = {}
@@ -512,7 +517,7 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
         "n_records": len(ds),
         "delta_total": config.delta_total,
         "delta": delta,
-        "confidence": 1.0 - budget_k * delta,
+        "confidence": bounds_mod.confidence(config.mode, delta),
         "grid_width": width,
         "grid_points_per_axis": grid.points_per_axis,
         "utility_scale": game.utility_scale,

@@ -595,8 +595,7 @@ def brute_force_best_response(config: GameConfig, theta_i, opponent_bids,
         raise ValueError(
             f"resolution lattice exceeds size cap: {(segments + 1) ** dim} "
             f"points over cap {cap}")
-    grid = Grid(dim=dim, radius=resolution * dim / 2.0, step=1.0 / segments,
-                points_per_axis=segments + 1)
+    grid = Grid(dim=dim, step=1.0 / segments, points_per_axis=segments + 1)
     lattice = valid_actions(config, grid.points())
     others = [j for j in range(config.n_agents) if j != agent]
     bids = np.zeros((opponent_bids.shape[0], config.n_agents, dim))

@@ -375,16 +375,6 @@ class Partition:
                              f"{tuple(points[np.argmin(score)])}")
         return n_cells - score
 
-    def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "cells": [
-                {"lo": list(c.lo), "hi": list(c.hi), "tau": c.tau,
-                 "kappa": c.kappa}
-                for c in self.cells
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
         cells = []
@@ -422,10 +412,9 @@ def split_by_partition(ds: Dataset, partition: Partition):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice over [0,1]^dim whose points cover the cube within L1
-    distance radius."""
+    """Uniform lattice over [0,1]^dim; make_grid sizes it so that its points
+    cover the cube within a given L1 distance."""
     dim: int
-    radius: float
     step: float
     points_per_axis: int
 
@@ -469,8 +458,7 @@ def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
         raise ValueError(
             f"grid too large: {_short_count(total)} points exceed cap {cap} "
             f"(would need about {_short_count(total * dim * 8)} bytes)")
-    return Grid(dim=dim, radius=radius, step=1.0 / segments,
-                points_per_axis=points_per_axis)
+    return Grid(dim=dim, step=1.0 / segments, points_per_axis=points_per_axis)
 
 
 def canonical_json(obj) -> str:

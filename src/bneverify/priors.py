@@ -41,8 +41,6 @@ _TV_PANELS = 4096
 class Uniform:
     """Uniform marginal on [a, b] inside [0, 1]."""
 
-    kind = "uniform"
-
     def __init__(self, a: float = 0.0, b: float = 1.0):
         a, b = float(a), float(b)
         if not (0.0 <= a < b <= 1.0):
@@ -62,14 +60,9 @@ class Uniform:
     def sample(self, rng, size):
         return self.a + (self.b - self.a) * rng.random(size)
 
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a, "b": self.b}
-
 
 class Beta:
     """Beta(alpha, beta) marginal with alpha, beta >= 1 (bounded density)."""
-
-    kind = "beta"
 
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
@@ -105,9 +98,6 @@ class Beta:
     def sample(self, rng, size):
         return rng.beta(self.alpha, self.beta, size)
 
-    def to_dict(self):
-        return {"kind": self.kind, "alpha": self.alpha, "beta": self.beta}
-
 
 def _order_statistic_factor(m: int) -> int:
     # density of any order statistic of m iid draws is at most
@@ -123,8 +113,6 @@ class IndependentProduct:
     auctions); the declared density bound then carries an order-statistic
     factor.
     """
-
-    kind = "independent_product"
 
     def __init__(self, marginals, sort_desc: bool = False):
         self.marginals = [list(per_agent) for per_agent in marginals]
@@ -153,10 +141,6 @@ class IndependentProduct:
         return max(self.kappa_agent(j)
                    for j in range(self.n_agents) if j != agent)
 
-    def kappa_pair(self, i: int, j: int) -> float:
-        """Bound on the joint density of two agents' coordinates."""
-        return self.kappa_agent(i) * self.kappa_agent(j)
-
     def sample(self, n_records: int, seed: int):
         streams = _agent_streams(seed, self.n_agents)
         obs = np.empty((n_records, self.n_agents, self.dim), dtype=np.float64)
@@ -170,14 +154,6 @@ class IndependentProduct:
     def tv_radius(self, cell: Cell) -> float:
         # conditioning on an independent coordinate leaves opponents unchanged
         return 0.0
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "marginals": [[m.to_dict() for m in per_agent]
-                          for per_agent in self.marginals],
-            "sort_desc": self.sort_desc,
-        }
 
 
 class CorrelatedCommonValue:
@@ -193,8 +169,6 @@ class CorrelatedCommonValue:
       * opponent observation density given s_i = s:
         (1/max(s, t) - 1) / (-log s), maximized at t <= s.
     """
-
-    kind = "correlated_common_value"
 
     def __init__(self, n_agents: int = 2):
         if n_agents < 2:
@@ -305,9 +279,6 @@ class CorrelatedCommonValue:
             return 0.0
         return self.tv_pair(lo, hi)
 
-    def to_dict(self):
-        return {"kind": self.kind, "n_agents": self.n_agents}
-
 
 def _agent_streams(seed: int, count: int):
     children = np.random.SeedSequence(int(seed)).spawn(count)
@@ -340,10 +311,6 @@ class TvProfile:
         for t in self.values:
             if not (0.0 <= t <= 1.0):
                 raise ValueError("tau must lie in [0,1]")
-
-    @property
-    def any_declared(self) -> bool:
-        return any(s == "declared" for s in self.sources)
 
 
 def tv_profile(prior, partition: Partition) -> TvProfile:

@@ -30,12 +30,7 @@ FLAG_UNCERTIFIED = "uncertified: dispersion constants invalid"
 class Strategy:
     """Base class: strictly monotone coordinatewise bid map on [0,1]."""
 
-    family = "abstract"
-
     def apply(self, o):
-        raise NotImplementedError
-
-    def inverse(self, x):
         raise NotImplementedError
 
     def lipschitz_constants(self):
@@ -50,28 +45,10 @@ class Strategy:
         except ValueError:
             return False
 
-    def params(self) -> dict:
-        return {}
-
-    def to_dict(self) -> dict:
-        d = {"family": self.family}
-        p = self.params()
-        if p:
-            d["params"] = p
-        return d
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.params()})"
-
 
 class Identity(Strategy):
-    family = "identity"
-
     def apply(self, o):
         return np.asarray(o, dtype=np.float64)
-
-    def inverse(self, x):
-        return np.asarray(x, dtype=np.float64)
 
     def lipschitz_constants(self):
         return (1.0, 1.0)
@@ -79,8 +56,6 @@ class Identity(Strategy):
 
 class LinearShade(Strategy):
     """b = c * o with shading factor c in (0, 1]."""
-
-    family = "linear_shade"
 
     def __init__(self, c: float):
         c = float(c)
@@ -91,21 +66,13 @@ class LinearShade(Strategy):
     def apply(self, o):
         return self.c * np.asarray(o, dtype=np.float64)
 
-    def inverse(self, x):
-        return np.asarray(x, dtype=np.float64) / self.c
-
     def lipschitz_constants(self):
         return (self.c, 1.0 / self.c)
-
-    def params(self):
-        return {"c": self.c}
 
 
 class Power(Strategy):
     """b = o ** p with p >= 1. For p > 1 the inverse slope is unbounded at
     zero, so the strategy cannot be certified."""
-
-    family = "power"
 
     def __init__(self, p: float):
         p = float(p)
@@ -116,17 +83,11 @@ class Power(Strategy):
     def apply(self, o):
         return np.asarray(o, dtype=np.float64) ** self.p
 
-    def inverse(self, x):
-        return np.asarray(x, dtype=np.float64) ** (1.0 / self.p)
-
     def lipschitz_constants(self):
         if self.p == 1.0:
             return (1.0, 1.0)
         raise ValueError(
             "not bi-Lipschitz: inverse slope of the power map is unbounded at 0")
-
-    def params(self):
-        return {"p": self.p}
 
 
 class PiecewiseLinearMonotone(Strategy):
@@ -135,8 +96,6 @@ class PiecewiseLinearMonotone(Strategy):
     xs must be strictly increasing from 0 to 1; ys non-decreasing in [0,1].
     Zero-slope segments are representable but not certifiable.
     """
-
-    family = "piecewise_linear"
 
     def __init__(self, xs, ys):
         xs = np.asarray(xs, dtype=np.float64)
@@ -157,19 +116,11 @@ class PiecewiseLinearMonotone(Strategy):
     def apply(self, o):
         return np.interp(np.asarray(o, dtype=np.float64), self.xs, self.ys)
 
-    def inverse(self, x):
-        if np.any(np.diff(self.ys) <= 0.0):
-            raise ValueError("not invertible: zero slope segment")
-        return np.interp(np.asarray(x, dtype=np.float64), self.ys, self.xs)
-
     def lipschitz_constants(self):
         slopes = np.diff(self.ys) / np.diff(self.xs)
         if np.any(slopes <= 0.0):
             raise ValueError("not bi-Lipschitz: zero slope segment")
         return (float(slopes.max()), float(1.0 / slopes.min()))
-
-    def params(self):
-        return {"xs": self.xs.tolist(), "ys": self.ys.tolist()}
 
 
 def pushforward_density_bound(kappa: float, strategies, dim: int = 1) -> float:

@@ -278,9 +278,13 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
 
 
 def game_of_dim(dim):
-    """A two-agent game whose observations have dim coordinates."""
-    return {"n_agents": 2, "mechanism": {"kind": "discriminatory",
-                                         "units": dim}}
+    """Overrides for a two-agent game whose observations have dim
+    coordinates: the game and a prior of that dimension."""
+    uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+    return {"game": {"n_agents": 2,
+                     "mechanism": {"kind": "discriminatory", "units": dim}},
+            "prior": {"kind": "independent_product",
+                      "marginals": [[uniform] * dim] * 2}}
 
 
 @pytest.mark.parametrize("cells, message", [
@@ -300,7 +304,7 @@ def test_partitions_that_do_not_tile_the_cube_are_rejected(cells, message):
     dim = len(cells[0]["lo"])
     second = {"cells": [{"lo": [0.0] * dim, "hi": [1.0] * dim}]}
     raw = eq_raw(mode="ex_ante", partition=[second, {"cells": cells}],
-                 game=game_of_dim(dim))
+                 **game_of_dim(dim))
     expect_config_error(raw, "partition[1]", message)
 
 
@@ -312,7 +316,7 @@ def test_partition_tiling_is_checked_exactly():
     grid = [{"lo": [a, c], "hi": [b, d]} for a, b in spans for c, d in spans]
     for cells in (line, grid):
         raw = eq_raw(mode="ex_ante", partition={"cells": cells},
-                     game=game_of_dim(len(cells[0]["lo"])))
+                     **game_of_dim(len(cells[0]["lo"])))
         assert parse_config(raw).partition[0]["cells"] == cells
     # a sliver between 0.3 and the next float up is a gap
     cells = [{"lo": [0.0], "hi": [0.3]},
@@ -489,6 +493,45 @@ def test_oversized_sweep_width_fails_before_anything_is_written(
     assert err.startswith("error: grid_w[1]: grid too large: ")
     assert len(err) < 200
     assert list(out.iterdir()) == []
+
+
+def two_unit(**game):
+    return {"n_agents": 2, "mechanism": {"kind": "discriminatory", "units": 2},
+            **game}
+
+
+@pytest.mark.parametrize("overrides, field", [
+    # eq_raw's prior has one marginal per agent
+    ({"game": two_unit()}, "prior"),
+    ({"game": two_unit(), "mode": "ex_ante",
+      "prior": {"kind": "correlated_common_value", "n_agents": 2},
+      "partition": {"cells": [{"lo": [0.0, 0.0], "hi": [1.0, 1.0]}]}},
+     "prior"),
+    ({**game_of_dim(2), "game": two_unit(utility_scale=0.5)},
+     "game.utility_scale"),
+    ({"game": {"n_agents": 2,
+               "mechanism": {"kind": "first_price_single_item"},
+               "utility_scale": 0.01}}, "game.utility_scale"),
+], ids=["marginals_1d", "correlated_1d", "scale_half_of_two_units",
+        "scale_below_first_price"])
+def test_inconsistent_games_fail_before_sampling(tmp_path, capsys,
+                                                 monkeypatch, overrides,
+                                                 field):
+    def refuse(*args):
+        raise AssertionError("records sampled before the config was checked")
+
+    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    cfg_path = write_config(tmp_path / "config.json", eq_raw(**overrides))
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_utility_scale_at_or_above_the_payoff_range_is_accepted():
+    for scale in (2, 2.5):
+        raw = eq_raw(**game_of_dim(2))
+        raw["game"]["utility_scale"] = scale
+        assert parse_config(raw).game.utility_scale == float(scale)
 
 
 def test_tiny_sample_run_is_reported_vacuous(tmp_path):

@@ -300,11 +300,11 @@ def test_partition_reports_uncovered_points():
         gappy.assign_many(np.array([[0.1], [0.45]]))
 
 
-def test_partition_round_trip_and_required_agent():
-    part = Partition(1, [Cell(lo=(0.0,), hi=(1.0,), tau=0.25, kappa=3.0)])
-    again = Partition.from_dict(part.to_dict())
-    assert again.agent == 1
-    assert again.cells[0].tau == 0.25 and again.cells[0].kappa == 3.0
+def test_partition_from_dict_and_required_agent():
+    part = Partition.from_dict({"agent": 1, "cells": [
+        {"lo": [0.0], "hi": [1.0], "tau": 0.25, "kappa": 3.0}]})
+    assert part.agent == 1
+    assert part.cells == [Cell(lo=(0.0,), hi=(1.0,), tau=0.25, kappa=3.0)]
     with pytest.raises(KeyError):
         Partition.from_dict({"cells": [{"lo": [0.0], "hi": [1.0]}]})
 

@@ -73,7 +73,6 @@ def test_independent_product_kappas():
     assert prior.kappa_agent(1) == 2.0
     assert prior.kappa_opponents(0) == 2.0
     assert prior.kappa_opponents(1) == 1.0
-    assert prior.kappa_pair(0, 1) == 2.0
 
 
 def test_sorted_coordinates_carry_an_order_statistic_factor():
@@ -231,7 +230,6 @@ def test_tv_profile_prefers_declared_values():
     prof = tv_profile(prior, part)
     assert prof.values == (0.33, 1.0)
     assert prof.sources == ("declared", "derived")
-    assert prof.any_declared
 
 
 def test_tv_integral_bound_values():
