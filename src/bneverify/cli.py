@@ -23,8 +23,8 @@ from . import bounds as bounds_mod
 from . import priors as priors_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
-                    Partition, config_hash, file_hash, load_dataset,
-                    make_grid)
+                    Partition, config_hash, file_hash, is_integer, is_number,
+                    load_dataset, make_grid)
 from .oracle import analytic_fpsb_loss
 from .strategies import (FLAG_UNCERTIFIED, StrategyProfile,
                          profile_from_config, pushforward_density_bound)
@@ -59,16 +59,6 @@ class ConfigError(ValueError):
 def _require(cond, field, message):
     if not cond:
         raise ConfigError(field, message)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; true and false are not numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """A JSON number; true and false are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -138,6 +128,15 @@ def _build(field, fn, *args):
         raise ConfigError(field, str(exc)) from None
 
 
+def _positive(raw, key, default=None):
+    """raw[key] as a positive float; default when it is absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return default
+    _require(is_number(value) and value > 0, key, f"{key} must be positive")
+    return float(value)
+
+
 def _kappa(prior, declared, agent, cell=None):
     """The opponent density bound for agent, over one cell of its partition
     in ex ante, and its flag: the cell's declared kappa, else the prior's,
@@ -154,7 +153,7 @@ def _kappa(prior, declared, agent, cell=None):
 def _parse_game(d) -> GameConfig:
     _require(isinstance(d, dict), "game", "game must be an object")
     n = d.get("n_agents")
-    _require(_is_int(n) and n >= 2, "game.n_agents",
+    _require(is_integer(n) and n >= 2, "game.n_agents",
              "game.n_agents must be an integer >= 2")
     mech_d = d.get("mechanism")
     _require(isinstance(mech_d, dict), "game.mechanism",
@@ -164,9 +163,9 @@ def _parse_game(d) -> GameConfig:
              f"game.mechanism.kind must be one of {sorted(MECHANISM_KINDS)}")
     items = mech_d.get("items", 0)
     units = mech_d.get("units", 1)
-    _require(_is_int(items) and items >= 0, "game.mechanism.items",
+    _require(is_integer(items) and items >= 0, "game.mechanism.items",
              "game.mechanism.items must be a nonnegative integer")
-    _require(_is_int(units) and units >= 1, "game.mechanism.units",
+    _require(is_integer(units) and units >= 1, "game.mechanism.units",
              "game.mechanism.units must be a positive integer")
     if kind == "first_price_combinatorial":
         _require(items >= 1, "game.mechanism.items",
@@ -177,7 +176,7 @@ def _parse_game(d) -> GameConfig:
     if scale is None:
         scale = payoff_range
     # every error term assumes normalized utilities in [-1, 1]
-    _require(_is_number(scale) and scale >= payoff_range, "game.utility_scale",
+    _require(is_number(scale) and scale >= payoff_range, "game.utility_scale",
              f"game.utility_scale must be a number no less than the payoff "
              f"range {payoff_range!r} of {kind}")
     return GameConfig(n_agents=n, mechanism=mech, utility_scale=float(scale))
@@ -224,21 +223,18 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
              "mode must be ex_interim or ex_ante")
 
     delta_total = raw.get("delta_total")
-    _require(_is_number(delta_total), "delta_total",
-             "delta_total must lie in (0,1)")
-    _require(0.0 < float(delta_total) < 1.0, "delta_total",
-             "delta_total must lie in (0,1)")
+    _require(is_number(delta_total) and 0.0 < delta_total < 1.0,
+             "delta_total", "delta_total must lie in (0,1)")
     delta_total = float(delta_total)
 
     grid_w = raw.get("grid_w")
-    if _is_number(grid_w):
-        _require(0.0 < float(grid_w) <= 1.0, "grid_w",
-                 "grid_w must lie in (0, 1]")
+    if is_number(grid_w):
+        _require(0.0 < grid_w <= 1.0, "grid_w", "grid_w must lie in (0, 1]")
         grid_w = float(grid_w)
         widths = {"grid_w": grid_w}
     elif isinstance(grid_w, list) and grid_w:
         for j, w in enumerate(grid_w):
-            _require(_is_number(w) and 0.0 < float(w) <= 1.0,
+            _require(is_number(w) and 0.0 < w <= 1.0,
                      f"grid_w[{j}]", "grid widths must lie in (0, 1]")
         grid_w = [float(w) for w in grid_w]
         widths = {f"grid_w[{j}]": w for j, w in enumerate(grid_w)}
@@ -263,17 +259,21 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                  f"prior observations have dimension {prior_model.dim}, "
                  f"bids under {game.mechanism.kind} have "
                  f"{game.mechanism.bid_dim}")
+        # only an independent_product prior has more than one dimension
+        _require(not game.mechanism.sorted_bids or prior_model.sort_desc,
+                 "prior.sort_desc", "prior.sort_desc must be true: bids for "
+                 "more than one unit must be non-increasing")
         n_records = raw.get("n_records")
-        _require(_is_int(n_records) and n_records >= 1, "n_records",
+        _require(is_integer(n_records) and n_records >= 1, "n_records",
                  "n_records must be a positive integer in simulation mode")
-        _require(_is_int(seed) and seed >= 0, "seed",
+        _require(is_integer(seed) and seed >= 0, "seed",
                  "seed must be a nonnegative integer in simulation mode")
     else:
         _require(isinstance(dataset, str), "dataset",
                  "dataset must be a file path")
         dataset = os.path.normpath(os.path.join(base_dir, dataset))
         prior_model = n_records = None
-        _require(seed is None or (_is_int(seed) and seed >= 0), "seed",
+        _require(seed is None or (is_integer(seed) and seed >= 0), "seed",
                  "seed must be a nonnegative integer or absent in dataset "
                  "mode")
 
@@ -334,11 +334,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
-    kappa = raw.get("kappa")
-    if kappa is not None:
-        _require(_is_number(kappa) and kappa > 0, "kappa",
-                 "kappa must be positive")
-        kappa = float(kappa)
+    kappa = _positive(raw, "kappa")
     if partitions is None:
         _require(all(_kappa(prior_model, kappa, a)[0] is not None
                      for a in range(game.n_agents)), "kappa", KAPPA_REQUIRED)
@@ -346,24 +342,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(all(_kappa(prior_model, kappa, a, cell)[0] is not None
                      for a, part in partitions.items() for cell in part.cells),
                  "kappa", KAPPA_REQUIRED_PER_CELL)
-    l_inv_max = raw.get("l_inv_max")
-    if l_inv_max is not None:
-        _require(_is_number(l_inv_max) and l_inv_max > 0,
-                 "l_inv_max", "l_inv_max must be positive")
-        l_inv_max = float(l_inv_max)
-    else:
-        # without strategies no slope bound can be derived
-        _require(strategies != "bids-only", "l_inv_max",
-                 "l_inv_max is required in bids-only mode")
-
-    pdim_constant = raw.get("pdim_constant", 1.0)
-    _require(_is_number(pdim_constant) and pdim_constant > 0,
-             "pdim_constant", "pdim_constant must be positive")
-    pdim_constant = float(pdim_constant)
-    disp_constant = raw.get("disp_constant", 1.0)
-    _require(_is_number(disp_constant) and disp_constant > 0,
-             "disp_constant", "disp_constant must be positive")
-    disp_constant = float(disp_constant)
+    l_inv_max = _positive(raw, "l_inv_max")
+    # without strategies no slope bound can be derived
+    _require(l_inv_max is not None or strategies != "bids-only", "l_inv_max",
+             "l_inv_max is required in bids-only mode")
+    pdim_constant = _positive(raw, "pdim_constant", 1.0)
+    disp_constant = _positive(raw, "disp_constant", 1.0)
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
@@ -424,7 +408,13 @@ class RunReport:
 
 def _resolve_dataset(config: RunConfig):
     if config.dataset is not None:
-        ds = load_dataset(config.dataset, config.game)
+        try:
+            ds = load_dataset(config.dataset, config.game)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("dataset", str(exc)) from None
+        _require(config.mode == "ex_ante" or np.array_equal(ds.obs, ds.vals),
+                 "dataset", "ex interim estimation requires private values "
+                 "(observations identical to valuations)")
         return ds, file_hash(config.dataset)
     ds = priors_mod.sample_dataset(config.prior_model, config.profile,
                                    config.n_records, config.seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameConfig, MechanismSpec
+from .model import GameConfig
 
 __all__ = [
     "Outcome",
@@ -24,7 +24,6 @@ __all__ = [
     "eval_discriminatory",
     "eval_uniform_price",
     "eval",
-    "MechanismSpec",
 ]
 
 

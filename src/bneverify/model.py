@@ -55,6 +55,12 @@ class MechanismSpec:
         return self.units
 
     @property
+    def sorted_bids(self) -> bool:
+        """Whether bid vectors hold several units' bids, highest first."""
+        return (self.kind in ("discriminatory", "uniform_price")
+                and self.units > 1)
+
+    @property
     def default_utility_scale(self) -> float:
         # multi-unit payoffs range over [-m, m]; dividing by the unit count
         # keeps normalized utilities in [-1, 1]
@@ -144,47 +150,34 @@ def _in_unit_range(arr: np.ndarray) -> bool:
 _DATASET_FIELDS = ("obs", "vals", "bids")
 
 
-def _json_numbers(value, depth: int) -> bool:
-    """Whether every entry of value, JSON lists nested depth deep, is a JSON
-    number. Exact types exclude bool (an int subclass) and str."""
-    if depth == 0:
-        return type(value) in (int, float)
-    return all(_json_numbers(v, depth - 1) for v in value)
+def is_number(x) -> bool:
+    """Whether x is a JSON number: an int or a float by exact type, so true,
+    false (bool is an int subclass), strings and null are not."""
+    return all_numbers((x,))
 
 
-def _parse_record_arrays(row: dict, line_no: int, expected: dict):
-    out = []
-    for key in _DATASET_FIELDS:
-        if key not in row:
-            raise ValueError(f"malformed row, line {line_no}: missing {key!r}")
-        try:
-            arr = np.asarray(row[key], dtype=np.float64)
-        except (TypeError, ValueError):   # ragged lists, strings, objects
-            arr = None
-        # np.asarray also converts numeric strings, booleans and null
-        if arr is None or not _json_numbers(row[key], arr.ndim):
-            raise ValueError(f"malformed row, line {line_no}: {key} is not "
-                             "an array of numbers")
-        if arr.ndim == 1:  # allow scalar-per-agent shorthand
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError(f"malformed row, line {line_no}: {key} must be a "
-                             "list of per-agent vectors")
-        if arr.shape != expected[key]:
-            raise ValueError(
-                f"dimension mismatch, line {line_no}: {key} has shape "
-                f"{arr.shape}, config requires {expected[key]}")
-        out.append(arr)
-    return out
+def is_integer(x) -> bool:
+    """Whether x is a JSON integer: an int by exact type, so true and false
+    are not."""
+    return type(x) is int
 
 
-_NUMBER_TYPES = frozenset((int, float))
+def all_numbers(values) -> bool:
+    """Whether every item of values is a JSON number (see is_number)."""
+    return {int, float}.issuperset(map(type, values))
+
+
+def number(x, what: str) -> float:
+    """x as a float when it is a JSON number; else ValueError naming what."""
+    if not is_number(x):
+        raise ValueError(f"{what} must be a number")
+    return float(x)
 
 
 def _record_numbers(row: dict, n: int, dim: int):
     """The record's numbers, obs then vals then bids, as one flat list when
     every field is a list of n per-agent lists of dim JSON numbers; else
-    None. Exact types exclude bool (an int subclass) and str."""
+    None."""
     fields = [row.get(key) for key in _DATASET_FIELDS]
     if any(type(f) is not list or len(f) != n for f in fields):
         return None
@@ -192,16 +185,39 @@ def _record_numbers(row: dict, n: int, dim: int):
     if set(map(type, vectors)) != {list} or set(map(len, vectors)) != {dim}:
         return None
     flat = list(itertools.chain.from_iterable(vectors))
-    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+    if not all_numbers(flat):
         return None
     return flat
 
 
-def _check_dataset_ranges(numbers, line_nos, shape):
+def _row_fault(row: dict, line_no: int, shape) -> str:
+    """Why _record_numbers refused row: the first field, in obs, vals, bids
+    order, that is missing, is not a list of per-agent lists of equal
+    length, holds an entry that is not a JSON number, or has another shape
+    than the config's."""
+    for key in _DATASET_FIELDS:
+        if key not in row:
+            return f"malformed row, line {line_no}: missing {key!r}"
+        value = row[key]
+        if type(value) is not list or (value and all_numbers(value)):
+            return (f"malformed row, line {line_no}: {key} must be a list of "
+                    "per-agent vectors")
+        if (not all(type(v) is list and all_numbers(v) for v in value)
+                or len(set(map(len, value))) != 1):
+            return (f"malformed row, line {line_no}: {key} is not an array "
+                    "of numbers")
+        got = (len(value), len(value[0]))
+        if got != shape:
+            return (f"dimension mismatch, line {line_no}: {key} has shape "
+                    f"{got}, config requires {shape}")
+
+
+def _check_dataset_ranges(numbers, line_nos, shape, sorted_bids: bool):
     """Split the records' numbers (one flat list, each record's obs, vals
     and bids in turn) into (N, *shape) arrays per field and raise for the
     first record, in file order, holding a coordinate that is outside
-    [0, 1] or not a finite number; name its first such field.
+    [0, 1] or not a finite number, or, when sorted_bids is set, a bid vector
+    that increases; name its first such field.
 
     Each field is checked in one pass (json.loads accepts NaN and Infinity,
     and a NaN fails both comparisons).
@@ -212,10 +228,14 @@ def _check_dataset_ranges(numbers, line_nos, shape):
                for j, key in enumerate(_DATASET_FIELDS)}
     bad = {key: ~((arr >= 0.0) & (arr <= 1.0)).all(axis=(1, 2))
            for key, arr in stacked.items()}
-    first = np.flatnonzero(bad["obs"] | bad["vals"] | bad["bids"])
+    rising = sorted_bids & (np.diff(stacked["bids"], axis=2) > 0).any((1, 2))
+    first = np.flatnonzero(bad["obs"] | bad["vals"] | bad["bids"] | rising)
     if first.size:
         rec = int(first[0])
-        key = next(k for k in _DATASET_FIELDS if bad[k][rec])
+        key = next((k for k in _DATASET_FIELDS if bad[k][rec]), None)
+        if key is None:
+            raise ValueError("bids must be non-increasing across units, "
+                             f"line {line_nos[rec]}")
         what = ("out of range" if np.isfinite(stacked[key][rec]).all()
                 else "not a finite number")
         raise ValueError(f"{key} coordinate {what}, line {line_nos[rec]}")
@@ -226,16 +246,16 @@ def load_dataset(path, config: GameConfig) -> Dataset:
     """Read a JSON-lines dataset file and validate it against config.
 
     An optional first line without an "obs" key is treated as a header
-    carrying the generator seed and config hash. Faults are reported for
-    the first offending line; value ranges are checked once over all
-    records, and before a later line's parse fault is reported. A record
-    in the common form (per-agent lists of numbers in the config's shape)
-    is appended to one flat list of numbers, converted once at the end;
-    any other record is parsed field by field, which reads the
-    scalar-per-agent shorthand and names the fault.
+    carrying the generator seed and config hash. Every record must hold
+    per-agent lists of JSON numbers in the config's shape; each is appended
+    to one flat list of numbers, converted once at the end. Under a
+    multi-unit rule with more than one unit, each recorded bid vector must
+    be non-increasing. Faults are reported for the first offending line;
+    value ranges are checked once over all records, and before a later
+    line's parse fault is reported.
     """
     shape = (config.n_agents, config.mechanism.bid_dim)
-    expected = dict.fromkeys(_DATASET_FIELDS, shape)
+    sorted_bids = config.mechanism.sorted_bids
     numbers = []
     line_nos = []
     seed = None
@@ -254,12 +274,10 @@ def load_dataset(path, config: GameConfig) -> Dataset:
                     continue
                 record = _record_numbers(row, *shape)
                 if record is None:
-                    record = np.concatenate(
-                        _parse_record_arrays(row, line_no, expected),
-                        axis=None).tolist()
+                    raise ValueError(_row_fault(row, line_no, shape))
             except ValueError as exc:
                 # earlier lines first
-                _check_dataset_ranges(numbers, line_nos, shape)
+                _check_dataset_ranges(numbers, line_nos, shape, sorted_bids)
                 if isinstance(exc, json.JSONDecodeError):
                     raise ValueError(
                         f"malformed row, line {line_no}: {exc}") from exc
@@ -268,7 +286,7 @@ def load_dataset(path, config: GameConfig) -> Dataset:
             line_nos.append(line_no)
     if not line_nos:
         raise ValueError("dataset empty")
-    stacked = _check_dataset_ranges(numbers, line_nos, shape)
+    stacked = _check_dataset_ranges(numbers, line_nos, shape, sorted_bids)
     return Dataset(stacked["obs"], stacked["vals"], stacked["bids"], seed=seed)
 
 
@@ -382,20 +400,15 @@ class Partition:
             tau = raw.get("tau")
             kappa = raw.get("kappa")
             cells.append(Cell(
-                lo=tuple(_number(x, f"cells[{k}].lo") for x in raw["lo"]),
-                hi=tuple(_number(x, f"cells[{k}].hi") for x in raw["hi"]),
-                tau=None if tau is None else _number(tau, f"cells[{k}].tau"),
+                lo=tuple(number(x, f"cells[{k}].lo") for x in raw["lo"]),
+                hi=tuple(number(x, f"cells[{k}].hi") for x in raw["hi"]),
+                tau=None if tau is None else number(tau, f"cells[{k}].tau"),
                 kappa=(None if kappa is None
-                       else _number(kappa, f"cells[{k}].kappa")),
+                       else number(kappa, f"cells[{k}].kappa")),
             ))
-        return cls(agent=int(d["agent"]), cells=cells)
-
-
-def _number(x, what: str) -> float:
-    """x as a float when it is a number; true, false and strings are not."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ValueError(f"{what} must be a number")
-    return float(x)
+        if not is_integer(d["agent"]):
+            raise ValueError("agent must be an integer")
+        return cls(agent=d["agent"], cells=cells)
 
 
 def split_by_partition(ds: Dataset, partition: Partition):
@@ -419,15 +432,12 @@ class Grid:
     points_per_axis: int
 
     @property
-    def size(self) -> int:
-        return self.points_per_axis ** self.dim
-
-    @property
     def axis(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.points_per_axis)
 
     def points(self) -> np.ndarray:
-        """All lattice points, lexicographic in axis indices, shape (size, dim)."""
+        """All lattice points, lexicographic in axis indices, shape
+        (points_per_axis ** dim, dim)."""
         axes = [self.axis] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
 
-from .model import Cell, Dataset, Partition
+from .model import Cell, Dataset, Partition, is_integer, number
 
 __all__ = [
     "Uniform",
@@ -164,16 +164,16 @@ class CorrelatedCommonValue:
     rescaled by 1/2 so observations live in [0, theta] inside [0,1].
 
     Closed conditional structure (all for the stored scale):
-      * observation marginal density  -log(s) with CDF s*(1 - log(s));
+      * observation marginal density  -log(s);
       * value posterior given s:      1/(theta * (-log s)) on (s, 1];
       * opponent observation density given s_i = s:
         (1/max(s, t) - 1) / (-log s), maximized at t <= s.
     """
 
     def __init__(self, n_agents: int = 2):
-        if n_agents < 2:
-            raise ValueError("need at least two agents")
-        self.n_agents = int(n_agents)
+        if not is_integer(n_agents) or n_agents < 2:
+            raise ValueError("need at least two agents, as an integer")
+        self.n_agents = n_agents
         self.dim = 1
 
     def sample(self, n_records: int, seed: int):
@@ -185,17 +185,6 @@ class CorrelatedCommonValue:
             obs[:, i, 0] = theta * streams[i].random(n_records)
         vals = np.repeat(theta[:, None, None], self.n_agents, axis=1)
         return obs, vals
-
-    def marginal_density(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return np.where((s > 0.0) & (s < 1.0), -np.log(s), 0.0)
-
-    def marginal_cdf(self, s):
-        s = np.asarray(s, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = s * (1.0 - np.log(s))
-        return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, val))
 
     def posterior_density(self, s: float):
         """Density of the common value given a stored observation s."""
@@ -336,8 +325,10 @@ def tv_integral_bound(g_sup: float, tau: float) -> float:
 
 
 _MARGINALS = {
-    "uniform": lambda d: Uniform(d.get("a", 0.0), d.get("b", 1.0)),
-    "beta": lambda d: Beta(d["alpha"], d["beta"]),
+    "uniform": lambda d: Uniform(number(d.get("a", 0.0), "a"),
+                                 number(d.get("b", 1.0), "b")),
+    "beta": lambda d: Beta(number(d["alpha"], "alpha"),
+                           number(d["beta"], "beta")),
 }
 
 

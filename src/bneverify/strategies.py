@@ -7,9 +7,12 @@ example power maps with exponent above one, whose inverse slope blows up at
 zero) are still usable for estimation but every dispersion-based guarantee is
 flagged as invalid.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import is_integer, number
 
 __all__ = [
     "Strategy",
@@ -164,14 +167,14 @@ class StrategyProfile:
 
     @property
     def l_inv_max(self) -> float:
-        worst = 1.0
-        for s in self.strategies:
-            _, l_inv = s.lipschitz_constants()
-            worst = max(worst, l_inv)
-        return worst
+        """The largest inverse slope bound, at least 1; inf if uncertified."""
+        return max([1.0] + [s.lipschitz_constants()[1] if s.certified
+                            else math.inf for s in self.strategies])
 
     def l_fwd(self, agent: int) -> float:
-        return self.strategies[agent].lipschitz_constants()[0]
+        """The agent's forward slope bound; None if its map is uncertified."""
+        s = self.strategies[agent]
+        return s.lipschitz_constants()[0] if s.certified else None
 
     def apply_all(self, obs: np.ndarray) -> np.ndarray:
         """Map observations (N, n_agents, dim) to bids of the same shape."""
@@ -184,9 +187,11 @@ class StrategyProfile:
 
 _FAMILIES = {
     "identity": lambda p: Identity(),
-    "linear_shade": lambda p: LinearShade(p["c"]),
-    "power": lambda p: Power(p["p"]),
-    "piecewise_linear": lambda p: PiecewiseLinearMonotone(p["xs"], p["ys"]),
+    "linear_shade": lambda p: LinearShade(number(p["c"], "c")),
+    "power": lambda p: Power(number(p["p"], "p")),
+    "piecewise_linear": lambda p: PiecewiseLinearMonotone(
+        [number(x, "xs") for x in p["xs"]],
+        [number(y, "ys") for y in p["ys"]]),
 }
 
 
@@ -201,9 +206,9 @@ def profile_from_config(entries, n_agents: int) -> StrategyProfile:
     """Build a profile from a list of {"agent": i, "family": ..., "params": ...}."""
     slots = [None] * n_agents
     for entry in entries:
-        i = int(entry["agent"])
-        if not (0 <= i < n_agents):
-            raise ValueError(f"strategy entry for unknown agent {i}")
+        i = entry["agent"]
+        if not (is_integer(i) and 0 <= i < n_agents):
+            raise ValueError(f"strategy entry for unknown agent {i!r}")
         if slots[i] is not None:
             raise ValueError(f"duplicate strategy entry for agent {i}")
         slots[i] = strategy_from_dict(entry)

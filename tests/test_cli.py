@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from bneverify import cli
-from bneverify.bounds import FLAG_DEGRADED_BOUND
+from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
 from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
                            run)
 from bneverify.model import Partition, canonical_json, file_hash
 from bneverify.priors import (Beta, CorrelatedCommonValue, prior_from_dict,
                               sample_dataset, tv_profile)
-from bneverify.strategies import LinearShade, profile_from_config
+from bneverify.strategies import (FLAG_UNCERTIFIED, LinearShade,
+                                  profile_from_config)
 
 
 def eq_raw(**overrides):
@@ -186,6 +187,27 @@ MALFORMED = {
     "n_agents_a_string": ("prior", dict(
         mode="ex_ante", partition={"cells": [{"lo": [0.0], "hi": [1.0]}]},
         prior={"kind": "correlated_common_value", "n_agents": "2"})),
+    # values that float() or int() would coerce into a running job
+    "n_agents_a_fraction": ("prior", dict(
+        mode="ex_ante", partition={"cells": [{"lo": [0.0], "hi": [1.0]}]},
+        prior={"kind": "correlated_common_value", "n_agents": 2.5})),
+    "shade_c_true": ("strategies", dict(
+        strategies=shade_strategies({"c": True}, {"c": 0.5}))),
+    "uniform_b_a_string": ("prior", dict(prior={
+        "kind": "independent_product",
+        "marginals": [[{"kind": "uniform", "b": "0.5"}], [UNIFORM]]})),
+    "agent_a_string": ("strategies", dict(strategies=[
+        {"agent": "0", "family": "identity"},
+        {"agent": 1, "family": "identity"}])),
+    "agent_a_fraction": ("strategies", dict(strategies=[
+        {"agent": 0.7, "family": "identity"},
+        {"agent": 1, "family": "identity"}])),
+    "breakpoints_strings": ("strategies", dict(strategies=[
+        {"agent": a, "family": "piecewise_linear",
+         "params": {"xs": ["0", "1"], "ys": [0.0, 1.0]}} for a in range(2)])),
+    "partition_agent_true": ("partition[0]", dict(
+        mode="ex_ante",
+        partition={"agent": True, "cells": [{"lo": [0.0], "hi": [1.0]}]})),
 }
 
 
@@ -198,6 +220,69 @@ def test_malformed_builder_input_exits_2_naming_the_field(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "power", "params": {"p": 2}},
+    {"family": "piecewise_linear",
+     "params": {"xs": [0.0, 0.5, 1.0], "ys": [0.0, 0.4, 0.4]}}],
+    ids=["power", "zero_slope"])
+def test_uncertified_strategies_run_flagged(tmp_path, capsys, params):
+    strategies = [{"agent": 0, "family": "linear_shade", "params": {"c": 0.5}},
+                  {"agent": 1, **params}]
+    cfg_path = write_config(tmp_path / "config.json", eq_raw(
+        strategies=strategies, n_records=500, grid_w=0.1))
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 3
+    assert capsys.readouterr().err == ""
+    agents = read_json(out, "report.json")["agents"]
+    for entry in agents:
+        assert FLAG_VACUOUS_DISPERSION in entry["flags"]
+        assert FLAG_UNCERTIFIED in entry["flags"]
+    # only the agent whose own map is uncertified loses the mapped-width term
+    assert FLAG_DEGRADED_BOUND not in agents[0]["flags"]
+    assert FLAG_DEGRADED_BOUND in agents[1]["flags"]
+
+
+def test_unsorted_multi_unit_prior_is_rejected(tmp_path, capsys):
+    golden = Path(__file__).resolve().parent / "golden"
+    raw = read_json(golden, "discriminatory_interim_config.json")
+    raw["prior"]["sort_desc"] = False
+    expect_config_error(raw, "prior.sort_desc", "must be true")
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: prior.sort_desc: ")
+    # one unit has nothing to sort
+    raw["game"]["mechanism"]["units"] = 1
+    raw["prior"]["marginals"] = [[UNIFORM]] * 3
+    assert parse_config(raw).prior_model.sort_desc is False
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("missing", "[Errno 2]"),
+    ("malformed", "malformed row, line 2: bids is not an array of numbers"),
+    ("common_values", "ex interim estimation requires private values"),
+])
+def test_dataset_faults_exit_2_naming_the_dataset(tmp_path, capsys, fault,
+                                                  message):
+    row = {"obs": [[0.5], [0.4]], "vals": [[0.5], [0.4]],
+           "bids": [[0.25], [0.2]]}
+    rows = [row, row]
+    if fault == "malformed":
+        rows = [row, dict(row, bids=[["0.25"], [0.2]])]
+    elif fault == "common_values":
+        rows = [row, dict(row, vals=[[0.6], [0.6]])]
+    if fault != "missing":
+        (tmp_path / "records.jsonl").write_text(
+            "\n".join(map(json.dumps, rows)) + "\n")
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="records.jsonl", kappa=1.0)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: ") and message in err, err
 
 
 def test_array_hash_is_the_digest_of_the_arrays_bytes():
@@ -284,7 +369,7 @@ def game_of_dim(dim):
     return {"game": {"n_agents": 2,
                      "mechanism": {"kind": "discriminatory", "units": dim}},
             "prior": {"kind": "independent_product",
-                      "marginals": [[uniform] * dim] * 2}}
+                      "marginals": [[uniform] * dim] * 2, "sort_desc": True}}
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -400,7 +400,8 @@ def test_bundle_candidates_share_one_solver_call_per_block(monkeypatch):
 def test_fine_grid_gain_table_is_not_held_in_memory():
     ds = uniform_dataset(200, seed=26)
     grid = make_grid(1, 1.25e-4)
-    assert grid.size == 4001   # a whole K x K table would take 128 MB
+    # a whole K x K table would take 128 MB
+    assert grid.points_per_axis ** grid.dim == 4001
     tracemalloc.start()
     try:
         est = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0)

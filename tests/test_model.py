@@ -60,7 +60,7 @@ def test_game_config_dims_autofill_and_check():
 def test_grid_single_dim_width_002_has_26_points():
     grid = make_grid(1, 0.02)
     assert grid.points_per_axis == 26
-    assert grid.size == 26
+    assert grid.points_per_axis ** grid.dim == 26
     axis = grid.axis
     assert axis[0] == 0.0 and axis[-1] == 1.0
     assert np.all(np.diff(axis) > 0)
@@ -181,6 +181,60 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path):
     assert header == {"seed": 11, "config_hash": "ab12"}
 
 
+@pytest.mark.parametrize("mechanism", [
+    MechanismSpec(kind="first_price_combinatorial", items=1),
+    MechanismSpec(kind="uniform_price", units=2)],
+    ids=["one_item", "two_unit"])
+def test_two_coordinate_rows_round_trip_bit_exactly(tmp_path, mechanism):
+    game = GameConfig(n_agents=3, mechanism=mechanism)
+    rng = np.random.Generator(np.random.Philox(7))
+    # non-increasing bid vectors, as a two-unit game requires
+    obs = np.sort(rng.random((500, 3, 2)), axis=2)[:, :, ::-1]
+    ds = Dataset(obs, obs, obs * rng.random((500, 3, 1)))
+    ds.bids[::9, :, 1] = ds.bids[::9, :, 0]   # ties between units
+    path = tmp_path / "records.jsonl"
+    save_dataset(ds, path)
+    again = load_dataset(path, game)
+    for field in ("obs", "vals", "bids"):
+        assert getattr(again, field).shape == (500, 3, 2)
+        assert getattr(again, field).tobytes() == getattr(ds, field).tobytes()
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace('"bids": [[', '"bids": [[0.1, ', 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^malformed row, line 4: bids is "
+                                         "not an array of numbers$"):
+        load_dataset(path, game)
+
+
+def test_multi_unit_bid_vectors_must_not_increase(tmp_path):
+    game = GameConfig(n_agents=2,
+                      mechanism=MechanismSpec(kind="discriminatory", units=2))
+    good = {"obs": [[0.5, 0.4], [0.3, 0.3]], "vals": [[0.5, 0.4], [0.3, 0.3]],
+            "bids": [[0.25, 0.2], [0.2, 0.2]]}
+    path = tmp_path / "records.jsonl"
+    rows = [good, dict(good, bids=[[0.2, 0.2], [0.1, 0.15]]), good]
+    path.write_text("\n".join(map(json.dumps, rows)) + "\n")
+    with pytest.raises(ValueError, match="^bids must be non-increasing "
+                                         "across units, line 2$"):
+        load_dataset(path, game)
+    # a range fault earlier in the file is named first
+    rows[0] = dict(good, obs=[[1.5, 0.4], [0.3, 0.3]])
+    path.write_text("\n".join(map(json.dumps, rows)) + "\n")
+    with pytest.raises(ValueError, match="^obs coordinate out of range, "
+                                         "line 1$"):
+        load_dataset(path, game)
+    # two items' bundle bids and recorded observations have no order
+    combinatorial = GameConfig(n_agents=2, mechanism=MechanismSpec(
+        kind="first_price_combinatorial", items=1))
+    rows = [dict(good, obs=[[0.4, 0.5], [0.3, 0.3]],
+                 bids=[[0.1, 0.2], [0.2, 0.2]])]
+    path.write_text(json.dumps(rows[0]) + "\n")
+    assert load_dataset(path, combinatorial).bids[0, 0, 1] == 0.2
+    path.write_text(json.dumps(dict(good, obs=[[0.4, 0.5], [0.3, 0.3]]))
+                    + "\n")
+    assert load_dataset(path, game).obs[0, 0, 1] == 0.5
+
+
 def test_load_dataset_reports_offending_line(tmp_path):
     game = fpsb_game()
     good = '{"obs": [[0.5], [0.5]], "vals": [[0.5], [0.5]], "bids": [[0.2], [0.2]]}'
@@ -214,6 +268,14 @@ def test_load_dataset_reports_offending_line(tmp_path):
                     '"vals": [[0.5], [0.5]], "bids": [[0.2], [0.2]]}\n')
     with pytest.raises(ValueError, match="dimension mismatch, line 2"):
         load_dataset(path, game)
+
+    # a flat list per field is not a list of per-agent vectors
+    for bad in ('[0.2, 0.2]', '0.2'):
+        path.write_text(good.replace('[[0.2], [0.2]]', bad) + "\n")
+        with pytest.raises(ValueError, match="malformed row, line 1: bids "
+                                             "must be a list of per-agent "
+                                             "vectors"):
+            load_dataset(path, game)
 
     path.write_text(good + "\n" + good.replace('"bids": [[0.2]',
                                                '"bids": [[1.2]') + "\n")

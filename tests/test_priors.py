@@ -120,18 +120,6 @@ def test_correlated_observations_are_positively_correlated():
     assert corr > 0.2
 
 
-def test_correlated_marginal_density_and_cdf_agree():
-    prior = CorrelatedCommonValue(2)
-    total, _ = quad(lambda s: float(prior.marginal_density(s)), 0.0, 1.0)
-    assert total == pytest.approx(1.0, abs=1e-9)
-    assert prior.marginal_cdf(0.0) == 0.0
-    assert prior.marginal_cdf(1.0) == 1.0
-    for s in (0.1, 0.4, 0.9):
-        h = 1e-6
-        slope = (prior.marginal_cdf(s + h) - prior.marginal_cdf(s - h)) / (2 * h)
-        assert slope == pytest.approx(float(prior.marginal_density(s)), rel=1e-5)
-
-
 def test_correlated_posterior_normalizes():
     prior = CorrelatedCommonValue(2)
     for s in (0.1, 0.5, 0.9):

@@ -1,4 +1,6 @@
 """Bid maps, their slope certificates, and density propagation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,11 @@ def test_profile_certificates():
     assert prof.l_fwd(1) == 1.0
     mixed = StrategyProfile((Power(2.0), Identity()))
     assert not mixed.certified
+    # an uncertified profile has no finite inverse slope bound, and only the
+    # uncertified agent loses its forward one
+    assert mixed.l_inv_max == math.inf
+    assert mixed.l_fwd(0) is None
+    assert mixed.l_fwd(1) == 1.0
     with pytest.raises(ValueError):
         StrategyProfile((Identity(),))
 
