@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import priors as priors_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
                     Partition, config_hash, file_hash, is_integer, is_number,
-                    load_dataset, make_grid)
+                    load_dataset, make_grid, number)
 from .oracle import analytic_fpsb_loss
 from .strategies import (FLAG_UNCERTIFIED, StrategyProfile,
                          profile_from_config, pushforward_density_bound)
@@ -85,6 +85,7 @@ class RunConfig:
     prior_model: object       # built from prior, or None
     profile: StrategyProfile  # built from strategies; None for bids-only
     partitions: dict          # ex ante: agent -> Partition; else None
+    specs: tuple              # per agent, its certificate inputs (width None)
 
     def to_dict(self) -> dict:
         mech = self.game.mechanism
@@ -134,7 +135,7 @@ def _positive(raw, key, default=None):
     if value is None:
         return default
     _require(is_number(value) and value > 0, key, f"{key} must be positive")
-    return float(value)
+    return _build(key, number, value, key)
 
 
 def _kappa(prior, declared, agent, cell=None):
@@ -148,6 +149,50 @@ def _kappa(prior, declared, agent, cell=None):
     if cell is not None and isinstance(prior, priors_mod.CorrelatedCommonValue):
         return prior.kappa_cell(cell), None
     return declared, FLAG_DECLARED_KAPPA
+
+
+def _agent_specs(game, mode, prior, profile, partitions, kappa, l_inv_max,
+                 delta_total, pdim_constant, disp_constant):
+    """Per agent, every input of its certificate but the grid width: an
+    InterimSpecs, or ex ante (partitions given) an ExAnteSpecs. kappa and
+    l_inv_max are the declared values, used where none can be derived; each
+    declared input is flagged. A kappa that is neither derived nor declared
+    is a ConfigError."""
+    if profile is None:   # bids-only: parse_config requires l_inv_max
+        flags = [FLAG_DECLARED_LINV]
+    else:
+        l_inv_max = profile.l_inv_max
+        flags = [] if profile.certified else [FLAG_UNCERTIFIED]
+    common = dict(width=None,
+                  delta=delta_total / bounds_mod.FAILURE_EVENTS[mode],
+                  l_inv_max=l_inv_max, pdim_constant=pdim_constant,
+                  disp_constant=disp_constant)
+    specs = []
+    taus = {}   # agents whose partitions have the same cells share one tau
+    for agent in range(game.n_agents):
+        part = None if partitions is None else partitions[agent]
+        resolved = [_kappa(prior, kappa, agent, cell)
+                    for cell in ([None] if part is None else part.cells)]
+        _require(all(k is not None for k, _ in resolved), "kappa",
+                 KAPPA_REQUIRED if part is None else KAPPA_REQUIRED_PER_CELL)
+        extra = flags + [FLAG_DECLARED_KAPPA] * any(f for _, f in resolved)
+        if part is None:
+            specs.append(bounds_mod.InterimSpecs(
+                kappa=resolved[0][0], extra_flags=tuple(extra),
+                l_fwd=None if profile is None else profile.l_fwd(agent),
+                **common))
+            continue
+        key = tuple(part.cells)
+        if key not in taus:
+            taus[key] = priors_mod.tv_profile(prior, part)
+        tau = taus[key]
+        if "declared" in tau.sources:
+            extra.append(priors_mod.FLAG_DECLARED_TAU)
+        specs.append(bounds_mod.ExAnteSpecs(
+            taus=tau.values, kappas=tuple(k for k, _ in resolved),
+            n_cells_max=max(map(len, partitions.values())),
+            tau_sources=tau.sources, extra_flags=tuple(extra), **common))
+    return tuple(specs)
 
 
 def _parse_game(d) -> GameConfig:
@@ -167,6 +212,11 @@ def _parse_game(d) -> GameConfig:
              "game.mechanism.items must be a nonnegative integer")
     _require(is_integer(units) and units >= 1, "game.mechanism.units",
              "game.mechanism.units must be a positive integer")
+    # bids have 2**items coordinates, and float(units) is a payoff range
+    _require(items < sys.float_info.max_exp, "game.mechanism.items",
+             f"game.mechanism.items must be below {sys.float_info.max_exp}")
+    _require(units <= sys.float_info.max, "game.mechanism.units",
+             "game.mechanism.units is too large for a float")
     if kind == "first_price_combinatorial":
         _require(items >= 1, "game.mechanism.items",
                  "game.mechanism.items must be >= 1 for the combinatorial rule")
@@ -179,7 +229,9 @@ def _parse_game(d) -> GameConfig:
     _require(is_number(scale) and scale >= payoff_range, "game.utility_scale",
              f"game.utility_scale must be a number no less than the payoff "
              f"range {payoff_range!r} of {kind}")
-    return GameConfig(n_agents=n, mechanism=mech, utility_scale=float(scale))
+    return GameConfig(n_agents=n, mechanism=mech,
+                      utility_scale=_build("game.utility_scale", number, scale,
+                                           "game.utility_scale"))
 
 
 def _parse_partition_entry(entry, field, agent, dim):
@@ -335,19 +387,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                 "mode", "mode ex_interim requires independent private values")
 
     kappa = _positive(raw, "kappa")
-    if partitions is None:
-        _require(all(_kappa(prior_model, kappa, a)[0] is not None
-                     for a in range(game.n_agents)), "kappa", KAPPA_REQUIRED)
-    else:
-        _require(all(_kappa(prior_model, kappa, a, cell)[0] is not None
-                     for a, part in partitions.items() for cell in part.cells),
-                 "kappa", KAPPA_REQUIRED_PER_CELL)
     l_inv_max = _positive(raw, "l_inv_max")
     # without strategies no slope bound can be derived
     _require(l_inv_max is not None or strategies != "bids-only", "l_inv_max",
              "l_inv_max is required in bids-only mode")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
     disp_constant = _positive(raw, "disp_constant", 1.0)
+    specs = _agent_specs(game, mode, prior_model, profile, partitions, kappa,
+                         l_inv_max, delta_total, pdim_constant, disp_constant)
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
@@ -360,7 +407,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                      l_inv_max=l_inv_max, pdim_constant=pdim_constant,
                      disp_constant=disp_constant, out_dir=out_dir,
                      prior_model=prior_model, profile=profile,
-                     partitions=partitions)
+                     partitions=partitions, specs=specs)
 
 
 def load_config(path: str, overrides: dict = None) -> RunConfig:
@@ -416,89 +463,37 @@ def _resolve_dataset(config: RunConfig):
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
         return ds, file_hash(config.dataset)
-    ds = priors_mod.sample_dataset(config.prior_model, config.profile,
-                                   config.n_records, config.seed)
+    try:   # numpy refuses, or fails to allocate, arrays of too many records
+        ds = priors_mod.sample_dataset(config.prior_model, config.profile,
+                                       config.n_records, config.seed)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError("n_records",
+                          f"too many records to sample: {exc}") from None
     return ds, _array_hash(ds.obs, ds.vals, ds.bids)
 
 
-def _lipschitz_inputs(config: RunConfig):
-    """Inverse slope bound and its flags: the profile's, or in bids-only
-    mode the declared one (parse_config requires it there)."""
-    profile = config.profile
-    if profile is None:
-        return config.l_inv_max, [FLAG_DECLARED_LINV]
-    return profile.l_inv_max, [] if profile.certified else [FLAG_UNCERTIFIED]
-
-
-def _tau_profiles(prior, partitions):
-    """Per agent, its cells' TV radii: declared values win, otherwise derived
-    from the prior's conditional structure. Agents whose partitions have the
-    same cells share one derivation."""
-    by_cells, out = {}, {}
-    for agent, part in partitions.items():
-        key = tuple(part.cells)
-        if key not in by_cells:
-            by_cells[key] = priors_mod.tv_profile(prior, part)
-        out[agent] = by_cells[key]
-    return out
-
-
 def _run_single_width(config: RunConfig, width: float, ds: Dataset,
-                      ds_hash: str, taus) -> RunReport:
-    """One report at one grid width. Ex ante, taus maps each agent to its
-    partition's TvProfile; ex interim, it is None."""
+                      ds_hash: str) -> RunReport:
+    """One report at one grid width."""
     game = config.game
-    prior, profile = config.prior_model, config.profile
     grid = make_grid(game.mechanism.bid_dim, width)
-    delta = config.delta_total / bounds_mod.FAILURE_EVENTS[config.mode]
-
-    agents_payload = []
-    plots = {}
+    interim = config.mode == "ex_interim"
     agent_bounds = []
-    l_inv, lip_flags = _lipschitz_inputs(config)
-
-    if config.mode == "ex_interim":
-        for agent in range(game.n_agents):
-            est = estimate_ex_interim(ds, profile, grid, game, agent)
-            kappa, kflag = _kappa(prior, config.kappa, agent)
-            extra = list(lip_flags)
-            if kflag:
-                extra.append(kflag)
-            l_fwd = profile.l_fwd(agent) if profile is not None else None
-            specs = bounds_mod.InterimSpecs(
-                width=width, delta=delta, kappa=kappa, l_inv_max=l_inv,
-                l_fwd=l_fwd, pdim_constant=config.pdim_constant,
-                disp_constant=config.disp_constant, extra_flags=tuple(extra))
-            ab = bounds_mod.assemble_interim(est, specs, game)
-            agent_bounds.append(ab)
-            agents_payload.append(ab.to_dict())
+    plots = {}
+    for agent, specs in enumerate(config.specs):
+        specs = replace(specs, width=width)
+        if interim:
+            est = estimate_ex_interim(ds, config.profile, grid, game, agent)
+            agent_bounds.append(bounds_mod.assemble_interim(est, specs, game))
             plots[agent] = (est.theta_points, est.per_point_gains)
-        n_cells_max = None
-    else:
-        n_cells_max = max(len(p) for p in config.partitions.values())
-        for agent in range(game.n_agents):
-            part = config.partitions[agent]
-            est = estimate_ex_ante(ds, profile, part, grid, game, agent)
-            kappas = []
-            extra = list(lip_flags)
-            for cell in part.cells:
-                kap, kflag = _kappa(prior, config.kappa, agent, cell)
-                kappas.append(kap)
-                if kflag and kflag not in extra:
-                    extra.append(kflag)
-            specs = bounds_mod.ExAnteSpecs(
-                width=width, delta=delta, taus=taus[agent].values,
-                kappas=tuple(kappas), l_inv_max=l_inv,
-                pdim_constant=config.pdim_constant,
-                disp_constant=config.disp_constant,
-                n_cells_max=n_cells_max, tau_sources=taus[agent].sources,
-                extra_flags=tuple(extra))
-            ab = bounds_mod.assemble_ex_ante(est, specs, game)
-            agent_bounds.append(ab)
-            agents_payload.append(ab.to_dict())
+        else:
+            est = estimate_ex_ante(ds, config.profile, config.partitions[agent],
+                                   grid, game, agent)
+            agent_bounds.append(bounds_mod.assemble_ex_ante(est, specs, game))
             plots[agent] = (est.candidates, est.gain_curve)
 
     vacuous = bounds_mod.all_vacuous(agent_bounds)
+    delta = config.specs[0].delta
     payload = {
         "mode": config.mode,
         "config_hash": config.hash(),
@@ -511,8 +506,8 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
         "grid_width": width,
         "grid_points_per_axis": grid.points_per_axis,
         "utility_scale": game.utility_scale,
-        "n_cells_max": n_cells_max,
-        "agents": agents_payload,
+        "n_cells_max": None if interim else config.specs[0].n_cells_max,
+        "agents": [ab.to_dict() for ab in agent_bounds],
         "vacuous": vacuous,
     }
     return RunReport(payload=payload, plots=plots, vacuous=vacuous)
@@ -659,13 +654,9 @@ def run(config: RunConfig, oracle: bool = False) -> int:
     widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
     sweep = isinstance(config.grid_w, list)
 
-    taus = None
-    if config.mode == "ex_ante":
-        taus = _tau_profiles(config.prior_model, config.partitions)
-
     reports = []
     for w in widths:
-        report = _run_single_width(config, w, ds, ds_hash, taus)
+        report = _run_single_width(config, w, ds, ds_hash)
         reports.append(report)
         suffix = _width_suffix(w) if sweep else ""
         report_path = os.path.join(config.out_dir, f"report{suffix}.json")

@@ -30,14 +30,13 @@ records once by critical bid, and only runs of equal critical bids are
 ordered further: by own marginal value ex ante, by the raw competing bid
 for uniform-price payments. Ex ante, the value won in a slot is a
 sequential prefix sum over that order, and the slots' sums are added in
-slot order. A pay-as-bid payment sum is the correctly rounded sum over j of
-n_j * P_j (n_j records win exactly j units, P_j is the float sum of the
-first j bids), which equals math.fsum over the records; first price is its
-one-term case. A uniform-price payment sum is an exact integer prefix sum in
-units of 2**-1074, rounded once, so it too equals math.fsum over the
-records. A combinatorial winner pays the candidate's own bid for its
-bundle, so a combinatorial payment sum is the correctly rounded sum over
-bundles b of n_b * bid_b, which equals math.fsum over the records too.
+slot order. Every payment sum is an exact integer sum in units of
+2**-1074, rounded once, so it equals math.fsum over the records. Pay as
+bid, it is the sum over j of n_j * P_j (n_j records win exactly j units,
+P_j is the float sum of the first j bids); first price is its one-term
+case. Uniform price, it adds exact prefix sums of the competing bids. A
+combinatorial winner pays the candidate's own bid for its bundle, so the
+sum is over bundles b of n_b * bid_b.
 Combinatorial utility sums are math.fsum over the per-record values. The
 current strategy's mean utility is an exact sum bucketed by binary exponent
 (_exact_sum) and rounded once, which equals math.fsum over the per-record
@@ -155,26 +154,6 @@ def _record_mean(values: np.ndarray, n_rec: int) -> float:
     return _exact_sum(values) / n_rec
 
 
-def _count_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum over j of counts[k, j] * values[k, j], per k:
-    the float math.fsum gives over counts[k, j] copies of each values[k, j].
-
-    Each count (below 2**53) splits into a multiple of 2**26 with at most 27
-    significant bits and a remainder below 2**26, each value into two halves
-    of at most 26 significant bits (Veltkamp's split), so every partial
-    product fits in 53 bits and is exact; math.fsum then rounds once.
-    """
-    low = counts & ((1 << 26) - 1)
-    scaled = values * 134217729.0   # 2**27 + 1
-    high = scaled - (scaled - values)
-    terms = np.concatenate(
-        [c * v for c in ((counts - low).astype(np.float64),
-                         low.astype(np.float64))
-         for v in (high, values - high)], axis=1)
-    return np.array([math.fsum(row) for row in terms.tolist()],
-                    dtype=np.float64)
-
-
 def _sort_ties(keys: np.ndarray, tie: np.ndarray) -> np.ndarray:
     """Order sorting keys ascending, each run of equal keys ordered by tie.
 
@@ -213,6 +192,25 @@ def _exact_ints(values: np.ndarray):
     np.left_shift(ints, np.where(nonzero, unit - shift, 0).astype(object),
                   out=ints)
     return ints, shift
+
+
+def _count_weighted_ints(counts: np.ndarray, values: np.ndarray):
+    """Exact sum over j of counts[k, j] * values[k, j] per k, for
+    non-negative float values, as ints in units of 2**-1074."""
+    ints, shift = _exact_ints(values)
+    return (counts.astype(object) * ints).sum(axis=1) << shift
+
+
+def _rounded(total) -> np.ndarray:
+    """Exact ints in units of 2**-1074 (an object array), each rounded once
+    to the nearest float."""
+    return (total / _SUBNORMAL).astype(np.float64)
+
+
+def _count_weighted_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum over j of counts[k, j] * values[k, j], per k:
+    the float math.fsum gives over counts[k, j] copies of each values[k, j]."""
+    return _rounded(_count_weighted_ints(counts, values))
 
 
 def _exact_prefix_sums(values: np.ndarray):
@@ -313,17 +311,17 @@ class _Slots:
         other record winning j units pays fl(j*b[j]).
         """
         below = np.pad(cands[:, 1:], ((0, 0), (0, 1)))   # b[j], b[m] = 0
-        total = np.zeros(len(cands), dtype=object)   # units of 2**-1074
+        rest = exact.copy()   # records paying fl(j*b[j]), per j
+        total = 0   # units of 2**-1074
         for j, (x, prefix, shift) in enumerate(self._uniform_prefixes,
                                                start=1):
             hi = counts[:, j - 1]
             lo = np.minimum(np.searchsorted(x, below[:, j - 1], side="right"),
                             hi)
-            rest = (exact[:, j - 1] - (hi - lo)).astype(object)
-            own, own_shift = _exact_ints(j * below[:, j - 1])
-            total += (((prefix[hi] - prefix[lo]) << shift)
-                      + ((rest * own) << own_shift))
-        return (total / _SUBNORMAL).astype(np.float64)
+            rest[:, j - 1] -= hi - lo
+            total += (prefix[hi] - prefix[lo]) << shift
+        units = np.arange(1, self.units + 1)
+        return _rounded(total + _count_weighted_ints(rest, units * below))
 
 
 class _Bundles:

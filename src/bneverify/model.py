@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -168,10 +169,14 @@ def all_numbers(values) -> bool:
 
 
 def number(x, what: str) -> float:
-    """x as a float when it is a JSON number; else ValueError naming what."""
+    """x as a float when it is a JSON number; else ValueError naming what.
+    A JSON integer beyond the float range is a ValueError too."""
     if not is_number(x):
         raise ValueError(f"{what} must be a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _record_numbers(row: dict, n: int, dim: int):
@@ -222,8 +227,15 @@ def _check_dataset_ranges(numbers, line_nos, shape, sorted_bids: bool):
     Each field is checked in one pass (json.loads accepts NaN and Infinity,
     and a NaN fails both comparisons).
     """
-    records = np.array(numbers, dtype=np.float64).reshape(
-        (len(line_nos), len(_DATASET_FIELDS)) + shape)
+    try:
+        records = np.array(numbers, dtype=np.float64)
+    except OverflowError:
+        # an integer beyond the float range is out of range like any number
+        # above 1; clamped to the largest float it is reported the same way
+        top = sys.float_info.max
+        records = np.array([x if type(x) is float else min(max(x, -top), top)
+                            for x in numbers], dtype=np.float64)
+    records = records.reshape((len(line_nos), len(_DATASET_FIELDS)) + shape)
     stacked = {key: np.ascontiguousarray(records[:, j])
                for j, key in enumerate(_DATASET_FIELDS)}
     bad = {key: ~((arr >= 0.0) & (arr <= 1.0)).all(axis=(1, 2))
@@ -456,6 +468,10 @@ def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
         raise ValueError("grid dim must be at least 1")
     if radius <= 0:
         raise ValueError("grid radius must be positive")
+    if dim >= cap.bit_length():
+        # at least 2 points per axis, and 2**dim > cap: no need to size it
+        raise ValueError(f"grid too large: 2**{_short_count(dim)} points or "
+                         f"more exceed cap {cap}")
     h = min(2.0 * radius / dim, 1.0)
     if h > 0.0 and 1.0 / h < math.inf:
         # small epsilon so 1/0.04 = 25.000000000000004 still yields 25 segments

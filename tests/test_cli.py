@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
                            run)
 from bneverify.model import Partition, canonical_json, file_hash
-from bneverify.priors import (Beta, CorrelatedCommonValue, prior_from_dict,
-                              sample_dataset, tv_profile)
+from bneverify.priors import (FLAG_DECLARED_TAU, Beta, CorrelatedCommonValue,
+                              prior_from_dict, sample_dataset, tv_profile)
 from bneverify.strategies import (FLAG_UNCERTIFIED, LinearShade,
                                   profile_from_config)
 
@@ -263,6 +264,7 @@ def test_unsorted_multi_unit_prior_is_rejected(tmp_path, capsys):
     ("missing", "[Errno 2]"),
     ("malformed", "malformed row, line 2: bids is not an array of numbers"),
     ("common_values", "ex interim estimation requires private values"),
+    ("huge", "bids coordinate out of range, line 2"),
 ])
 def test_dataset_faults_exit_2_naming_the_dataset(tmp_path, capsys, fault,
                                                   message):
@@ -273,6 +275,8 @@ def test_dataset_faults_exit_2_naming_the_dataset(tmp_path, capsys, fault,
         rows = [row, dict(row, bids=[["0.25"], [0.2]])]
     elif fault == "common_values":
         rows = [row, dict(row, vals=[[0.6], [0.6]])]
+    elif fault == "huge":   # beyond the float range
+        rows = [row, dict(row, bids=[[10**400], [0.2]])]
     if fault != "missing":
         (tmp_path / "records.jsonl").write_text(
             "\n".join(map(json.dumps, rows)) + "\n")
@@ -612,6 +616,33 @@ def test_inconsistent_games_fail_before_sampling(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def mechanism(kind, **size):
+    return {"n_agents": 2, "mechanism": {"kind": kind, **size}}
+
+
+@pytest.mark.parametrize("game, overrides, field", [
+    (mechanism("first_price_combinatorial", items=30), {}, "grid_w"),
+    (mechanism("discriminatory", units=10**6), {}, "grid_w"),
+    (mechanism("first_price_combinatorial", items=10**400), {},
+     "game.mechanism.items"),
+    (mechanism("discriminatory", units=10**400), {}, "game.mechanism.units"),
+    (None, {"n_records": 10**400}, "n_records"),
+], ids=["items_30", "units_1e6", "items_1e400", "units_1e400",
+        "n_records_1e400"])
+def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
+                                                        game, overrides,
+                                                        field):
+    raw = eq_raw(**overrides)
+    raw["game"] = game or raw["game"]
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    start = time.monotonic()
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and len(err) < 200, err
+
+
 def test_utility_scale_at_or_above_the_payoff_range_is_accepted():
     for scale in (2, 2.5):
         raw = eq_raw(**game_of_dim(2))
@@ -746,6 +777,20 @@ def test_per_agent_partitions_get_their_own_taus(tmp_path):
         got = tuple(c["tau"] for c in report["agents"][agent]["cells"])
         assert got == want
         assert 0.0 < min(want[1:-1])   # interior cells are derived, not 0
+
+
+def test_declared_tau_is_flagged_once_per_agent(tmp_path):
+    declared = [{"lo": [0.0], "hi": [0.5], "tau": 0.25},
+                {"lo": [0.5], "hi": [1.0], "tau": 0.5}]
+    derived = [{"lo": [0.0], "hi": [1.0]}]
+    raw = correlated_ante_raw([{"cells": declared}, {"cells": derived}], 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    agents = read_json(out, "report.json")["agents"]
+    assert agents[0]["flags"].count(FLAG_DECLARED_TAU) == 1
+    assert [c["tau_source"] for c in agents[0]["cells"]] == ["declared"] * 2
+    assert FLAG_DECLARED_TAU not in agents[1]["flags"]
 
 
 def test_per_agent_partitions_default_each_agent_to_its_position(tmp_path):

@@ -54,7 +54,7 @@ ANTE = {
     "seed": 2,
 }
 
-REPLACEMENTS = [True, False, None, "0.5", -1, [], {}]
+REPLACEMENTS = [True, False, None, "0.5", -1, [], {}, 10**400]
 NOT_NUMBERS = [True, False, "0.5", [], {}]
 
 

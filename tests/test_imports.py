@@ -44,3 +44,45 @@ def test_unused_import_finder_sees_through_exports_and_side_effects():
               "from json import dumps, loads\n"
               "__all__ = ['dumps']\nnp.zeros(loads('1'))\n")
     assert unused_imports(source) == [(1, "os")]
+
+
+def defined_private_names(source: str):
+    """FLAG_* constants and _-prefixed names (not dunders) the module binds
+    at top level by assignment, def or class."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith(("FLAG_", "_"))
+            and not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(source: str):
+    """Names the module reads: a bare name loaded, or an attribute. An
+    import, a definition and a listing in __all__ are not reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_flag_and_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, sources.values()))
+    unread = [(module, name) for module, source in sources.items()
+              for name in defined_private_names(source) if name not in read]
+    assert unread == []
+
+
+def test_unread_name_finder_ignores_definitions_imports_and_exports():
+    source = ("from x import _a\nFLAG_B = 'b'\n_c = 1\n_d = _c\n"
+              "def _e(): return _e\nclass _F: pass\n__all__ = ['FLAG_B']\n"
+              "print(m._F)\n")
+    assert defined_private_names(source) == ["FLAG_B", "_c", "_d", "_e", "_F"]
+    assert read_names(source) & {"_a", "FLAG_B", "_d", "_F"} == {"_F"}

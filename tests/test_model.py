@@ -97,6 +97,10 @@ def test_grid_size_cap():
     (1, 1e-300, "5.000e+299"),
     (1, 5e-324, "1.012e+323"),   # 1 / (2 * width) overflows a float
     (16, 5e-324, "2.233e+5187"),  # 2 * width / 16 underflows to 0
+    # 2**dim alone exceeds the cap: decided without the power
+    (24, 1.0, "2**24"),
+    (2 ** 30, 1.0, "2**1073741824"),
+    (10 ** 400, 0.1, "2**1.000e+400"),
 ])
 def test_grid_size_cap_prints_huge_counts_briefly(dim, width, count):
     with pytest.raises(ValueError,
