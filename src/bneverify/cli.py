@@ -290,6 +290,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                      f"grid_w[{j}]", "grid widths must lie in (0, 1]")
         grid_w = [float(w) for w in grid_w]
         widths = {f"grid_w[{j}]": w for j, w in enumerate(grid_w)}
+        suffixes = {}   # each width's report files carry its suffix
+        for j, w in enumerate(grid_w):
+            first = suffixes.setdefault(_width_suffix(w), j)
+            _require(first == j, f"grid_w[{j}]",
+                     f"grid width {w!r} shares the output suffix "
+                     f"{_width_suffix(w)} with grid_w[{first}]")
     else:
         raise ConfigError("grid_w",
                           "grid_w must be a number or a nonempty list")
@@ -333,6 +339,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if strategies == "bids-only":
         _require(dataset is not None, "strategies",
                  "strategies 'bids-only' requires a dataset path")
+        # a record holds obs, vals and bids, n_agents * bid_dim coordinates
+        # each, and a coordinate takes at least 2 bytes; a missing file is
+        # reported when it is loaded
+        if os.path.isfile(dataset):
+            size = os.path.getsize(dataset)
+            need = game.n_agents * game.mechanism.bid_dim * 6
+            _require(need <= size, "game.n_agents",
+                     f"game.n_agents {game.n_agents} needs at least {need} "
+                     f"bytes per record; the dataset file has {size}")
         profile = None
     else:
         _require(isinstance(strategies, list), "strategies",

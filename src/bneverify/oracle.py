@@ -29,56 +29,37 @@ class OracleResult:
 
 def analytic_fpsb_loss(n_agents: int, c: float) -> OracleResult:
     """Ex interim sup-loss of a linear shade c in the symmetric single-item
-    first-price game with i.i.d. uniform values, opponents shading by
-    (n-1)/n.
+    first-price game with i.i.d. uniform values on [0, 1], opponents at the
+    symmetric equilibrium shade c* = (n-1)/n (Krishna, Auction Theory, 2nd
+    ed., 2010, section 2.3). Exact, in closed form:
 
-    The opponents' max bid has density (n-1) x^(n-2) / c*^(n-1) on [0, c*];
-    the best response to it is the shade c* itself, so the best-response
-    utility is closed-form up to the win probability, which we integrate
-    numerically. The sup over valuations is a dense scan plus bounded
-    refinement.
+    1. Win probability. The opponents' max bid is the max of n-1 uniforms
+       on [0, c*], so a bid b wins with probability min(1, (b/c*)^(n-1)).
+    2. Best response. Below c*, (theta - b)(b/c*)^(n-1) peaks at b = c*
+       theta and earns theta^n/n. A bid b >= c* earns at most theta - c*,
+       and f(theta) = theta^n/n - theta + c* has f(1) = 0 and f' <= 0 on
+       [0, 1], so no such bid earns more: the best response over all of
+       [0, 1] earns theta^n/n.
+    3. Gain. The shade earns (1-c) theta min(1, c theta/c*)^(n-1), so
+       gain(theta) = theta^n/n - (1-c) theta min(1, c theta/c*)^(n-1).
+    4. Sup. On theta <= c*/c the gain is theta^n times a constant, so it is
+       monotone; above c*/c it is theta^n/n - (1-c) theta, which is convex.
+       Either way its sup over [0, 1] sits at an end of the piece:
+       max(0, gain(1), gain(min(1, c*/c))).
     """
-    # scipy is imported here, not at module level, so importing bneverify
-    # (and every verify run without --oracle) does not load it
-    from scipy.integrate import quad
-    from scipy.optimize import minimize_scalar
-
     if n_agents < 2:
         raise ValueError("need at least two agents")
     if not (0.0 < c <= 1.0):
         raise ValueError("shade factor must lie in (0, 1]")
-    c_star = (n_agents - 1) / n_agents
-
-    def opp_max_density(x):
-        return (n_agents - 1) * x ** (n_agents - 2) / c_star ** (n_agents - 1)
-
-    def win_prob(b):
-        if b <= 0.0:
-            return 0.0
-        if b >= c_star:
-            return 1.0
-        val, _ = quad(opp_max_density, 0.0, b, epsabs=1e-12, epsrel=1e-12)
-        return val
+    n = n_agents
+    c_star = (n - 1) / n
 
     def gain(theta):
-        # best response maximizes (theta - b) * P(win); the maximizer over
-        # b <= c* is b = c* theta for this opponent distribution
-        br_bid = c_star * theta
-        br_util = (theta - br_bid) * win_prob(br_bid)
-        cur_util = (1.0 - c) * theta * win_prob(c * theta)
-        return br_util - cur_util
+        win = min(1.0, c * theta / c_star) ** (n - 1)
+        return theta ** n / n - (1.0 - c) * theta * win
 
-    scan = np.linspace(0.0, 1.0, 2001)
-    gains = np.array([gain(t) for t in scan])
-    t0 = int(np.argmax(gains))
-    lo = scan[max(0, t0 - 1)]
-    hi = scan[min(len(scan) - 1, t0 + 1)]
-    res = minimize_scalar(lambda t: -gain(t), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-12})
-    value = max(float(gains[t0]), float(-res.fun))
-    return OracleResult(value=value, method="closed_form",
-                        resolution={"theta_scan": len(scan),
-                                    "quad_tol": 1e-12, "xatol": 1e-12})
+    value = max(0.0, gain(1.0), gain(min(1.0, c_star / c)))
+    return OracleResult(value=value, method="closed_form")
 
 
 def exhaustive_wd(bids: np.ndarray, items: int) -> np.ndarray:

@@ -203,16 +203,25 @@ def strategy_from_dict(d: dict) -> Strategy:
 
 
 def profile_from_config(entries, n_agents: int) -> StrategyProfile:
-    """Build a profile from a list of {"agent": i, "family": ..., "params": ...}."""
-    slots = [None] * n_agents
+    """Build a profile from a list of {"agent": i, "family": ..., "params": ...}.
+
+    Nothing is allocated per agent until every agent has an entry, so a
+    short list for a huge n_agents fails at once; at most ten missing
+    agents are listed.
+    """
+    slots = {}
     for entry in entries:
         i = entry["agent"]
         if not (is_integer(i) and 0 <= i < n_agents):
             raise ValueError(f"strategy entry for unknown agent {i!r}")
-        if slots[i] is not None:
+        if i in slots:
             raise ValueError(f"duplicate strategy entry for agent {i}")
         slots[i] = strategy_from_dict(entry)
-    missing = [i for i, s in enumerate(slots) if s is None]
-    if missing:
-        raise ValueError(f"missing strategy for agents {missing}")
-    return StrategyProfile(tuple(slots))
+    if len(slots) < n_agents:
+        # the first ten missing agents lie below len(slots) + 10
+        missing = [i for i in range(min(n_agents, len(slots) + 10))
+                   if i not in slots][:10]
+        more = n_agents - len(slots) - len(missing)
+        raise ValueError(f"missing strategy for agents {missing}"
+                         + (f" and {more} more" if more else ""))
+    return StrategyProfile(tuple(slots[i] for i in range(n_agents)))

@@ -81,6 +81,9 @@ def test_parse_config_field_errors():
                         "number or a nonempty list")
     expect_config_error(eq_raw(grid_w=[0.1, 2.0]), "grid_w[1]",
                         r"grid widths must lie in \(0, 1\]")
+    # both widths would write report_w0.1.json
+    expect_config_error(eq_raw(grid_w=[0.05, 0.1, 0.1000001]), "grid_w[2]",
+                        r"shares the output suffix _w0.1 with grid_w\[1\]")
     expect_config_error(eq_raw(grid_w=1e-9), "grid_w",
                         "grid too large: 500000001 points")
     expect_config_error(eq_raw(dataset="x.jsonl"), "prior",
@@ -620,6 +623,14 @@ def mechanism(kind, **size):
     return {"n_agents": 2, "mechanism": {"kind": kind, **size}}
 
 
+HUGE_GAME = {**mechanism("first_price_single_item"), "n_agents": 10**12}
+ONE_CELL = {"cells": [{"lo": [0.0], "hi": [1.0], "tau": 0.0}]}
+# records.jsonl is one record of two agents, far too small for HUGE_GAME
+BIDS_ONLY = {"prior": None, "n_records": None, "seed": None,
+             "dataset": "records.jsonl", "strategies": "bids-only",
+             "kappa": 1.0, "l_inv_max": 2.0, "partition": ONE_CELL}
+
+
 @pytest.mark.parametrize("game, overrides, field", [
     (mechanism("first_price_combinatorial", items=30), {}, "grid_w"),
     (mechanism("discriminatory", units=10**6), {}, "grid_w"),
@@ -627,11 +638,21 @@ def mechanism(kind, **size):
      "game.mechanism.items"),
     (mechanism("discriminatory", units=10**400), {}, "game.mechanism.units"),
     (None, {"n_records": 10**400}, "n_records"),
+    # one strategy entry per agent is checked before any per-agent list
+    (HUGE_GAME, {"mode": "ex_ante", "partition": ONE_CELL,
+                 "prior": {"kind": "correlated_common_value"},
+                 "strategies": eq_raw()["strategies"][:1]}, "strategies"),
+    (HUGE_GAME, BIDS_ONLY, "game.n_agents"),
+    (HUGE_GAME, {**BIDS_ONLY, "mode": "ex_ante"}, "game.n_agents"),
 ], ids=["items_30", "units_1e6", "items_1e400", "units_1e400",
-        "n_records_1e400"])
+        "n_records_1e400", "n_agents_1e12_strategies",
+        "n_agents_1e12_bids_only_interim", "n_agents_1e12_bids_only_ante"])
 def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
                                                         game, overrides,
                                                         field):
+    row = {"obs": [[0.5], [0.4]], "vals": [[0.5], [0.4]],
+           "bids": [[0.25], [0.2]]}
+    (tmp_path / "records.jsonl").write_text(json.dumps(row) + "\n")
     raw = eq_raw(**overrides)
     raw["game"] = game or raw["game"]
     cfg_path = write_config(tmp_path / "config.json", raw)
@@ -974,7 +995,8 @@ NO_SCIPY = ("import sys; "
             "assert not loaded, loaded")
 
 
-def test_import_and_verify_without_oracle_do_not_load_scipy(tmp_path):
+def test_import_and_verify_with_and_without_oracle_do_not_load_scipy(
+        tmp_path):
     env = dict(os.environ)
     src_dir = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -984,13 +1006,18 @@ def test_import_and_verify_without_oracle_do_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     cfg_path = write_config(tmp_path / "config.json",
                             eq_raw(n_records=2000, grid_w=0.1))
-    run = ("from bneverify.cli import main; "
-           f"rc = main(['verify', '--config', {cfg_path!r}]); "
-           "assert rc in (0, 3), rc; " + NO_SCIPY)
-    proc = subprocess.run([sys.executable, "-c", run], capture_output=True,
-                          text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
+    for flags in ([], ["--oracle"]):
+        run = ("from bneverify.cli import main; "
+               f"rc = main(['verify', '--config', {cfg_path!r}, *{flags!r}]); "
+               "assert rc in (0, 3), rc; " + NO_SCIPY)
+        proc = subprocess.run([sys.executable, "-c", run],
+                              capture_output=True, text=True, env=env,
+                              cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
     assert os.path.exists(tmp_path / "out" / "report.json")
+    oracle = read_json(str(tmp_path / "out"), "oracle.json")
+    assert oracle["0"] == {"value": 0.0, "method": "closed_form",
+                           "resolution": {}}
 
 
 # ------------------------------------------------------------ CSV emitters

@@ -1,5 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+package's runtime dependencies are exactly its third-party imports."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +89,34 @@ def test_unread_name_finder_ignores_definitions_imports_and_exports():
               "print(m._F)\n")
     assert defined_private_names(source) == ["FLAG_B", "_c", "_d", "_e", "_F"]
     assert read_names(source) & {"_a", "FLAG_B", "_d", "_F"} == {"_F"}
+
+
+def third_party_imports(source: str):
+    """Top-level modules an absolute import names, outside the standard
+    library and the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names} \
+        - set(sys.stdlib_module_names) - {PACKAGE.name}
+
+
+def test_runtime_dependencies_are_exactly_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    listed = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0]
+              for req in declared}
+    imported = set().union(*(third_party_imports(p.read_text(encoding="utf-8"))
+                             for p in PACKAGE.glob("*.py")))
+    assert imported == listed
+
+
+def test_third_party_import_finder_skips_stdlib_relative_and_own_imports():
+    source = ("import os.path\nimport numpy.linalg as la\nfrom . import x\n"
+              "from .model import y\nfrom scipy.stats import norm\n"
+              "import bneverify.cli\n")
+    assert third_party_imports(source) == {"numpy", "scipy"}

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bneverify.mechanisms import assignment_value, winner_determination
 from bneverify.oracle import analytic_fpsb_loss, exhaustive_wd, quadrature_tv
@@ -15,7 +17,7 @@ def test_equilibrium_shade_has_zero_loss():
     r = analytic_fpsb_loss(2, 0.5)
     assert r.value == 0.0
     assert r.method == "closed_form"
-    assert set(r.resolution) == {"theta_scan", "quad_tol", "xatol"}
+    assert r.resolution == {}
 
 
 def test_three_agent_equilibrium_shade_has_zero_loss():
@@ -42,6 +44,33 @@ def test_loss_grows_moving_away_from_the_equilibrium_shade():
     assert all(a < b for a, b in zip(up, up[1:]))
     down = [analytic_fpsb_loss(2, c).value for c in (0.45, 0.35, 0.2, 0.05)]
     assert all(a < b for a, b in zip(down, down[1:]))
+
+
+def scanned_fpsb_loss(n, c, points=1001):
+    """The sup over a theta grid of the best response over a bid grid minus
+    the shade's utility, each from the exact win probability
+    min(1, (b/c*)^(n-1)): a lower bound on the loss, short of it by at most
+    (2n+3)/2 grid steps (the gain is (n+2)-Lipschitz in theta, and the
+    utility (n+1)-Lipschitz in the bid)."""
+    c_star = (n - 1) / n
+    grid = np.linspace(0.0, 1.0, points)
+
+    def win(b):
+        return np.minimum(1.0, b / c_star) ** (n - 1)
+
+    theta = grid[:, None]
+    best = np.max((theta - grid[None, :]) * win(grid)[None, :], axis=1)
+    gains = best - (1.0 - c) * grid * win(c * grid)
+    return float(np.max(gains)), (2 * n + 3) / 2 / (points - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6),
+       c=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False))
+def test_closed_form_loss_matches_a_dense_scan(n, c):
+    scanned, slack = scanned_fpsb_loss(n, c)
+    value = analytic_fpsb_loss(n, c).value
+    assert scanned - 1e-12 <= value <= scanned + slack
 
 
 def test_analytic_loss_validation():

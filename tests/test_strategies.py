@@ -137,6 +137,9 @@ def test_profile_from_config_validation():
         profile_from_config(entries + [{"agent": 1, "family": "identity"}], 2)
     with pytest.raises(ValueError, match=r"missing strategy for agents \[1\]"):
         profile_from_config(entries[:1], 2)
+    with pytest.raises(ValueError, match=r"agents \[2, 3, 4, 5, 6, 7, 8, 9, "
+                                         r"10, 11\] and 999999999988 more$"):
+        profile_from_config(entries, 10**12)
 
 
 def certified_strategies():
