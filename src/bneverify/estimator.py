@@ -18,9 +18,13 @@ are computed once per agent, not once per cell.
     the record's critical bid for that slot (Lehmann, O'Callaghan and
     Shoham 2002). First price is the one-slot pay-as-bid auction in which
     every opponent counts as senior, so exact ties lose.
-  * Bundles (combinatorial): one batched winner determination per block of
-    candidates (about _SOLVE_BLOCK record profiles), over the records once
-    per candidate with the candidate spliced into the agent's row.
+  * Bundles (combinatorial): one solve over the records without the agent
+    gives, per record, the opponents' best total W[S] once the agent takes
+    bundle S. A candidate then takes the argmax of declining (W[0]) and
+    taking S (its bid for S plus W[S]), found one option at a time over
+    blocks of about _PAIR_BLOCK (candidate, record) pairs. Only the
+    profiles whose top two options lie within rounding of each other go to
+    winner_determination, so every choice is the solver's (see _Bundles).
 
 Determinism contract: every mean over records is fixed by the multiset of
 records alone, never by their order, the numpy version or the platform.
@@ -53,7 +57,7 @@ import numpy as np
 from . import _kernels_py as kernels
 from .model import (GRID_POINT_CAP, Dataset, GameConfig, Grid, Partition,
                     split_by_partition)
-from .mechanisms import winner_determination
+from .mechanisms import best_total_tables, winner_determination
 
 __all__ = [
     "ExInterimEstimate",
@@ -73,8 +77,8 @@ FLAG_UNOBSERVED = "unobserved cell"
 
 # gain-table elements per block of valuation rows in estimate_ex_interim
 _GAIN_BLOCK = 1 << 18
-# record profiles per batched winner determination in _Bundles.outcomes
-_SOLVE_BLOCK = 1 << 12
+# (candidate, record) pairs per block of _Bundles.outcomes
+_PAIR_BLOCK = 1 << 15
 
 
 def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
@@ -325,10 +329,29 @@ class _Slots:
 
 
 class _Bundles:
-    """Agent's bundle bids in the combinatorial auction. Outcomes of a block
-    of candidates come from one exact winner determination over a stack of
-    the records, one copy per candidate with the candidate spliced into the
-    agent's row."""
+    """Agent's bundle bids in the combinatorial auction.
+
+    Fix the opponents' bids of one record and let W[S] be their best total
+    once the agent takes bundle S, W[0] also when it declines (one
+    best_total_tables solve over the records without the agent). A constant
+    bid c then takes the argmax of the 2**items + 1 options: decline,
+    scoring W[0], or take S, scoring c[S] + W[S] (the critical values of
+    Lehmann, O'Callaghan and Shoham 2002). Where the top option beats the
+    runner-up by no more than 8(n+1) * 2**-52 * max(1, top), the profile
+    goes to winner_determination itself, so every choice is the solver's.
+
+    Why the band suffices: every total is a recursive float sum of at most
+    n bids in [0, 1], the solver's from the last agent backwards, so within
+    a relative gamma = (n-1) * 2**-53 / (1 - (n-1) * 2**-53) of the exact
+    total of its assignment. Since fl(b + max(x, y)) = max(fl(b + x),
+    fl(b + y)), W[S] is the largest such sum over the opponents'
+    assignments that leave S free, and c[S] + W[S] the largest sum over the
+    full assignments in which the agent takes S, with the agent's bid added
+    last; the solver's assignment has the largest sum in its own order. If
+    the solver's option were not the top one, the exact totals would chain
+    its score to at least top * (1 - 4 * gamma), well inside the band, so
+    outside it the top option is the solver's choice.
+    """
 
     def __init__(self, bids, agent, items, scale):
         self.bids = bids
@@ -336,27 +359,67 @@ class _Bundles:
         self.items = items
         self.scale = scale
 
-    def _solve(self, profiles, vals):
-        """Agent's won flag and bundle (0 when none is won) in every profile
-        of a (..., N, n, 2**items) stack, and given the records' values
-        (N, 2**items) its normalized utilities, else None."""
-        choice = winner_determination(profiles, self.items)[..., self.agent]
-        won = choice >= 0
-        bundle = np.where(won, choice, 0)
-        if vals is None:
-            return won, bundle, None
-        paid = np.take_along_axis(profiles[..., self.agent, :],
-                                  bundle[..., None], axis=-1)[..., 0]
-        worth = vals[np.arange(len(vals)), bundle]
-        return won, bundle, np.where(won, (worth - paid) / self.scale, 0.0)
+    @cached_property
+    def _opponent_totals(self):
+        """W, an (2**items, N) array: W[S, r] is the opponents' best total
+        in record r once the agent takes bundle S."""
+        return best_total_tables(np.delete(self.bids, self.agent, axis=1),
+                                 self.items)[0]
 
     def rows(self, idx):
         """The market of the records idx alone."""
         return _Bundles(self.bids[idx], self.agent, self.items, self.scale)
 
+    def _utilities(self, choice, paid, vals):
+        """Normalized utilities of the agent's bundle choices (-1 for none),
+        paying paid, given the records' values (N, 2**items)."""
+        won = choice >= 0
+        worth = vals[np.arange(len(vals)), np.where(won, choice, 0)]
+        return np.where(won, (worth - paid) / self.scale, 0.0)
+
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids."""
-        return self._solve(self.bids, vals)[2]
+        choice = winner_determination(self.bids, self.items)[:, self.agent]
+        paid = self.bids[np.arange(len(self.bids)), self.agent,
+                         np.maximum(choice, 0)]
+        return self._utilities(choice, paid, vals)
+
+    def _choices(self, block):
+        """The agent's bundle in every record (-1 for none) under each
+        constant bid of block, (K, N), from the options above; profiles in
+        the band go to winner_determination in one call."""
+        totals = self._opponent_totals
+        n_bundles, n_rec = totals.shape
+        shape = (len(block), n_rec)
+        top = np.repeat(totals[:1], len(block), axis=0)   # decline
+        runner_up = np.full(shape, -np.inf)
+        # the smallest signed type that holds -1 and every bundle index + 1
+        choice = np.full(shape, -1, dtype=np.min_scalar_type(-1 - n_bundles))
+        take, lower = np.empty(shape), np.empty(shape)
+        better = np.empty(shape, dtype=choice.dtype)
+        for bundle in range(n_bundles):
+            np.add(block[:, bundle, None], totals[bundle], out=take)
+            np.minimum(top, take, out=lower)
+            np.maximum(runner_up, lower, out=runner_up)
+            # choices only rise during the scan, so the larger of the choice
+            # and (bundle if better else -1) is the updated choice
+            np.greater(take, top, out=better, casting="unsafe")
+            better *= bundle + 1
+            better -= 1
+            np.maximum(choice, better, out=choice)
+            np.maximum(top, take, out=top)
+        # the band, relative to max(1, top)
+        np.maximum(top, 1.0, out=lower)
+        lower *= 8 * (self.bids.shape[1] + 1) * 2.0 ** -52
+        np.subtract(top, runner_up, out=take)
+        near = np.flatnonzero(take <= lower)
+        if len(near):
+            k, r = np.divmod(near, n_rec)
+            profiles = self.bids[r]
+            profiles[:, self.agent] = block[k]
+            choice.flat[near] = winner_determination(
+                profiles, self.items)[:, self.agent]
+        return choice
 
     def outcomes(self, cands, vals=None):
         """Allocation counts (K, 2**items) and payment sums (K,) of constant
@@ -365,24 +428,22 @@ class _Bundles:
 
         A record that wins bundle b pays the candidate's own bid for b, so
         each payment sum is the count-weighted sum of the candidate's bids.
+        Candidates are taken a block at a time, so memory stays O(block).
         """
-        n_bundles = cands.shape[1]
         counts = np.zeros(cands.shape, dtype=np.intp)
         sums = None if vals is None else np.empty(len(cands), dtype=np.float64)
-        step = max(1, _SOLVE_BLOCK // len(self.bids))
-        # one stack of the records; each block splices its candidates in
-        stack = np.repeat(self.bids[None], min(step, len(cands)), axis=0)
+        step = max(1, _PAIR_BLOCK // len(self.bids))
         for lo in range(0, len(cands), step):
-            hi = min(lo + step, len(cands))
-            profiles = stack[:hi - lo]
-            profiles[:, :, self.agent] = cands[lo:hi, None]
-            won, bundle, utils = self._solve(profiles, vals)
-            cells = np.arange(hi - lo)[:, None] * n_bundles + bundle
-            counts[lo:hi] = np.bincount(
-                cells[won], minlength=(hi - lo) * n_bundles
-            ).reshape(hi - lo, n_bundles)
+            block = cands[lo:lo + step]
+            choice = self._choices(block)
+            for bundle in range(cands.shape[1]):
+                counts[lo:lo + len(block), bundle] = np.count_nonzero(
+                    choice == bundle, axis=1)
             if sums is not None:
-                sums[lo:hi] = [math.fsum(row) for row in utils.tolist()]
+                paid = np.take_along_axis(block, np.maximum(choice, 0), axis=1)
+                utils = self._utilities(choice, paid, vals)
+                sums[lo:lo + len(block)] = [math.fsum(row)
+                                            for row in utils.tolist()]
         return counts, _count_weighted_sums(counts, cands), sums
 
 

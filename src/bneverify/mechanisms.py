@@ -18,6 +18,7 @@ from .model import GameConfig
 __all__ = [
     "Outcome",
     "eval_fpsb",
+    "best_total_tables",
     "winner_determination",
     "assignment_value",
     "multiunit_allocation",
@@ -63,32 +64,29 @@ def assignment_value(bids: np.ndarray, choice) -> float:
     return total
 
 
-def winner_determination(bids, items: int) -> np.ndarray:
-    """Optimal item-disjoint XOR assignment of bundles to agents, batched.
+def best_total_tables(bids, items):
+    """Best-total table of a batch of XOR profiles, and each agent's picks.
 
-    bids has shape (..., n, 2**items): one bid per bundle (indexed by item
-    subsets) for each of n agents, for every profile in the leading batch
-    shape; an (n, 2**items) profile is the batch of shape (). At most one
-    bundle per agent is accepted and accepted bundles must not share items.
-    Returns the (..., n) bundle index per agent, -1 when no bid is accepted.
+    bids has shape (..., n, 2**items) as in winner_determination; the
+    profiles are taken in C order of the leading batch shape, size in all.
+    Returns (value, picks): value[used, p] is the optimal total of profile
+    p's n agents when the items in the mask `used` are already taken, an
+    (2**items, size) array, and picks[a][used, p] is the bundle agent a
+    takes in that state given the optimal choices of agents a+1.., -1 to
+    decline. With the agent of a market left out of the profiles, value is
+    its opponents' best total once it takes a bundle (value[0] when it
+    declines).
 
-    Each profile is solved exactly by a table over item masks, built from
-    the last agent backwards. For agent a, value[used] is the optimal total
-    of agents a..n-1 when the items in `used` are taken, and the pick table
-    pick[a][used] holds the bundle agent a takes in that state, -1 to
-    decline. Agent a starts from declining (agent a+1's totals, pick -1)
-    and scans its bundles in index order: bids[a, b] + value[used | b]
-    replaces an entry, and sets its pick to b, only when it is strictly
-    greater. Totals are thus the floats assignment_value gives, and a pick
-    is the first option in the order (-1, 0, 1, ...) that reaches the
-    optimum of agents a..n-1. Only the current agent's totals are kept.
-    Reconstruction replays the picks in agent order from used = 0, one
-    gather per agent. When bundle sums are exact this is the first optimal
-    assignment in exhaustive enumeration order (agents by index, options in
-    the order above). When rounding makes a total tie with one built on a
-    smaller sum for the later agents, the larger sum is kept: both totals
-    are optimal, but the enumeration may take the other. All profiles of a
-    batch are solved together with array operations.
+    The table is built from the last agent backwards. For agent a,
+    value[used] is the optimal total of agents a..n-1 when the items in
+    `used` are taken. Agent a starts from declining (agent a+1's totals,
+    pick -1) and scans its bundles in index order: bids[a, b] +
+    value[used | b] replaces an entry, and sets its pick to b, only when it
+    is strictly greater. Totals are thus the floats assignment_value gives,
+    and a pick is the first option in the order (-1, 0, 1, ...) that
+    reaches the optimum of agents a..n-1. Only the current agent's totals
+    are kept. All profiles of a batch are solved together with array
+    operations.
     """
     bids = np.asarray(bids, dtype=np.float64)
     n_bundles = 1 << items
@@ -97,8 +95,7 @@ def winner_determination(bids, items: int) -> np.ndarray:
             f"bid vectors must have length {n_bundles} for {items} items, "
             f"got shape {bids.shape}")
     n = bids.shape[-2]
-    batch = bids.shape[:-2]
-    size = math.prod(batch)
+    size = math.prod(bids.shape[:-2])
     # tables hold one row per item mask and one column per profile, so a
     # set of masks is gathered as whole rows
     cols = np.ascontiguousarray(
@@ -130,7 +127,33 @@ def winner_determination(bids, items: int) -> np.ndarray:
             pick[free] = np.maximum(pick[free],
                                     better * bundle + (better - 1))
         picks[agent] = pick
+    return value, picks
 
+
+def winner_determination(bids, items: int) -> np.ndarray:
+    """Optimal item-disjoint XOR assignment of bundles to agents, batched.
+
+    bids has shape (..., n, 2**items): one bid per bundle (indexed by item
+    subsets) for each of n agents, for every profile in the leading batch
+    shape; an (n, 2**items) profile is the batch of shape (). At most one
+    bundle per agent is accepted and accepted bundles must not share items.
+    Returns the (..., n) bundle index per agent, -1 when no bid is accepted.
+
+    Each profile is solved exactly by the tables of best_total_tables,
+    which also yield, for profiles without the agent, the opponents' best
+    totals the estimator reads. Reconstruction replays the picks in agent
+    order from used = 0, one gather per agent. When bundle sums are exact
+    this is the first optimal assignment in exhaustive enumeration order
+    (agents by index, options in the order -1, 0, 1, ...). When rounding
+    makes a total tie with one built on a smaller sum for the later agents,
+    the larger sum is kept: both totals are optimal, but the enumeration
+    may take the other.
+    """
+    bids = np.asarray(bids, dtype=np.float64)
+    _, picks = best_total_tables(bids, items)
+    n = bids.shape[-2]
+    batch = bids.shape[:-2]
+    size = math.prod(batch)
     profiles = np.arange(size)
     choice = np.empty((size, n), dtype=np.intp)
     used = np.zeros(size, dtype=np.intp)

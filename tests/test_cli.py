@@ -644,9 +644,13 @@ BIDS_ONLY = {"prior": None, "n_records": None, "seed": None,
                  "strategies": eq_raw()["strategies"][:1]}, "strategies"),
     (HUGE_GAME, BIDS_ONLY, "game.n_agents"),
     (HUGE_GAME, {**BIDS_ONLY, "mode": "ex_ante"}, "game.n_agents"),
+    # without the file the agent count cannot be checked against it
+    (HUGE_GAME, {**BIDS_ONLY, "mode": "ex_ante", "dataset": "missing.jsonl"},
+     "dataset"),
 ], ids=["items_30", "units_1e6", "items_1e400", "units_1e400",
         "n_records_1e400", "n_agents_1e12_strategies",
-        "n_agents_1e12_bids_only_interim", "n_agents_1e12_bids_only_ante"])
+        "n_agents_1e12_bids_only_interim", "n_agents_1e12_bids_only_ante",
+        "n_agents_1e12_bids_only_missing_dataset"])
 def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
                                                         game, overrides,
                                                         field):
