@@ -265,14 +265,11 @@ def _parse_partition_entry(entry, field, agent, dim):
     return entry, part
 
 
-def parse_config(raw: dict, base_dir: str = ".",
-                 dataset_must_exist: bool = False) -> RunConfig:
+def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     """Validate a raw config dict; errors carry the offending field path.
 
-    In bids-only mode the dataset file bounds the agent count, so with
-    dataset_must_exist (as load_config sets it) a missing file is refused,
-    naming dataset, before any per-agent work; otherwise it is reported when
-    the dataset is loaded."""
+    In bids-only mode the dataset file bounds the agent count, so a missing
+    file is refused, naming dataset, before any per-agent work."""
     _require(isinstance(raw, dict), "config", "config must be a JSON object")
     game = _parse_game(raw.get("game"))
 
@@ -349,17 +346,15 @@ def parse_config(raw: dict, base_dir: str = ".",
         # without strategies no slope bound can be derived
         _require(l_inv_max is not None, "l_inv_max",
                  "l_inv_max is required in bids-only mode")
+        _require(os.path.isfile(dataset), "dataset",
+                 f"no dataset file at {dataset}")
         # a record holds obs, vals and bids, n_agents * bid_dim coordinates
         # each, and a coordinate takes at least 2 bytes
-        if os.path.isfile(dataset):
-            size = os.path.getsize(dataset)
-            need = game.n_agents * game.mechanism.bid_dim * 6
-            _require(need <= size, "game.n_agents",
-                     f"game.n_agents {game.n_agents} needs at least {need} "
-                     f"bytes per record; the dataset file has {size}")
-        else:   # the size of the job cannot be checked without the file
-            _require(not dataset_must_exist, "dataset",
-                     f"no dataset file at {dataset}")
+        size = os.path.getsize(dataset)
+        need = game.n_agents * game.mechanism.bid_dim * 6
+        _require(need <= size, "game.n_agents",
+                 f"game.n_agents {game.n_agents} needs at least {need} "
+                 f"bytes per record; the dataset file has {size}")
         profile = None
     else:
         _require(isinstance(strategies, list), "strategies",
@@ -440,8 +435,7 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
         raw = json.load(fh)
     _require(isinstance(raw, dict), "config", "config must be a JSON object")
     raw.update(overrides or {})
-    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)),
-                        dataset_must_exist=True)
+    return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _array_hash(*arrays) -> str:

@@ -393,20 +393,16 @@ class _Bundles:
         shape = (len(block), n_rec)
         top = np.repeat(totals[:1], len(block), axis=0)   # decline
         runner_up = np.full(shape, -np.inf)
-        # the smallest signed type that holds -1 and every bundle index + 1
-        choice = np.full(shape, -1, dtype=np.min_scalar_type(-1 - n_bundles))
+        # the smallest signed type that holds -1 and every bundle index
+        choice = np.full(shape, -1, dtype=np.min_scalar_type(-n_bundles))
         take, lower = np.empty(shape), np.empty(shape)
-        better = np.empty(shape, dtype=choice.dtype)
+        better = np.empty(shape, dtype=bool)
         for bundle in range(n_bundles):
             np.add(block[:, bundle, None], totals[bundle], out=take)
             np.minimum(top, take, out=lower)
             np.maximum(runner_up, lower, out=runner_up)
-            # choices only rise during the scan, so the larger of the choice
-            # and (bundle if better else -1) is the updated choice
-            np.greater(take, top, out=better, casting="unsafe")
-            better *= bundle + 1
-            better -= 1
-            np.maximum(choice, better, out=choice)
+            np.greater(take, top, out=better)
+            np.copyto(choice, bundle, where=better)
             np.maximum(top, take, out=top)
         # the band, relative to max(1, top)
         np.maximum(top, 1.0, out=lower)

@@ -668,6 +668,17 @@ def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
     assert err.startswith(f"error: {field}: ") and len(err) < 200, err
 
 
+def test_parse_config_refuses_a_missing_bids_only_dataset_at_once(tmp_path):
+    for mode in ("ex_interim", "ex_ante"):
+        raw = eq_raw(**{**BIDS_ONLY, "mode": mode, "dataset": "missing.jsonl"})
+        raw["game"] = HUGE_GAME
+        start = time.monotonic()
+        with pytest.raises(ConfigError, match="no dataset file") as exc_info:
+            parse_config(raw, base_dir=str(tmp_path))
+        assert time.monotonic() - start < 1.0
+        assert exc_info.value.field == "dataset"
+
+
 def test_utility_scale_at_or_above_the_payoff_range_is_accepted():
     for scale in (2, 2.5):
         raw = eq_raw(**game_of_dim(2))
@@ -720,7 +731,12 @@ def test_bids_only_without_l_inv_max_is_rejected_before_loading(
     assert main(["verify", "--config", cfg_path]) == 2
     assert ("error: l_inv_max: l_inv_max is required in bids-only mode"
             in capsys.readouterr().err)
-    assert parse_config(dict(raw, l_inv_max=2.0)).l_inv_max == 2.0
+    # with l_inv_max the config parses; the file must then exist
+    (tmp_path / "bids.jsonl").write_text(
+        json.dumps({"obs": [[0.5], [0.4]], "vals": [[0.5], [0.4]],
+                    "bids": [[0.25], [0.2]]}) + "\n")
+    config = parse_config(dict(raw, l_inv_max=2.0), base_dir=str(tmp_path))
+    assert config.l_inv_max == 2.0
 
 
 @pytest.mark.parametrize("field,bad", [("bids", "NaN"),
