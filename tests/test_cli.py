@@ -668,17 +668,6 @@ def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
     assert err.startswith(f"error: {field}: ") and len(err) < 200, err
 
 
-def test_parse_config_refuses_a_missing_bids_only_dataset_at_once(tmp_path):
-    for mode in ("ex_interim", "ex_ante"):
-        raw = eq_raw(**{**BIDS_ONLY, "mode": mode, "dataset": "missing.jsonl"})
-        raw["game"] = HUGE_GAME
-        start = time.monotonic()
-        with pytest.raises(ConfigError, match="no dataset file") as exc_info:
-            parse_config(raw, base_dir=str(tmp_path))
-        assert time.monotonic() - start < 1.0
-        assert exc_info.value.field == "dataset"
-
-
 def test_utility_scale_at_or_above_the_payoff_range_is_accepted():
     for scale in (2, 2.5):
         raw = eq_raw(**game_of_dim(2))
