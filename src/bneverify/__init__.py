@@ -24,8 +24,8 @@ from .estimator import (ExAnteEstimate, ExInterimEstimate,
                         brute_force_best_response, estimate_ex_ante,
                         estimate_ex_interim)
 from .bounds import (AgentBound, ExAnteSpecs, InterimSpecs, assemble_ex_ante,
-                     assemble_interim, dispersion_count_fpsb, eps_disp,
-                     eps_hoeffding, eps_pdim_ex_ante, eps_pdim_interim, pdim)
+                     assemble_interim, eps_disp, eps_hoeffding,
+                     eps_pdim_ex_ante, eps_pdim_interim, pdim)
 from .oracle import (OracleResult, analytic_fpsb_loss, exhaustive_wd,
                      quadrature_tv)
 
@@ -46,7 +46,7 @@ __all__ = [
     "ExAnteEstimate", "ExInterimEstimate", "brute_force_best_response",
     "estimate_ex_ante", "estimate_ex_interim",
     "AgentBound", "ExAnteSpecs", "InterimSpecs", "assemble_ex_ante",
-    "assemble_interim", "dispersion_count_fpsb", "eps_disp", "eps_hoeffding",
-    "eps_pdim_ex_ante", "eps_pdim_interim", "pdim",
+    "assemble_interim", "eps_disp", "eps_hoeffding", "eps_pdim_ex_ante",
+    "eps_pdim_interim", "pdim",
     "OracleResult", "analytic_fpsb_loss", "exhaustive_wd", "quadrature_tv",
 ]

@@ -1,10 +1,17 @@
 """Certified error terms and their composition into per-agent bound reports.
 
 Every formula here is an explicit finite-sample expression in natural logs.
-Counts above the sample size are clamped (they carry no information) and
-flagged; asymptotic pseudo-dimension and dispersion orders require a declared
-constant factor and are flagged as such. Totals are left folds over the
-stored terms so a reader can recompute them from the report to the last ulp.
+Each auction rule has one row (_row): the pseudo-dimension of the one-agent
+utility class and the shape of its (w, k)-dispersion count (Balcan, Dick and
+Vitercik, FOCS 2018). The single-item first-price row is exact, with
+pseudo-dimension 2 and a count that holds at any width. The combinatorial
+and multi-unit (discriminatory, uniform price) rows are growth orders: they
+take a declared constant, are flagged asymptotic, and are stated only up to
+the width 1 / (kappa * l_inv^e * sqrt(N)), with e = 2^(l+1) for l items and
+e = 1 for m units; a wider width is flagged. Counts above the sample size
+are clamped (they carry no information) and flagged. Totals are left folds
+over the stored terms so a reader can recompute them from the report to the
+last ulp.
 """
 import math
 from dataclasses import dataclass
@@ -24,11 +31,7 @@ __all__ = [
     "eps_pdim_interim",
     "eps_disp",
     "clamp_dispersion_count",
-    "dispersion_count_fpsb",
-    "dispersion_count_combinatorial",
-    "dispersion_count_multiunit",
     "dispersion_count",
-    "dispersion_width_limit",
     "eps_hoeffding",
     "eps_pdim_ex_ante",
     "pdim",
@@ -103,113 +106,67 @@ def clamp_dispersion_count(count: float, n_records: int):
     return float(count), False
 
 
-def dispersion_count_fpsb(w: float, n_in_cell: int, n_agents: int,
-                          kappa: float, l_inv_max: float, delta: float,
-                          n_cells_max: int = 1) -> float:
-    """High-probability bound on opponent bids per width-w interval,
-    single-item first-price rule. Independent-prior variant: n_in_cell = N,
-    n_cells_max = 1."""
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    _check_positive("n_in_cell", n_in_cell)
-    _check_positive("kappa", kappa)
-    _check_positive("l_inv_max", l_inv_max)
-    _check_delta(delta)
-    n = n_agents
-    nb = float(n_in_cell)
-    width_term = (n - 1) * w * nb * kappa * l_inv_max
-    log_union = math.log(2.0 * n * (n - 1) * n_cells_max / delta)
-    conc_term = (n - 1) * math.sqrt(2.0 * nb * log_union)
-    tail_term = 4.0 * (n - 1) * math.sqrt(nb * math.log(math.e * nb / 2.0))
-    return width_term + conc_term + tail_term
+@dataclass(frozen=True)
+class _Row:
+    """One auction rule's certificate row. Asymptotic rows carry the
+    declared constant in pdim and scale; the exact row ignores it."""
+    pdim: float             # before the floor at 1
+    exact: bool
+    scale: float            # of the dispersion count
+    width_exponent: int = 1  # e in l_inv^e
+    tail_factor: int = 1     # t in the tail term
 
 
-def dispersion_count_combinatorial(w: float, n_in_cell: int, n_agents: int,
-                                   items: int, kappa: float, l_inv_max: float,
-                                   delta: float, n_cells_max: int = 1,
-                                   constant: float = 1.0) -> float:
-    """Combinatorial-auction analogue. Only the growth order (n+1)^(2l) *
-    sqrt(n_in_cell * l) is known; the declared constant scales the whole
-    expression and the result is flagged asymptotic by dispersion_count."""
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    _check_positive("n_in_cell", n_in_cell)
-    _check_positive("kappa", kappa)
-    _check_positive("l_inv_max", l_inv_max)
+def _row(config: GameConfig, constant: float) -> _Row:
+    """The mechanism's row (see the module docstring)."""
     _check_positive("constant", constant)
-    _check_delta(delta)
-    n = n_agents
-    nb = float(n_in_cell)
-    scale = constant * float((n + 1) ** (2 * items))
-    width_term = w * nb * kappa * l_inv_max ** (2 ** (items + 1))
-    log_union = math.log(2.0 * n * (n - 1) * n_cells_max / delta)
-    conc_term = math.sqrt(2.0 * nb * log_union)
-    tail_term = 4.0 * math.sqrt(nb * items * math.log(math.e * nb / 2.0))
-    return scale * (width_term + conc_term + tail_term)
-
-
-def dispersion_count_multiunit(w: float, n_in_cell: int, n_agents: int,
-                               units: int, kappa: float, l_inv_max: float,
-                               delta: float, n_cells_max: int = 1,
-                               constant: float = 1.0) -> float:
-    """Multi-unit analogue (shared by the discriminatory and uniform-price
-    rules); growth order n * m^2 * sqrt(n_in_cell), declared constant."""
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    _check_positive("n_in_cell", n_in_cell)
-    _check_positive("kappa", kappa)
-    _check_positive("l_inv_max", l_inv_max)
-    _check_positive("constant", constant)
-    _check_delta(delta)
-    n = n_agents
-    nb = float(n_in_cell)
-    scale = constant * n * units ** 2
-    width_term = w * nb * kappa * l_inv_max
-    log_union = math.log(2.0 * n * (n - 1) * n_cells_max / delta)
-    conc_term = math.sqrt(2.0 * nb * log_union)
-    tail_term = 4.0 * math.sqrt(nb * math.log(math.e * nb / 2.0))
-    return scale * (width_term + conc_term + tail_term)
-
-
-def dispersion_width_limit(config: GameConfig, n_in_cell: int, kappa: float,
-                           l_inv_max: float) -> float:
-    """Width scale up to which the dispersion count rows are stated to hold:
-    1 / (kappa * l_inv^e * sqrt(n_in_cell)), with e = 2^(l+1) for the
-    combinatorial rule and 1 otherwise."""
-    if config.mechanism.kind == "first_price_combinatorial":
-        expo = 2 ** (config.mechanism.items + 1)
-    else:
-        expo = 1
-    return 1.0 / (kappa * l_inv_max ** expo * math.sqrt(n_in_cell))
+    mech = config.mechanism
+    n = config.n_agents
+    if mech.kind == "first_price_single_item":
+        return _Row(2.0, True, n - 1)
+    if mech.kind == "first_price_combinatorial":
+        items = mech.items
+        return _Row(constant * items * 2 ** items * math.log(n), False,
+                    constant * float((n + 1) ** (2 * items)),
+                    2 ** (items + 1), items)
+    if mech.kind in ("discriminatory", "uniform_price"):
+        m = mech.units
+        return _Row(constant * m * math.log(n * m), False,
+                    constant * n * m ** 2)
+    raise ValueError(f"unknown mechanism kind: {mech.kind}")
 
 
 def dispersion_count(config: GameConfig, w: float, n_in_cell: int,
                      kappa: float, l_inv_max: float, delta: float,
                      n_cells_max: int = 1, constant: float = 1.0):
-    """Dispatch on the mechanism; returns (count, flags)."""
-    kind = config.mechanism.kind
-    flags = []
-    # the exact single-item formula holds for any positive width; the
-    # asymptotic rows are only stated at the width scale below
-    if (kind != "first_price_single_item"
-            and w > dispersion_width_limit(config, n_in_cell, kappa, l_inv_max)):
-        flags.append(FLAG_WIDTH_RANGE)
-    if kind == "first_price_single_item":
-        v = dispersion_count_fpsb(w, n_in_cell, config.n_agents, kappa,
-                                  l_inv_max, delta, n_cells_max)
-    elif kind == "first_price_combinatorial":
-        v = dispersion_count_combinatorial(
-            w, n_in_cell, config.n_agents, config.mechanism.items, kappa,
-            l_inv_max, delta, n_cells_max, constant)
-        flags.append(FLAG_ASYMPTOTIC)
-    elif kind in ("discriminatory", "uniform_price"):
-        v = dispersion_count_multiunit(
-            w, n_in_cell, config.n_agents, config.mechanism.units, kappa,
-            l_inv_max, delta, n_cells_max, constant)
-        flags.append(FLAG_ASYMPTOTIC)
-    else:
-        raise ValueError(f"unknown mechanism kind: {kind}")
-    return v, tuple(flags)
+    """High-probability bound on the records whose jumps land in one width-w
+    interval, over n_in_cell records and a union over n_cells_max cells:
+
+    scale * (w N kappa l_inv^e + sqrt(2 N log_union) + 4 sqrt(N t log(e N/2)))
+
+    with the mechanism's row (_row). Returns (count, flags): an asymptotic
+    row's flag, after the width-range flag past 1 / (kappa l_inv^e sqrt(N))."""
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    _check_positive("n_in_cell", n_in_cell)
+    _check_positive("kappa", kappa)
+    _check_positive("l_inv_max", l_inv_max)
+    _check_delta(delta)
+    row = _row(config, constant)
+    n = config.n_agents
+    nb = float(n_in_cell)
+    width_term = w * nb * kappa * l_inv_max ** row.width_exponent
+    log_union = math.log(2.0 * n * (n - 1) * n_cells_max / delta)
+    conc_term = math.sqrt(2.0 * nb * log_union)
+    tail_term = 4.0 * math.sqrt(nb * row.tail_factor
+                                * math.log(math.e * nb / 2.0))
+    flags = ()
+    if not row.exact:
+        flags = (FLAG_ASYMPTOTIC,)
+        if w > 1.0 / (kappa * l_inv_max ** row.width_exponent
+                      * math.sqrt(nb)):
+            flags = (FLAG_WIDTH_RANGE, FLAG_ASYMPTOTIC)
+    return row.scale * (width_term + conc_term + tail_term), flags
 
 
 def eps_hoeffding(n_records: int, n_agents: int, delta: float) -> float:
@@ -244,22 +201,14 @@ class PdimSpec:
 
 
 def pdim(config: GameConfig, constant: float = 1.0) -> PdimSpec:
-    """Pseudo-dimension per mechanism: exact for the single-item first-price
-    rule, growth order with a declared constant otherwise (floored at 1)."""
-    _check_positive("constant", constant)
-    kind = config.mechanism.kind
-    n = config.n_agents
-    if kind == "first_price_single_item":
-        return PdimSpec(2.0, "exact", 1.0)
-    if kind == "first_price_combinatorial":
-        items = config.mechanism.items
-        raw = constant * items * (2 ** items) * math.log(n)
-        return PdimSpec(max(1.0, raw), "asymptotic (constant declared)", constant)
-    if kind in ("discriminatory", "uniform_price"):
-        m = config.mechanism.units
-        raw = constant * m * math.log(n * m)
-        return PdimSpec(max(1.0, raw), "asymptotic (constant declared)", constant)
-    raise ValueError(f"unknown mechanism kind: {kind}")
+    """Pseudo-dimension per mechanism (_row), floored at 1: exact for the
+    single-item first-price rule, a growth order with the declared constant
+    otherwise."""
+    row = _row(config, constant)
+    if row.exact:
+        return PdimSpec(row.pdim, "exact", 1.0)
+    return PdimSpec(max(1.0, row.pdim), "asymptotic (constant declared)",
+                    constant)
 
 
 @dataclass(frozen=True)
@@ -307,15 +256,6 @@ class AgentBound:
         out = dict(self.payload)
         out["flags"] = list(self.flags)
         return out
-
-
-def _merge_flags(*groups):
-    seen = []
-    for group in groups:
-        for flag in group:
-            if flag not in seen:
-                seen.append(flag)
-    return tuple(seen)
 
 
 def confidence(mode: str, delta: float) -> float:
@@ -367,9 +307,10 @@ def _agent_bound(estimate, mode: str, specs, config: GameConfig, body: dict,
         "total_denormalized": total * H,
         "utility_scale": H,
     }
-    all_flags = _merge_flags(estimate.flags, flags, specs.extra_flags)
+    # each flag once, in order of first appearance
+    all_flags = dict.fromkeys([*estimate.flags, *flags, *specs.extra_flags])
     return AgentBound(agent=estimate.agent, mode=mode, total=total,
-                      payload=payload, flags=all_flags)
+                      payload=payload, flags=tuple(all_flags))
 
 
 def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> AgentBound:
@@ -493,7 +434,5 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
 def all_vacuous(agent_bounds) -> bool:
     """True when every agent's normalized total exceeds the trivial bound 2:
     the run succeeded but certifies nothing."""
-    bounds_list = list(agent_bounds)
-    if not bounds_list:
-        return False
-    return all(b.total > VACUOUS_THRESHOLD for b in bounds_list)
+    totals = [b.total for b in agent_bounds]
+    return bool(totals) and all(t > VACUOUS_THRESHOLD for t in totals)

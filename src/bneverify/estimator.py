@@ -7,9 +7,9 @@
     plus a direct estimate of the current strategy's expected utility.
 
 Both run on one market view of the records per agent, built by _market, the
-only place besides valid_actions that reads the rule. A market gives the
-per-record utility of the recorded bids and, per candidate bid, allocation
-counts, payment sum and (ex ante) utility sum. Ex ante, each cell's market
+only function here that reads the rule. A market gives the per-record
+utility of the recorded bids and, per candidate bid, allocation counts,
+payment sum and (ex ante) utility sum. Ex ante, each cell's market
 is a row subset of the agent's market (its rows method), so critical bids
 are computed once per agent, not once per cell.
 
@@ -84,11 +84,11 @@ _PAIR_BLOCK = 1 << 15
 def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
     """Filter lattice points down to the mechanism's feasible action set.
 
-    Multi-unit bid vectors must be non-increasing; the other mechanisms
-    accept the whole cube.
+    Bid vectors that hold several units' bids must be non-increasing; the
+    other mechanisms accept the whole cube.
     """
     points = np.asarray(points, dtype=np.float64)
-    if config.mechanism.kind in ("discriminatory", "uniform_price"):
+    if config.mechanism.sorted_bids:
         keep = np.all(np.diff(points, axis=1) <= 0.0, axis=1)
         return points[keep]
     return points
@@ -522,7 +522,7 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
         cur = (cur - cur_pay_sums / n_rec) / H
     else:
         flags.append(FLAG_DEGRADED)
-        point_utils = profile_point_utilities(config, ds, agent)
+        point_utils = market.utilities(ds.vals[:, agent])
         cur_scalar = _record_mean(point_utils, n_rec)
         cur = np.full(theta_pts.shape[0], cur_scalar)
 

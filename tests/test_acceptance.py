@@ -19,6 +19,8 @@ from bneverify.strategies import LinearShade, Power
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+FPSB2 = GameConfig(n_agents=2,
+                   mechanism=MechanismSpec(kind="first_price_single_item"))
 
 TRIVIAL_EX_ANTE = {
     "mode": "ex_ante",
@@ -104,6 +106,32 @@ def ref_dispersion_count_fpsb(w, nb, n, kappa, l_inv, delta, cells):
     return float(t1 + t2 + t3)
 
 
+def ref_dispersion_count_combinatorial(w, nb, n, items, kappa, l_inv, delta,
+                                       cells, constant):
+    t1 = w * nb * kappa * np.power(l_inv, np.exp2(items + 1.0))
+    t2 = np.sqrt(2.0 * nb * np.log(2.0 * n * (n - 1.0) * cells / delta))
+    t3 = np.sqrt(items * nb * np.log(nb * np.e / 2.0)) * 4.0
+    return float((t1 + t2 + t3) * np.power(n + 1.0, 2.0 * items) * constant)
+
+
+def ref_dispersion_count_multiunit(w, nb, n, units, kappa, l_inv, delta,
+                                   cells, constant):
+    t1 = w * nb * kappa * l_inv
+    t2 = np.sqrt(2.0 * nb * np.log(2.0 * n * (n - 1.0) * cells / delta))
+    t3 = np.sqrt(nb * np.log(nb * np.e / 2.0)) * 4.0
+    return float((t1 + t2 + t3) * units * units * n * constant)
+
+
+def ref_pdim(kind, n, items, units, constant):
+    """(value, exact?) of the one-agent pseudo-dimension, floored at 1."""
+    if kind == "first_price_single_item":
+        return 2.0, True
+    if kind == "first_price_combinatorial":
+        return max(1.0, float(np.log(n) * items * np.exp2(items)
+                              * constant)), False
+    return max(1.0, float(np.log(n * units) * units * constant)), False
+
+
 def ref_eps_hoeffding(n_rec, n, delta):
     return float(np.sqrt(2.0 * np.log(2.0 * n / delta) / n_rec))
 
@@ -127,15 +155,42 @@ def test_error_term_formulas_match_an_independent_coding():
         cells = int(rng.integers(1, 64))
         count = float(rng.uniform(0.0, 2.0 * n_rec))
         lip = float(rng.uniform(0.1, 10.0))
+        items = int(rng.integers(1, 4))
+        units = int(rng.integers(1, 5))
+        constant = float(rng.uniform(0.05, 5.0))
+        fpsb = GameConfig(n_agents=n, mechanism=MechanismSpec(
+            kind="first_price_single_item"))
+        comb = GameConfig(n_agents=n, mechanism=MechanismSpec(
+            kind="first_price_combinatorial", items=items))
+        multi = GameConfig(n_agents=n, mechanism=MechanismSpec(
+            kind=str(rng.choice(["discriminatory", "uniform_price"])),
+            units=units))
+        for game in (fpsb, comb, multi):
+            mech = game.mechanism
+            value, exact = ref_pdim(mech.kind, n, mech.items, mech.units,
+                                    constant)
+            spec = bounds.pdim(game, constant)
+            assert math.isclose(spec.value, value, rel_tol=1e-12)
+            assert (spec.kind == "exact") == exact
+            assert spec.constant == (1.0 if exact else constant)
         pairs = [
             (bounds.eps_pdim_interim(n_rec, d, n, delta),
              ref_eps_pdim_interim(n_rec, d, n, delta)),
             (bounds.eps_disp(w, n_rec, count, lip),
              ref_eps_disp(w, n_rec, count, lip)),
-            (bounds.dispersion_count_fpsb(w, n_rec, n, kappa, l_inv, delta,
-                                          cells),
+            (bounds.dispersion_count(fpsb, w, n_rec, kappa, l_inv, delta,
+                                     cells, constant)[0],
              ref_dispersion_count_fpsb(w, n_rec, n, kappa, l_inv, delta,
                                        cells)),
+            (bounds.dispersion_count(comb, w, n_rec, kappa, l_inv, delta,
+                                     cells, constant)[0],
+             ref_dispersion_count_combinatorial(w, n_rec, n, items, kappa,
+                                                l_inv, delta, cells,
+                                                constant)),
+            (bounds.dispersion_count(multi, w, n_rec, kappa, l_inv, delta,
+                                     cells, constant)[0],
+             ref_dispersion_count_multiunit(w, n_rec, n, units, kappa, l_inv,
+                                            delta, cells, constant)),
             (bounds.eps_hoeffding(n_rec, n, delta),
              ref_eps_hoeffding(n_rec, n, delta)),
             (bounds.eps_pdim_ex_ante(n_rec, d, n, delta, cells),
@@ -150,7 +205,7 @@ def test_error_term_formulas_match_an_independent_coding():
 def test_interval_occupancy_stays_below_the_certified_count():
     t0 = time.monotonic()
     n_records, repetitions, n_intervals, w = 10_000, 100, 100, 0.01
-    v = bounds.dispersion_count_fpsb(w, n_records, 2, 1.0, 2.0, 0.05)
+    v, _ = bounds.dispersion_count(FPSB2, w, n_records, 1.0, 2.0, 0.05)
     strategy = LinearShade(0.5)
     rng = np.random.default_rng(2024)
     exceedances = 0
@@ -232,8 +287,9 @@ def test_single_cell_partition_reduces_to_the_global_composition(pipeline):
     delta = 0.05 / 4
     e_hoeff = bounds.eps_hoeffding(4000, 2, delta)
     e_pdim = bounds.eps_pdim_ex_ante(4000, 2.0, 2, delta, 1)
-    count, _ = bounds.clamp_dispersion_count(
-        bounds.dispersion_count_fpsb(0.05, 4000, 2, 1.0, 1.0, delta, 1), 4000)
+    count_raw, _ = bounds.dispersion_count(FPSB2, 0.05, 4000, 1.0, 1.0,
+                                           delta, 1)
+    count, _ = bounds.clamp_dispersion_count(count_raw, 4000)
     e_disp = bounds.eps_disp(0.05, 4000, count, 1.0)
     inner = 0.0 + e_pdim + e_disp
     assert cell["inner_sum"] == inner

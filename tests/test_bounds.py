@@ -11,7 +11,6 @@ from bneverify.bounds import (FLAG_ASYMPTOTIC, FLAG_DEGRADED_BOUND,
                               AgentBound, ExAnteSpecs, InterimSpecs,
                               all_vacuous, assemble_ex_ante, assemble_interim,
                               clamp_dispersion_count, dispersion_count,
-                              dispersion_count_fpsb, dispersion_width_limit,
                               eps_disp, eps_hoeffding, eps_pdim_ex_ante,
                               eps_pdim_interim, pdim)
 from bneverify.estimator import ExAnteEstimate, ExInterimEstimate
@@ -32,6 +31,13 @@ def comb_game(n=2, items=1):
 def mu_game(n=2, units=2, kind="discriminatory"):
     return GameConfig(n_agents=n, mechanism=MechanismSpec(kind=kind,
                                                           units=units))
+
+
+def fpsb_count(*args, **kwargs):
+    """The two-agent single-item first-price dispersion count."""
+    count, flags = dispersion_count(fpsb_game(), *args, **kwargs)
+    assert flags == ()
+    return count
 
 
 # ----------------------------------------------------------- term formulas
@@ -90,23 +96,23 @@ def test_clamp_dispersion_count():
 
 
 def test_dispersion_count_single_item_spot_values():
-    got = dispersion_count_fpsb(0.01, 10_000, 2, 1.0, 2.0, 0.05)
+    got = fpsb_count(0.01, 10_000, 1.0, 2.0, 0.05)
     assert got == pytest.approx(1730.0393753136223, abs=1e-9)
-    at_zero = dispersion_count_fpsb(0.0, 10_000, 2, 1.0, 2.0, 0.05)
+    at_zero = fpsb_count(0.0, 10_000, 1.0, 2.0, 0.05)
     assert at_zero == pytest.approx(1530.0393753136223, abs=1e-9)
     # the width term is (n-1) * w * N * kappa * l_inv
     assert got - at_zero == pytest.approx(200.0, abs=1e-9)
 
 
 def test_dispersion_count_scales_with_the_bid_density_bound():
-    lo = dispersion_count_fpsb(0.01, 10_000, 2, 1.0, 2.0, 0.05)
-    hi = dispersion_count_fpsb(0.01, 10_000, 2, 2.0, 2.0, 0.05)
+    lo = fpsb_count(0.01, 10_000, 1.0, 2.0, 0.05)
+    hi = fpsb_count(0.01, 10_000, 2.0, 2.0, 0.05)
     assert hi - lo == pytest.approx(0.01 * 10_000 * 2.0, abs=1e-9)
 
 
 def test_dispersion_count_union_over_cells_costs_a_log():
-    base = dispersion_count_fpsb(0.01, 2500, 2, 1.0, 2.0, 0.05, n_cells_max=1)
-    split = dispersion_count_fpsb(0.01, 2500, 2, 1.0, 2.0, 0.05, n_cells_max=8)
+    base = fpsb_count(0.01, 2500, 1.0, 2.0, 0.05, n_cells_max=1)
+    split = fpsb_count(0.01, 2500, 1.0, 2.0, 0.05, n_cells_max=8)
     assert split > base
     extra = split - base
     want = math.sqrt(2.0 * 2500 * math.log(2 * 2 * 1 * 8 / 0.05)) \
@@ -142,7 +148,7 @@ def test_error_terms_shrink_with_more_records(n):
 @settings(max_examples=40, deadline=None)
 def test_certified_dispersion_slack_shrinks_with_more_records(n, w):
     def slack(m):
-        v = dispersion_count_fpsb(w, m, 2, 1.0, 2.0, 0.05)
+        v = fpsb_count(w, m, 1.0, 2.0, 0.05)
         v, _ = clamp_dispersion_count(v, m)
         return eps_disp(w, m, v, 1.0)
     assert slack(2 * n) <= slack(n) + 1e-15
@@ -181,7 +187,7 @@ def test_single_item_dispersion_holds_at_any_width():
 
 def test_asymptotic_rows_flag_width_range():
     game = mu_game()
-    limit = dispersion_width_limit(game, 10_000, 1.0, 1.0)
+    limit = 1.0 / math.sqrt(10_000)  # 1 / (kappa l_inv sqrt(N)) at 1, 1
     _, flags = dispersion_count(game, limit * 0.5, 10_000, 1.0, 1.0, 0.05)
     assert flags == (FLAG_ASYMPTOTIC,)
     _, flags = dispersion_count(game, limit * 2.0, 10_000, 1.0, 1.0, 0.05)
@@ -189,10 +195,20 @@ def test_asymptotic_rows_flag_width_range():
 
 
 def test_width_limit_combinatorial_exponent():
-    got = dispersion_width_limit(comb_game(items=1), 100, 2.0, 3.0)
-    assert got == 1.0 / (2.0 * 3.0**4 * 10.0)
-    assert dispersion_width_limit(fpsb_game(), 100, 2.0, 3.0) \
-        == 1.0 / (2.0 * 3.0 * 10.0)
+    # one item: the row is stated up to 1 / (kappa * l_inv^(2^2) * sqrt(N))
+    limit = 1.0 / (2.0 * 3.0**4 * 10.0)
+    for game in (comb_game(items=1), comb_game(n=3, items=1)):
+        _, flags = dispersion_count(game, limit, 100, 2.0, 3.0, 0.05)
+        assert flags == (FLAG_ASYMPTOTIC,)
+        _, flags = dispersion_count(game, math.nextafter(limit, 1.0), 100,
+                                    2.0, 3.0, 0.05)
+        assert flags == (FLAG_WIDTH_RANGE, FLAG_ASYMPTOTIC)
+    # the multi-unit rows use the exponent 1 at the same inputs
+    w = 0.99 / (2.0 * 3.0 * 10.0)
+    _, flags = dispersion_count(mu_game(), w, 100, 2.0, 3.0, 0.05)
+    assert flags == (FLAG_ASYMPTOTIC,)
+    _, flags = dispersion_count(comb_game(items=1), w, 100, 2.0, 3.0, 0.05)
+    assert flags == (FLAG_WIDTH_RANGE, FLAG_ASYMPTOTIC)
 
 
 # ------------------------------------------------------------ composition
@@ -235,7 +251,7 @@ def test_assemble_interim_terms_recompute_from_the_formulas():
     p = out.payload
     assert p["eps_pdim"] == eps_pdim_interim(n, 2.0, 2, specs.delta)
     base = p["disp_terms"][0]
-    raw = dispersion_count_fpsb(0.02, n, 2, 1.0, 2.0, specs.delta)
+    raw = fpsb_count(0.02, n, 1.0, 2.0, specs.delta)
     assert base["count_raw"] == raw
     assert base["value"] == eps_disp(0.02, n, min(raw, n), 1.0)
     mapped = p["disp_terms"][1]

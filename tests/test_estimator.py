@@ -121,6 +121,11 @@ def test_valid_actions_filters_multiunit_lattice():
     assert len(kept) == 6  # of 9: rows with non-increasing coordinates
     assert np.all(np.diff(kept, axis=1) <= 0.0)
     assert np.array_equal(valid_actions(fpsb_game(), pts), pts)
+    # one unit's bid vector has a single coordinate, so nothing is dropped
+    one_unit = GameConfig(n_agents=2, mechanism=MechanismSpec(
+        kind="uniform_price", units=1))
+    axis = make_grid(1, 0.25).points()
+    assert np.array_equal(valid_actions(one_unit, axis), axis)
 
 
 # ------------------------------------------------------ ex interim estimate
@@ -201,6 +206,23 @@ def test_bids_only_dataset_is_estimated_but_flagged():
     assert est.value == pytest.approx(dev - cur, abs=1e-12)
     cur_kernel = float(np.mean(profile_point_utilities(fpsb_game(), ds, 0)))
     assert cur_kernel == pytest.approx(cur, abs=1e-12)
+
+
+def test_bids_only_ex_interim_builds_one_market_per_agent(monkeypatch):
+    market = estimator._market
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return market(*args)
+
+    monkeypatch.setattr(estimator, "_market", counted)
+    ds = uniform_dataset(100, seed=7, n=3)
+    for agent in range(3):
+        est = estimate_ex_interim(ds, None, make_grid(1, 0.25),
+                                  fpsb_game(3), agent)
+        assert FLAG_DEGRADED in est.flags
+    assert calls == [0, 1, 2]
 
 
 def test_multiunit_estimate_matches_direct_evaluation():

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module, and the
-package's runtime dependencies are exactly its third-party imports."""
+"""Every name a package module imports is used in that module, every name
+it exports is bound in it, and the package's runtime dependencies are
+exactly its third-party imports."""
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -120,3 +122,13 @@ def test_third_party_import_finder_skips_stdlib_relative_and_own_imports():
               "from .model import y\nfrom scipy.stats import norm\n"
               "import bneverify.cli\n")
     assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("module", sorted(
+    "bneverify" if p.stem == "__init__" else f"bneverify.{p.stem}"
+    for p in PACKAGE.glob("*.py")))
+def test_every_exported_name_is_bound(module):
+    mod = importlib.import_module(module)
+    stale = [name for name in getattr(mod, "__all__", ())
+             if not hasattr(mod, name)]
+    assert stale == []
