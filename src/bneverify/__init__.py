@@ -11,8 +11,7 @@ from ._backend import BACKEND_NAME
 from .model import (Cell, Dataset, GameConfig, Grid, MechanismSpec,
                     Partition, load_dataset, make_grid, save_dataset,
                     split_by_partition)
-from .mechanisms import (Outcome, eval, eval_discriminatory, eval_fpsb,
-                         eval_uniform_price, multiunit_allocation,
+from .mechanisms import (Outcome, eval, multiunit_allocation,
                          winner_determination)
 from .strategies import (Identity, LinearShade, PiecewiseLinearMonotone,
                          Power, Strategy, StrategyProfile,
@@ -20,8 +19,7 @@ from .strategies import (Identity, LinearShade, PiecewiseLinearMonotone,
 from .priors import (Beta, CorrelatedCommonValue, IndependentProduct,
                      Uniform, sample_dataset, tv_integral_bound, tv_profile,
                      tv_radius)
-from .estimator import (ExAnteEstimate, ExInterimEstimate,
-                        brute_force_best_response, estimate_ex_ante,
+from .estimator import (ExAnteEstimate, ExInterimEstimate, estimate_ex_ante,
                         estimate_ex_interim)
 from .bounds import (AgentBound, ExAnteSpecs, InterimSpecs, assemble_ex_ante,
                      assemble_interim, eps_disp, eps_hoeffding,
@@ -36,15 +34,14 @@ __all__ = [
     "Cell", "Dataset", "GameConfig", "Grid",
     "MechanismSpec", "Partition", "load_dataset", "make_grid",
     "save_dataset", "split_by_partition",
-    "Outcome", "eval", "eval_discriminatory", "eval_fpsb",
-    "eval_uniform_price", "multiunit_allocation", "winner_determination",
+    "Outcome", "eval", "multiunit_allocation", "winner_determination",
     "Identity", "LinearShade", "PiecewiseLinearMonotone", "Power",
     "Strategy", "StrategyProfile", "profile_from_config",
     "pushforward_density_bound",
     "Beta", "CorrelatedCommonValue", "IndependentProduct", "Uniform",
     "sample_dataset", "tv_integral_bound", "tv_profile", "tv_radius",
-    "ExAnteEstimate", "ExInterimEstimate", "brute_force_best_response",
-    "estimate_ex_ante", "estimate_ex_interim",
+    "ExAnteEstimate", "ExInterimEstimate", "estimate_ex_ante",
+    "estimate_ex_interim",
     "AgentBound", "ExAnteSpecs", "InterimSpecs", "assemble_ex_ante",
     "assemble_interim", "eps_disp", "eps_hoeffding", "eps_pdim_ex_ante",
     "eps_pdim_interim", "pdim",

@@ -67,6 +67,15 @@ def _check_positive(name: str, value: float):
         raise ValueError(f"{name} must be positive")
 
 
+def _growth_term(n_records: int, d: float) -> float:
+    """(2 / N) ln of the growth function of a class of pseudo-dimension d on
+    N records. Sauer's bound (eN/d)^d holds from N = d; below d the count of
+    labelings is at most 2^N, so the term is 2 ln 2."""
+    if n_records < d:
+        return 2.0 * math.log(2.0)
+    return (2.0 * d / n_records) * math.log(math.e * n_records / d)
+
+
 def eps_pdim_interim(n_records: int, d: float, n_agents: int, delta: float) -> float:
     """Uniform estimation error over valuation-bid queries (ex interim route)."""
     if n_records < 1:
@@ -74,8 +83,7 @@ def eps_pdim_interim(n_records: int, d: float, n_agents: int, delta: float) -> f
     if d < 1:
         raise ValueError("pseudo-dimension must be at least 1")
     _check_delta(delta)
-    first = 4.0 * math.sqrt((2.0 * d / n_records)
-                            * math.log(math.e * n_records / d))
+    first = 4.0 * math.sqrt(_growth_term(n_records, d))
     second = 2.0 * math.sqrt((2.0 / n_records)
                              * math.log(2.0 * n_agents / delta))
     return first + second
@@ -185,8 +193,7 @@ def eps_pdim_ex_ante(n_in_cell: int, d: float, n_agents: int, delta: float,
     if d < 1:
         raise ValueError("pseudo-dimension must be at least 1")
     _check_delta(delta)
-    first = 2.0 * math.sqrt((2.0 * d / n_in_cell)
-                            * math.log(math.e * n_in_cell / d))
+    first = 2.0 * math.sqrt(_growth_term(n_in_cell, d))
     second = math.sqrt((2.0 / n_in_cell)
                        * math.log(n_agents * n_cells_max / delta))
     return first + second

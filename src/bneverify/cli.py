@@ -225,10 +225,12 @@ def _parse_game(d) -> GameConfig:
     scale = d.get("utility_scale")
     if scale is None:
         scale = payoff_range
-    # every error term assumes normalized utilities in [-1, 1]
-    _require(is_number(scale) and scale >= payoff_range, "game.utility_scale",
-             f"game.utility_scale must be a number no less than the payoff "
-             f"range {payoff_range!r} of {kind}")
+    # every error term assumes normalized utilities in [-1, 1]; an infinite
+    # scale maps every payoff to 0 and so certifies nothing
+    _require(is_number(scale) and payoff_range <= scale < math.inf,
+             "game.utility_scale",
+             f"game.utility_scale must be a finite number no less than the "
+             f"payoff range {payoff_range!r} of {kind}")
     return GameConfig(n_agents=n, mechanism=mech,
                       utility_scale=_build("game.utility_scale", number, scale,
                                            "game.utility_scale"))
@@ -281,6 +283,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _require(is_number(delta_total) and 0.0 < delta_total < 1.0,
              "delta_total", "delta_total must lie in (0,1)")
     delta_total = float(delta_total)
+    events = bounds_mod.FAILURE_EVENTS[mode]
+    _require(delta_total / events > 0.0, "delta_total",
+             f"delta_total / {events}, the probability of each failure "
+             "event, underflows to 0")
 
     grid_w = raw.get("grid_w")
     if is_number(grid_w):
@@ -372,7 +378,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     partition = json.load(fh)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:   # bad JSON or not UTF-8
                 raise ConfigError("partition",
                                   f"cannot read partition file: {exc}")
         if isinstance(partition, dict):
@@ -432,7 +438,10 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     """Parse the config file at path, with the fields in overrides
     replaced; relative paths in it are read from its directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:   # bad JSON or not UTF-8
+            raise ConfigError("config", str(exc)) from None
     _require(isinstance(raw, dict), "config", "config must be a JSON object")
     raw.update(overrides or {})
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -666,9 +675,12 @@ def _oracle_block(config: RunConfig):
 def run(config: RunConfig, oracle: bool = False) -> int:
     """Execute a run config; writes report/CSV files and returns the exit
     code (0 ok, 3 all-vacuous)."""
+    try:   # before the records are sampled or loaded
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create out_dir: {exc}") from None
     ds, ds_hash = _resolve_dataset(config)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
     sweep = isinstance(config.grid_w, list)
 
@@ -742,7 +754,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc.field}: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

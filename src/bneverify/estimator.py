@@ -55,8 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels_py as kernels
-from .model import (GRID_POINT_CAP, Dataset, GameConfig, Grid, Partition,
-                    split_by_partition)
+from .model import Dataset, GameConfig, Grid, Partition, split_by_partition
 from .mechanisms import best_total_tables, winner_determination
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "ExAnteEstimate",
     "estimate_ex_interim",
     "estimate_ex_ante",
-    "brute_force_best_response",
     "valid_actions",
     "profile_point_utilities",
     "FLAG_DEGRADED",
@@ -627,37 +625,3 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
         n_records=n_rec,
         flags=tuple(flags),
     )
-
-
-def brute_force_best_response(config: GameConfig, theta_i, opponent_bids,
-                              resolution: float, agent: int = 0,
-                              cap: int = GRID_POINT_CAP):
-    """Exhaustive fine-lattice best response against recorded opponent bids.
-
-    Testing/diagnostic oracle: maximizes the empirical mean utility of a
-    constant bid over a lattice of the given resolution. Returns
-    (best bid vector, best mean utility).
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    theta_i = np.atleast_1d(np.asarray(theta_i, dtype=np.float64))
-    opponent_bids = np.asarray(opponent_bids, dtype=np.float64)
-    if opponent_bids.ndim == 2:
-        opponent_bids = opponent_bids[:, :, None]
-    dim = config.mechanism.bid_dim
-    segments = int(np.ceil(1.0 / resolution - 1e-9))
-    if (segments + 1) ** dim > cap:
-        raise ValueError(
-            f"resolution lattice exceeds size cap: {(segments + 1) ** dim} "
-            f"points over cap {cap}")
-    grid = Grid(dim=dim, step=1.0 / segments, points_per_axis=segments + 1)
-    lattice = valid_actions(config, grid.points())
-    others = [j for j in range(config.n_agents) if j != agent]
-    bids = np.zeros((opponent_bids.shape[0], config.n_agents, dim))
-    bids[:, others, :] = opponent_bids
-    counts, pay_sums, _ = _market(config, bids, agent).outcomes(lattice)
-    n_rec = bids.shape[0]
-    utilities = ((counts / n_rec) @ theta_i - pay_sums / n_rec) \
-        / config.utility_scale
-    best = int(np.argmax(utilities))
-    return lattice[best].copy(), float(utilities[best])

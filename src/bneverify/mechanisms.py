@@ -1,5 +1,9 @@
 """Ex post outcome and utility evaluation for the four sealed-bid auctions.
 
+eval(config, theta, bids) is the ex post reference: it gives the
+allocation, payments and utilities of one full profile under any of the
+four rules, and the tests compare the estimator's outcomes against it.
+
 Conventions shared by every rule:
   * bids and valuations live in [0,1] per coordinate;
   * exact bid ties never win in the single-item auction (strict inequality);
@@ -17,13 +21,10 @@ from .model import GameConfig
 
 __all__ = [
     "Outcome",
-    "eval_fpsb",
     "best_total_tables",
     "winner_determination",
     "assignment_value",
     "multiunit_allocation",
-    "eval_discriminatory",
-    "eval_uniform_price",
     "eval",
 ]
 
@@ -34,19 +35,6 @@ class Outcome:
     allocation: np.ndarray  # (n_agents, bid_dim) 0/1 indicators
     payments: np.ndarray    # (n_agents,)
     utilities: np.ndarray   # (n_agents,) in [-1, 1]
-
-
-def eval_fpsb(theta_i: float, bids, i: int) -> float:
-    """Single-item first-price utility for agent i.
-
-    The highest bid wins and pays itself; exact ties lose for everyone.
-    """
-    bids = np.asarray(bids, dtype=np.float64)
-    own = bids[i]
-    others = np.delete(bids, i)
-    if own > others.max():
-        return float(theta_i) - float(own)
-    return 0.0
 
 
 def assignment_value(bids: np.ndarray, choice) -> float:
@@ -198,44 +186,16 @@ def multiunit_allocation(bids) -> np.ndarray:
     return wins
 
 
-def eval_discriminatory(theta_i, bids, i: int, scale: float = None) -> float:
-    """Pay-as-bid multi-unit utility: winners pay the sum of winning bids."""
-    bids = np.asarray(bids, dtype=np.float64)
-    theta_i = np.asarray(theta_i, dtype=np.float64)
-    m = bids.shape[1]
-    if scale is None:
-        scale = float(m)
-    m_i = int(multiunit_allocation(bids)[i])
-    pay = float(np.sum(bids[i, :m_i]))
-    value = float(np.sum(theta_i[:m_i]))
-    return (value - pay) / scale
-
-
 def _uniform_clearing_price(bids: np.ndarray, i: int, m_i: int) -> float:
+    """Uniform price paid per unit by agent i, winner of m_i units: the
+    larger of its own highest losing bid and the competitors' (m - m_i + 1)-th
+    bid, an out-of-range position counting as 0."""
     m = bids.shape[1]
     own_next = float(bids[i, m_i]) if m_i < m else 0.0
     opp = np.sort(np.delete(bids, i, axis=0).ravel())[::-1]
     pos = m - m_i  # 0-indexed slot of the (m - m_i + 1)-th competing bid
     opp_next = float(opp[pos]) if pos < opp.size else 0.0
     return max(own_next, opp_next)
-
-
-def eval_uniform_price(theta_i, bids, i: int, scale: float = None) -> float:
-    """Uniform-price multi-unit utility.
-
-    Allocation matches the discriminatory rule; every won unit is paid at
-    p = max(own highest losing bid, competitors' (m - m_i + 1)-th bid), with
-    out-of-range positions contributing 0.
-    """
-    bids = np.asarray(bids, dtype=np.float64)
-    theta_i = np.asarray(theta_i, dtype=np.float64)
-    m = bids.shape[1]
-    if scale is None:
-        scale = float(m)
-    m_i = int(multiunit_allocation(bids)[i])
-    price = _uniform_clearing_price(bids, i, m_i)
-    value = float(np.sum(theta_i[:m_i]))
-    return (value - float(m_i) * price) / scale
 
 
 def eval(config: GameConfig, theta, bids) -> Outcome:

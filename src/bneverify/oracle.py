@@ -23,7 +23,7 @@ __all__ = [
 @dataclass(frozen=True)
 class OracleResult:
     value: float
-    method: str     # exhaustive_lattice, closed_form, quadrature
+    method: str     # closed_form or quadrature
     resolution: dict = field(default_factory=dict)
 
 

@@ -87,8 +87,15 @@ def test_overbidding_agent_is_measured_against_the_reference_loss(pipeline):
     assert measured - equilibrium >= 3 * 0.02
 
 
+def ref_log_growth(n_rec, d):
+    """ln of the growth-function bound: 2^N below d, (eN/d)^d from d on."""
+    if n_rec < d:
+        return n_rec * np.log(2.0)
+    return d * np.log(np.e * n_rec / d)
+
+
 def ref_eps_pdim_interim(n_rec, d, n, delta):
-    a = 4.0 * np.sqrt(2.0 * d * np.log(np.e * n_rec / d) / n_rec)
+    a = 4.0 * np.sqrt(2.0 * ref_log_growth(n_rec, d) / n_rec)
     b = 2.0 * np.sqrt(2.0 * np.log(2.0 * n / delta) / n_rec)
     return float(a + b)
 
@@ -137,7 +144,7 @@ def ref_eps_hoeffding(n_rec, n, delta):
 
 
 def ref_eps_pdim_ex_ante(nb, d, n, delta, cells):
-    a = 2.0 * np.sqrt(2.0 * d * np.log(np.e * nb / d) / nb)
+    a = 2.0 * np.sqrt(2.0 * ref_log_growth(nb, d) / nb)
     b = np.sqrt(2.0 * np.log(n * cells / delta) / nb)
     return float(a + b)
 
@@ -197,6 +204,15 @@ def test_error_term_formulas_match_an_independent_coding():
              ref_eps_pdim_ex_ante(n_rec, d, n, delta, cells)),
         ]
         for got, want in pairs:
+            assert math.isclose(got, want, rel_tol=1e-12)
+    # fewer records than the pseudo-dimension: N < d/e, where ln(eN/d) < 0,
+    # and d/e <= N < d
+    for n_rec, d in ((3, 8.79), (3, 3.6)):
+        for got, want in (
+                (bounds.eps_pdim_interim(n_rec, d, 3, 0.01),
+                 ref_eps_pdim_interim(n_rec, d, 3, 0.01)),
+                (bounds.eps_pdim_ex_ante(n_rec, d, 3, 0.01, 4),
+                 ref_eps_pdim_ex_ante(n_rec, d, 3, 0.01, 4))):
             assert math.isclose(got, want, rel_tol=1e-12)
     assert bounds.eps_hoeffding(10_000, 2, 0.05) \
         == pytest.approx(0.0296, abs=1e-4)

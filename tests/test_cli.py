@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -112,6 +113,18 @@ def test_parse_config_field_errors():
     expect_config_error(eq_raw(pdim_constant=-2.0), "pdim_constant",
                         "must be positive")
     expect_config_error(eq_raw(out_dir=""), "out_dir", "nonempty path")
+    expect_config_error(eq_raw(game={
+        "n_agents": 2, "mechanism": {"kind": "first_price_single_item"},
+        "utility_scale": float("inf")}), "game.utility_scale",
+        "must be a finite number no less than the payoff range")
+    # 5e-324 / 3 failure events is 0.0: no event would have a probability
+    expect_config_error(eq_raw(delta_total=5e-324), "delta_total",
+                        r"delta_total / 3, the probability of each failure "
+                        "event, underflows to 0")
+    expect_config_error(eq_raw(delta_total=1e-323, mode="ex_ante",
+                               partition={"cells": [{"lo": [0.0],
+                                                     "hi": [1.0]}]}),
+                        "delta_total", r"delta_total / 4, the probability")
 
 
 @pytest.mark.parametrize("field", [
@@ -310,7 +323,7 @@ def test_parse_config_rejects_correlated_values_ex_interim():
                         "mode ex_interim requires independent private values")
 
 
-def test_parse_config_partition_errors():
+def test_parse_config_partition_errors(tmp_path):
     base = dict(mode="ex_ante")
     expect_config_error(eq_raw(**base, partition=[{"agent": 0}]),
                         "partition[0]", "must contain a cells list")
@@ -320,6 +333,13 @@ def test_parse_config_partition_errors():
         "one entry or one per agent")
     expect_config_error(eq_raw(**base, partition="no/such/file.json"),
                         "partition", "cannot read partition file")
+    for name, content, message in (
+            ("malformed.json", b'{"cells": [{"lo": [0.0], ', "Expecting"),
+            ("latin1.json", b"\xff{}", "'utf-8' codec can't decode")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        expect_config_error(eq_raw(**base, partition=str(path)), "partition",
+                            f"cannot read partition file: {message}")
 
 
 def test_dataset_ex_ante_cells_must_declare_tau(tmp_path, capsys):
@@ -686,6 +706,29 @@ def test_tiny_sample_run_is_reported_vacuous(tmp_path):
     assert all(a["total"] > 2.0 for a in report["agents"])
 
 
+def test_fewer_records_than_the_pseudo_dimension_is_reported_vacuous(
+        tmp_path):
+    # two items and three agents: pseudo-dimension 2 * 2**2 * ln 3 = 8.79,
+    # more than e times the 3 records, so ln(eN/d) < 0
+    uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+    raw = eq_raw(n_records=3, grid_w=0.5, game={
+        "n_agents": 3,
+        "mechanism": {"kind": "first_price_combinatorial", "items": 2}},
+        prior={"kind": "independent_product",
+               "marginals": [[uniform] * 4] * 3},
+        strategies=[{"agent": a, "family": "linear_shade",
+                     "params": {"c": 0.5}} for a in range(3)])
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 3
+    report = read_json(out, "report.json")
+    assert report["vacuous"] is True
+    for entry in report["agents"]:
+        assert entry["pdim_value"] > math.e * 3
+        # Sauer's 2^N growth bound: the first term is 4 sqrt(2 ln 2)
+        assert entry["eps_pdim"] > 4.0 * math.sqrt(2.0 * math.log(2.0))
+
+
 def test_bids_only_dataset_run_flags_every_declared_input(tmp_path):
     prior = prior_from_dict(eq_raw()["prior"], 2)
     profile = profile_from_config(eq_raw()["strategies"], 2)
@@ -915,7 +958,7 @@ def test_ex_ante_run_writes_per_cell_breakdowns(tmp_path):
     assert len(rows) - 1 == 4  # 2 agents x 2 cells
 
 
-def test_main_exit_codes_and_stderr(tmp_path, capsys):
+def test_main_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error: config:" in capsys.readouterr().err
     bad = write_config(tmp_path / "bad.json", eq_raw(delta_total=2.0))
@@ -927,6 +970,29 @@ def test_main_exit_codes_and_stderr(tmp_path, capsys):
     assert main(["verify", "--config", str(not_obj)]) == 2
     assert "error: config: config must be a JSON object" \
         in capsys.readouterr().err
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff{}")
+    assert main(["verify", "--config", str(not_utf8)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: config: 'utf-8' codec can't decode byte 0xff")
+    (tmp_path / "cells.json").write_text("{", encoding="utf-8")
+    ante = write_config(tmp_path / "ante.json",
+                        eq_raw(mode="ex_ante", partition="cells.json"))
+    assert main(["verify", "--config", ante]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: partition: cannot read partition file: Expecting")
+
+    # an out_dir that is a file is refused before any record is sampled
+    def refuse(*args):
+        raise AssertionError("records sampled before out_dir was created")
+
+    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    good = write_config(tmp_path / "good.json", eq_raw())
+    assert main(["verify", "--config", good,
+                 "--out", str(tmp_path / "taken")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: out_dir: cannot create out_dir: ")
 
 
 def test_main_overrides_reach_the_run_config(tmp_path):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bneverify import estimator, model
-from bneverify.estimator import (FLAG_DEGRADED, brute_force_best_response,
-                                 estimate_ex_ante, estimate_ex_interim,
-                                 profile_point_utilities, valid_actions)
-from bneverify.mechanisms import (eval_discriminatory, eval_fpsb,
-                                  eval_uniform_price, winner_determination,
-                                  eval as eval_game)
+from bneverify.estimator import (FLAG_DEGRADED, estimate_ex_ante,
+                                 estimate_ex_interim, profile_point_utilities,
+                                 valid_actions)
+from bneverify.mechanisms import winner_determination, eval as eval_game
 from bneverify.model import (Cell, Dataset, GameConfig, MechanismSpec,
                              Partition, make_grid)
 from bneverify.priors import (CorrelatedCommonValue, IndependentProduct,
@@ -26,6 +24,18 @@ from bneverify.strategies import Identity, LinearShade, StrategyProfile
 def fpsb_game(n=2):
     return GameConfig(n_agents=n,
                       mechanism=MechanismSpec(kind="first_price_single_item"))
+
+
+FPSB = fpsb_game()
+
+
+def utility(config, theta_i, bids, i):
+    """Agent i's ex post utility under eval when every other agent values
+    the units at 0."""
+    bids = np.asarray(bids, dtype=np.float64).reshape(config.n_agents, -1)
+    theta = np.zeros_like(bids)
+    theta[i] = theta_i
+    return eval_game(config, theta, bids).utilities[i]
 
 
 def identity_profile(n=2):
@@ -152,7 +162,8 @@ def test_single_record_estimate_is_the_pointwise_maximum():
     ds = Dataset(obs, obs.copy(), obs.copy())
     grid = make_grid(1, 0.25)
     est = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0)
-    best = max(eval_fpsb(t, [c, 0.35], 0) - eval_fpsb(t, [t, 0.35], 0)
+    best = max(utility(FPSB, t, [c, 0.35], 0)
+               - utility(FPSB, t, [t, 0.35], 0)
                for t in grid.axis for c in grid.axis)
     assert est.value == best
 
@@ -173,9 +184,9 @@ def test_argmax_gain_recomputes_from_ex_post_evaluations():
     est = estimate_ex_interim(ds, profile, make_grid(1, 0.05), fpsb_game(), 0)
     (theta,), (cand,) = est.argmax_pair
     cur_bid = profile[0].apply(theta)
-    dev = np.mean([eval_fpsb(theta, [cand, ds.bids[j, 1, 0]], 0)
+    dev = np.mean([utility(FPSB, theta, [cand, ds.bids[j, 1, 0]], 0)
                    for j in range(len(ds))])
-    cur = np.mean([eval_fpsb(theta, [cur_bid, ds.bids[j, 1, 0]], 0)
+    cur = np.mean([utility(FPSB, theta, [cur_bid, ds.bids[j, 1, 0]], 0)
                    for j in range(len(ds))])
     assert est.value == pytest.approx(dev - cur, abs=1e-12)
 
@@ -198,9 +209,9 @@ def test_bids_only_dataset_is_estimated_but_flagged():
     est = estimate_ex_interim(ds, None, grid, fpsb_game(), 0)
     assert FLAG_DEGRADED in est.flags
     # the current term falls back to the mean utility of the stored pairs
-    cur = float(np.mean([eval_fpsb(ds.vals[j, 0, 0], ds.bids[j, :, 0], 0)
-                         for j in range(len(ds))]))
-    dev = max(np.mean([eval_fpsb(t, [c, ds.bids[j, 1, 0]], 0)
+    cur = float(np.mean([utility(FPSB, ds.vals[j, 0, 0], ds.bids[j, :, 0],
+                                 0) for j in range(len(ds))]))
+    dev = max(np.mean([utility(FPSB, t, [c, ds.bids[j, 1, 0]], 0)
                        for j in range(len(ds))])
               for t in grid.axis for c in grid.axis)
     assert est.value == pytest.approx(dev - cur, abs=1e-12)
@@ -236,12 +247,12 @@ def test_multiunit_estimate_matches_direct_evaluation():
     actions = valid_actions(game, grid.points())
     best = -np.inf
     for t in actions:
-        cur = np.mean([eval_discriminatory(t, np.vstack([t[None, :],
-                                                         ds.bids[j, 1:]]), 0)
+        cur = np.mean([utility(game, t, np.vstack([t[None, :],
+                                                   ds.bids[j, 1:]]), 0)
                        for j in range(len(ds))])
         for c in actions:
-            dev = np.mean([eval_discriminatory(t, np.vstack([c[None, :],
-                                                             ds.bids[j, 1:]]), 0)
+            dev = np.mean([utility(game, t, np.vstack([c[None, :],
+                                                       ds.bids[j, 1:]]), 0)
                            for j in range(len(ds))])
             best = max(best, dev - cur)
     assert est.value == pytest.approx(best, abs=1e-12)
@@ -265,7 +276,7 @@ def test_uniform_price_sums_make_no_per_candidate_record_scan(monkeypatch):
     actions = valid_actions(game, grid.points())
 
     def mean_utility(t, c):
-        return math.fsum(eval_uniform_price(t, np.vstack(
+        return math.fsum(utility(game, t, np.vstack(
             [ds.bids[j, :1], c[None, :], ds.bids[j, 2:]]), 1)
             for j in range(len(ds))) / len(ds)
 
@@ -598,9 +609,10 @@ def test_trivial_partition_recovers_the_plain_best_response_gap():
     ds = uniform_dataset(250, seed=10, profile=profile)
     grid = make_grid(1, 0.1)
     est = estimate_ex_ante(ds, profile, full_partition(), grid, fpsb_game(), 0)
-    cur = np.mean([eval_fpsb(ds.vals[j, 0, 0], ds.bids[j, :, 0], 0)
+    cur = np.mean([utility(FPSB, ds.vals[j, 0, 0], ds.bids[j, :, 0], 0)
                    for j in range(len(ds))])
-    dev_means = [np.mean([eval_fpsb(ds.vals[j, 0, 0], [c, ds.bids[j, 1, 0]], 0)
+    dev_means = [np.mean([utility(FPSB, ds.vals[j, 0, 0],
+                                  [c, ds.bids[j, 1, 0]], 0)
                           for j in range(len(ds))]) for c in grid.axis]
     assert est.current_utility == pytest.approx(cur, abs=1e-12)
     assert est.value == pytest.approx(max(dev_means) - cur, abs=1e-12)
@@ -832,32 +844,3 @@ def test_ex_ante_means_are_within_their_rounding_bounds_of_the_exact_means():
 
             assert_within_rounding_bounds(est, game, ds, agent, part,
                                           exact_utils)
-
-
-# ----------------------------------------------------------- brute force
-
-
-def test_brute_force_best_response_known_instance():
-    bid, gain = brute_force_best_response(fpsb_game(), 1.0, [[0.5]], 1.0 / 16)
-    assert list(bid) == [0.5625]
-    assert gain == 0.4375
-    bid0, gain0 = brute_force_best_response(fpsb_game(), 0.0, [[0.5]], 1.0 / 16)
-    assert list(bid0) == [0.0] and gain0 == 0.0
-
-
-def test_brute_force_lattice_cap():
-    with pytest.raises(ValueError, match="resolution lattice exceeds size cap"):
-        brute_force_best_response(fpsb_game(), 1.0, [[0.5]], 1e-9)
-
-
-def test_brute_force_agrees_with_the_grid_deviation_term():
-    ds = uniform_dataset(300, seed=13)
-    grid = make_grid(1, 0.1)
-    est = estimate_ex_interim(ds, identity_profile(), grid, fpsb_game(), 0)
-    # same lattice -> the estimator's top-valuation deviation sup equals the
-    # brute-force sweep minus the current-strategy mean at that valuation
-    bf_bid, bf_gain = brute_force_best_response(
-        fpsb_game(), 1.0, ds.bids[:, 1:, 0], grid.step)
-    cur = np.mean([eval_fpsb(1.0, [1.0, ds.bids[j, 1, 0]], 0)
-                   for j in range(len(ds))])
-    assert est.per_point_gains[-1] == pytest.approx(bf_gain - cur, abs=1e-12)

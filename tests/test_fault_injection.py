@@ -54,7 +54,8 @@ ANTE = {
     "seed": 2,
 }
 
-REPLACEMENTS = [True, False, None, "0.5", -1, [], {}, 10**400]
+REPLACEMENTS = [True, False, None, "0.5", -1, [], {}, 10**400, float("inf"),
+                5e-324]
 NOT_NUMBERS = [True, False, "0.5", [], {}]
 
 

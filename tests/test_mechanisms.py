@@ -8,42 +8,67 @@ from hypothesis import strategies as st
 
 from bneverify import _kernels_py as kernels
 from bneverify import estimator
-from bneverify.mechanisms import (assignment_value, eval, eval_discriminatory,
-                                  eval_fpsb, eval_uniform_price,
-                                  multiunit_allocation, winner_determination)
+from bneverify.mechanisms import (assignment_value, eval, multiunit_allocation,
+                                  winner_determination)
 from bneverify.model import GameConfig, MechanismSpec
 from bneverify.oracle import exhaustive_wd
 
 
-def game(kind, n=2, **kw):
-    return GameConfig(n_agents=n, mechanism=MechanismSpec(kind=kind, **kw))
+def game(kind, n=2, utility_scale=0.0, **kw):
+    return GameConfig(n_agents=n, mechanism=MechanismSpec(kind=kind, **kw),
+                      utility_scale=utility_scale)
+
+
+def ex_post(config, theta_i, bids, i):
+    """eval's outcome of the bid profile when agent i values the units at
+    theta_i and every other agent values them at 0."""
+    bids = np.asarray(bids, dtype=np.float64).reshape(config.n_agents, -1)
+    theta = np.zeros_like(bids)
+    theta[i] = theta_i
+    return eval(config, theta, bids)
 
 
 # ------------------------------------------------------- single-item rule
 
 
+FPSB = game("first_price_single_item")
+
+
 def test_fpsb_highest_bid_wins_and_pays_own_bid():
-    assert eval_fpsb(0.8, [0.5, 0.4, 0.3], 0) == pytest.approx(0.3)
+    out = ex_post(game("first_price_single_item", n=3), 0.8, [0.5, 0.4, 0.3],
+                  0)
+    assert out.utilities[0] == pytest.approx(0.3)
+    assert out.allocation.tolist() == [[1.0], [0.0], [0.0]]
+    assert out.payments.tolist() == [0.5, 0.0, 0.0]
 
 
 def test_fpsb_exact_tie_loses():
-    assert eval_fpsb(0.8, [0.4, 0.4], 0) == 0.0
-    assert eval_fpsb(0.8, [0.4, 0.4], 1) == 0.0
+    for i in (0, 1):
+        out = ex_post(FPSB, 0.8, [0.4, 0.4], i)
+        assert out.utilities.tolist() == [0.0, 0.0]
+        assert out.allocation.tolist() == [[0.0], [0.0]]
+        assert out.payments.tolist() == [0.0, 0.0]
 
 
 def test_fpsb_winning_above_value_is_a_loss():
-    assert eval_fpsb(0.2, [0.5, 0.1], 0) == pytest.approx(-0.3)
+    out = ex_post(FPSB, 0.2, [0.5, 0.1], 0)
+    assert out.utilities[0] == pytest.approx(-0.3)
+    assert out.payments.tolist() == [0.5, 0.0]
 
 
 def test_fpsb_loser_gets_zero():
-    assert eval_fpsb(0.9, [0.3, 0.5], 0) == 0.0
+    out = ex_post(FPSB, 0.9, [0.3, 0.5], 0)
+    assert out.utilities[0] == 0.0
+    assert out.allocation.tolist() == [[0.0], [1.0]]
+    assert out.payments.tolist() == [0.0, 0.5]
 
 
 def test_fpsb_discontinuity_is_a_step_at_the_opponent_max():
     theta, opp = 0.9, 0.4
-    below = [eval_fpsb(theta, [b, opp], 0) for b in (0.1, 0.2, 0.39)]
+    below = [ex_post(FPSB, theta, [b, opp], 0).utilities[0]
+             for b in (0.1, 0.2, 0.39)]
     assert below == [0.0, 0.0, 0.0]
-    above = np.array([eval_fpsb(theta, [b, opp], 0)
+    above = np.array([ex_post(FPSB, theta, [b, opp], 0).utilities[0]
                       for b in (0.41, 0.5, 0.6)])
     # linear with slope -1 above the jump
     assert np.allclose(np.diff(above), np.diff([-0.41, -0.5, -0.6]))
@@ -177,46 +202,62 @@ def test_wd_keeps_the_best_suffix_when_rounding_ties_the_totals():
 def test_discriminatory_worked_example():
     bids = np.array([[0.8, 0.3], [0.6, 0.5]])
     # top-2 of all bids are 0.8 and 0.6: one unit each, paid at own bid
-    assert eval_discriminatory([1.0, 1.0], bids, 0, scale=1.0) == pytest.approx(1.0 - 0.8)
-    assert eval_discriminatory([1.0, 1.0], bids, 1, scale=1.0) == pytest.approx(1.0 - 0.6)
+    out = eval(game("discriminatory", units=2, utility_scale=1.0),
+               np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == pytest.approx([1.0 - 0.8, 1.0 - 0.6])
+    assert out.allocation.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert out.payments.tolist() == [0.8, 0.6]
     assert list(multiunit_allocation(bids)) == [1, 1]
 
 
 def test_discriminatory_zero_bidder_wins_nothing():
     bids = np.array([[0.0, 0.0], [0.6, 0.5]])
-    assert eval_discriminatory([0.9, 0.8], bids, 0) == 0.0
+    out = ex_post(game("discriminatory", units=2), [0.9, 0.8], bids, 0)
+    assert out.utilities[0] == 0.0
+    assert out.allocation.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert out.payments.tolist() == [0.0, 0.6 + 0.5]
     assert list(multiunit_allocation(bids)) == [0, 2]
 
 
 def test_uniform_price_worked_example():
     bids = np.array([[0.8, 0.3], [0.6, 0.5]])
-    # agent 0 wins one unit; price = max(own next bid 0.3, opponents' 0.5)
-    assert eval_uniform_price([1.0, 1.0], bids, 0, scale=1.0) == pytest.approx(1.0 - 0.5)
-    assert eval_uniform_price([1.0, 1.0], bids, 1, scale=1.0) == pytest.approx(1.0 - 0.5)
+    # agent 0 wins one unit; price = max(own next bid 0.3, opponents' 0.5);
+    # agent 1 wins one unit; price = max(own next bid 0.5, opponents' 0.3)
+    out = eval(game("uniform_price", units=2, utility_scale=1.0),
+               np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == [1.0 - 0.5, 1.0 - 0.5]
+    assert out.allocation.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert out.payments.tolist() == [0.5, 0.5]
 
 
 def test_uniform_price_sweep_against_zero_opponents_is_free():
     bids = np.array([[0.7, 0.6], [0.0, 0.0]])
     # winner of all units: both clearing-price candidates are out of range
-    assert eval_uniform_price([0.9, 0.8], bids, 0, scale=1.0) == pytest.approx(1.7)
+    out = ex_post(game("uniform_price", units=2, utility_scale=1.0),
+                  [0.9, 0.8], bids, 0)
+    assert out.utilities[0] == pytest.approx(1.7)
+    assert out.allocation.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    assert out.payments.tolist() == [0.0, 0.0]
 
 
 def test_multiunit_identical_bids_break_ties_toward_lower_agent_index():
     bids = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert list(multiunit_allocation(bids)) == [2, 0]
     # loser pays nothing; winner's clearing price is the highest losing bid
-    assert eval_uniform_price([1.0, 1.0], bids, 1, scale=1.0) == 0.0
-    assert eval_uniform_price([1.0, 1.0], bids, 0, scale=1.0) == pytest.approx(2.0 - 2 * 0.5)
+    out = eval(game("uniform_price", units=2, utility_scale=1.0),
+               np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == [2.0 - 2 * 0.5, 0.0]
+    assert out.allocation.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    assert out.payments.tolist() == [2 * 0.5, 0.0]
 
 
 def test_multiunit_rejects_increasing_bid_vectors():
     bids = np.array([[0.3, 0.5], [0.2, 0.1]])
     with pytest.raises(ValueError, match="non-monotone bid vector"):
         multiunit_allocation(bids)
-    with pytest.raises(ValueError, match="non-monotone bid vector"):
-        eval_discriminatory([0.9, 0.8], bids, 0)
-    with pytest.raises(ValueError, match="non-monotone bid vector"):
-        eval_uniform_price([0.9, 0.8], bids, 0)
+    for rule in ("discriminatory", "uniform_price"):
+        with pytest.raises(ValueError, match="non-monotone bid vector"):
+            ex_post(game(rule, units=2), [0.9, 0.8], bids, 0)
 
 
 def test_discriminatory_and_uniform_share_allocations():
@@ -372,17 +413,6 @@ def test_critical_bids_raise_senior_bids_to_the_next_float(bids, m):
 
 
 # ----------------------------------------------------------- eval dispatch
-
-
-def test_eval_dispatch_fpsb_matches_scalar_rule():
-    g = game("first_price_single_item", n=3)
-    theta = np.array([[0.9], [0.5], [0.2]])
-    bids = np.array([[0.4], [0.35], [0.1]])
-    out = eval(g, theta, bids)
-    want = [eval_fpsb(theta[i, 0], bids[:, 0], i) for i in range(3)]
-    assert np.allclose(out.utilities, want)
-    assert out.allocation.sum() == 1
-    assert out.payments[0] == pytest.approx(0.4)
 
 
 def test_eval_dispatch_combinatorial_quasilinear_identity():
