@@ -7,17 +7,22 @@ record order or on numpy's summation internals.
 Every rule but the combinatorial one uses critical bids (Lehmann,
 O'Callaghan and Shoham 2002). Against a record's fixed competing bids, the
 agent's slot mu wins exactly when its bid reaches that record's critical bid
-for the slot, so the critical bids are computed once per agent (or cell) and
-every candidate bid vector is then one comparison against them. Single-item
+for the slot, so the critical bids are computed once per agent and every
+candidate bid vector is then one comparison against them. Single-item
 first price is the one-slot case in which every opponent counts as senior.
 Uniform-price payments read the competitors' next bid from the record's
 competing bids, sorted once.
 
-The estimator no longer calls fpsb_win_counts, fpsb_point_utils,
-fpsb_dev_utils, multiunit_wins_fixed, multiunit_pay_disc_fixed or
-multiunit_pay_unif_fixed: first price runs through the slot kernels, and the
+The estimator calls multiunit_critical_bids and multiunit_competing_desc
+once per agent, and multiunit_wins_rows and multiunit_pay_unif_rows for the
+recorded bids' utilities. It no longer calls fpsb_win_counts,
+fpsb_point_utils, fpsb_dev_utils, multiunit_wins_fixed, won_sums (also
+named multiunit_pay_disc_rows and multiunit_pay_disc_fixed) or
+multiunit_pay_unif_fixed: first price runs through the slot kernels, the
 payment sums of constant bids come from win counts and prefix sums over the
-sorted critical bids, with no pass over the records per candidate. They stay
+sorted critical bids, with no pass over the records per candidate, and the
+estimator sums the recorded bids' values and payments slot by slot in place.
+won_sums stays as the reference that sum is tested against; the others stay
 only because the benchmark's tracer (perfbench/spans.py) looks up every name
 in its kernel list.
 """
@@ -56,7 +61,8 @@ def multiunit_critical_bids(opp, senior, m_units):
     (m_units - mu)-th largest raised bid, its critical bid; that is -inf when
     fewer bids compete. Critical bids rise with mu, so a non-increasing bid
     vector always wins its first slots. Single-item first price is the case
-    m_units = 1 with every opponent senior.
+    m_units = 1 with every opponent senior. The result is C-contiguous, so
+    row gathers read it in place.
     """
     opp = np.asarray(opp, dtype=np.float64)
     junior = ~np.asarray(senior, dtype=bool)
@@ -64,14 +70,17 @@ def multiunit_critical_bids(opp, senior, m_units):
     # mapped to +0.0; in place, and ten times faster than np.nextafter
     raised = opp + 0.0
     raised.view(np.int64)[...] += 1
-    raised[:, junior] = opp[:, junior]
+    if junior.any():
+        raised[:, junior] = opp[:, junior]
     # ascending: the last m_units columns are the critical bids, slot order
-    asc = np.sort(raised.reshape(raised.shape[0], -1), axis=1)
+    asc = raised.reshape(raised.shape[0], -1)
+    if asc.shape[1] > 1:
+        asc = np.sort(asc, axis=1)
     short = max(m_units - asc.shape[1], 0)
     if short:
         asc = np.concatenate(
             [np.full((asc.shape[0], short), -np.inf), asc], axis=1)
-    return asc[:, asc.shape[1] - m_units:]
+    return np.ascontiguousarray(asc[:, asc.shape[1] - m_units:])
 
 
 def multiunit_competing_desc(opp):
@@ -85,8 +94,15 @@ def multiunit_competing_desc(opp):
 def multiunit_wins_rows(own, crit):
     """Units won per record: the slots whose bid reaches the record's
     critical bid. own is one bid vector per record (N, m) or a single (m,)
-    vector against every record, here and in the payment kernels."""
-    return np.count_nonzero(crit <= own, axis=1)
+    vector against every record, here and in the payment kernels. One
+    comparison per slot, counted in place in the smallest unsigned type
+    that holds m."""
+    own = np.asarray(own, dtype=np.float64)
+    wins = (crit[:, 0] <= own[..., 0]).astype(
+        np.min_scalar_type(crit.shape[1]))
+    for mu in range(1, crit.shape[1]):
+        wins += crit[:, mu] <= own[..., mu]
+    return wins
 
 
 def won_sums(rows, wins):

@@ -11,7 +11,11 @@ only function here that reads the rule. A market gives the per-record
 utility of the recorded bids and, per candidate bid, allocation counts,
 payment sum and (ex ante) utility sum. Ex ante, each cell's market
 is a row subset of the agent's market (its rows method), so critical bids
-are computed once per agent, not once per cell.
+are computed once per agent, not once per cell. A slots subset gathers
+only what outcomes reads: the critical bids, and under uniform price the
+competing bids. The recorded bids are read once per agent, by utilities,
+and the agent's values once, as a contiguous array the cells take rows
+from.
 
   * Slots (first price, discriminatory, uniform price): against a record's
     competing bids, the agent's slot mu wins exactly when its bid reaches
@@ -41,7 +45,9 @@ P_j is the float sum of the first j bids); first price is its one-term
 case. Uniform price, it adds exact prefix sums of the competing bids. A
 combinatorial winner pays the candidate's own bid for its bundle, so the
 sum is over bundles b of n_b * bid_b.
-Combinatorial utility sums are math.fsum over the per-record values. The
+Combinatorial utility sums are math.fsum over the per-record values. A
+slot record's utility under the recorded bids sums the value won and the
+payment over its won slots, each left to right, and subtracts once. The
 current strategy's mean utility is an exact sum bucketed by binary exponent
 (_exact_sum) and rounded once, which equals math.fsum over the per-record
 values bit for bit. Argmax ties break toward the lexicographically smallest
@@ -156,22 +162,25 @@ def _record_mean(values: np.ndarray, n_rec: int) -> float:
     return _exact_sum(values) / n_rec
 
 
-def _sort_ties(keys: np.ndarray, tie: np.ndarray) -> np.ndarray:
-    """Order sorting keys ascending, each run of equal keys ordered by tie.
+def _sort_ties(keys: np.ndarray, tie: np.ndarray):
+    """Order sorting keys ascending, each run of equal keys ordered by tie;
+    returns the order and the keys in it.
 
-    This is np.lexsort((tie, keys)) up to swaps of records equal in both,
-    but only the records in tied runs are sorted a second time.
+    The order is np.lexsort((tie, keys)) up to swaps of records equal in
+    both, but only the records in tied runs are sorted a second time.
     """
     order = np.argsort(keys)
-    ranked = keys[order]
-    start = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+    ranked = keys.take(order)
+    start = np.empty(len(ranked), dtype=bool)
+    start[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=start[1:])
     if start.all():
-        return order
+        return order, ranked
     # positions in runs of two or more; a run's id is its start's rank
     pos = np.flatnonzero(~(start & np.append(start[1:], True)))
     run = np.cumsum(start)[pos]
     order[pos] = order[pos][np.lexsort((tie[order[pos]], run))]
-    return order
+    return order, ranked   # a tied run holds equal keys in any order
 
 
 # a non-negative float is an integer multiple of 2**-1074, the smallest
@@ -224,6 +233,26 @@ def _exact_prefix_sums(values: np.ndarray):
                        count=len(ints) + 1), shift
 
 
+def _slot_sums(rows, wins):
+    """Per record r, the sum of rows[r, :max(wins[r], 1)], added left to
+    right in place: slot mu's entries are added where wins > mu (for one
+    slot, a view of rows). Where wins > 0 these are the floats of
+    kernels.won_sums(rows, wins); where wins == 0 the caller zeroes them.
+    """
+    total = rows[:, 0] if rows.shape[1] == 1 else rows[:, 0].copy()
+    for mu in range(1, rows.shape[1]):
+        np.add(total, rows[:, mu], out=total, where=wins > mu)
+    return total
+
+
+def _zero_unless(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """np.where(keep, values, 0.0) bit for bit, in place: a bitwise and of
+    each float with all ones or all zeros, with no branch per element."""
+    bits = values.view(np.int64)
+    np.bitwise_and(bits, -keep.view(np.int8), out=bits)
+    return values
+
+
 class _Slots:
     """Agent's m slots against every record's competing bids.
 
@@ -233,7 +262,8 @@ class _Slots:
     those with a critical bid <= b[mu]. Winners pay as bid, or the uniform
     price read off comp, the competing bids sorted per record (None for pay
     as bid). Outcomes of constant bids are lookups into the records sorted
-    once per slot.
+    once per slot. own, the recorded bids, is read by utilities alone, so
+    the row views that outcomes runs on leave it out (None).
     """
 
     def __init__(self, own, crit, comp, units, scale):
@@ -244,39 +274,58 @@ class _Slots:
         self.scale = scale
 
     def rows(self, idx):
-        """The market of the records idx alone: a gather of each record's
-        own bids, critical bids and competing bids, with nothing cached."""
-        return _Slots(self.own[idx], self.crit[idx],
-                      None if self.comp is None else self.comp[idx],
-                      self.units, self.scale)
+        """The market of the records idx alone, for outcomes: a gather of
+        each record's critical bids (and competing bids, uniform price),
+        with nothing cached and no own bids."""
+        comp = None if self.comp is None else self.comp.take(idx, axis=0)
+        return _Slots(None, self.crit.take(idx, axis=0), comp, self.units,
+                      self.scale)
 
     def utilities(self, vals):
-        """Per-record normalized utility of the recorded bids."""
+        """Per-record normalized utility of the recorded bids: the value won
+        minus the payment, each summed slot by slot, subtracted once."""
         wins = kernels.multiunit_wins_rows(self.own, self.crit)
+        won = _slot_sums(vals, wins)
         if self.comp is None:
-            pay = kernels.multiunit_pay_disc_rows(self.own, wins)
+            paid = _slot_sums(self.own, wins)
         else:
-            pay = kernels.multiunit_pay_unif_rows(self.own, self.comp, wins,
-                                                  self.units)
-        return (kernels.won_sums(vals, wins) - pay) / self.scale
+            paid = kernels.multiunit_pay_unif_rows(self.own, self.comp, wins,
+                                                   self.units)
+        util = _zero_unless(won - paid, wins > 0)
+        util /= self.scale
+        return util
 
     def outcomes(self, cands, vals=None):
         """Allocation counts (K, m) and payment sums (K,) of constant bids,
         and given the records' values (N, m) their summed normalized
-        utilities (K,), else None."""
-        if vals is None:
-            cols = np.sort(self.crit, axis=0).T
-        else:
-            # a slot's winners are a prefix of the records sorted by critical
-            # bid; tied runs are ordered by own marginal value
-            orders = [_sort_ties(self.crit[:, mu], vals[:, mu])
-                      for mu in range(self.units)]
-            cols = [self.crit[order, mu] for mu, order in enumerate(orders)]
-        counts = np.stack(
-            [np.searchsorted(col, cands[:, mu], side="right")
-             for mu, col in enumerate(cols)], axis=1)
+        utilities (K,), else None.
+
+        Each slot's critical bids (and values) are read as one contiguous
+        column. Given values, a slot's winners are a prefix of the records
+        sorted by critical bid, tied runs ordered by own marginal value, and
+        the value they win is read off one array of prefix sums, reused
+        slot by slot.
+        """
+        crit = np.ascontiguousarray(self.crit.T)
+        counts = np.empty(cands.shape, dtype=np.intp)
+        if vals is not None:
+            vals = np.ascontiguousarray(vals.T)
+            prefix = np.empty(len(self.crit) + 1)
+            prefix[0] = 0.0
+        for mu in range(self.units):
+            if vals is None:
+                ranked = np.sort(crit[mu])
+            else:
+                order, ranked = _sort_ties(crit[mu], vals[mu])
+            counts[:, mu] = np.searchsorted(ranked, cands[:, mu],
+                                            side="right")
+            if vals is not None:
+                np.cumsum(vals[mu].take(order), out=prefix[1:])
+                slot_won = prefix.take(counts[:, mu])
+                won = slot_won if mu == 0 else won + slot_won  # slot by slot
         # exactly j units are won by exact[:, j-1] records
-        exact = counts - np.pad(counts[:, 1:], ((0, 0), (0, 1)))
+        exact = counts.copy()
+        exact[:, :-1] -= counts[:, 1:]
         if self.comp is None:
             # each paying the float sum of the first j bids
             pays = _count_weighted_sums(exact, np.cumsum(cands, axis=1))
@@ -284,9 +333,6 @@ class _Slots:
             pays = self._uniform_pay_sums(cands, counts, exact)
         if vals is None:
             return counts, pays, None
-        won = [np.concatenate([[0.0], np.cumsum(vals[order, mu])])[count]
-               for mu, (order, count) in enumerate(zip(orders, counts.T))]
-        won = sum(won[1:], won[0])  # slot by slot
         return counts, pays, (won - pays) / self.scale
 
     @cached_property
@@ -298,7 +344,7 @@ class _Slots:
         out = []
         for j in range(1, self.units + 1):
             x = self.comp[:, self.units - j]
-            x = x[_sort_ties(self.crit[:, j - 1], x)]
+            x = x.take(_sort_ties(self.crit[:, j - 1], x)[0])
             out.append((x, *_exact_prefix_sums(j * x)))
         return out
 
@@ -312,7 +358,8 @@ class _Slots:
         already loses slot j, and c <= b[j-1]: one contiguous range. Every
         other record winning j units pays fl(j*b[j]).
         """
-        below = np.pad(cands[:, 1:], ((0, 0), (0, 1)))   # b[j], b[m] = 0
+        below = np.zeros_like(cands)   # b[j], b[m] = 0
+        below[:, :-1] = cands[:, 1:]
         rest = exact.copy()   # records paying fl(j*b[j]), per j
         total = 0   # units of 2**-1074
         for j, (x, prefix, shift) in enumerate(self._uniform_prefixes,
@@ -452,10 +499,12 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
     if kind == "first_price_combinatorial":
         return _Bundles(bids, agent, config.mechanism.items, scale)
     multiunit = kind in ("discriminatory", "uniform_price")
-    senior = [j < agent or not multiunit
-              for j in range(bids.shape[1]) if j != agent]
+    n = bids.shape[1]
+    senior = [j < agent or not multiunit for j in range(n) if j != agent]
     units = config.mechanism.bid_dim
-    opp = np.delete(bids, agent, axis=1)
+    # the opponents' bids: a view unless the agent sits between two of them
+    opp = (bids[:, 1:] if agent == 0 else bids[:, :-1] if agent == n - 1
+           else np.delete(bids, agent, axis=1))
     return _Slots(bids[:, agent],
                   kernels.multiunit_critical_bids(opp, senior, units),
                   kernels.multiunit_competing_desc(opp)
@@ -589,7 +638,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     flags = []
 
     market = _market(config, ds.bids, agent)
-    vals = ds.vals[:, agent]
+    vals = np.ascontiguousarray(ds.vals[:, agent])
     current = _record_mean(market.utilities(vals), n_rec)
 
     br_terms = []
@@ -603,7 +652,8 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             br_terms.append({"cell": k, "n_records": 0, "weight": 0.0,
                              "best_bid": None, "br_mean": 0.0})
             continue
-        means = market.rows(idx).outcomes(candidates, vals[idx])[2] / n_cell
+        means = market.rows(idx).outcomes(
+            candidates, vals.take(idx, axis=0))[2] / n_cell
         best = int(np.argmax(means))  # first maximum = lexicographic tie-break
         br_terms.append({
             "cell": k,

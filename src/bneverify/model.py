@@ -143,9 +143,10 @@ class Dataset:
 
 
 def _in_unit_range(arr: np.ndarray) -> bool:
-    """Whether every coordinate lies in [0, 1], in one pass; a NaN fails
-    both comparisons."""
-    return bool(np.all((arr >= 0.0) & (arr <= 1.0)))
+    """Whether every coordinate lies in [0, 1]: one min scan, then one max
+    scan, with no temporaries. Both propagate a NaN, which fails the
+    comparison; a zero-size array holds no coordinate out of range."""
+    return not arr.size or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
 
 
 _DATASET_FIELDS = ("obs", "vals", "bids")

@@ -120,10 +120,13 @@ class PiecewiseLinearMonotone(Strategy):
         return np.interp(np.asarray(o, dtype=np.float64), self.xs, self.ys)
 
     def lipschitz_constants(self):
-        slopes = np.diff(self.ys) / np.diff(self.xs)
-        if np.any(slopes <= 0.0):
-            raise ValueError("not bi-Lipschitz: zero slope segment")
-        return (float(slopes.max()), float(1.0 / slopes.min()))
+        # a subnormal run or slope overflows to an infinite constant, which
+        # is the honest bound, so numpy's overflow warning is off here
+        with np.errstate(over="ignore"):
+            slopes = np.diff(self.ys) / np.diff(self.xs)
+            if np.any(slopes <= 0.0):
+                raise ValueError("not bi-Lipschitz: zero slope segment")
+            return (float(slopes.max()), float(1.0 / slopes.min()))
 
 
 def pushforward_density_bound(kappa: float, strategies, dim: int = 1) -> float:

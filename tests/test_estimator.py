@@ -720,7 +720,8 @@ def test_ex_ante_builds_one_market_per_agent(monkeypatch):
 
 def test_row_subsets_match_markets_built_from_the_subset():
     # a subset's market gathers the whole market's rows; a uniform-price
-    # view must not reuse the whole market's cached prefix sums
+    # view must not reuse the whole market's cached prefix sums. A slots
+    # view carries no own bids, so utilities are read off the whole market
     multiunit = IndependentProduct([[Uniform(), Uniform()]] * 3,
                                    sort_desc=True)
     cases = [(fpsb_game(), correlated_dataset(300, seed=33), 1),
@@ -740,11 +741,49 @@ def test_row_subsets_match_markets_built_from_the_subset():
             view = whole.rows(idx)
             own = estimator._market(game, ds.bids[idx], agent)
             vals = ds.vals[idx, agent]
-            assert np.array_equal(view.utilities(vals), own.utilities(vals))
+            assert np.array_equal(whole.utilities(ds.vals[:, agent])[idx],
+                                  own.utilities(vals))
             got = view.outcomes(cands) + view.outcomes(cands, vals)
             want = own.outcomes(cands) + own.outcomes(cands, vals)
             for g, w in zip(got, want):
                 assert (g is None and w is None) or np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind, units", [
+    ("first_price_single_item", 1), ("discriminatory", 1),
+    ("discriminatory", 2), ("discriminatory", 3)])
+def test_pay_as_bid_current_utility_matches_the_kernel_formula(kind, units):
+    # a lattice with tied critical bids and values, signed zeros, 0 and 1,
+    # and entries whose sums round, so the order of the additions shows
+    lattice = np.array([-0.0, -0.0, 0.0, 0.0, 0.1, 0.2, 1 / 3, 0.7, 1.0])
+    rng = np.random.Generator(np.random.Philox(41 + units))
+    shape = (3000, 3, units)
+    vals = lattice[rng.integers(0, len(lattice), shape)]
+    bids = np.sort(lattice[rng.integers(0, len(lattice), shape)],
+                   axis=2)[..., ::-1]
+    ds = Dataset(vals, vals, bids)
+    mech = (MechanismSpec(kind=kind) if kind == "first_price_single_item"
+            else MechanismSpec(kind=kind, units=units))
+    game = GameConfig(n_agents=3, mechanism=mech)
+    won_sums = estimator.kernels.won_sums
+    signed_zeros = 0
+    # multi-unit, agent 2 is junior to both opponents, agent 1 to one and
+    # agent 0 to none; first price counts every opponent as senior
+    for agent in range(3):
+        others = [j for j in range(3) if j != agent]
+        senior = [kind == "first_price_single_item" or j < agent
+                  for j in others]
+        crit = estimator.kernels.multiunit_critical_bids(bids[:, others],
+                                                         senior, units)
+        own = bids[:, agent]
+        wins = np.count_nonzero(crit <= own, axis=1)
+        want = ((won_sums(vals[:, agent], wins) - won_sums(own, wins))
+                / game.utility_scale)
+        got = profile_point_utilities(game, ds, agent)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        signed_zeros += np.count_nonzero(np.signbit(want) & (want == 0.0))
+    # -0.0 - 0.0 = -0.0: won at a zero bid, which beats only junior bids
+    assert signed_zeros > 0 or kind == "first_price_single_item"
 
 
 def test_record_order_does_not_change_any_estimate():

@@ -4,9 +4,11 @@ in a normal exit, with any config error naming its field."""
 import copy
 import json
 import re
+import warnings
 
 import pytest
 
+from bneverify.bounds import FLAG_WIDTH_RANGE
 from bneverify.cli import main
 
 UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
@@ -105,3 +107,19 @@ def test_every_replaced_leaf_exits_normally(tmp_path, capsys, raw, path):
             assert re.split(r"[.\[]", named.group(1))[0] in raw, (value, err)
         if held_number and value in NOT_NUMBERS:
             assert code == 2, (value, code)
+
+
+def test_subnormal_slope_runs_without_a_numpy_warning(tmp_path):
+    # the strategy's only slope is 5e-324, so its inverse Lipschitz bound
+    # overflows to inf: the run goes on, flagged, and numpy stays silent
+    raw = replaced(ANTE, ("strategies", 1, "params", "ys", 1), 5e-324)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all(FLAG_WIDTH_RANGE in agent["flags"]
+               for agent in report["agents"])

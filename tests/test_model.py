@@ -1,4 +1,5 @@
 """Core types: grids, datasets, partitions, hashes."""
+import itertools
 import json
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bneverify import model
 from bneverify.model import (Cell, Dataset, GameConfig, Grid, MechanismSpec,
                              Partition, canonical_json, config_hash,
                              file_hash, load_dataset, make_grid, save_dataset,
@@ -167,6 +169,19 @@ def test_dataset_validate_range_and_shape():
         Dataset(arr, arr, bad).validate(game)
     with pytest.raises(ValueError, match="does not match config"):
         Dataset(np.full((2, 2, 2), 0.5), arr, arr).validate(game)
+
+
+def test_unit_range_scan_agrees_with_two_comparisons():
+    # the min/max scan against the elementwise form it replaced
+    edges = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 1.0,
+             float(np.nextafter(1.0, 2.0)), 5e-324, -5e-324, 2.0 ** -1060,
+             float(np.nextafter(0.0, -1.0))]
+    arrays = [np.array(pair).reshape(2, 1, 1)
+              for pair in itertools.product(edges, repeat=2)]
+    arrays += [np.zeros(shape) for shape in ((0,), (0, 2, 1), (3, 0, 1))]
+    for arr in arrays:
+        want = bool(np.all((arr >= 0.0) & (arr <= 1.0)))
+        assert model._in_unit_range(arr) is want, arr
 
 
 def test_dataset_file_round_trip_is_bit_exact(tmp_path):

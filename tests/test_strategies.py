@@ -1,5 +1,6 @@
 """Bid maps, their slope certificates, and density propagation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,16 @@ def test_slope_certificates_hold_pointwise(strategy, x, y):
     assert abs(x - y) <= l_inv * abs(fx - fy) + 1e-12
     if x < y:
         assert fx <= fy  # monotone
+
+
+def test_subnormal_slopes_give_infinite_constants_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flat = PiecewiseLinearMonotone(xs=[0.0, 1.0], ys=[0.0, 5e-324])
+        assert flat.lipschitz_constants() == (5e-324, math.inf)
+        steep = PiecewiseLinearMonotone(xs=[0.0, 5e-324, 1.0],
+                                        ys=[0.0, 0.5, 1.0])
+        assert steep.lipschitz_constants() == (math.inf, 2.0)
 
 
 def test_uncertified_flag_constant_is_stable():
