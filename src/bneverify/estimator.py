@@ -46,9 +46,9 @@ case. Uniform price, it adds exact prefix sums of the competing bids. A
 combinatorial winner pays the candidate's own bid for its bundle, so the
 sum is over bundles b of n_b * bid_b.
 Combinatorial utility sums are math.fsum over the per-record values. A
-slot record's utility under the recorded bids sums the value won and the
-payment over its won slots, each left to right, and subtracts once. The
-current strategy's mean utility is an exact sum bucketed by binary exponent
+slot record's utility under the recorded bids sums the value won over its
+won slots, left to right (pay as bid, its bids the same way), and
+subtracts the payment once. The current strategy's mean utility is an exact sum bucketed by binary exponent
 (_exact_sum) and rounded once, which equals math.fsum over the per-record
 values bit for bit. Argmax ties break toward the lexicographically smallest
 grid point.
