@@ -282,8 +282,9 @@ class _Slots:
                       self.scale)
 
     def utilities(self, vals):
-        """Per-record normalized utility of the recorded bids: the value won
-        minus the payment, each summed slot by slot, subtracted once."""
+        """Per-record normalized utility of the recorded bids: the value won,
+        summed slot by slot, minus the payment (pay as bid, the bids summed
+        the same way), subtracted once."""
         wins = kernels.multiunit_wins_rows(self.own, self.crit)
         won = _slot_sums(vals, wins)
         if self.comp is None:
