@@ -9,13 +9,15 @@
 Both run on one market view of the records per agent, built by _market, the
 only function here that reads the rule. A market gives the per-record
 utility of the recorded bids and, per candidate bid, allocation counts,
-payment sum and (ex ante) utility sum. Ex ante, each cell's market
-is a row subset of the agent's market (its rows method), so critical bids
-are computed once per agent, not once per cell. A slots subset gathers
-only what outcomes reads: the critical bids, and under uniform price the
-competing bids. The recorded bids are read once per agent, by utilities,
-and the agent's values once, as a contiguous array the cells take rows
-from.
+payment sum and (ex ante) utility sum, all decided by one per-record
+table that _market builds once per agent (the critical bids of a slots
+market, the opponents' best totals W of a bundles market); nothing is
+cached. Ex ante, each cell's market is a row subset of the agent's market
+(its rows method), a gather of what outcomes reads: the table, and under
+uniform price the competing bids. The recorded bids are read once per
+agent, by utilities, and the agent's values once, as a contiguous array
+the cells take rows from. Ex interim, one outcomes call per agent serves
+the candidates and the current strategy's bids, stacked.
 
   * Slots (first price, discriminatory, uniform price): against a record's
     competing bids, the agent's slot mu wins exactly when its bid reaches
@@ -24,10 +26,10 @@ from.
     every opponent counts as senior, so exact ties lose.
   * Bundles (combinatorial): one solve over the records without the agent
     gives, per record, the opponents' best total W[S] once the agent takes
-    bundle S. A candidate then takes the argmax of declining (W[0]) and
-    taking S (its bid for S plus W[S]), found one option at a time over
-    blocks of about _PAIR_BLOCK (candidate, record) pairs. Only the
-    profiles whose top two options lie within rounding of each other go to
+    bundle S. A bid then takes the argmax of declining (W[0]) and taking S
+    (its bid for S plus W[S]), one option at a time: all recorded bids at
+    once, candidates over blocks of about _PAIR_BLOCK (candidate, record)
+    pairs. Profiles whose top two options lie within rounding go to
     winner_determination, so every choice is the solver's (see _Bundles).
 
 Determinism contract: every mean over records is fixed by the multiset of
@@ -48,15 +50,14 @@ sum is over bundles b of n_b * bid_b.
 Combinatorial utility sums are math.fsum over the per-record values. A
 slot record's utility under the recorded bids sums the value won over its
 won slots, left to right (pay as bid, its bids the same way), and
-subtracts the payment once. The current strategy's mean utility is an exact sum bucketed by binary exponent
-(_exact_sum) and rounded once, which equals math.fsum over the per-record
-values bit for bit. Argmax ties break toward the lexicographically smallest
-grid point.
+subtracts the payment once. The current strategy's mean utility is an
+exact sum bucketed by binary exponent (_exact_sum) and rounded once, which
+equals math.fsum over the per-record values bit for bit. Argmax ties break
+toward the lexicographically smallest grid point.
 """
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -266,11 +267,11 @@ class _Slots:
     the row views that outcomes runs on leave it out (None).
     """
 
-    def __init__(self, own, crit, comp, units, scale):
+    def __init__(self, own, crit, comp, scale):
         self.own = own
         self.crit = crit
         self.comp = comp
-        self.units = units
+        self.units = crit.shape[1]
         self.scale = scale
 
     def rows(self, idx):
@@ -278,8 +279,7 @@ class _Slots:
         each record's critical bids (and competing bids, uniform price),
         with nothing cached and no own bids."""
         comp = None if self.comp is None else self.comp.take(idx, axis=0)
-        return _Slots(None, self.crit.take(idx, axis=0), comp, self.units,
-                      self.scale)
+        return _Slots(None, self.crit.take(idx, axis=0), comp, self.scale)
 
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids: the value won,
@@ -336,35 +336,25 @@ class _Slots:
             return counts, pays, None
         return counts, pays, (won - pays) / self.scale
 
-    @cached_property
-    def _uniform_prefixes(self):
-        """Per j = 1..m, over the records sorted by critical bid for slot
-        j-1 with ties ordered by x, the competing bid comp[:, m-j]: the x
-        values, ascending in this order too, and the prefix sums of fl(j*x)
-        as exact ints with their shift (see _exact_ints)."""
-        out = []
-        for j in range(1, self.units + 1):
-            x = self.comp[:, self.units - j]
-            x = x.take(_sort_ties(self.crit[:, j - 1], x)[0])
-            out.append((x, *_exact_prefix_sums(j * x)))
-        return out
-
     def _uniform_pay_sums(self, cands, counts, exact):
         """Exact uniform-price payment sums, rounded once.
 
         A record winning exactly j units pays fl(j*max(b[j], x)), with b[m]
         taken as 0 and x its competing bid comp[r, m-j]. The critical bid c
         for slot j-1 is x or the next float above it (a senior bid is raised
-        by one float), so in the order of (c, x) both rise. The records paying fl(j*x) have x > b[j], which
-        already loses slot j, and c <= b[j-1]: one contiguous range. Every
-        other record winning j units pays fl(j*b[j]).
+        by one float), so in the order of (c, x) both rise. The records
+        paying fl(j*x) have x > b[j], which already loses slot j, and
+        c <= b[j-1]: one contiguous range, a difference of prefix sums.
+        Every other record winning j units pays fl(j*b[j]).
         """
         below = np.zeros_like(cands)   # b[j], b[m] = 0
         below[:, :-1] = cands[:, 1:]
         rest = exact.copy()   # records paying fl(j*b[j]), per j
         total = 0   # units of 2**-1074
-        for j, (x, prefix, shift) in enumerate(self._uniform_prefixes,
-                                               start=1):
+        for j in range(1, self.units + 1):
+            x = self.comp[:, self.units - j]
+            x = x.take(_sort_ties(self.crit[:, j - 1], x)[0])
+            prefix, shift = _exact_prefix_sums(j * x)
             hi = counts[:, j - 1]
             lo = np.minimum(np.searchsorted(x, below[:, j - 1], side="right"),
                             hi)
@@ -378,13 +368,14 @@ class _Bundles:
     """Agent's bundle bids in the combinatorial auction.
 
     Fix the opponents' bids of one record and let W[S] be their best total
-    once the agent takes bundle S, W[0] also when it declines (one
-    best_total_tables solve over the records without the agent). A constant
-    bid c then takes the argmax of the 2**items + 1 options: decline,
-    scoring W[0], or take S, scoring c[S] + W[S] (the critical values of
-    Lehmann, O'Callaghan and Shoham 2002). Where the top option beats the
-    runner-up by no more than 8(n+1) * 2**-52 * max(1, top), the profile
-    goes to winner_determination itself, so every choice is the solver's.
+    once the agent takes bundle S, W[0] also when it declines (totals, one
+    best_total_tables solve over the records without the agent). A bid c,
+    recorded or constant, takes the argmax of the 2**items + 1 options:
+    decline, scoring W[0], or take S, scoring c[S] + W[S] (the critical
+    values of Lehmann, O'Callaghan and Shoham 2002). Where the top option
+    beats the runner-up by no more than 8(n+1) * 2**-52 * max(1, top), the
+    profile goes to winner_determination itself, so every choice is the
+    solver's.
 
     Why the band suffices: every total is a recursive float sum of at most
     n bids in [0, 1], the solver's from the last agent backwards, so within
@@ -399,22 +390,18 @@ class _Bundles:
     outside it the top option is the solver's choice.
     """
 
-    def __init__(self, bids, agent, items, scale):
+    def __init__(self, bids, totals, agent, items, scale):
         self.bids = bids
+        self.totals = totals   # W, (2**items, N)
         self.agent = agent
         self.items = items
         self.scale = scale
 
-    @cached_property
-    def _opponent_totals(self):
-        """W, an (2**items, N) array: W[S, r] is the opponents' best total
-        in record r once the agent takes bundle S."""
-        return best_total_tables(np.delete(self.bids, self.agent, axis=1),
-                                 self.items)[0]
-
     def rows(self, idx):
-        """The market of the records idx alone."""
-        return _Bundles(self.bids[idx], self.agent, self.items, self.scale)
+        """The market of the records idx alone: a gather of their bids and
+        their columns of W."""
+        return _Bundles(self.bids[idx], self.totals[:, idx], self.agent,
+                        self.items, self.scale)
 
     def _utilities(self, choice, paid, vals):
         """Normalized utilities of the agent's bundle choices (-1 for none),
@@ -425,16 +412,17 @@ class _Bundles:
 
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids."""
-        choice = winner_determination(self.bids, self.items)[:, self.agent]
-        paid = self.bids[np.arange(len(self.bids)), self.agent,
-                         np.maximum(choice, 0)]
+        own = self.bids[:, self.agent]
+        choice = self._choices(own.T[None])[0]
+        paid = own[np.arange(len(own)), np.maximum(choice, 0)]
         return self._utilities(choice, paid, vals)
 
     def _choices(self, block):
-        """The agent's bundle in every record (-1 for none) under each
-        constant bid of block, (K, N), from the options above; profiles in
-        the band go to winner_determination in one call."""
-        totals = self._opponent_totals
+        """The agent's bundle in every record (-1 for none), (K, N), from
+        the options above, under the bids of block: (K, 2**items, 1) for K
+        constant bids, or (1, 2**items, N) for one bid per record. Profiles
+        in the band go to winner_determination in one call."""
+        totals = self.totals
         n_bundles, n_rec = totals.shape
         shape = (len(block), n_rec)
         top = np.repeat(totals[:1], len(block), axis=0)   # decline
@@ -444,7 +432,7 @@ class _Bundles:
         take, lower = np.empty(shape), np.empty(shape)
         better = np.empty(shape, dtype=bool)
         for bundle in range(n_bundles):
-            np.add(block[:, bundle, None], totals[bundle], out=take)
+            np.add(block[:, bundle], totals[bundle], out=take)
             np.minimum(top, take, out=lower)
             np.maximum(runner_up, lower, out=runner_up)
             np.greater(take, top, out=better)
@@ -458,7 +446,8 @@ class _Bundles:
         if len(near):
             k, r = np.divmod(near, n_rec)
             profiles = self.bids[r]
-            profiles[:, self.agent] = block[k]
+            profiles[:, self.agent] = np.broadcast_to(
+                block, (len(block), n_bundles, n_rec))[k, :, r]
             choice.flat[near] = winner_determination(
                 profiles, self.items)[:, self.agent]
         return choice
@@ -477,7 +466,7 @@ class _Bundles:
         step = max(1, _PAIR_BLOCK // len(self.bids))
         for lo in range(0, len(cands), step):
             block = cands[lo:lo + step]
-            choice = self._choices(block)
+            choice = self._choices(block[:, :, None])
             for bundle in range(cands.shape[1]):
                 counts[lo:lo + len(block), bundle] = np.count_nonzero(
                     choice == bundle, axis=1)
@@ -498,7 +487,9 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
     kind = config.mechanism.kind
     scale = config.utility_scale
     if kind == "first_price_combinatorial":
-        return _Bundles(bids, agent, config.mechanism.items, scale)
+        items = config.mechanism.items
+        totals = best_total_tables(np.delete(bids, agent, axis=1), items)[0]
+        return _Bundles(bids, totals, agent, items, scale)
     multiunit = kind in ("discriminatory", "uniform_price")
     n = bids.shape[1]
     senior = [j < agent or not multiunit for j in range(n) if j != agent]
@@ -510,7 +501,7 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
                   kernels.multiunit_critical_bids(opp, senior, units),
                   kernels.multiunit_competing_desc(opp)
                   if kind == "uniform_price" else None,
-                  units, scale)
+                  scale)
 
 
 def profile_point_utilities(config: GameConfig, ds: Dataset, agent: int) -> np.ndarray:
@@ -555,19 +546,21 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
     n_rec = len(ds)
 
     market = _market(config, ds.bids, agent)
-    counts, pay_sums, _ = market.outcomes(candidates)
-    mean_alloc = counts / n_rec
-    mean_pay = pay_sums / n_rec
+    bids = candidates
+    if profile is not None:   # the current bids follow the candidates
+        bids = np.concatenate([candidates, np.column_stack(
+            [np.asarray(profile[agent].apply(theta_pts[:, d]), dtype=np.float64)
+             for d in range(theta_pts.shape[1])])])
+    counts, pay_sums, _ = market.outcomes(bids)
+    n_cand = len(candidates)
+    mean_alloc = counts[:n_cand] / n_rec
+    mean_pay = pay_sums[:n_cand] / n_rec
 
     if profile is not None:
-        cur_bids = np.column_stack(
-            [np.asarray(profile[agent].apply(theta_pts[:, d]), dtype=np.float64)
-             for d in range(theta_pts.shape[1])])
-        cur_counts, cur_pay_sums, _ = market.outcomes(cur_bids)
         cur = np.zeros(theta_pts.shape[0], dtype=np.float64)
         for d in range(theta_pts.shape[1]):
-            cur += theta_pts[:, d] * (cur_counts[:, d] / n_rec)
-        cur = (cur - cur_pay_sums / n_rec) / H
+            cur += theta_pts[:, d] * (counts[n_cand:, d] / n_rec)
+        cur = (cur - pay_sums[n_cand:] / n_rec) / H
     else:
         flags.append(FLAG_DEGRADED)
         point_utils = market.utilities(ds.vals[:, agent])

@@ -258,8 +258,8 @@ def _check_dataset_ranges(numbers, line_nos, shape, sorted_bids: bool):
 def load_dataset(path, config: GameConfig) -> Dataset:
     """Read a JSON-lines dataset file and validate it against config.
 
-    An optional first line without an "obs" key is treated as a header
-    carrying the generator seed and config hash. Every record must hold
+    An optional first line with none of the keys obs, vals and bids is a
+    header carrying the generator seed and config hash. Every record must hold
     per-agent lists of JSON numbers in the config's shape; each is appended
     to one flat list of numbers, converted once at the end. Under a
     multi-unit rule with more than one unit, each recorded bid vector must
@@ -282,7 +282,7 @@ def load_dataset(path, config: GameConfig) -> Dataset:
                 if not isinstance(row, dict):
                     raise ValueError(
                         f"malformed row, line {line_no}: not a JSON object")
-                if "obs" not in row and line_no == 1:
+                if line_no == 1 and not row.keys() & _DATASET_FIELDS:
                     seed = row.get("seed")
                     continue
                 record = _record_numbers(row, *shape)

@@ -281,6 +281,8 @@ def test_unsorted_multi_unit_prior_is_rejected(tmp_path, capsys):
     ("malformed", "malformed row, line 2: bids is not an array of numbers"),
     ("common_values", "ex interim estimation requires private values"),
     ("huge", "bids coordinate out of range, line 2"),
+    # a first line with record fields is a record, not a header
+    ("first_lacks_obs", "malformed row, line 1: missing 'obs'"),
 ])
 def test_dataset_faults_exit_2_naming_the_dataset(tmp_path, capsys, fault,
                                                   message):
@@ -293,6 +295,8 @@ def test_dataset_faults_exit_2_naming_the_dataset(tmp_path, capsys, fault,
         rows = [row, dict(row, vals=[[0.6], [0.6]])]
     elif fault == "huge":   # beyond the float range
         rows = [row, dict(row, bids=[[10**400], [0.2]])]
+    elif fault == "first_lacks_obs":
+        rows = [{k: v for k, v in row.items() if k != "obs"}, row]
     if fault != "missing":
         (tmp_path / "records.jsonl").write_text(
             "\n".join(map(json.dumps, rows)) + "\n")

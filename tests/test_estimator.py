@@ -1,7 +1,9 @@
 """Empirical loss estimators against direct ex post evaluation."""
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bneverify import estimator, model
+from bneverify.cli import parse_config, run
 from bneverify.estimator import (FLAG_DEGRADED, estimate_ex_ante,
                                  estimate_ex_interim, profile_point_utilities,
                                  valid_actions)
@@ -382,24 +385,35 @@ def test_gain_table_blocks_do_not_change_the_estimate(monkeypatch):
 
 def test_solve_blocks_do_not_change_bundle_outcomes(monkeypatch):
     # lattice bids tie often; 100 records make the default block hold all
-    # 81 candidates, a 1000-pair block 10, a 1-pair block one
+    # 81 candidates, a 1000-pair block 10, a 700-pair block 7, a 1-pair
+    # block one. Ex interim stacks the 81 current bids after the 81
+    # candidates, so blocks of 7 and 10 bids hold some of each
     game = comb_game()
     ds = lattice_comb_dataset(100, seed=28)
-    cands = valid_actions(game, make_grid(4, 1.0).points())
+    grid = make_grid(4, 1.0)
+    cands = valid_actions(game, grid.points())
     agent = 1
     vals = ds.vals[:, agent]
-    runs = []
-    for block in (1, 1000, estimator._PAIR_BLOCK, 10 ** 6):
+    profile = StrategyProfile((LinearShade(0.5),) * 3)
+    runs, estimates = [], []
+    for block in (1, 700, 1000, estimator._PAIR_BLOCK, 10 ** 6):
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_PAIR_BLOCK", block)
             market = estimator._market(game, ds.bids, agent)
             runs.append((market.outcomes(cands),
                          market.outcomes(cands, vals)))
+            estimates.append(estimate_ex_interim(ds, profile, grid, game,
+                                                 agent))
     (counts, pays, none), (_, _, sums) = runs[0]
     assert none is None
     for run in runs:
         for got, want in zip(run[0][:2] + run[1], (counts, pays) * 2 + (sums,)):
             assert np.array_equal(got, want)
+    for est in estimates:
+        assert est.value == estimates[0].value
+        assert est.argmax_pair == estimates[0].argmax_pair
+        assert np.array_equal(est.per_point_gains.view(np.int64),
+                              estimates[0].per_point_gains.view(np.int64))
     for k, cand in enumerate(cands):
         outs = ex_post(game, ds, agent, cand)
         alloc = np.sum([o.allocation[agent] for o in outs], axis=0)
@@ -469,14 +483,23 @@ def bundle_markets(draw):
 # here 0.3 + (0.2 + 0.6) and 0.2 + (0.3 + 0.6) round apart
 @example((np.array([[[0.2, 0.6], [0.0, 0.3], [0.1, 0.2]]]), 1,
           np.array([[0.2, 0.6]]), np.array([[1.0, 1.0]])))
+# the same profile, as the agent's recorded bids
+@example((np.array([[[0.2, 0.6], [0.2, 0.6], [0.1, 0.2]]]), 1,
+          np.array([[0.0, 0.3]]), np.array([[1.0, 1.0]])))
 @given(bundle_markets())
 @settings(max_examples=150, deadline=None)
 def test_bundle_outcomes_match_a_full_solve_of_every_profile(market):
     bids, agent, cands, vals = market
     _, n, width = bids.shape
     game = comb_game(n=n, items=width.bit_length() - 1)
-    counts, pays, sums = estimator._market(game, bids, agent).outcomes(
-        cands, vals)
+    market = estimator._market(game, bids, agent)
+    # the recorded bids, record by record
+    recorded = winner_determination(bids, game.mechanism.items)[:, agent]
+    assert market.utilities(vals).tolist() == [
+        (vals[r, b] - bids[r, agent, b]) / game.utility_scale if b >= 0
+        else 0.0 for r, b in enumerate(recorded.tolist())]
+    # constant bids
+    counts, pays, sums = market.outcomes(cands, vals)
     profiles = np.repeat(bids[None], len(cands), axis=0)
     profiles[:, :, agent] = cands[:, None]
     choice = winner_determination(profiles, game.mechanism.items)[..., agent]
@@ -718,9 +741,28 @@ def test_ex_ante_builds_one_market_per_agent(monkeypatch):
     assert calls == ["market"]
 
 
+def test_bundles_market_solves_each_agents_table_once(monkeypatch, tmp_path):
+    # the ex ante combinatorial golden: 2 agents, 2 cells each; the cells
+    # gather columns of the agent's table, and the recorded bids read it too
+    solve = estimator.best_total_tables
+    calls = []
+
+    def counted(bids, items):
+        calls.append(bids.shape)
+        return solve(bids, items)
+
+    monkeypatch.setattr(estimator, "best_total_tables", counted)
+    path = Path(__file__).resolve().parent / "golden" / (
+        "combinatorial_ante_config.json")
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["out_dir"] = str(tmp_path)
+    assert run(parse_config(raw, base_dir=str(path.parent))) == 0
+    assert calls == [(300, 1, 2)] * 2
+
+
 def test_row_subsets_match_markets_built_from_the_subset():
-    # a subset's market gathers the whole market's rows; a uniform-price
-    # view must not reuse the whole market's cached prefix sums. A slots
+    # a subset's market gathers the whole market's rows, and querying the
+    # whole market first must not change the view's outcomes. A slots
     # view carries no own bids, so utilities are read off the whole market
     multiunit = IndependentProduct([[Uniform(), Uniform()]] * 3,
                                    sort_desc=True)
@@ -736,7 +778,7 @@ def test_row_subsets_match_markets_built_from_the_subset():
         rng = np.random.Generator(np.random.Philox(36))
         for agent in (0, 1):
             whole = estimator._market(game, ds.bids, agent)
-            whole.outcomes(cands)   # fills any cache of the whole market
+            whole.outcomes(cands)   # the whole market is queried first
             idx = np.flatnonzero(rng.random(len(ds)) < 0.4)
             view = whole.rows(idx)
             own = estimator._market(game, ds.bids[idx], agent)
