@@ -553,11 +553,10 @@ def emit_plot_data(report: RunReport, path: str, agent: int = 0):
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
             points = points[:, None]
-        for j in range(points.shape[0]):
-            coords = points[j]
-            x = repr(float(coords[0])) if coords.shape[0] == 1 else \
-                ";".join(repr(float(c)) for c in coords)
-            writer.writerow([x, repr(float(gains[j]))])
+        gains = np.asarray(gains, dtype=np.float64)
+        writer.writerows([";".join(map(repr, coords)), repr(gain)]
+                         for coords, gain in zip(points.tolist(),
+                                                 gains.tolist()))
 
 
 def emit_density_diagnostic(marginal, strategy, path: str, bins: int = 200,

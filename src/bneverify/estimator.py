@@ -15,9 +15,9 @@ market, the opponents' best totals W of a bundles market); nothing is
 cached. Ex ante, each cell's market is a row subset of the agent's market
 (its rows method), a gather of what outcomes reads: the table, and under
 uniform price the competing bids. The recorded bids are read once per
-agent, by utilities, and the agent's values once, as a contiguous array
-the cells take rows from. Ex interim, one outcomes call per agent serves
-the candidates and the current strategy's bids, stacked.
+agent, by utilities; the agent's values are never copied whole, as each
+cell gathers its rows of them. Ex interim, one outcomes call per agent
+serves the candidates and the current strategy's bids, stacked.
 
   * Slots (first price, discriminatory, uniform price): against a record's
     competing bids, the agent's slot mu wins exactly when its bid reaches
@@ -388,6 +388,13 @@ class _Bundles:
     the solver's option were not the top one, the exact totals would chain
     its score to at least top * (1 - 4 * gamma), well inside the band, so
     outside it the top option is the solver's choice.
+
+    A bid of exactly 0 on S never wins S: best totals only fall as items
+    are taken, so S scores W[S] <= W[0], and the solver takes an option
+    only when it is strictly greater than the ones before it, declining
+    first. Such options score -inf, so they neither win nor pull a profile
+    into the band; the argument above then runs over the other options,
+    among which the solver's choice lies.
     """
 
     def __init__(self, bids, totals, agent, items, scale):
@@ -432,7 +439,9 @@ class _Bundles:
         take, lower = np.empty(shape), np.empty(shape)
         better = np.empty(shape, dtype=bool)
         for bundle in range(n_bundles):
-            np.add(block[:, bundle], totals[bundle], out=take)
+            bid = block[:, bundle]
+            np.add(bid, totals[bundle], out=take)
+            np.copyto(take, -np.inf, where=bid == 0.0)
             np.minimum(top, take, out=lower)
             np.maximum(runner_up, lower, out=runner_up)
             np.greater(take, top, out=better)
@@ -632,8 +641,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     flags = []
 
     market = _market(config, ds.bids, agent)
-    vals = np.ascontiguousarray(ds.vals[:, agent])
-    current = _record_mean(market.utilities(vals), n_rec)
+    current = _record_mean(market.utilities(ds.vals[:, agent]), n_rec)
 
     br_terms = []
     weighted_sum = 0.0
@@ -646,8 +654,9 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             br_terms.append({"cell": k, "n_records": 0, "weight": 0.0,
                              "best_bid": None, "br_mean": 0.0})
             continue
+        # one fancy index: take on the strided column would copy it whole
         means = market.rows(idx).outcomes(
-            candidates, vals.take(idx, axis=0))[2] / n_cell
+            candidates, ds.vals[idx, agent])[2] / n_cell
         best = int(np.argmax(means))  # first maximum = lexicographic tie-break
         br_terms.append({
             "cell": k,

@@ -18,6 +18,8 @@ import numpy as np
 
 # guard against combinatorial blowup when materializing lattices
 GRID_POINT_CAP = 10_000_000
+# points per block of Partition.assign_many
+_ASSIGN_BLOCK = 1 << 15
 
 MECHANISM_KINDS = (
     "first_price_single_item",
@@ -386,25 +388,33 @@ class Partition:
         Labels are the smallest unsigned integer type that holds every
         cell index. Cell k scores K - k (K cells) where it contains a
         point, and a point takes the highest score: its lowest cell.
+        Points are labelled _ASSIGN_BLOCK rows at a time, each block
+        transposed into its own copy, so the scratch stays O(block).
         """
         points = np.asarray(points, dtype=np.float64)
         n_cells = len(self.cells)
-        cols = np.ascontiguousarray(points.T)   # one row per coordinate
-        score = np.zeros(len(points), dtype=np.min_scalar_type(n_cells))
-        inside = np.empty(len(points), dtype=bool)
-        edge = np.empty(len(points), dtype=bool)
-        for k, cell in enumerate(self.cells):
-            inside.fill(True)
-            for col, a, b in zip(cols, cell.lo, cell.hi):
-                inside &= np.greater_equal(col, a, out=edge)
-                inside &= (np.less_equal if b >= 1.0 else np.less)(
-                    col, b, out=edge)
-            np.maximum(score, np.multiply(inside, n_cells - k,
-                                          dtype=score.dtype), out=score)
-        if not score.all():
-            raise ValueError(f"partition does not cover point "
-                             f"{tuple(points[np.argmin(score)])}")
-        return n_cells - score
+        dtype = np.min_scalar_type(n_cells)
+        labels = np.empty(len(points), dtype=dtype)
+        for lo in range(0, len(points), _ASSIGN_BLOCK):
+            rows = points[lo:lo + _ASSIGN_BLOCK]
+            cols = np.ascontiguousarray(rows.T)   # one row per coordinate
+            score = np.zeros(len(rows), dtype=dtype)
+            scored = np.empty_like(score)
+            inside = np.empty(len(rows), dtype=bool)
+            edge = np.empty(len(rows), dtype=bool)
+            for k, cell in enumerate(self.cells):
+                inside.fill(True)
+                for col, a, b in zip(cols, cell.lo, cell.hi):
+                    inside &= np.greater_equal(col, a, out=edge)
+                    inside &= (np.less_equal if b >= 1.0 else np.less)(
+                        col, b, out=edge)
+                np.maximum(score, np.multiply(inside, n_cells - k, out=scored,
+                                              dtype=dtype), out=score)
+            if not score.all():
+                raise ValueError(f"partition does not cover point "
+                                 f"{tuple(rows[np.argmin(score)])}")
+            np.subtract(n_cells, score, out=labels[lo:lo + len(rows)])
+        return labels
 
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
@@ -428,12 +438,12 @@ def split_by_partition(ds: Dataset, partition: Partition):
     """Group records by the cell containing the partition agent's observation.
 
     Returns one ascending index array per cell, empty for a cell no record
-    falls in: the pieces of one stable argsort of the cell labels.
+    falls in, each read off the cell labels by one scan (no sort).
     """
     labels = partition.assign_many(ds.obs[:, partition.agent, :])
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=len(partition)))
-    return np.split(order, ends[:-1])
+    mask = np.empty(len(labels), dtype=bool)
+    return [np.flatnonzero(np.equal(labels, k, out=mask))
+            for k in range(len(partition))]
 
 
 @dataclass(frozen=True)

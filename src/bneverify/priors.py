@@ -177,13 +177,17 @@ class CorrelatedCommonValue:
         self.dim = 1
 
     def sample(self, n_records: int, seed: int):
+        """Each agent's uniforms are drawn into one reused buffer and
+        multiplied into its observation column in place."""
         streams = _agent_streams(seed, self.n_agents + 1)
         common = streams[self.n_agents]
         theta = common.random(n_records)
         obs = np.empty((n_records, self.n_agents, 1), dtype=np.float64)
+        draw = np.empty(n_records, dtype=np.float64)
         for i in range(self.n_agents):
-            obs[:, i, 0] = theta * streams[i].random(n_records)
-        vals = np.repeat(theta[:, None, None], self.n_agents, axis=1)
+            np.multiply(theta, streams[i].random(out=draw), out=obs[:, i, 0])
+        vals = np.empty_like(obs)
+        vals[...] = theta[:, None, None]
         return obs, vals
 
     def posterior_density(self, s: float):

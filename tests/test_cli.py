@@ -1121,6 +1121,35 @@ def test_emit_plot_data_joins_multidimensional_points(tmp_path):
     assert rows[2] == ["0.5;0.25", "0.2"]
 
 
+def row_by_row_plot_csv(points, gains):
+    """The plot CSV written one numpy scalar at a time."""
+    lines = ["x,empirical_gain"]
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, None]
+    for j in range(points.shape[0]):
+        x = ";".join(repr(float(c)) for c in points[j])
+        lines.append(f"{x},{float(gains[j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim", [None, 1, 2, 4])
+def test_emit_plot_data_bytes_match_a_row_by_row_writer(tmp_path, dim):
+    rng = np.random.Generator(np.random.Philox(40))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022 - 2.0 ** -1074, 1.0,
+               -1.0, 0.1, 1e-300, 1.7976931348623157e308]
+    n = 3 * len(special)
+    gains = np.concatenate([special, rng.standard_normal(n - len(special))])
+    shape = (n,) if dim is None else (n, dim)
+    points = rng.random(shape)
+    points.flat[:len(special)] = special
+    report = RunReport(payload={}, plots={0: (points, gains)}, vacuous=False)
+    path = tmp_path / "plot.csv"
+    emit_plot_data(report, str(path), agent=0)
+    assert path.read_bytes().decode("utf-8") == row_by_row_plot_csv(points,
+                                                                    gains)
+
+
 def test_density_diagnostic_stays_under_the_certified_bound(tmp_path):
     path = str(tmp_path / "density.csv")
     emit_density_diagnostic(Beta(2.0, 5.0), LinearShade(0.5), path,

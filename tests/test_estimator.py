@@ -18,7 +18,7 @@ from bneverify.estimator import (FLAG_DEGRADED, estimate_ex_ante,
                                  valid_actions)
 from bneverify.mechanisms import winner_determination, eval as eval_game
 from bneverify.model import (Cell, Dataset, GameConfig, MechanismSpec,
-                             Partition, make_grid)
+                             Partition, make_grid, split_by_partition)
 from bneverify.priors import (CorrelatedCommonValue, IndependentProduct,
                               Uniform, sample_dataset)
 from bneverify.strategies import Identity, LinearShade, StrategyProfile
@@ -440,13 +440,16 @@ def test_bundle_solver_sees_exactly_the_in_band_profiles(monkeypatch):
 
     monkeypatch.setattr(estimator, "winner_determination", recorded)
     estimator._market(game, bids, 0).outcomes(cands)
-    # the lone opponent's best total with the item free, and taken
+    # the lone opponent's best total with the item free, and taken; a zero
+    # bid never wins its bundle, so that option scores -inf
     opp = bids[:, 1]
     free = np.maximum(0.0, opp.max(axis=1))
     taken = np.maximum(0.0, opp[:, 0])
     options = np.sort([np.broadcast_to(free, (121, 250)),
-                       cands[:, 0, None] + free,
-                       cands[:, 1, None] + taken], axis=0)
+                       np.where(cands[:, 0, None] == 0, -np.inf,
+                                cands[:, 0, None] + free),
+                       np.where(cands[:, 1, None] == 0, -np.inf,
+                                cands[:, 1, None] + taken)], axis=0)
     top, runner_up = options[-1], options[-2]
     k, r = np.nonzero(top - runner_up <= 24 * 2.0 ** -52 * np.maximum(top, 1))
     want = bids[r]
@@ -510,6 +513,109 @@ def test_bundle_outcomes_match_a_full_solve_of_every_profile(market):
         assert pays[k] == math.fsum(cand[b] for _, b in won)
         assert sums[k] == math.fsum((vals[r, b] - cand[b])
                                     / game.utility_scale for r, b in won)
+
+
+@st.composite
+def zero_bid_markets(draw):
+    """(bids (N, n, 2**items), agent, candidates (K, 2**items)) whose
+    entries are exact zeros (+0.0 or -0.0) about half the time, so many
+    options are zero bids, some tied with declining."""
+    n = draw(st.integers(2, 4))
+    width = 1 << draw(st.integers(1, 3))
+    lattice = draw(st.sampled_from(LATTICES + [None]))
+    nonzero = (st.sampled_from(lattice[1:]) if lattice is not None
+               else st.floats(2.0 ** -60, 1.0))
+    values = st.sampled_from([0.0, -0.0]) | nonzero
+    bids = draw(arrays(np.float64, (draw(st.integers(1, 6)), n, width),
+                       elements=values))
+    cands = draw(arrays(np.float64, (draw(st.integers(1, 5)), width),
+                        elements=values))
+    return bids, draw(st.integers(0, n - 1)), cands
+
+
+@given(zero_bid_markets())
+@settings(max_examples=200, deadline=None)
+def test_zero_bid_options_leave_every_choice_the_solvers(market):
+    bids, agent, cands = market
+    _, n, width = bids.shape
+    items = width.bit_length() - 1
+    bundles = estimator._market(comb_game(n=n, items=items), bids, agent)
+    # the recorded bids, one bid vector per record
+    recorded = bundles._choices(bids[:, agent].T[None])[0]
+    assert recorded.tolist() == winner_determination(
+        bids, items)[:, agent].tolist()
+    # constant bids
+    profiles = np.repeat(bids[None], len(cands), axis=0)
+    profiles[:, :, agent] = cands[:, None]
+    assert bundles._choices(cands[:, :, None]).tolist() == \
+        winner_determination(profiles, items)[..., agent].tolist()
+
+
+def test_zero_bids_send_no_profile_to_the_solver(monkeypatch):
+    # continuous bids tie nowhere, so every in-band profile would come from
+    # a zero bid: on the empty bundle it ties declining in every record
+    rng = np.random.Generator(np.random.Philox(33))
+    bids = rng.random((200, 3, 4))
+    bids[:, 0, 0] = 0.0
+    bids[rng.random(200) < 0.5, 0, 3] = -0.0
+    cands = rng.random((40, 4))
+    cands[rng.random(cands.shape) < 0.5] = 0.0
+    seen = []
+    solve = estimator.winner_determination
+
+    def recorded(profiles, items):
+        seen.append(len(profiles))
+        return solve(profiles, items)
+
+    monkeypatch.setattr(estimator, "winner_determination", recorded)
+    bundles = estimator._market(comb_game(), bids, 0)
+    choice = bundles._choices(cands[:, :, None])
+    own = bundles._choices(bids[:, 0].T[None])[0]
+    assert sum(seen) == 0
+    monkeypatch.undo()
+    profiles = np.repeat(bids[None], len(cands), axis=0)
+    profiles[:, :, 0] = cands[:, None]
+    assert np.array_equal(choice, winner_determination(profiles, 2)[..., 0])
+    assert np.array_equal(own, winner_determination(bids, 2)[:, 0])
+
+
+# a sampled correlated dataset, split by the benchmark's 8-cell partition
+MEMORY_RECORDS = 40_000
+MEMORY_CELLS = (0.0, 0.027, 0.067, 0.12, 0.187, 0.271, 0.381, 0.545, 1.0)
+
+
+def traced_peak_per_record(fn, *args):
+    """fn(*args)'s traced allocation peak above what was allocated before
+    it, per record of the memory-test dataset."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / MEMORY_RECORDS
+
+
+def memory_job():
+    ds = correlated_dataset(MEMORY_RECORDS, seed=4)
+    ds.validate(FPSB)
+    part = Partition(0, [Cell(lo=(a,), hi=(b,))
+                         for a, b in zip(MEMORY_CELLS, MEMORY_CELLS[1:])])
+    return ds, part
+
+
+def test_partition_split_holds_little_beyond_its_index_arrays():
+    # the index arrays take 8 bytes per record, the labels 1
+    ds, part = memory_job()
+    assert traced_peak_per_record(split_by_partition, ds, part) < 14.0
+
+
+def test_ex_ante_estimate_holds_no_per_record_copies():
+    ds, part = memory_job()
+    assert traced_peak_per_record(
+        estimate_ex_ante, ds, identity_profile(), part, make_grid(1, 0.005),
+        FPSB, 0) < 46.0
 
 
 def test_fine_grid_gain_table_is_not_held_in_memory():

@@ -486,6 +486,37 @@ def test_assign_many_matches_assign_on_edges_and_top_faces(case):
         [part.assign(p) for p in points]
 
 
+@given(boxes_and_points())
+@settings(max_examples=100, deadline=None)
+def test_assign_many_in_blocks_of_three_matches_assign(case):
+    # up to 30 points, so many counts that are not multiples of the block
+    part, points = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_ASSIGN_BLOCK", 3)
+        got = part.assign_many(points)
+    assert got.tolist() == [part.assign(p) for p in points]
+
+
+def test_assign_many_in_blocks_names_the_first_uncovered_point():
+    gappy = Partition(0, [Cell(lo=(0.0,), hi=(0.4,)),
+                          Cell(lo=(0.5,), hi=(1.0,))])
+    # points on edges and the top face; the first uncovered one, in any of
+    # three blocks, comes before another
+    covered = [[0.0], [0.5], [1.0], [0.25], [0.75], [0.5], [0.999], [0.0]]
+    for first in range(7):
+        points = np.array(covered)
+        points[first] = 0.4
+        points[7] = 0.45
+        with pytest.raises(ValueError) as want:
+            gappy.assign(points[first])
+        for block in (3, 8, model._ASSIGN_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "_ASSIGN_BLOCK", block)
+                with pytest.raises(ValueError) as got:
+                    gappy.assign_many(points)
+            assert str(got.value) == str(want.value)
+
+
 # ------------------------------------------------------------------- hashes
 
 

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from bneverify.model import Cell, Partition
 from bneverify.oracle import quadrature_tv
 from bneverify.priors import (Beta, CorrelatedCommonValue, IndependentProduct,
-                              Uniform, _order_statistic_factor,
+                              Uniform, _agent_streams,
+                              _order_statistic_factor,
                               prior_from_dict, sample_dataset,
                               tv_integral_bound, tv_profile, tv_radius)
 from bneverify.strategies import Identity, LinearShade, StrategyProfile
@@ -111,6 +112,23 @@ def test_correlated_sampling_shape_and_support():
     # stored observations never exceed the common value
     assert np.all(obs[:, 0, 0] <= vals[:, 0, 0])
     assert obs.min() >= 0.0 and vals.max() <= 1.0
+
+
+@pytest.mark.parametrize("n_agents, n_records, seed", [
+    (2, 1, 0), (2, 1000, 4), (3, 1, 7), (3, 257, 7), (5, 4096, 2 ** 32 - 1)])
+def test_correlated_sampling_is_bit_equal_to_the_plain_expressions(
+        n_agents, n_records, seed):
+    streams = _agent_streams(seed, n_agents + 1)
+    theta = streams[n_agents].random(n_records)
+    want = np.empty((n_records, n_agents, 1))
+    for i in range(n_agents):
+        want[:, i, 0] = theta * streams[i].random(n_records)
+    obs, vals = CorrelatedCommonValue(n_agents).sample(n_records, seed)
+    assert obs.shape == vals.shape == want.shape
+    assert obs.dtype == vals.dtype == np.float64
+    assert obs.tobytes() == want.tobytes()
+    assert vals.tobytes() == np.repeat(theta[:, None, None], n_agents,
+                                       axis=1).tobytes()
 
 
 def test_correlated_observations_are_positively_correlated():
