@@ -572,7 +572,6 @@ def test_zero_bids_send_no_profile_to_the_solver(monkeypatch):
     choice = bundles._choices(cands[:, :, None])
     own = bundles._choices(bids[:, 0].T[None])[0]
     assert sum(seen) == 0
-    monkeypatch.undo()
     profiles = np.repeat(bids[None], len(cands), axis=0)
     profiles[:, :, 0] = cands[:, None]
     assert np.array_equal(choice, winner_determination(profiles, 2)[..., 0])
