@@ -7,21 +7,24 @@ record order or on numpy's summation internals.
 Every rule but the combinatorial one uses critical bids (Lehmann,
 O'Callaghan and Shoham 2002). Against a record's fixed competing bids, the
 agent's slot mu wins exactly when its bid reaches that record's critical bid
-for the slot, so the critical bids are computed once per agent and every
-candidate bid vector is then one comparison against them. Single-item
-first price is the one-slot case in which every opponent counts as senior.
-Uniform-price payments read the competitors' next bid from the record's
-competing bids, sorted once.
+for the slot, so each record's critical bids are computed once per agent
+and every candidate bid vector is then one comparison against them.
+Single-item first price is the one-slot case in which every opponent counts
+as senior. Uniform-price payments read the competitors' next bid from the
+record's competing bids, sorted once.
 
 The estimator calls multiunit_critical_bids and multiunit_competing_desc
-once per agent, and multiunit_wins_rows and multiunit_pay_unif_rows for the
-recorded bids' utilities. It no longer calls fpsb_win_counts,
-fpsb_point_utils, fpsb_dev_utils, multiunit_wins_fixed, won_sums (also
-named multiunit_pay_disc_rows and multiunit_pay_disc_fixed) or
-multiunit_pay_unif_fixed: first price runs through the slot kernels, the
-payment sums of constant bids come from win counts and prefix sums over the
-sorted critical bids, with no pass over the records per candidate, and the
-estimator sums the recorded bids' values and payments slot by slot in place.
+once per market it builds: per agent over all records ex interim, per
+agent and partition cell over the cell's records ex ante, so each record
+is passed once per agent. multiunit_wins_rows and multiunit_pay_unif_rows
+give the recorded bids' utilities in the same markets. The estimator no
+longer calls fpsb_win_counts, fpsb_point_utils, fpsb_dev_utils,
+multiunit_wins_fixed, won_sums (also named multiunit_pay_disc_rows and
+multiunit_pay_disc_fixed) or multiunit_pay_unif_fixed: first price runs
+through the slot kernels, the payment sums of constant bids come from win
+counts and prefix sums over the sorted critical bids, with no pass over the
+records per candidate, and the estimator sums the recorded bids' values and
+payments slot by slot in place.
 won_sums stays as the reference that sum is tested against; the others stay
 only because the benchmark's tracer (perfbench/spans.py) looks up every name
 in its kernel list.

@@ -151,6 +151,44 @@ def _kappa(prior, declared, agent, cell=None):
     return declared, FLAG_DECLARED_KAPPA
 
 
+# Caps on the per-candidate work of one grid width, checked before any
+# record is sampled or loaded. Each market (ex ante one per agent and
+# partition cell, ex interim one per agent) makes every bid's payment sum
+# exactly, in Python ints; ex interim, each candidate also fills one row of
+# K entries of the gain table. Measured on a 2-vCPU x86 host, a payment
+# sum takes about 1.1 us and 330 bytes per bid coordinate, a gain-table
+# entry about 25 ns. Work is counted in gain-table entries.
+_PAYMENT_SUM_WORK = 45    # gain-table entries per payment sum
+WORK_CAP = 10 ** 9        # about 25 s on that host
+BID_COORD_CAP = 1 << 21   # bid coordinates per market, about 700 MB
+
+
+def _candidate_count(mech: MechanismSpec, grid) -> int:
+    """The number of lattice points valid_actions keeps: every point, or
+    for sorted bids the non-increasing ones (multisets of dim axis values)."""
+    if mech.sorted_bids:
+        return math.comb(grid.points_per_axis + grid.dim - 1, grid.dim)
+    return grid.points_per_axis ** grid.dim
+
+
+def _check_candidate_work(game, widths, markets, bids, gain_rows):
+    """Refuse, naming its field, a grid width past WORK_CAP or
+    BID_COORD_CAP. The job builds markets markets; each evaluates bids bid
+    vectors per candidate (ex interim with strategies, the candidate and
+    the current bid at a grid point) and fills gain_rows rows of the gain
+    table per candidate."""
+    for field, w in widths.items():
+        grid = make_grid(game.mechanism.bid_dim, w)
+        k = _candidate_count(game.mechanism, grid)
+        work = markets * k * (bids * _PAYMENT_SUM_WORK + gain_rows * k)
+        coords = bids * k * grid.dim
+        _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field,
+                 f"grid too fine: {k} candidates in {markets} markets need "
+                 f"about {float(work):.1e} work units (cap {WORK_CAP:.0e}) "
+                 f"and {coords} bid coordinates per market "
+                 f"(cap {BID_COORD_CAP})")
+
+
 def _agent_specs(game, mode, prior, profile, partitions, kappa, l_inv_max,
                  delta_total, pdim_constant, disp_constant):
     """Per agent, every input of its certificate but the grid width: an
@@ -413,6 +451,14 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         if isinstance(prior_model, priors_mod.CorrelatedCommonValue):
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
+
+    if partitions is not None:
+        _check_candidate_work(game, widths,
+                              sum(len(p.cells) for p in partitions.values()),
+                              1, 0)
+    else:
+        _check_candidate_work(game, widths, game.n_agents,
+                              1 if profile is None else 2, 1)
 
     kappa = _positive(raw, "kappa")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)

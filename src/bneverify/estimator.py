@@ -6,18 +6,19 @@
   * estimate_ex_ante: one constant best-response search per partition cell
     plus a direct estimate of the current strategy's expected utility.
 
-Both run on one market view of the records per agent, built by _market, the
-only function here that reads the rule. A market gives the per-record
-utility of the recorded bids and, per candidate bid, allocation counts,
-payment sum and (ex ante) utility sum, all decided by one per-record
-table that _market builds once per agent (the critical bids of a slots
-market, the opponents' best totals W of a bundles market); nothing is
-cached. Ex ante, each cell's market is a row subset of the agent's market
-(its rows method), a gather of what outcomes reads: the table, and under
-uniform price the competing bids. The recorded bids are read once per
-agent, by utilities; the agent's values are never copied whole, as each
-cell gathers its rows of them. Ex interim, one outcomes call per agent
-serves the candidates and the current strategy's bids, stacked.
+Both run on market views of the records, built by _market, the only
+function here that reads the rule, from the records the call reads: all of
+them ex interim, one partition cell's ex ante. A market gives the
+per-record utility of the recorded bids and, per candidate bid, allocation
+counts, payment sum and (ex ante) utility sum, all decided by one
+per-record table that _market builds (the critical bids of a slots market,
+the opponents' best totals W of a bundles market); nothing is cached. Every
+record falls in one cell, so each record's table is still computed once
+per agent. Ex ante, each cell gathers its rows of the bids and the agent's
+values, and adds its recorded bids' utilities to an exact running sum
+(_ExactSum), so no array over all records is held while the cells are
+worked through. Ex interim, one outcomes call per agent serves the
+candidates and the current strategy's bids, stacked.
 
   * Slots (first price, discriminatory, uniform price): against a record's
     competing bids, the agent's slot mu wins exactly when its bid reaches
@@ -51,9 +52,10 @@ Combinatorial utility sums are math.fsum over the per-record values. A
 slot record's utility under the recorded bids sums the value won over its
 won slots, left to right (pay as bid, its bids the same way), and
 subtracts the payment once. The current strategy's mean utility is an
-exact sum bucketed by binary exponent (_exact_sum) and rounded once, which
-equals math.fsum over the per-record values bit for bit. Argmax ties break
-toward the lexicographically smallest grid point.
+exact sum bucketed by binary exponent and rounded once (_exact_sum; ex
+ante, _ExactSum over the cells), which equals math.fsum over the
+per-record values bit for bit. Argmax ties break toward the
+lexicographically smallest grid point.
 """
 import itertools
 import math
@@ -107,23 +109,17 @@ _EXACT_SUM_CHUNK = 1 << 15
 _FREXP_LOW, _FREXP_BUCKETS = -1073, 2098
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()) bit for bit, without the list.
+def _bucket_total(values: np.ndarray):
+    """The exact sum of at most _EXACT_SUM_MAX finite values, as a Python
+    int in units of 2**(_FREXP_LOW - 53), and the largest np.frexp exponent
+    among them (_FREXP_LOW for none).
 
     Each value is frac * 2**e (np.frexp), and frac * 2**27 splits into an
     integer high part, |high| <= 2**27, and a low part in [0, 1), a multiple
     of 2**-26. Both are summed per exponent with np.bincount: with at most
     2**26 values every partial sum is at most 2**53 of its unit (1 or
-    2**-26), so the bucket sums are exact. They are combined as Python ints and
-    rounded once (half to even, as math.fsum rounds); an exact zero is +0.0,
-    as math.fsum returns. math.fsum itself runs for more than 2**26 values,
-    for non-finite input, and where its own partial sums could overflow.
+    2**-26), so the bucket sums are exact. They are combined as Python ints.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(values.sum())   # no NaN or infinity
-    if len(values) > _EXACT_SUM_MAX or not finite:
-        return math.fsum(values.tolist())
     high_sums = np.zeros(_FREXP_BUCKETS)
     low_sums = np.zeros(_FREXP_BUCKETS)
     top = _FREXP_LOW
@@ -137,24 +133,80 @@ def _exact_sum(values: np.ndarray) -> float:
         bucket -= _FREXP_LOW
         high_sums += np.bincount(bucket, high, _FREXP_BUCKETS)
         low_sums += np.bincount(bucket, frac, _FREXP_BUCKETS)
-    # every |value| is below 2**top, so no partial sum of math.fsum can
-    # overflow while len(values) * 2**top <= 2**1023
-    if top + len(values).bit_length() > 1023:
-        return math.fsum(values.tolist())
     low_sums *= 2.0 ** 26
     used = np.flatnonzero((high_sums != 0) | (low_sums != 0))[::-1].tolist()
-    if not used:
-        return 0.0
     # the sum is total * 2**(bucket + _FREXP_LOW - 53), Horner from the top
-    total, bucket = 0, used[0]
+    total, bucket = 0, used[0] if used else 0
     for b in used:
         total = ((total << (bucket - b)) + (int(high_sums[b]) << 26)
                  + int(low_sums[b]))
         bucket = b
-    shift = bucket + _FREXP_LOW - 53
-    if shift >= 0:
-        return float(total << shift)
-    return total / (1 << -shift)   # int / int rounds once
+    return total << bucket, top
+
+
+def _rounded_total(total: int) -> float:
+    """An exact int in units of 2**(_FREXP_LOW - 53), rounded once (half to
+    even, as math.fsum rounds); an exact zero is +0.0, as math.fsum returns.
+    Raises OverflowError past the float range."""
+    return total / (1 << (53 - _FREXP_LOW))   # int / int rounds once
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values.tolist()) bit for bit, without the list: the exact
+    sum of _bucket_total, rounded once. math.fsum itself runs for more than
+    2**26 values, for non-finite input, and where its own partial sums could
+    overflow."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(values.sum())   # no NaN or infinity
+    if len(values) > _EXACT_SUM_MAX or not finite:
+        return math.fsum(values.tolist())
+    total, top = _bucket_total(values)
+    # every |value| is below 2**top, so no partial sum of math.fsum can
+    # overflow while len(values) * 2**top <= 2**1023
+    if top + len(values).bit_length() > 1023:
+        return math.fsum(values.tolist())
+    return _rounded_total(total)
+
+
+class _ExactSum:
+    """A running exact sum of float arrays, added one at a time and rounded
+    once by value(): math.fsum (and _exact_sum) over the arrays joined,
+    whatever the order of the values and however they are grouped.
+
+    The finite values' exact sum is kept as an int, _bucket_total's over
+    _EXACT_SUM_MAX values at a time, so it stays exact past 2**26 values.
+    The non-finite values are summed apart, as math.fsum sums them: a NaN
+    gives NaN, else an infinity that infinity, and infinities of both signs
+    raise ValueError. The one difference from math.fsum: where its running
+    partial sums overflow, which depends on the order of the values, it
+    raises OverflowError; value() returns the exact sum rounded, raising
+    OverflowError only when that lies past the float range.
+    """
+
+    def __init__(self):
+        self._total = 0        # finite values, units of 2**(_FREXP_LOW - 53)
+        self._special = 0.0    # the sum of the non-finite values
+        self._infinite = 0.0   # the sum of the infinite values
+
+    def add(self, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not math.isfinite(values.sum()):
+                finite = np.isfinite(values)
+                rest = values[~finite]
+                self._special += float(rest.sum())
+                self._infinite += float(rest[np.isinf(rest)].sum())
+                values = values[finite]
+        for lo in range(0, len(values), _EXACT_SUM_MAX):
+            self._total += _bucket_total(values[lo:lo + _EXACT_SUM_MAX])[0]
+
+    def value(self) -> float:
+        if self._special != 0.0:   # NaN or an infinity was added
+            if math.isnan(self._infinite):
+                raise ValueError("-inf + inf in fsum")
+            return self._special
+        return _rounded_total(self._total)
 
 
 def _record_mean(values: np.ndarray, n_rec: int) -> float:
@@ -263,8 +315,7 @@ class _Slots:
     those with a critical bid <= b[mu]. Winners pay as bid, or the uniform
     price read off comp, the competing bids sorted per record (None for pay
     as bid). Outcomes of constant bids are lookups into the records sorted
-    once per slot. own, the recorded bids, is read by utilities alone, so
-    the row views that outcomes runs on leave it out (None).
+    once per slot. own, the recorded bids, is read by utilities alone.
     """
 
     def __init__(self, own, crit, comp, scale):
@@ -273,13 +324,6 @@ class _Slots:
         self.comp = comp
         self.units = crit.shape[1]
         self.scale = scale
-
-    def rows(self, idx):
-        """The market of the records idx alone, for outcomes: a gather of
-        each record's critical bids (and competing bids, uniform price),
-        with nothing cached and no own bids."""
-        comp = None if self.comp is None else self.comp.take(idx, axis=0)
-        return _Slots(None, self.crit.take(idx, axis=0), comp, self.scale)
 
     def utilities(self, vals):
         """Per-record normalized utility of the recorded bids: the value won,
@@ -404,12 +448,6 @@ class _Bundles:
         self.items = items
         self.scale = scale
 
-    def rows(self, idx):
-        """The market of the records idx alone: a gather of their bids and
-        their columns of W."""
-        return _Bundles(self.bids[idx], self.totals[:, idx], self.agent,
-                        self.items, self.scale)
-
     def _utilities(self, choice, paid, vals):
         """Normalized utilities of the agent's bundle choices (-1 for none),
         paying paid, given the records' values (N, 2**items)."""
@@ -491,8 +529,9 @@ def _market(config: GameConfig, bids: np.ndarray, agent: int):
     """The records' bids (N, n, dim) as agent's market: bundles for the
     combinatorial rule, slots for the others. First price is the one-slot
     pay-as-bid auction in which every opponent counts as senior, so exact
-    ties lose; multi-unit ties go to the lower agent index. A market's rows
-    method gives the market of a subset of the records."""
+    ties lose; multi-unit ties go to the lower agent index. The market
+    holds the records given and no others: all of them ex interim, one
+    partition cell's ex ante."""
     kind = config.mechanism.kind
     scale = config.utility_scale
     if kind == "first_price_combinatorial":
@@ -623,8 +662,10 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     """Empirical ex ante utility-loss estimate for one agent.
 
     The current-strategy term always uses the dataset's stored bids, so no
-    Strategy object is needed for the empirical part. The agent's market is
-    built once; each cell's outcomes come from its rows of that market.
+    Strategy object is needed for the empirical part. Each cell builds the
+    market of its own records, which gives that cell's share of the current
+    utility (an exact sum, rounded once over all cells) and its outcomes;
+    no per-record array outlives the partition's labels.
     """
     ds.validate(config)
     if grid.dim != config.mechanism.bid_dim:
@@ -640,9 +681,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     n_rec = len(ds)
     flags = []
 
-    market = _market(config, ds.bids, agent)
-    current = _record_mean(market.utilities(ds.vals[:, agent]), n_rec)
-
+    current = _ExactSum()
     br_terms = []
     weighted_sum = 0.0
     curve = np.zeros(candidates.shape[0], dtype=np.float64)
@@ -655,8 +694,11 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
                              "best_bid": None, "br_mean": 0.0})
             continue
         # one fancy index: take on the strided column would copy it whole
-        means = market.rows(idx).outcomes(
-            candidates, ds.vals[idx, agent])[2] / n_cell
+        vals = ds.vals[idx, agent]
+        market = _market(config, ds.bids[idx], agent)
+        current.add(market.utilities(vals))
+        means = market.outcomes(candidates, vals)[2] / n_cell
+        del market, vals   # before the next cell's are made
         best = int(np.argmax(means))  # first maximum = lexicographic tie-break
         br_terms.append({
             "cell": k,
@@ -667,6 +709,7 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
         })
         weighted_sum += weight * float(means[best])
         curve += weight * means
+    current = current.value() / n_rec
     value = weighted_sum - current
     return ExAnteEstimate(
         agent=agent,

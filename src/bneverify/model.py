@@ -437,13 +437,15 @@ class Partition:
 def split_by_partition(ds: Dataset, partition: Partition):
     """Group records by the cell containing the partition agent's observation.
 
-    Returns one ascending index array per cell, empty for a cell no record
-    falls in, each read off the cell labels by one scan (no sort).
+    Labels every record on the call, then returns an iterator that yields
+    one ascending index array per cell in turn, empty for a cell no record
+    falls in, each read off the labels by one scan (no sort). Only the
+    labels and the cell at hand are held, never every cell's indices.
     """
     labels = partition.assign_many(ds.obs[:, partition.agent, :])
     mask = np.empty(len(labels), dtype=bool)
-    return [np.flatnonzero(np.equal(labels, k, out=mask))
-            for k in range(len(partition))]
+    return (np.flatnonzero(np.equal(labels, k, out=mask))
+            for k in range(len(partition)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
 from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
                            run)
-from bneverify.model import Partition, canonical_json, file_hash
+from bneverify.estimator import valid_actions
+from bneverify.model import (GameConfig, MechanismSpec, Partition,
+                             canonical_json, file_hash, make_grid)
 from bneverify.priors import (FLAG_DECLARED_TAU, Beta, CorrelatedCommonValue,
                               prior_from_dict, sample_dataset, tv_profile)
 from bneverify.strategies import (FLAG_UNCERTIFIED, LinearShade,
@@ -609,6 +611,45 @@ def test_oversized_sweep_width_fails_before_anything_is_written(
     assert err.startswith("error: grid_w[1]: grid too large: ")
     assert len(err) < 200
     assert list(out.iterdir()) == []
+
+
+def test_too_fine_a_grid_for_the_job_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("records sampled before the work was estimated")
+
+    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    config = Path(__file__).resolve().parent.parent / "configs" / (
+        "correlated_demo.json")
+    # 5,000,001 candidates, under the grid's point cap, in 2 x 8 cells
+    start = time.monotonic()
+    assert main(["verify", "--config", str(config), "--grid-w", "1e-7",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_w: grid too fine: 5000001 candidates "
+                          "in 16 markets") and len(err) < 200, err
+    assert not (tmp_path / "out").exists()
+    # ex interim each candidate also fills a gain-table row per agent
+    expect_config_error(eq_raw(grid_w=1e-5), "grid_w",
+                        "grid too fine: 50001 candidates in 2 markets")
+    expect_config_error(eq_raw(grid_w=[0.1, 1e-5]), "grid_w[1]",
+                        "grid too fine: ")
+    parse_config(eq_raw(grid_w=5e-5))   # 10,001 candidates
+    parse_config(correlated_ante_raw({"cells": [   # 500,001 candidates
+        {"lo": [0.0], "hi": [0.5]}, {"lo": [0.5], "hi": [1.0]}]}, 1e-6))
+
+
+@pytest.mark.parametrize("kind, size, width", [
+    ("discriminatory", {"units": 2}, 0.1),
+    ("uniform_price", {"units": 3}, 0.3),
+    ("first_price_combinatorial", {"items": 1}, 0.5)])
+def test_the_work_estimate_counts_the_candidates_the_estimator_keeps(
+        kind, size, width):
+    game = GameConfig(n_agents=2, mechanism=MechanismSpec(kind=kind, **size))
+    grid = make_grid(game.mechanism.bid_dim, width)
+    assert cli._candidate_count(game.mechanism, grid) == len(
+        valid_actions(game, grid.points()))
 
 
 def two_unit(**game):

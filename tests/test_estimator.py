@@ -617,6 +617,26 @@ def test_ex_ante_estimate_holds_no_per_record_copies():
         FPSB, 0) < 46.0
 
 
+def test_ex_ante_holds_one_cell_at_a_time():
+    # 16 equal cells: a per-record array over all records (8 bytes each)
+    # would take 8 N bytes on its own, and the labels take N
+    n_cells, n_rec = 16, 120_000
+    ds = uniform_dataset(n_rec, seed=5)
+    ds.validate(FPSB)
+    part = Partition(0, [Cell(lo=(k / n_cells,), hi=((k + 1) / n_cells,))
+                         for k in range(n_cells)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        est = estimate_ex_ante(ds, identity_profile(), part,
+                               make_grid(1, 0.005), FPSB, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(t["n_records"] > 0 for t in est.br_terms)
+    assert peak < 1.5 * n_rec * 8
+
+
 def test_fine_grid_gain_table_is_not_held_in_memory():
     ds = uniform_dataset(200, seed=26)
     grid = make_grid(1, 1.25e-4)
@@ -711,6 +731,90 @@ def test_exact_sum_falls_back_to_fsum_past_its_exactness_limit(monkeypatch):
     monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", len(values) - 1)
     assert repr(estimator._exact_sum(np.array(values))) == want
     assert calls == [len(values)]
+
+
+def cell_sum_or_error(cells):
+    """repr of _ExactSum over the cells, added in turn, or the name of the
+    error it raises."""
+    total = estimator._ExactSum()
+    for cell in cells:
+        total.add(np.array(cell, dtype=np.float64))
+    try:
+        return repr(total.value())
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def fsum_or_error(values):
+    try:
+        return repr(math.fsum(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def split_at(values, cuts):
+    bounds = [0] + sorted(c % (len(values) + 1) for c in cuts) + [len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()),
+       st.lists(st.integers(min_value=0), max_size=5))
+@settings(max_examples=1000, deadline=None)
+def test_cell_sums_add_up_to_the_exact_sum_of_all_values(values, cuts):
+    got = cell_sum_or_error(split_at(values, cuts))
+    want = fsum_or_error(values)
+    if want == "OverflowError":
+        # math.fsum overflows in its running partial sums, which depend on
+        # the order; the exact sum, rounded, has no such dependence
+        try:
+            rounded = repr(float(sum(map(Fraction, values))))
+        except OverflowError:   # the exact sum lies past the float range
+            rounded = "OverflowError"
+        assert got == rounded
+    else:
+        assert got == want == exact_sum_or_overflow(values)
+
+
+def test_cell_sums_are_rounded_once_over_all_cells():
+    tiny = 2.0 ** -53   # half an ulp of 1.0
+    cases = [
+        [[-0.0], [-0.0]], [[], [-0.0], []], [[0.0], [-0.0]], [[]],
+        [[5e-324], [5e-324, -1e-323], [5e-324]],         # subnormals
+        [[2.0 ** -1022, -5e-324], [5e-324]],
+        # each cell rounds to 1.0 alone; together the halves make an ulp
+        [[1.0, tiny], [tiny]],
+        [[0.1] * 10, [0.2] * 10, [-0.3] * 10],
+        [[1e16, 1.0], [1.0, -1e16]],
+    ]
+    for cells in cases:
+        values = [v for cell in cells for v in cell]
+        assert cell_sum_or_error(cells) == fsum_or_error(values) == \
+            exact_sum_or_overflow(values), cells
+    one_ulp = [[1.0, tiny], [tiny]]
+    rounded_apart = sum(estimator._exact_sum(np.array(c)) for c in one_ulp)
+    assert rounded_apart == 1.0
+    assert cell_sum_or_error(one_ulp) == repr(1.0 + 2 * tiny)
+
+
+def test_cell_sums_follow_fsum_on_non_finite_and_long_input(monkeypatch):
+    inf, nan = math.inf, math.nan
+    cases = [[[1.0, inf], [2.0]], [[-inf], [1.0, -inf]], [[inf], [-inf]],
+             [[nan], [1.0]], [[1.0], [inf, nan]], [[inf, 0.5], [0.25, -inf]],
+             [[1e308, inf], [1e-300]]]
+    for cells in cases:
+        values = [v for cell in cells for v in cell]
+        assert cell_sum_or_error(cells) == fsum_or_error(values), cells
+    # past _EXACT_SUM_MAX values in one cell or in all, the exact sum is
+    # kept a block at a time; _exact_sum itself hands over to math.fsum
+    monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", 3)
+    rng = np.random.Generator(np.random.Philox(42))
+    spread = (rng.standard_normal(40)
+              * 10.0 ** rng.integers(-30, 30, 40)).tolist()
+    values = spread + [-v for v in spread[::3]] + [2.0 ** -60, 2.0 ** -60]
+    for cells in (split_at(values, [5, 11, 40]), [values],
+                  [[v] for v in values]):
+        assert cell_sum_or_error(cells) == fsum_or_error(values) == \
+            exact_sum_or_overflow(values)
 
 
 # -------------------------------------------------------- ex ante estimate
@@ -812,88 +916,81 @@ def assert_order_free_ex_interim(ds, *args):
         assert np.array_equal(a.per_point_gains, b.per_point_gains)
 
 
-def test_ex_ante_builds_one_market_per_agent(monkeypatch):
-    market = estimator._market
-    critical = estimator.kernels.multiunit_critical_bids
-    calls = []
+def record_tables(monkeypatch, owner, name):
+    """Wrap estimator._market and owner.name, the function that builds a
+    market's per-record table from the opponents' bids; return the list
+    that collects (agent, those bids) per table built."""
+    market, table = estimator._market, getattr(owner, name)
+    agents, seen = [], []
 
-    def counted(fn, name):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
+    def counted_market(config, bids, agent):
+        agents.append(agent)
+        return market(config, bids, agent)
 
-    monkeypatch.setattr(estimator, "_market", counted(market, "market"))
-    monkeypatch.setattr(estimator.kernels, "multiunit_critical_bids",
-                        counted(critical, "critical"))
+    def counted_table(opp, *args):
+        seen.append((agents[-1], np.array(opp)))
+        return table(opp, *args)
+
+    monkeypatch.setattr(estimator, "_market", counted_market)
+    monkeypatch.setattr(owner, name, counted_table)
+    return seen
+
+
+def assert_each_record_once(seen, bids, agent):
+    """The agent's tables were built from every record's opponents' bids,
+    each record once: their rows add up to N and, sorted, are the records'."""
+    got = np.concatenate([opp for a, opp in seen if a == agent])
+    want = np.delete(bids, agent, axis=1)
+    assert len(got) == len(want)
+
+    def ordered(rows):
+        flat = rows.reshape(len(rows), -1)
+        return flat[np.lexsort(flat.T[::-1])]
+
+    assert np.array_equal(ordered(got), ordered(want))
+
+
+def test_ex_ante_computes_each_records_critical_bids_once(monkeypatch):
+    seen = record_tables(monkeypatch, estimator.kernels,
+                         "multiunit_critical_bids")
     ds = correlated_dataset(400, seed=31)
     for agent in range(2):
-        calls.clear()
-        part = quarter_partition(agent)
-        est = estimate_ex_ante(ds, identity_profile(), part,
-                               make_grid(1, 0.05), fpsb_game(), agent)
+        est = estimate_ex_ante(ds, identity_profile(),
+                               quarter_partition(agent), make_grid(1, 0.05),
+                               fpsb_game(), agent)
         assert all(t["n_records"] > 0 for t in est.br_terms)
-        assert sorted(calls) == ["critical", "market"]
-    # the bundles market computes no critical bids; cells are its row subsets
+        assert sum(a == agent for a, _ in seen) == 4   # one table per cell
+        assert_each_record_once(seen, ds.bids, agent)
+    # the bundles market computes no critical bids, but its W once a record
+    seen.clear()
+    solved = record_tables(monkeypatch, estimator, "best_total_tables")
     comb = lattice_comb_dataset(60, seed=32)
     quarters = Partition(1, [Cell(lo=(a, b, 0.0, 0.0), hi=(a + 0.5, b + 0.5,
                                                           1.0, 1.0))
                              for a in (0.0, 0.5) for b in (0.0, 0.5)])
-    calls.clear()
     est = estimate_ex_ante(comb, identity_profile(3), quarters,
                            make_grid(4, 1.0), comb_game(), 1)
     assert all(t["n_records"] > 0 for t in est.br_terms)
-    assert calls == ["market"]
+    assert seen == []
+    assert_each_record_once(solved, comb.bids, 1)
 
 
-def test_bundles_market_solves_each_agents_table_once(monkeypatch, tmp_path):
-    # the ex ante combinatorial golden: 2 agents, 2 cells each; the cells
-    # gather columns of the agent's table, and the recorded bids read it too
-    solve = estimator.best_total_tables
-    calls = []
-
-    def counted(bids, items):
-        calls.append(bids.shape)
-        return solve(bids, items)
-
-    monkeypatch.setattr(estimator, "best_total_tables", counted)
+def test_bundles_market_solves_each_record_once_per_agent(monkeypatch,
+                                                         tmp_path):
+    # the ex ante combinatorial golden: 2 agents, 2 cells each, 300 records;
+    # each cell's market solves W for its own records, which the recorded
+    # bids and the candidates both read
+    seen = record_tables(monkeypatch, estimator, "best_total_tables")
     path = Path(__file__).resolve().parent / "golden" / (
         "combinatorial_ante_config.json")
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["out_dir"] = str(tmp_path)
     assert run(parse_config(raw, base_dir=str(path.parent))) == 0
-    assert calls == [(300, 1, 2)] * 2
-
-
-def test_row_subsets_match_markets_built_from_the_subset():
-    # a subset's market gathers the whole market's rows, and querying the
-    # whole market first must not change the view's outcomes. A slots
-    # view carries no own bids, so utilities are read off the whole market
-    multiunit = IndependentProduct([[Uniform(), Uniform()]] * 3,
-                                   sort_desc=True)
-    cases = [(fpsb_game(), correlated_dataset(300, seed=33), 1),
-             (comb_game(), lattice_comb_dataset(60, seed=34), 4)]
-    for kind in ("discriminatory", "uniform_price"):
-        game = GameConfig(n_agents=3,
-                          mechanism=MechanismSpec(kind=kind, units=2))
-        cases.append((game, sample_dataset(multiunit, identity_profile(3),
-                                           300, seed=35), 2))
-    for game, ds, dim in cases:
-        cands = valid_actions(game, make_grid(dim, 0.5).points())
-        rng = np.random.Generator(np.random.Philox(36))
-        for agent in (0, 1):
-            whole = estimator._market(game, ds.bids, agent)
-            whole.outcomes(cands)   # the whole market is queried first
-            idx = np.flatnonzero(rng.random(len(ds)) < 0.4)
-            view = whole.rows(idx)
-            own = estimator._market(game, ds.bids[idx], agent)
-            vals = ds.vals[idx, agent]
-            assert np.array_equal(whole.utilities(ds.vals[:, agent])[idx],
-                                  own.utilities(vals))
-            got = view.outcomes(cands) + view.outcomes(cands, vals)
-            want = own.outcomes(cands) + own.outcomes(cands, vals)
-            for g, w in zip(got, want):
-                assert (g is None and w is None) or np.array_equal(g, w)
+    assert [a for a, _ in seen] == [0, 0, 1, 1]
+    for agent in range(2):
+        rows = np.concatenate([opp for a, opp in seen if a == agent])
+        assert rows.shape == (300, 1, 2)
+        assert len(np.unique(rows.reshape(300, -1), axis=0)) == 300
 
 
 @pytest.mark.parametrize("kind, units", [

@@ -395,7 +395,7 @@ def test_split_by_partition_conserves_records_in_order():
                     [[0.4], [0.5]], [[0.5], [0.6]]])
     ds = Dataset(obs, obs.copy(), obs / 2.0)
     part = two_cell_partition()
-    idx = split_by_partition(ds, part)
+    idx = list(split_by_partition(ds, part))
     assert list(idx[0]) == [0, 2]
     assert list(idx[1]) == [1, 3]
     assert sorted(np.concatenate(idx).tolist()) == [0, 1, 2, 3]
@@ -404,7 +404,7 @@ def test_split_by_partition_conserves_records_in_order():
 def test_split_by_partition_empty_cell_yields_an_empty_index_array():
     obs = np.full((3, 2, 1), 0.25)
     ds = Dataset(obs, obs.copy(), obs.copy())
-    idx = split_by_partition(ds, two_cell_partition())
+    idx = list(split_by_partition(ds, two_cell_partition()))
     assert list(idx[0]) == [0, 1, 2]
     assert len(idx[1]) == 0
 
@@ -436,7 +436,7 @@ def labelled_records(draw):
 @settings(max_examples=200, deadline=None)
 def test_split_by_partition_matches_a_scan_per_cell(case):
     ds, part, labels = case
-    got = split_by_partition(ds, part)
+    got = list(split_by_partition(ds, part))
     want = [np.flatnonzero(labels == k) for k in range(len(part))]
     assert len(got) == len(want)
     for g, w in zip(got, want):

@@ -49,6 +49,9 @@ def test_traced_child_records_the_verify_spans(tmp_path):
     record = traced_verify(tmp_path, raw, 0)
     for name in ("cli.parse_config", "cli.run", "estimator.estimate_ex_ante"):
         assert record["spans"][name]["calls"] >= 1, name
+    # the split labels the records inside its span, once per agent, so the
+    # per-layer split metric measures the labelling
+    assert record["spans"]["model.split_by_partition"]["calls"] == 2
 
 
 def test_traced_child_records_the_recorded_bundles_spans(tmp_path):
