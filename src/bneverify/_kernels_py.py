@@ -64,8 +64,7 @@ def multiunit_critical_bids(opp, senior, m_units):
     (m_units - mu)-th largest raised bid, its critical bid; that is -inf when
     fewer bids compete. Critical bids rise with mu, so a non-increasing bid
     vector always wins its first slots. Single-item first price is the case
-    m_units = 1 with every opponent senior. The result is C-contiguous, so
-    row gathers read it in place.
+    m_units = 1 with every opponent senior. The result is C-contiguous.
     """
     opp = np.asarray(opp, dtype=np.float64)
     junior = ~np.asarray(senior, dtype=bool)

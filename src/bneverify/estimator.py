@@ -103,8 +103,9 @@ def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
 
 # values per exact sum; more could carry a bucket sum past 2**53
 _EXACT_SUM_MAX = 1 << 26
-# values per pass of _exact_sum, so its temporaries stay small
-_EXACT_SUM_CHUNK = 1 << 15
+# values per pass of _bucket_total; its temporaries (64 KB each) stay small
+# beside the arrays of one ex ante cell
+_EXACT_SUM_CHUNK = 1 << 13
 # np.frexp exponents of nonzero finite floats lie in [-1073, 1024]
 _FREXP_LOW, _FREXP_BUCKETS = -1073, 2098
 
