@@ -365,6 +365,7 @@ class _Slots:
                 order, ranked = _sort_ties(crit[mu], vals[mu])
             counts[:, mu] = np.searchsorted(ranked, cands[:, mu],
                                             side="right")
+            del ranked   # before the prefix sums are made
             if vals is not None:
                 np.cumsum(vals[mu].take(order), out=prefix[1:])
                 slot_won = prefix.take(counts[:, mu])

@@ -443,9 +443,7 @@ def split_by_partition(ds: Dataset, partition: Partition):
     labels and the cell at hand are held, never every cell's indices.
     """
     labels = partition.assign_many(ds.obs[:, partition.agent, :])
-    mask = np.empty(len(labels), dtype=bool)
-    return (np.flatnonzero(np.equal(labels, k, out=mask))
-            for k in range(len(partition)))
+    return (np.flatnonzero(labels == k) for k in range(len(partition)))
 
 
 @dataclass(frozen=True)
