@@ -695,9 +695,11 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
             br_terms.append({"cell": k, "n_records": 0, "weight": 0.0,
                              "best_bid": None, "br_mean": 0.0})
             continue
-        # one fancy index: take on the strided column would copy it whole
+        # one fancy index for the values: take on the strided column would
+        # copy it whole; take for the bids, whose rows fancy indexing copies
+        # one subarray at a time
         vals = ds.vals[idx, agent]
-        market = _market(config, ds.bids[idx], agent)
+        market = _market(config, ds.bids.take(idx, axis=0), agent)
         current.add(market.utilities(vals))
         means = market.outcomes(candidates, vals)[2] / n_cell
         del market, vals   # before the next cell's are made
