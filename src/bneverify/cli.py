@@ -453,12 +453,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                 "mode", "mode ex_interim requires independent private values")
 
     if partitions is not None:
-        _check_candidate_work(game, widths,
-                              sum(len(p.cells) for p in partitions.values()),
-                              1, 0)
+        _check_candidate_work(
+            game, widths, markets=sum(map(len, partitions.values())), bids=1,
+            gain_rows=0)
     else:
-        _check_candidate_work(game, widths, game.n_agents,
-                              1 if profile is None else 2, 1)
+        _check_candidate_work(game, widths, markets=game.n_agents,
+                              bids=1 if profile is None else 2, gain_rows=1)
 
     kappa = _positive(raw, "kappa")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
