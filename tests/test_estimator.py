@@ -664,20 +664,21 @@ def test_count_weighted_sums_are_correctly_rounded(pairs):
     assert estimator._count_weighted_sums(counts, values)[0] == float(exact)
 
 
-def fsum_or_overflow(values):
+def fsum_or_error(values):
     """repr of math.fsum(values), which shows the sign of a zero, or the
-    name of the error when its partial sums overflow."""
+    name of the error it raises: OverflowError when its partial sums
+    overflow, ValueError for infinities of both signs."""
     try:
         return repr(math.fsum(values))
-    except OverflowError:
-        return "OverflowError"
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
 
 
-def exact_sum_or_overflow(values):
+def exact_sum_or_error(values):
     try:
         return repr(estimator._exact_sum(np.array(values, dtype=np.float64)))
-    except OverflowError:
-        return "OverflowError"
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
 
 
 FLOATS = st.one_of(
@@ -698,7 +699,7 @@ def cancelling_lists(draw):
 @given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()))
 @settings(max_examples=1000, deadline=None)
 def test_exact_sum_equals_math_fsum_bit_for_bit(values):
-    assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+    assert exact_sum_or_error(values) == fsum_or_error(values)
 
 
 def test_exact_sum_edge_cases_and_chunks():
@@ -713,7 +714,7 @@ def test_exact_sum_edge_cases_and_chunks():
     cases += [spread.tolist(), cancelled.tolist(),
               (rng.random(100_000) - 0.5).tolist()]
     for values in cases:
-        assert exact_sum_or_overflow(values) == fsum_or_overflow(values)
+        assert exact_sum_or_error(values) == fsum_or_error(values)
 
 
 def test_exact_sum_falls_back_to_fsum_past_its_exactness_limit(monkeypatch):
@@ -746,13 +747,6 @@ def cell_sum_or_error(cells):
         return type(exc).__name__
 
 
-def fsum_or_error(values):
-    try:
-        return repr(math.fsum(values))
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
-
-
 def split_at(values, cuts):
     bounds = [0] + sorted(c % (len(values) + 1) for c in cuts) + [len(values)]
     return [values[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -773,7 +767,7 @@ def test_cell_sums_add_up_to_the_exact_sum_of_all_values(values, cuts):
             rounded = "OverflowError"
         assert got == rounded
     else:
-        assert got == want == exact_sum_or_overflow(values)
+        assert got == want == exact_sum_or_error(values)
 
 
 def test_cell_sums_are_rounded_once_over_all_cells():
@@ -790,7 +784,7 @@ def test_cell_sums_are_rounded_once_over_all_cells():
     for cells in cases:
         values = [v for cell in cells for v in cell]
         assert cell_sum_or_error(cells) == fsum_or_error(values) == \
-            exact_sum_or_overflow(values), cells
+            exact_sum_or_error(values), cells
     one_ulp = [[1.0, tiny], [tiny]]
     rounded_apart = sum(estimator._exact_sum(np.array(c)) for c in one_ulp)
     assert rounded_apart == 1.0
@@ -815,7 +809,7 @@ def test_cell_sums_follow_fsum_on_non_finite_and_long_input(monkeypatch):
     for cells in (split_at(values, [5, 11, 40]), [values],
                   [[v] for v in values]):
         assert cell_sum_or_error(cells) == fsum_or_error(values) == \
-            exact_sum_or_overflow(values)
+            exact_sum_or_error(values)
 
 
 # -------------------------------------------------------- ex ante estimate
