@@ -15,17 +15,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import priors as priors_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
                     Partition, config_hash, file_hash, is_integer, is_number,
                     load_dataset, make_grid, number)
-from .oracle import analytic_fpsb_loss
 from .strategies import (FLAG_UNCERTIFIED, StrategyProfile,
                          profile_from_config, pushforward_density_bound)
 
@@ -144,10 +141,13 @@ def _kappa(prior, declared, agent, cell=None):
     else the declared top-level one, which may be None."""
     if cell is not None and cell.kappa is not None:
         return cell.kappa, FLAG_DECLARED_KAPPA
-    if isinstance(prior, priors_mod.IndependentProduct):
-        return prior.kappa_opponents(agent), None
-    if cell is not None and isinstance(prior, priors_mod.CorrelatedCommonValue):
-        return prior.kappa_cell(cell), None
+    if prior is not None:   # recorded data has no prior
+        from . import priors as priors_mod
+        if isinstance(prior, priors_mod.IndependentProduct):
+            return prior.kappa_opponents(agent), None
+        if cell is not None and isinstance(prior,
+                                           priors_mod.CorrelatedCommonValue):
+            return prior.kappa_cell(cell), None
     return declared, FLAG_DECLARED_KAPPA
 
 
@@ -220,6 +220,7 @@ def _agent_specs(game, mode, prior, profile, partitions, kappa, l_inv_max,
                 l_fwd=None if profile is None else profile.l_fwd(agent),
                 **common))
             continue
+        from . import priors as priors_mod   # ex ante: tau lives there
         key = tuple(part.cells)
         if key not in taus:
             taus[key] = priors_mod.tv_profile(prior, part)
@@ -297,6 +298,7 @@ def _parse_partition_entry(entry, field, agent, dim):
         if clash.size:
             raise ConfigError(field, f"invalid partition: cells {k} and "
                                      f"{k + 1 + clash[0]} overlap")
+    from fractions import Fraction
     volume = sum(math.prod(Fraction(b) - Fraction(a)
                            for a, b in zip(c.lo, c.hi)) for c in cells)
     _require(volume == 1, field,
@@ -358,6 +360,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
              "exactly one of prior and dataset must be given")
     seed = raw.get("seed")
     if prior is not None:
+        from . import priors as priors_mod
         prior_model = _build("prior", priors_mod.prior_from_dict, prior,
                              game.n_agents)
         _require(prior_model.dim == game.mechanism.bid_dim, "prior",
@@ -448,7 +451,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                              "records come from a dataset")
     else:
         partition = None
-        if isinstance(prior_model, priors_mod.CorrelatedCommonValue):
+        if prior is not None and isinstance(prior_model,
+                                            priors_mod.CorrelatedCommonValue):
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
@@ -536,6 +540,7 @@ def _resolve_dataset(config: RunConfig):
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
         return ds, file_hash(config.dataset)
+    from . import priors as priors_mod
     try:   # numpy refuses, or fails to allocate, arrays of too many records
         ds = priors_mod.sample_dataset(config.prior_model, config.profile,
                                        config.n_records, config.seed)
@@ -687,6 +692,8 @@ def _oracle_block(config: RunConfig):
     """Closed-form reference losses where the model admits them: single-item
     first-price, uniform i.i.d. values, linear-shade opponents at the
     symmetric equilibrium shade (n-1)/n."""
+    from . import priors as priors_mod
+    from .oracle import analytic_fpsb_loss
     game = config.game
     prior, profile = config.prior_model, config.profile
     entries = {}

@@ -617,22 +617,33 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
         cur_scalar = _record_mean(point_utils, n_rec)
         cur = np.full(theta_pts.shape[0], cur_scalar)
 
-    def gains(rows):
-        # gains[t, k] = dev[t, k] - cur[t] for the valuation rows given
-        dev = np.zeros((len(rows), candidates.shape[0]))
-        for d in range(theta_pts.shape[1]):
-            dev += np.multiply.outer(theta_pts[rows, d], mean_alloc[:, d])
-        return (dev - mean_pay[None, :]) / H - cur[rows, None]
-
     # the K x K table is built a block of rows at a time, so memory stays
     # O(K); the first maximum (lexicographic tie-break) lies in the first
-    # row holding the largest per-point gain
+    # row holding the largest per-point gain. One block and one outer
+    # product buffer serve every block: fresh ones would be mapped and
+    # faulted in again for each block
     step = max(1, _GAIN_BLOCK // candidates.shape[0])
+    block = np.empty((min(step, len(theta_pts)), candidates.shape[0]))
+    term = np.empty_like(block)
+
+    def gains(lo, hi):
+        # gains[t, k] = dev[t, k] - cur[t] for valuation rows lo..hi-1, in
+        # the block buffer, which the next call overwrites
+        dev, outer = block[:hi - lo], term[:hi - lo]
+        dev.fill(0.0)
+        for d in range(theta_pts.shape[1]):
+            dev += np.multiply.outer(theta_pts[lo:hi, d], mean_alloc[:, d],
+                                     out=outer)
+        dev -= mean_pay
+        dev /= H
+        dev -= cur[lo:hi, None]
+        return dev
+
     per_point = np.concatenate(
-        [gains(np.arange(lo, min(lo + step, len(theta_pts)))).max(axis=1)
+        [gains(lo, min(lo + step, len(theta_pts))).max(axis=1)
          for lo in range(0, len(theta_pts), step)])
     t_idx = int(np.argmax(per_point))
-    row = gains(np.array([t_idx]))[0]
+    row = gains(t_idx, t_idx + 1)[0]
     k_idx = int(np.argmax(row))
     return ExInterimEstimate(
         agent=agent,

@@ -11,8 +11,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -469,7 +467,10 @@ class Grid:
 def _short_count(n: int) -> str:
     """n in full below 10**12, else to four significant digits (5.000e+599),
     rounded from the exact int, which may be too large for a float."""
-    return str(n) if n < 10 ** 12 else format(Decimal(n), ".3e")
+    if n < 10 ** 12:
+        return str(n)
+    from decimal import Decimal
+    return format(Decimal(n), ".3e")
 
 
 def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
@@ -488,6 +489,7 @@ def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
         # small epsilon so 1/0.04 = 25.000000000000004 still yields 25 segments
         segments = int(math.ceil(1.0 / h - 1e-9))
     else:   # 1/h overflows: count exactly
+        from fractions import Fraction
         segments = math.ceil(Fraction(dim) / (2 * Fraction(radius)))
     points_per_axis = segments + 1
     total = points_per_axis ** dim

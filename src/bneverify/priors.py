@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; load it with the package
 
 from .model import Cell, Dataset, Partition, is_integer, number
 

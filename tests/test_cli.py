@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bneverify import cli
+from bneverify import cli, priors
 from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
 from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
@@ -600,7 +600,7 @@ def test_oversized_sweep_width_fails_before_anything_is_written(
     def refuse(*args):
         raise AssertionError("records sampled before the grid was sized")
 
-    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
     raw = correlated_ante_raw({"cells": [{"lo": [0.0], "hi": [1.0]}]}, 0.1)
     cfg_path = write_config(tmp_path / "config.json", raw)
     out = tmp_path / "out"
@@ -618,7 +618,7 @@ def test_too_fine_a_grid_for_the_job_exits_2_before_sampling(
     def refuse(*args):
         raise AssertionError("records sampled before the work was estimated")
 
-    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
     config = Path(__file__).resolve().parent.parent / "configs" / (
         "correlated_demo.json")
     # 5,000,001 candidates, under the grid's point cap, in 2 x 8 cells
@@ -677,7 +677,7 @@ def test_inconsistent_games_fail_before_sampling(tmp_path, capsys,
     def refuse(*args):
         raise AssertionError("records sampled before the config was checked")
 
-    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
     cfg_path = write_config(tmp_path / "config.json", eq_raw(**overrides))
     assert main(["verify", "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2
@@ -932,7 +932,7 @@ def test_out_of_order_partitions_fail_before_sampling(tmp_path, capsys,
         raise AssertionError("records sampled before the partitions were "
                              "checked")
 
-    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
     whole = [{"lo": [0.0], "hi": [1.0]}]
     raw = correlated_ante_raw([{"agent": 1, "cells": whole},
                                {"agent": 0, "cells": whole}], 0.1)
@@ -968,7 +968,7 @@ def test_each_run_input_is_built_once_per_job(tmp_path, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(cli.priors_mod, "prior_from_dict")
+    count(priors, "prior_from_dict")
     count(cli, "profile_from_config")
     count(Partition, "from_dict")
     raw = eq_raw(mode="ex_ante", n_records=2000, grid_w=[0.1, 0.05],
@@ -1031,7 +1031,7 @@ def test_main_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("records sampled before out_dir was created")
 
-    monkeypatch.setattr(cli.priors_mod, "sample_dataset", refuse)
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
     (tmp_path / "taken").write_text("", encoding="utf-8")
     good = write_config(tmp_path / "good.json", eq_raw())
     assert main(["verify", "--config", good,
@@ -1115,29 +1115,99 @@ NO_SCIPY = ("import sys; "
             "assert not loaded, loaded")
 
 
-def test_import_and_verify_with_and_without_oracle_do_not_load_scipy(
-        tmp_path):
+def not_loaded(*modules):
+    """Code that asserts none of modules is in sys.modules."""
+    return ("import sys; "
+            f"loaded = [m for m in {list(modules)!r} if m in sys.modules]; "
+            "assert not loaded, loaded")
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a fresh interpreter that imports this bneverify."""
     env = dict(os.environ)
     src_dir = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", "import bneverify; " + NO_SCIPY],
-                          capture_output=True, text=True, env=env)
+    return env
+
+
+def run_fresh(code, env, cwd=None):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_verify_with_and_without_oracle_do_not_load_scipy(
+        tmp_path, src_env):
+    run_fresh("import bneverify; " + NO_SCIPY, src_env)
     cfg_path = write_config(tmp_path / "config.json",
                             eq_raw(n_records=2000, grid_w=0.1))
     for flags in ([], ["--oracle"]):
         run = ("from bneverify.cli import main; "
                f"rc = main(['verify', '--config', {cfg_path!r}, *{flags!r}]); "
                "assert rc in (0, 3), rc; " + NO_SCIPY)
-        proc = subprocess.run([sys.executable, "-c", run],
-                              capture_output=True, text=True, env=env,
-                              cwd=str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
+        if not flags:
+            run += "; " + not_loaded("bneverify.oracle")
+        run_fresh(run, src_env, cwd=str(tmp_path))
     assert os.path.exists(tmp_path / "out" / "report.json")
     oracle = read_json(str(tmp_path / "out"), "oracle.json")
     assert oracle["0"] == {"value": 0.0, "method": "closed_form",
                            "resolution": {}}
+
+
+def test_import_loads_no_module_of_the_package_and_not_numpy(src_env):
+    run_fresh("import bneverify, sys; "
+              "loaded = [m for m in sys.modules "
+              "if m.startswith('bneverify.') or m.split('.')[0] == 'numpy']; "
+              "assert not loaded, loaded", src_env)
+
+
+def test_recorded_data_verify_loads_no_sampler_prior_or_oracle(tmp_path,
+                                                               src_env):
+    from bneverify.model import save_dataset
+    prior = prior_from_dict(eq_raw()["prior"], 2)
+    profile = profile_from_config(eq_raw()["strategies"], 2)
+    save_dataset(sample_dataset(prior, profile, 500, seed=4),
+                 str(tmp_path / "records.jsonl"))
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="records.jsonl", kappa=1.0, grid_w=0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    run_fresh("from bneverify.cli import main; "
+              f"rc = main(['verify', '--config', {cfg_path!r}]); "
+              "assert rc in (0, 3), rc; "
+              + not_loaded("numpy.random", "bneverify.priors",
+                           "bneverify.oracle", "bneverify._backend"),
+              src_env, cwd=str(tmp_path))
+    assert read_json(str(tmp_path / "out"), "report.json")["dataset_hash"] \
+        == file_hash(str(tmp_path / "records.jsonl"))
+
+
+def test_every_public_name_resolves_lazily(src_env):
+    import bneverify
+    names = bneverify.__all__
+    assert sorted(bneverify._SOURCES) == sorted(names)
+    # each fresh process reads every name first by one of the two routes
+    run_fresh("import bneverify; "
+              f"assert set({names!r}) <= set(dir(bneverify)); "
+              f"values = [getattr(bneverify, n) for n in {names!r}]", src_env)
+    run_fresh("import bneverify; ns = {}; "
+              f"[exec('from bneverify import ' + n, ns) for n in {names!r}]; "
+              f"assert all(ns[n] is getattr(bneverify, n) for n in {names!r})",
+              src_env)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        bneverify.missing
+
+
+def test_names_the_benchmark_reads_resolve(src_env):
+    run_fresh("import bneverify; "
+              "assert callable(bneverify.priors.prior_from_dict); "
+              "assert callable(bneverify.profile_from_config); "
+              "assert callable(bneverify.sample_dataset); "
+              "assert callable(bneverify.save_dataset); "
+              "assert isinstance(bneverify.BACKEND_NAME, str); "
+              "from bneverify import _backend, bounds, cli, estimator, priors; "
+              "assert callable(_backend.get_kernels)", src_env)
 
 
 # ------------------------------------------------------------ CSV emitters

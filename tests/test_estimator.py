@@ -373,14 +373,18 @@ def test_gain_table_blocks_do_not_change_the_estimate(monkeypatch):
               make_grid(1, 0.01), fpsb_game()),
              (lattice_comb_dataset(40, seed=25), identity_profile(3),
               make_grid(4, 1.0), comb_game())]
+    # every block reuses one buffer: one row per block; 7 (101 points) or 8
+    # (81 points) rows per block, so the last block is short and stale rows
+    # sit past it; and a step past the row count, so one block holds all
     for ds, profile, grid, game in cases:
         whole = estimate_ex_interim(ds, profile, grid, game, 0)
-        with monkeypatch.context() as patch:
-            patch.setattr(estimator, "_GAIN_BLOCK", 1)  # one row per block
-            rows = estimate_ex_interim(ds, profile, grid, game, 0)
-        assert rows.value == whole.value
-        assert rows.argmax_pair == whole.argmax_pair
-        assert np.array_equal(rows.per_point_gains, whole.per_point_gains)
+        for block in (1, 7 * 101, 10 ** 6):
+            with monkeypatch.context() as patch:
+                patch.setattr(estimator, "_GAIN_BLOCK", block)
+                rows = estimate_ex_interim(ds, profile, grid, game, 0)
+            assert rows.value == whole.value
+            assert rows.argmax_pair == whole.argmax_pair
+            assert np.array_equal(rows.per_point_gains, whole.per_point_gains)
 
 
 def test_solve_blocks_do_not_change_bundle_outcomes(monkeypatch):
