@@ -152,12 +152,15 @@ def _kappa(prior, declared, agent, cell=None):
 
 
 # Caps on the per-candidate work of one grid width, checked before any
-# record is sampled or loaded. Each market (ex ante one per agent and
+# record is sampled or loaded, and once more after a dataset is loaded,
+# when its record count is known. Each market (ex ante one per agent and
 # partition cell, ex interim one per agent) makes every bid's payment sum
 # exactly, in Python ints; ex interim, each candidate also fills one row of
-# K entries of the gain table. Measured on a 2-vCPU x86 host, a payment
-# sum takes about 1.1 us and 330 bytes per bid coordinate, a gain-table
-# entry about 25 ns. Work is counted in gain-table entries.
+# K entries of the gain table. A bundles market also scores every bundle
+# option of each (candidate, record) pair. Measured on a 2-vCPU x86 host,
+# a payment sum takes about 1.1 us and 330 bytes per bid coordinate, a
+# gain-table entry about 25 ns, a bundle option about 18 ns. Work is
+# counted in gain-table entries.
 _PAYMENT_SUM_WORK = 45    # gain-table entries per payment sum
 WORK_CAP = 10 ** 9        # about 25 s on that host
 BID_COORD_CAP = 1 << 21   # bid coordinates per market, about 700 MB
@@ -171,22 +174,37 @@ def _candidate_count(mech: MechanismSpec, grid) -> int:
     return grid.points_per_axis ** grid.dim
 
 
-def _check_candidate_work(game, widths, markets, bids, gain_rows):
-    """Refuse, naming its field, a grid width past WORK_CAP or
-    BID_COORD_CAP. The job builds markets markets; each evaluates bids bid
-    vectors per candidate (ex interim with strategies, the candidate and
-    the current bid at a grid point) and fills gain_rows rows of the gain
-    table per candidate."""
-    for field, w in widths.items():
-        grid = make_grid(game.mechanism.bid_dim, w)
-        k = _candidate_count(game.mechanism, grid)
+def _job_work(game, partitions, profile) -> dict:
+    """The markets, bids and gain_rows of _check_candidate_work for a job."""
+    if partitions is not None:
+        return dict(markets=sum(map(len, partitions.values())), bids=1,
+                    gain_rows=0)
+    return dict(markets=game.n_agents, bids=1 if profile is None else 2,
+                gain_rows=1)
+
+
+def _check_candidate_work(game, widths, markets, bids, gain_rows, records=0,
+                          field=None):
+    """Refuse a grid width past WORK_CAP or BID_COORD_CAP, naming field, or
+    else the width's own field. The job builds markets markets; each
+    evaluates bids bid vectors per candidate (ex interim with strategies,
+    the candidate and the current bid at a grid point) and fills gain_rows
+    rows of the gain table per candidate. records is the job's record
+    count, 0 while unknown; each record sits in one market per agent."""
+    mech = game.mechanism
+    for name, w in widths.items():
+        grid = make_grid(mech.bid_dim, w)
+        k = _candidate_count(mech, grid)
         work = markets * k * (bids * _PAYMENT_SUM_WORK + gain_rows * k)
+        if mech.kind == "first_price_combinatorial":
+            work += game.n_agents * bids * k * records * mech.bid_dim
         coords = bids * k * grid.dim
-        _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field,
-                 f"grid too fine: {k} candidates in {markets} markets need "
-                 f"about {float(work):.1e} work units (cap {WORK_CAP:.0e}) "
-                 f"and {coords} bid coordinates per market "
-                 f"(cap {BID_COORD_CAP})")
+        over = f" over {records} records" if records else ""
+        _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field or name,
+                 f"grid too fine: {k} candidates in {markets} markets{over} "
+                 f"need about {float(work):.1e} work units "
+                 f"(cap {WORK_CAP:.0e}) and {coords} bid coordinates per "
+                 f"market (cap {BID_COORD_CAP})")
 
 
 def _agent_specs(game, mode, prior, profile, partitions, kappa, l_inv_max,
@@ -298,12 +316,19 @@ def _parse_partition_entry(entry, field, agent, dim):
         if clash.size:
             raise ConfigError(field, f"invalid partition: cells {k} and "
                                      f"{k + 1 + clash[0]} overlap")
-    from fractions import Fraction
-    volume = sum(math.prod(Fraction(b) - Fraction(a)
-                           for a, b in zip(c.lo, c.hi)) for c in cells)
-    _require(volume == 1, field,
-             f"invalid partition: cell volumes sum to {float(volume)!r}, "
-             "not 1, so the cells leave a gap")
+    # every coordinate is p / q with q a power of 2, so scaled by the
+    # largest q it is an exact integer, and so is every scaled volume
+    den = max(x.as_integer_ratio()[1] for c in cells for x in c.lo + c.hi)
+
+    def scaled(x):
+        p, q = x.as_integer_ratio()
+        return p * (den // q)
+
+    volume = sum(math.prod(scaled(b) - scaled(a) for a, b in zip(c.lo, c.hi))
+                 for c in cells)
+    _require(volume == den ** dim, field,
+             f"invalid partition: cell volumes sum to "
+             f"{volume / den ** dim!r}, not 1, so the cells leave a gap")
     return entry, part
 
 
@@ -456,13 +481,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
-    if partitions is not None:
-        _check_candidate_work(
-            game, widths, markets=sum(map(len, partitions.values())), bids=1,
-            gain_rows=0)
-    else:
-        _check_candidate_work(game, widths, markets=game.n_agents,
-                              bids=1 if profile is None else 2, gain_rows=1)
+    work = _job_work(game, partitions, profile)
+    _check_candidate_work(game, widths, **work)
+    if n_records is not None:   # sampled: the record count is known now
+        _check_candidate_work(game, widths, **work, records=n_records,
+                              field="n_records")
 
     kappa = _positive(raw, "kappa")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
@@ -497,10 +520,22 @@ def load_config(path: str, overrides: dict = None) -> RunConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+# bytes per sha256 update in _array_hash. Freeing a block this large also
+# raises glibc's dynamic mmap threshold past the ex ante estimator's
+# per-cell arrays, which then reuse heap pages: on the correlated_ante
+# benchmark job (2-vCPU x86 host, glibc 2.36), 1 MB blocks left 5,055
+# minor faults per verify against 2,761 with 4 MB.
+_HASH_BLOCK = 1 << 22
+
+
 def _array_hash(*arrays) -> str:
+    """sha256 over each array's C-order bytes in turn, fed _HASH_BLOCK
+    bytes of rows at a time, so a broadcast array is never copied whole."""
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(a))
+        step = max(1, _HASH_BLOCK * len(a) // max(1, a.nbytes))
+        for lo in range(0, len(a), step):
+            h.update(np.ascontiguousarray(a[lo:lo + step]))
     return h.hexdigest()
 
 
@@ -530,7 +565,7 @@ class RunReport:
                           allow_nan=False) + "\n"
 
 
-def _resolve_dataset(config: RunConfig):
+def _resolve_dataset(config: RunConfig, widths):
     if config.dataset is not None:
         try:
             ds = load_dataset(config.dataset, config.game)
@@ -539,6 +574,10 @@ def _resolve_dataset(config: RunConfig):
         _require(config.mode == "ex_ante" or np.array_equal(ds.obs, ds.vals),
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
+        _check_candidate_work(config.game, dict(enumerate(widths)),
+                              **_job_work(config.game, config.partitions,
+                                          config.profile),
+                              records=len(ds), field="dataset")
         return ds, file_hash(config.dataset)
     from . import priors as priors_mod
     try:   # numpy refuses, or fails to allocate, arrays of too many records
@@ -731,10 +770,9 @@ def run(config: RunConfig, oracle: bool = False) -> int:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create out_dir: {exc}") from None
-    ds, ds_hash = _resolve_dataset(config)
-
     widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
     sweep = isinstance(config.grid_w, list)
+    ds, ds_hash = _resolve_dataset(config, widths)
 
     reports = []
     for w in widths:

@@ -93,17 +93,20 @@ class GameConfig:
 
 
 class Dataset:
-    """Ordered collection of sample records, stored as dense float64 arrays.
+    """Ordered collection of sample records, stored as float64 arrays.
 
+    A float64 array is kept as given, so fields may share memory (bids
+    that are the observations, private values that are the observations)
+    or be read-only broadcasts (a common value repeated for every agent).
     Estimates do not depend on record order: each is the same for any
     permutation of the records.
     """
 
     def __init__(self, obs: np.ndarray, vals: np.ndarray, bids: np.ndarray,
                  seed=None):
-        obs = np.ascontiguousarray(obs, dtype=np.float64)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)
-        bids = np.ascontiguousarray(bids, dtype=np.float64)
+        obs = np.asarray(obs, dtype=np.float64)
+        vals = np.asarray(vals, dtype=np.float64)
+        bids = np.asarray(bids, dtype=np.float64)
         if obs.ndim != 3 or vals.ndim != 3 or bids.ndim != 3:
             raise ValueError("dataset arrays must be (N, n_agents, dim)")
         if not (len(obs) == len(vals) == len(bids)):
@@ -145,7 +148,10 @@ class Dataset:
 def _in_unit_range(arr: np.ndarray) -> bool:
     """Whether every coordinate lies in [0, 1]: one min scan, then one max
     scan, with no temporaries. Both propagate a NaN, which fails the
-    comparison; a zero-size array holds no coordinate out of range."""
+    comparison; a zero-size array holds no coordinate out of range. An
+    axis of stride 0 (a broadcast) repeats its first entry, so only that
+    entry is scanned."""
+    arr = arr[tuple(slice(None) if s else slice(1) for s in arr.strides)]
     return not arr.size or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
 
 

@@ -35,6 +35,8 @@ FLAG_DECLARED_TAU = "tau declared, not derived"
 
 # midpoint-rule panels per piece in CorrelatedCommonValue.tv_pair
 _TV_PANELS = 4096
+# rows per block of CorrelatedCommonValue.sample's uniform draws
+_DRAW_BLOCK = 1 << 15
 
 
 class Uniform:
@@ -148,7 +150,7 @@ class IndependentProduct:
                 obs[:, i, d] = marginal.sample(streams[i], n_records)
         if self.sort_desc:
             obs = np.sort(obs, axis=2)[:, :, ::-1].copy()
-        return obs, obs.copy()
+        return obs, obs   # private values: one array serves both fields
 
     def tv_radius(self, cell: Cell) -> float:
         # conditioning on an independent coordinate leaves opponents unchanged
@@ -176,18 +178,22 @@ class CorrelatedCommonValue:
         self.dim = 1
 
     def sample(self, n_records: int, seed: int):
-        """Each agent's uniforms are drawn into one reused buffer and
-        multiplied into its observation column in place."""
+        """Each agent's uniforms are drawn _DRAW_BLOCK at a time into one
+        reused buffer and multiplied into its observation column in place;
+        a stream drawn in blocks gives the same floats as one draw. Every
+        agent values the good at theta, so vals is a read-only broadcast of
+        the theta column, not one copy per agent."""
         streams = _agent_streams(seed, self.n_agents + 1)
         common = streams[self.n_agents]
         theta = common.random(n_records)
         obs = np.empty((n_records, self.n_agents, 1), dtype=np.float64)
-        draw = np.empty(n_records, dtype=np.float64)
+        draw = np.empty(min(n_records, _DRAW_BLOCK), dtype=np.float64)
         for i in range(self.n_agents):
-            np.multiply(theta, streams[i].random(out=draw), out=obs[:, i, 0])
-        vals = np.empty_like(obs)
-        vals[...] = theta[:, None, None]
-        return obs, vals
+            for lo in range(0, n_records, _DRAW_BLOCK):
+                hi = min(lo + _DRAW_BLOCK, n_records)
+                uniforms = streams[i].random(out=draw[:hi - lo])
+                np.multiply(theta[lo:hi], uniforms, out=obs[lo:hi, i, 0])
+        return obs, np.broadcast_to(theta[:, None, None], obs.shape)
 
     def posterior_density(self, s: float):
         """Density of the common value given a stored observation s."""

@@ -180,8 +180,11 @@ class StrategyProfile:
         return s.lipschitz_constants()[0] if s.certified else None
 
     def apply_all(self, obs: np.ndarray) -> np.ndarray:
-        """Map observations (N, n_agents, dim) to bids of the same shape."""
+        """Map observations (N, n_agents, dim) to bids of the same shape.
+        Under an all-identity profile the bids are obs itself, not a copy."""
         obs = np.asarray(obs, dtype=np.float64)
+        if all(type(s) is Identity for s in self.strategies):
+            return obs
         bids = np.empty_like(obs)
         for i, s in enumerate(self.strategies):
             bids[:, i, :] = s.apply(obs[:, i, :])

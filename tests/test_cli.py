@@ -316,11 +316,13 @@ def test_array_hash_is_the_digest_of_the_arrays_bytes():
     a = rng.random((6, 2, 3))
     b = rng.random((5, 4))[:, ::2]   # not contiguous
     c = np.asfortranarray(rng.random((3, 5)))
+    # a broadcast of 4.8 MB, hashed in two blocks of rows
+    d = np.broadcast_to(rng.random((300_000, 1, 1)), (300_000, 2, 1))
     assert not b.flags.c_contiguous and not c.flags.c_contiguous
     want = hashlib.sha256()
-    for arr in (a, b, c):
+    for arr in (a, b, c, d):
         want.update(arr.tobytes())
-    assert cli._array_hash(a, b, c) == want.hexdigest()
+    assert cli._array_hash(a, b, c, d) == want.hexdigest()
 
 
 def test_parse_config_rejects_correlated_values_ex_interim():
@@ -638,6 +640,46 @@ def test_too_fine_a_grid_for_the_job_exits_2_before_sampling(
     parse_config(eq_raw(grid_w=5e-5))   # 10,001 candidates
     parse_config(correlated_ante_raw({"cells": [   # 500,001 candidates
         {"lo": [0.0], "hi": [0.5]}, {"lo": [0.5], "hi": [1.0]}]}, 1e-6))
+
+
+def test_a_bundles_job_past_the_cap_for_its_records_exits_2_after_loading(
+        tmp_path, capsys, monkeypatch):
+    from bneverify.model import save_dataset
+    uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+    prior = {"kind": "independent_product",
+             "marginals": [[uniform, uniform]] * 2}
+    identity = [{"agent": a, "family": "identity", "params": {}}
+                for a in range(2)]
+    ds = sample_dataset(prior_from_dict(prior, 2),
+                        profile_from_config(identity, 2), 1000, seed=5)
+    save_dataset(ds, str(tmp_path / "records.jsonl"))
+    # 251,001 candidates in 2 markets: 2.3e7 work units before loading, and
+    # 4 more per candidate and record (2 agents, 2 bundle options) once loaded
+    raw = {"game": {"n_agents": 2, "mechanism": {
+               "kind": "first_price_combinatorial", "items": 1}},
+           "mode": "ex_ante", "dataset": "records.jsonl",
+           "strategies": identity, "kappa": 1.0, "grid_w": 0.002,
+           "delta_total": 0.05,
+           "partition": {"cells": [{"lo": [0.0, 0.0], "hi": [1.0, 1.0],
+                                    "tau": 0.0}]}}
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    load_config(cfg_path)   # the record count is unknown while parsing
+
+    def refuse(*args):
+        raise AssertionError("a market was built before the work was checked")
+
+    monkeypatch.setattr(cli, "estimate_ex_ante", refuse)
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset: grid too fine: 251001 candidates "
+                          "in 2 markets over 1000 records need about 1.0e+09 "
+                          "work units"), err
+    # a sampled job's record count is known while parsing
+    sampled = dict(raw, prior=prior, n_records=1000, seed=5)
+    del sampled["dataset"]
+    expect_config_error(sampled, "n_records", "over 1000 records")
+    parse_config(dict(sampled, n_records=900))   # 9.3e8 work units
 
 
 @pytest.mark.parametrize("kind, size, width", [
@@ -1181,6 +1223,19 @@ def test_recorded_data_verify_loads_no_sampler_prior_or_oracle(tmp_path,
               src_env, cwd=str(tmp_path))
     assert read_json(str(tmp_path / "out"), "report.json")["dataset_hash"] \
         == file_hash(str(tmp_path / "records.jsonl"))
+
+
+def test_ex_ante_verify_loads_neither_fractions_nor_decimal(tmp_path,
+                                                            src_env):
+    raw = correlated_ante_raw(
+        {"cells": [{"lo": [0.0], "hi": [0.3]}, {"lo": [0.3], "hi": [1.0]}]},
+        0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    run_fresh("from bneverify.cli import main; "
+              f"rc = main(['verify', '--config', {cfg_path!r}]); "
+              "assert rc in (0, 3), rc; " + not_loaded("fractions", "decimal"),
+              src_env, cwd=str(tmp_path))
+    assert os.path.exists(tmp_path / "out" / "report.json")
 
 
 def test_every_public_name_resolves_lazily(src_env):

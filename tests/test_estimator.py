@@ -110,7 +110,9 @@ def test_dataset_ranges_are_scanned_once_per_dataset(monkeypatch):
     # shapes are still checked on every call
     with pytest.raises(ValueError, match="does not match config"):
         ds.validate(fpsb_game(n=3))
-    bad = uniform_dataset(40, seed=2)
+    # separate arrays: identity bids share the observations' memory
+    obs = uniform_dataset(40, seed=2).obs
+    bad = Dataset(obs, obs.copy(), obs.copy())
     bad.bids[3, 1, 0] = 1.5
     for _ in range(2):
         with pytest.raises(ValueError, match="bids coordinate out of range"):

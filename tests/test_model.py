@@ -178,7 +178,11 @@ def test_unit_range_scan_agrees_with_two_comparisons():
              float(np.nextafter(0.0, -1.0))]
     arrays = [np.array(pair).reshape(2, 1, 1)
               for pair in itertools.product(edges, repeat=2)]
+    # broadcasts along the agent and the record axis
+    arrays += ([np.broadcast_to(arr, (2, 3, 1)) for arr in arrays]
+               + [np.broadcast_to(arr[1:], (4, 1, 1)) for arr in arrays])
     arrays += [np.zeros(shape) for shape in ((0,), (0, 2, 1), (3, 0, 1))]
+    arrays += [np.broadcast_to(np.zeros(1), (0, 2, 1))]
     for arr in arrays:
         want = bool(np.all((arr >= 0.0) & (arr <= 1.0)))
         assert model._in_unit_range(arr) is want, arr

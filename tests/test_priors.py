@@ -1,6 +1,7 @@
 """Value priors: sampling, density bounds, and conditional TV radii."""
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from scipy.integrate import quad
 
 from bneverify.model import Cell, Partition
 from bneverify.oracle import quadrature_tv
-from bneverify.priors import (Beta, CorrelatedCommonValue, IndependentProduct,
-                              Uniform, _agent_streams,
+from bneverify.priors import (_DRAW_BLOCK, Beta, CorrelatedCommonValue,
+                              IndependentProduct, Uniform, _agent_streams,
                               _order_statistic_factor,
                               prior_from_dict, sample_dataset,
                               tv_integral_bound, tv_profile, tv_radius)
@@ -115,7 +116,8 @@ def test_correlated_sampling_shape_and_support():
 
 
 @pytest.mark.parametrize("n_agents, n_records, seed", [
-    (2, 1, 0), (2, 1000, 4), (3, 1, 7), (3, 257, 7), (5, 4096, 2 ** 32 - 1)])
+    (2, 1, 0), (2, 1000, 4), (3, 1, 7), (3, 257, 7), (5, 4096, 2 ** 32 - 1),
+    (2, 2 * _DRAW_BLOCK + 5, 9)])   # the last one is drawn in three blocks
 def test_correlated_sampling_is_bit_equal_to_the_plain_expressions(
         n_agents, n_records, seed):
     streams = _agent_streams(seed, n_agents + 1)
@@ -129,6 +131,8 @@ def test_correlated_sampling_is_bit_equal_to_the_plain_expressions(
     assert obs.tobytes() == want.tobytes()
     assert vals.tobytes() == np.repeat(theta[:, None, None], n_agents,
                                        axis=1).tobytes()
+    # one theta column, broadcast to every agent, read-only
+    assert vals.strides[1] == 0 and not vals.flags.writeable
 
 
 def test_correlated_observations_are_positively_correlated():
@@ -225,8 +229,29 @@ def test_sample_dataset_applies_the_profile():
     assert len(ds) == 64 and ds.seed == 13
     assert np.array_equal(ds.bids[:, 0, 0], ds.obs[:, 0, 0] * 0.5)
     assert np.array_equal(ds.bids[:, 1, 0], ds.obs[:, 1, 0])
+    assert not np.shares_memory(ds.bids, ds.obs)
+    assert ds.vals is ds.obs   # private values are the observations
+    identity = StrategyProfile((Identity(), Identity()))
+    same = sample_dataset(prior, identity, 64, seed=13)
+    assert np.shares_memory(same.bids, same.obs)
     with pytest.raises(ValueError, match="at least one record"):
         sample_dataset(prior, profile, 0, seed=13)
+
+
+def test_correlated_sampling_holds_no_copy_of_a_field():
+    n_records = 100_000
+    identity = StrategyProfile((Identity(), Identity()))
+    sample_dataset(CorrelatedCommonValue(2), identity, 10, seed=1)   # warm
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_dataset(CorrelatedCommonValue(2), identity, n_records, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # obs (2 floats a record), theta (1) and one block of draws, with 64 KB
+    # of slack; one more per-agent column would add 800 KB
+    assert peak < 8 * (3 * n_records + _DRAW_BLOCK) + (1 << 16), peak
 
 
 def test_tv_profile_prefers_declared_values():

@@ -110,6 +110,9 @@ def test_profile_apply_all_maps_each_agent_column():
     assert bids.shape == obs.shape
     assert np.allclose(bids[:, 0, 0], [0.4, 0.1])
     assert np.array_equal(bids[:, 1, 0], obs[:, 1, 0])
+    assert not np.shares_memory(bids, obs)
+    # under an all-identity profile the bids are the observations
+    assert StrategyProfile((Identity(), Identity())).apply_all(obs) is obs
 
 
 def test_strategy_from_dict_builds_each_family():
