@@ -41,21 +41,26 @@ records once by critical bid, and only runs of equal critical bids are
 ordered further: by own marginal value ex ante, by the raw competing bid
 for uniform-price payments. Ex ante, the value won in a slot is a
 sequential prefix sum over that order, and the slots' sums are added in
-slot order. Every payment sum is an exact integer sum in units of
-2**-1074, rounded once, so it equals math.fsum over the records. Pay as
-bid, it is the sum over j of n_j * P_j (n_j records win exactly j units,
-P_j is the float sum of the first j bids); first price is its one-term
-case. Uniform price, it adds exact prefix sums of the competing bids. A
-combinatorial winner pays the candidate's own bid for its bundle, so the
-sum is over bundles b of n_b * bid_b.
-Combinatorial utility sums are math.fsum over the per-record values. A
-slot record's utility under the recorded bids sums the value won over its
-won slots, left to right (pay as bid, its bids the same way), and
-subtracts the payment once. The current strategy's mean utility is an
-exact sum bucketed by binary exponent and rounded once (_exact_sum; ex
-ante, _ExactSum over the cells), which equals math.fsum over the
-per-record values bit for bit. Argmax ties break toward the
-lexicographically smallest grid point.
+slot order. Every other sum over records is exact and rounded once, so
+it equals math.fsum over its terms. Where math.fsum does not run itself,
+the exact sum is a Python int in units of 2**-1074 (_SUBNORMAL, of which
+every finite float is an integer multiple):
+  * every payment sum. Pay as bid, it is the sum over j of n_j * P_j (n_j
+    records win exactly j units, P_j is the float sum of the first j
+    bids); first price is its one-term case. Uniform price, it adds exact
+    prefix sums of the competing bids. A combinatorial winner pays the
+    candidate's own bid for its bundle, so the sum is over bundles b of
+    n_b * bid_b.
+  * the current strategy's utility sum from the recorded bids, ex ante
+    over the cells and ex interim for a bids-only dataset: _ExactSum, the
+    one exact accumulator of float arrays.
+A combinatorial cell's utility sums are math.fsum per candidate row, which
+on rows that short is about five times faster than _ExactSum per row (121
+rows of 150 records: 0.5 against 2.6 ms on one x86 core). A slot record's
+utility under the recorded bids sums the value won over its won slots,
+left to right (pay as bid, its bids the same way), and subtracts the
+payment once. Argmax ties break toward the lexicographically smallest grid
+point.
 """
 import itertools
 import math
@@ -101,32 +106,34 @@ def valid_actions(config: GameConfig, points: np.ndarray) -> np.ndarray:
     return points
 
 
-# values per exact sum; more could carry a bucket sum past 2**53
+# values per _bucket_total call; more could carry a bucket sum past 2**53
 _EXACT_SUM_MAX = 1 << 26
 # values per pass of _bucket_total; its temporaries (64 KB each) stay small
 # beside the arrays of one ex ante cell
 _EXACT_SUM_CHUNK = 1 << 13
 # np.frexp exponents of nonzero finite floats lie in [-1073, 1024]
 _FREXP_LOW, _FREXP_BUCKETS = -1073, 2098
+# every finite float is an integer multiple of 2**-1074, the smallest
+# subnormal; sums of such integers are exact, and int / _SUBNORMAL rounds once
+_SUBNORMAL = 1 << 1074
 
 
-def _bucket_total(values: np.ndarray):
+def _bucket_total(values: np.ndarray) -> int:
     """The exact sum of at most _EXACT_SUM_MAX finite values, as a Python
-    int in units of 2**(_FREXP_LOW - 53), and the largest np.frexp exponent
-    among them (_FREXP_LOW for none).
+    int in units of 2**-1074.
 
     Each value is frac * 2**e (np.frexp), and frac * 2**27 splits into an
     integer high part, |high| <= 2**27, and a low part in [0, 1), a multiple
     of 2**-26. Both are summed per exponent with np.bincount: with at most
     2**26 values every partial sum is at most 2**53 of its unit (1 or
-    2**-26), so the bucket sums are exact. They are combined as Python ints.
+    2**-26), so the bucket sums are exact. They are combined as Python ints
+    in units of 2**(_FREXP_LOW - 53) = 2**-1126, in which every finite
+    float, and so the total, is a multiple of 2**52.
     """
     high_sums = np.zeros(_FREXP_BUCKETS)
     low_sums = np.zeros(_FREXP_BUCKETS)
-    top = _FREXP_LOW
     for lo in range(0, len(values), _EXACT_SUM_CHUNK):
         frac, exp = np.frexp(values[lo:lo + _EXACT_SUM_CHUNK])
-        top = max(top, int(exp.max()))
         np.ldexp(frac, 27, out=frac)
         high = np.floor(frac)
         frac -= high
@@ -142,51 +149,28 @@ def _bucket_total(values: np.ndarray):
         total = ((total << (bucket - b)) + (int(high_sums[b]) << 26)
                  + int(low_sums[b]))
         bucket = b
-    return total << bucket, top
-
-
-def _rounded_total(total: int) -> float:
-    """An exact int in units of 2**(_FREXP_LOW - 53), rounded once (half to
-    even, as math.fsum rounds); an exact zero is +0.0, as math.fsum returns.
-    Raises OverflowError past the float range."""
-    return total / (1 << (53 - _FREXP_LOW))   # int / int rounds once
-
-
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values.tolist()) bit for bit, without the list: the exact
-    sum of _bucket_total, rounded once. math.fsum itself runs for more than
-    2**26 values, for non-finite input, and where its own partial sums could
-    overflow."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(values.sum())   # no NaN or infinity
-    if len(values) > _EXACT_SUM_MAX or not finite:
-        return math.fsum(values.tolist())
-    total, top = _bucket_total(values)
-    # every |value| is below 2**top, so no partial sum of math.fsum can
-    # overflow while len(values) * 2**top <= 2**1023
-    if top + len(values).bit_length() > 1023:
-        return math.fsum(values.tolist())
-    return _rounded_total(total)
+    return (total << bucket) >> 52   # exact, into units of 2**-1074
 
 
 class _ExactSum:
-    """A running exact sum of float arrays, added one at a time and rounded
-    once by value(): math.fsum (and _exact_sum) over the arrays joined,
-    whatever the order of the values and however they are grouped.
+    """The estimator's one exact sum of float arrays, added one at a time
+    and rounded once by value() (half to even; an exact zero is +0.0):
+    math.fsum over the arrays joined, whatever the order of the values and
+    however they are grouped.
 
-    The finite values' exact sum is kept as an int, _bucket_total's over
-    _EXACT_SUM_MAX values at a time, so it stays exact past 2**26 values.
-    The non-finite values are summed apart, as math.fsum sums them: a NaN
-    gives NaN, else an infinity that infinity, and infinities of both signs
-    raise ValueError. The one difference from math.fsum: where its running
-    partial sums overflow, which depends on the order of the values, it
-    raises OverflowError; value() returns the exact sum rounded, raising
-    OverflowError only when that lies past the float range.
+    The finite values' exact sum is kept as an int in units of 2**-1074,
+    _bucket_total's over _EXACT_SUM_MAX values at a time, so it stays exact
+    past 2**26 values. The non-finite values are summed apart, as math.fsum
+    sums them: a NaN gives NaN, else an infinity that infinity, and
+    infinities of both signs raise ValueError. The one difference from
+    math.fsum: where its running partial sums overflow, which depends on
+    the order of the values, it raises OverflowError; value() returns the
+    exact sum rounded, raising OverflowError only when that lies past the
+    float range.
     """
 
     def __init__(self):
-        self._total = 0        # finite values, units of 2**(_FREXP_LOW - 53)
+        self._total = 0        # finite values, units of 2**-1074
         self._special = 0.0    # the sum of the non-finite values
         self._infinite = 0.0   # the sum of the infinite values
 
@@ -200,20 +184,14 @@ class _ExactSum:
                 self._infinite += float(rest[np.isinf(rest)].sum())
                 values = values[finite]
         for lo in range(0, len(values), _EXACT_SUM_MAX):
-            self._total += _bucket_total(values[lo:lo + _EXACT_SUM_MAX])[0]
+            self._total += _bucket_total(values[lo:lo + _EXACT_SUM_MAX])
 
     def value(self) -> float:
         if self._special != 0.0:   # NaN or an infinity was added
             if math.isnan(self._infinite):
                 raise ValueError("-inf + inf in fsum")
             return self._special
-        return _rounded_total(self._total)
-
-
-def _record_mean(values: np.ndarray, n_rec: int) -> float:
-    """Correctly rounded sum of per-record values divided by n_rec, so the
-    mean does not depend on record order or numpy's summation internals."""
-    return _exact_sum(values) / n_rec
+        return self._total / _SUBNORMAL
 
 
 def _sort_ties(keys: np.ndarray, tie: np.ndarray):
@@ -235,11 +213,6 @@ def _sort_ties(keys: np.ndarray, tie: np.ndarray):
     run = np.cumsum(start)[pos]
     order[pos] = order[pos][np.lexsort((tie[order[pos]], run))]
     return order, ranked   # a tied run holds equal keys in any order
-
-
-# a non-negative float is an integer multiple of 2**-1074, the smallest
-# subnormal; sums of such integers are exact, and int / _SUBNORMAL rounds once
-_SUBNORMAL = 1 << 1074
 
 
 def _exact_ints(values: np.ndarray):
@@ -613,9 +586,9 @@ def estimate_ex_interim(ds: Dataset, profile, grid: Grid, config: GameConfig,
         cur = (cur - pay_sums[n_cand:] / n_rec) / H
     else:
         flags.append(FLAG_DEGRADED)
-        point_utils = market.utilities(ds.vals[:, agent])
-        cur_scalar = _record_mean(point_utils, n_rec)
-        cur = np.full(theta_pts.shape[0], cur_scalar)
+        current = _ExactSum()
+        current.add(market.utilities(ds.vals[:, agent]))
+        cur = np.full(theta_pts.shape[0], current.value() / n_rec)
 
     # the K x K table is built a block of rows at a time, so memory stays
     # O(K); the first maximum (lexicographic tie-break) lies in the first

@@ -124,16 +124,21 @@ class Dataset:
 
     def validate(self, config: GameConfig):
         """Check the arrays' shapes against config and every coordinate
-        against [0, 1]. The coordinates are scanned on the first call only;
-        from then on the dataset's arrays are read-only views, so the scan
-        cannot go stale through them."""
+        against [0, 1]. The coordinates are scanned on the first call only,
+        once per distinct buffer; from then on the dataset's arrays are
+        read-only views, so the scan cannot go stale through them."""
         if self._in_range is None:
-            self._in_range = {}
+            self._in_range, scanned = {}, {}
             for name in _DATASET_FIELDS:
                 arr = getattr(self, name).view()
                 arr.flags.writeable = False
                 setattr(self, name, arr)
-                self._in_range[name] = _in_unit_range(arr)
+                # identity bids and private values are the observations
+                key = (arr.__array_interface__["data"][0], arr.shape,
+                       arr.strides)
+                if key not in scanned:
+                    scanned[key] = _in_unit_range(arr)
+                self._in_range[name] = scanned[key]
         want = (config.n_agents, config.mechanism.bid_dim)
         for name in _DATASET_FIELDS:
             arr = getattr(self, name)

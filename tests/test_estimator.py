@@ -104,13 +104,20 @@ def test_dataset_ranges_are_scanned_once_per_dataset(monkeypatch):
             estimate_ex_ante(ds, identity_profile(),
                              Partition(agent, [Cell(lo=(0.0,), hi=(1.0,))]),
                              make_grid(1, width), fpsb_game(), agent)
-    assert scanned == [(40, 2, 1)] * 3   # obs, vals and bids, once each
+    # identity bids of private values: obs, vals and bids are one array
+    assert scanned == [(40, 2, 1)]
     with pytest.raises(ValueError, match="read-only"):
         ds.bids[0, 0, 0] = 2.0
     # shapes are still checked on every call
     with pytest.raises(ValueError, match="does not match config"):
         ds.validate(fpsb_game(n=3))
-    # separate arrays: identity bids share the observations' memory
+    # identity bids of a common value: bids are obs, vals a broadcast
+    corr = correlated_dataset(40, seed=2)
+    for agent in (0, 1):
+        estimate_ex_ante(corr, identity_profile(), quarter_partition(agent),
+                         make_grid(1, 0.25), fpsb_game(), agent)
+    assert len(scanned) == 3
+    # separate arrays, one scan each
     obs = uniform_dataset(40, seed=2).obs
     bad = Dataset(obs, obs.copy(), obs.copy())
     bad.bids[3, 1, 0] = 1.5
@@ -118,6 +125,11 @@ def test_dataset_ranges_are_scanned_once_per_dataset(monkeypatch):
         with pytest.raises(ValueError, match="bids coordinate out of range"):
             bad.validate(fpsb_game())
     assert len(scanned) == 6
+    # three views of one buffer: one scan serves every field
+    bad = Dataset(bad.bids, bad.bids, bad.bids)
+    with pytest.raises(ValueError, match="obs coordinate out of range"):
+        bad.validate(fpsb_game())
+    assert len(scanned) == 7
 
 
 def test_ex_ante_checks_partition_owner():
@@ -239,6 +251,21 @@ def test_bids_only_ex_interim_builds_one_market_per_agent(monkeypatch):
                                   fpsb_game(3), agent)
         assert FLAG_DEGRADED in est.flags
     assert calls == [0, 1, 2]
+
+
+def test_bids_only_current_term_is_the_exact_mean_in_any_record_order():
+    ds = uniform_dataset(300, seed=0,
+                         profile=StrategyProfile((LinearShade(0.6),
+                                                  LinearShade(0.8))))
+    utils = profile_point_utilities(fpsb_game(), ds, 0).tolist()
+    want = math.fsum(utils) / len(ds)
+    for data in (ds, *shuffles(ds)):
+        est = estimate_ex_interim(data, None, make_grid(1, 0.25),
+                                  fpsb_game(), 0)
+        # at valuation 0 the best deviation, bid 0, gains exactly 0, so the
+        # point's gain is minus the current term
+        assert est.theta_points[0, 0] == 0.0
+        assert -est.per_point_gains[0] == want
 
 
 def test_multiunit_estimate_matches_direct_evaluation():
@@ -680,13 +707,6 @@ def fsum_or_error(values):
         return type(exc).__name__
 
 
-def exact_sum_or_error(values):
-    try:
-        return repr(estimator._exact_sum(np.array(values, dtype=np.float64)))
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
-
-
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),   # up to 1.8e308
     st.floats(min_value=-1e-300, max_value=1e-300),     # subnormals too
@@ -702,10 +722,50 @@ def cancelling_lists(draw):
     return draw(st.permutations(values + [-v for v in values] + extra))
 
 
+def cell_sum_or_error(cells):
+    """repr of _ExactSum over the cells, added in turn, or the name of the
+    error it raises."""
+    total = estimator._ExactSum()
+    for cell in cells:
+        total.add(np.array(cell, dtype=np.float64))
+    try:
+        return repr(total.value())
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def rounded_sum_or_error(values):
+    """What _ExactSum gives for values: fsum_or_error, except where
+    math.fsum overflows in its running partial sums, which depend on the
+    order. There the exact sum, rounded, has no such dependence."""
+    want = fsum_or_error(values)
+    if want != "OverflowError":
+        return want
+    try:
+        return repr(float(sum(map(Fraction, values))))
+    except OverflowError:   # the exact sum lies past the float range
+        return "OverflowError"
+
+
+def split_at(values, cuts):
+    bounds = [0] + sorted(c % (len(values) + 1) for c in cuts) + [len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()),
+       st.lists(st.integers(min_value=0), max_size=5))
+@settings(max_examples=1000, deadline=None)
+def test_cell_sums_add_up_to_the_exact_sum_of_all_values(values, cuts):
+    assert cell_sum_or_error(split_at(values, cuts)) == \
+        rounded_sum_or_error(values)
+
+
 @given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()))
 @settings(max_examples=1000, deadline=None)
 def test_exact_sum_equals_math_fsum_bit_for_bit(values):
-    assert exact_sum_or_error(values) == fsum_or_error(values)
+    # one array, no cells; rounded_sum_or_error is math.fsum's result
+    # wherever math.fsum's partial sums do not overflow
+    assert cell_sum_or_error([values]) == rounded_sum_or_error(values)
 
 
 def test_exact_sum_edge_cases_and_chunks():
@@ -720,10 +780,10 @@ def test_exact_sum_edge_cases_and_chunks():
     cases += [spread.tolist(), cancelled.tolist(),
               (rng.random(100_000) - 0.5).tolist()]
     for values in cases:
-        assert exact_sum_or_error(values) == fsum_or_error(values)
+        assert cell_sum_or_error([values]) == rounded_sum_or_error(values)
 
 
-def test_exact_sum_falls_back_to_fsum_past_its_exactness_limit(monkeypatch):
+def test_exact_sum_stays_exact_past_its_exactness_limit(monkeypatch):
     fsum = math.fsum
     calls = []
 
@@ -734,46 +794,11 @@ def test_exact_sum_falls_back_to_fsum_past_its_exactness_limit(monkeypatch):
     monkeypatch.setattr(math, "fsum", counted)
     values = [0.1, 0.2, 0.3, -0.6, 1e-17]
     want = repr(fsum(values))
-    assert repr(estimator._exact_sum(np.array(values))) == want
-    assert calls == []
-    monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", len(values) - 1)
-    assert repr(estimator._exact_sum(np.array(values))) == want
-    assert calls == [len(values)]
-
-
-def cell_sum_or_error(cells):
-    """repr of _ExactSum over the cells, added in turn, or the name of the
-    error it raises."""
-    total = estimator._ExactSum()
-    for cell in cells:
-        total.add(np.array(cell, dtype=np.float64))
-    try:
-        return repr(total.value())
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
-
-
-def split_at(values, cuts):
-    bounds = [0] + sorted(c % (len(values) + 1) for c in cuts) + [len(values)]
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-@given(st.one_of(st.lists(FLOATS, max_size=40), cancelling_lists()),
-       st.lists(st.integers(min_value=0), max_size=5))
-@settings(max_examples=1000, deadline=None)
-def test_cell_sums_add_up_to_the_exact_sum_of_all_values(values, cuts):
-    got = cell_sum_or_error(split_at(values, cuts))
-    want = fsum_or_error(values)
-    if want == "OverflowError":
-        # math.fsum overflows in its running partial sums, which depend on
-        # the order; the exact sum, rounded, has no such dependence
-        try:
-            rounded = repr(float(sum(map(Fraction, values))))
-        except OverflowError:   # the exact sum lies past the float range
-            rounded = "OverflowError"
-        assert got == rounded
-    else:
-        assert got == want == exact_sum_or_error(values)
+    assert cell_sum_or_error([values]) == want
+    for limit in (len(values) - 1, 2, 1):
+        monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", limit)
+        assert cell_sum_or_error([values]) == want
+    assert calls == []   # no hand-over to math.fsum
 
 
 def test_cell_sums_are_rounded_once_over_all_cells():
@@ -790,9 +815,9 @@ def test_cell_sums_are_rounded_once_over_all_cells():
     for cells in cases:
         values = [v for cell in cells for v in cell]
         assert cell_sum_or_error(cells) == fsum_or_error(values) == \
-            exact_sum_or_error(values), cells
+            cell_sum_or_error([values]), cells
     one_ulp = [[1.0, tiny], [tiny]]
-    rounded_apart = sum(estimator._exact_sum(np.array(c)) for c in one_ulp)
+    rounded_apart = sum(float(cell_sum_or_error([c])) for c in one_ulp)
     assert rounded_apart == 1.0
     assert cell_sum_or_error(one_ulp) == repr(1.0 + 2 * tiny)
 
@@ -806,7 +831,7 @@ def test_cell_sums_follow_fsum_on_non_finite_and_long_input(monkeypatch):
         values = [v for cell in cells for v in cell]
         assert cell_sum_or_error(cells) == fsum_or_error(values), cells
     # past _EXACT_SUM_MAX values in one cell or in all, the exact sum is
-    # kept a block at a time; _exact_sum itself hands over to math.fsum
+    # kept a block at a time
     monkeypatch.setattr(estimator, "_EXACT_SUM_MAX", 3)
     rng = np.random.Generator(np.random.Philox(42))
     spread = (rng.standard_normal(40)
@@ -814,8 +839,20 @@ def test_cell_sums_follow_fsum_on_non_finite_and_long_input(monkeypatch):
     values = spread + [-v for v in spread[::3]] + [2.0 ** -60, 2.0 ** -60]
     for cells in (split_at(values, [5, 11, 40]), [values],
                   [[v] for v in values]):
-        assert cell_sum_or_error(cells) == fsum_or_error(values) == \
-            exact_sum_or_error(values)
+        assert cell_sum_or_error(cells) == fsum_or_error(values)
+
+
+def test_bucket_total_is_the_exact_sum_in_units_of_the_smallest_subnormal():
+    rng = np.random.Generator(np.random.Philox(31))
+    long = rng.standard_normal(estimator._EXACT_SUM_CHUNK + 5) \
+        * 10.0 ** rng.integers(-320, 300, estimator._EXACT_SUM_CHUNK + 5)
+    cases = [[], [5e-324], [5e-324, -1e-323, 2.0 ** -1022],
+             [-2.5e-320, 1.5, -0.75], [1e308, -1e308, 1e308, 5e-324],
+             [-1e308] * 3, long.tolist()]
+    for values in cases:
+        exact = sum(map(Fraction, values), Fraction(0)) * 2 ** 1074
+        assert exact.denominator == 1
+        assert estimator._bucket_total(np.array(values)) == int(exact), values
 
 
 # -------------------------------------------------------- ex ante estimate
