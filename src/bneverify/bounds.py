@@ -12,6 +12,10 @@ e = 1 for m units; a wider width is flagged. Counts above the sample size
 are clamped (they carry no information) and flagged. Totals are left folds
 over the stored terms so a reader can recompute them from the report to the
 last ulp.
+
+split_delta alone divides a run's delta_total among its certificate's
+failure events (3 ex interim, 4 ex ante); each assembler reports that delta
+and the confidence 1 - events * delta of the union bound over them.
 """
 import math
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ __all__ = [
     "FLAG_ASYMPTOTIC",
     "FLAG_WIDTH_RANGE",
     "FLAG_DEGRADED_BOUND",
-    "FAILURE_EVENTS",
     "PdimSpec",
     "InterimSpecs",
     "ExAnteSpecs",
@@ -35,9 +38,9 @@ __all__ = [
     "eps_hoeffding",
     "eps_pdim_ex_ante",
     "pdim",
+    "split_delta",
     "assemble_interim",
     "assemble_ex_ante",
-    "confidence",
     "all_vacuous",
 ]
 
@@ -49,9 +52,7 @@ FLAG_DEGRADED_BOUND = ("degraded: mapped-width dispersion term omitted "
 
 VACUOUS_THRESHOLD = 2.0
 
-# failure events each certificate takes a union bound over, each at
-# probability delta; a run splits its delta_total evenly among them
-FAILURE_EVENTS = {"ex_interim": 3, "ex_ante": 4}
+_FAILURE_EVENTS = {"ex_interim": 3, "ex_ante": 4}
 
 # piecewise Lipschitz constant of the utility off its jump set, every rule
 UTILITY_LIPSCHITZ = 1.0
@@ -218,11 +219,22 @@ def pdim(config: GameConfig, constant: float = 1.0) -> PdimSpec:
                     constant)
 
 
+def split_delta(mode: str, delta_total: float) -> float:
+    """delta_total, in (0, 1), split evenly among the mode's failure events;
+    a split that underflows to 0 is refused."""
+    if not (0.0 < delta_total < 1.0):
+        raise ValueError("delta_total must lie in (0,1)")
+    events = _FAILURE_EVENTS[mode]
+    delta = delta_total / events
+    if not delta > 0.0:
+        raise ValueError(f"delta_total / {events}, the probability of each "
+                         "failure event, underflows to 0")
+    return delta
+
+
 @dataclass(frozen=True)
 class InterimSpecs:
     """Inputs needed to certify an ex interim estimate."""
-    width: float
-    delta: float            # per-event failure probability
     kappa: float            # opponent prior density bound
     l_inv_max: float        # max inverse-strategy Lipschitz constant
     l_fwd: float = None     # agent's own forward Lipschitz constant
@@ -234,8 +246,6 @@ class InterimSpecs:
 @dataclass(frozen=True)
 class ExAnteSpecs:
     """Inputs needed to certify an ex ante estimate (per-cell tau/kappa)."""
-    width: float
-    delta: float
     taus: tuple             # per cell, None allowed only on empty cells
     kappas: tuple           # per cell
     l_inv_max: float
@@ -265,29 +275,22 @@ class AgentBound:
         return out
 
 
-def confidence(mode: str, delta: float) -> float:
-    """Confidence of a certificate whose failure events each have
-    probability delta: one minus the union over FAILURE_EVENTS[mode]."""
-    return 1.0 - FAILURE_EVENTS[mode] * delta
-
-
-def _pdim_preamble(specs, config: GameConfig):
+def _pdim_preamble(specs, config: GameConfig, width: float):
     """Checks shared by both certificates; returns the pseudo-dimension and
     the certificate's flag list, which starts with the asymptotic flag when
     the pseudo-dimension is only a growth order."""
-    _check_positive("width", specs.width)
-    _check_delta(specs.delta)
+    _check_positive("width", width)
     spec_d = pdim(config, specs.pdim_constant)
     return spec_d, [FLAG_ASYMPTOTIC] if spec_d.kind != "exact" else []
 
 
-def _disp_term(config: GameConfig, specs, width: float, n_records: int,
-               kappa: float, n_cells_max: int, flags: list):
+def _disp_term(config: GameConfig, specs, width: float, delta: float,
+               n_records: int, kappa: float, n_cells_max: int, flags: list):
     """One dispersion term over n_records records: the raw count, the count
     clamped at n_records, and eps_disp at that count. Appends the vacuity
     flag (when clamped) and then the count's own flags to flags."""
     count_raw, d_flags = dispersion_count(
-        config, width, n_records, kappa, specs.l_inv_max, specs.delta,
+        config, width, n_records, kappa, specs.l_inv_max, delta,
         n_cells_max=n_cells_max, constant=specs.disp_constant)
     count, clamped = clamp_dispersion_count(count_raw, n_records)
     if clamped:
@@ -297,8 +300,8 @@ def _disp_term(config: GameConfig, specs, width: float, n_records: int,
                                       UTILITY_LIPSCHITZ)
 
 
-def _agent_bound(estimate, mode: str, specs, config: GameConfig, body: dict,
-                 total: float, flags: list) -> AgentBound:
+def _agent_bound(estimate, mode: str, specs, config: GameConfig, delta: float,
+                 body: dict, total: float, flags: list) -> AgentBound:
     """The report entry: agent, mode, record count and empirical gain, then
     the mode's terms in body, then delta, confidence and the totals."""
     H = config.utility_scale
@@ -308,8 +311,8 @@ def _agent_bound(estimate, mode: str, specs, config: GameConfig, body: dict,
         "n_records": estimate.n_records,
         "empirical": estimate.value,
         **body,
-        "delta": specs.delta,
-        "confidence": confidence(mode, specs.delta),
+        "delta": delta,
+        "confidence": 1.0 - _FAILURE_EVENTS[mode] * delta,
         "total": total,
         "total_denormalized": total * H,
         "utility_scale": H,
@@ -320,26 +323,27 @@ def _agent_bound(estimate, mode: str, specs, config: GameConfig, body: dict,
                       payload=payload, flags=tuple(all_flags))
 
 
-def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> AgentBound:
-    """Compose the ex interim certificate:
+def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig,
+                     w: float, delta_total: float) -> AgentBound:
+    """Compose the ex interim certificate at grid width w:
 
     total = empirical + eps_pdim + 3 * eps_disp(w) + eps_disp(l_fwd * w)
 
     at confidence 1 - 3 delta. Without a forward Lipschitz constant the
     mapped-width term cannot be evaluated; it is omitted and flagged.
     """
-    spec_d, flags = _pdim_preamble(specs, config)
+    delta = split_delta("ex_interim", delta_total)
+    spec_d, flags = _pdim_preamble(specs, config, w)
     n_rec = estimate.n_records
-    e_pdim = eps_pdim_interim(n_rec, spec_d.value, config.n_agents,
-                              specs.delta)
-    widths = [(specs.width, 3.0)]
+    e_pdim = eps_pdim_interim(n_rec, spec_d.value, config.n_agents, delta)
+    widths = [(w, 3.0)]
     if specs.l_fwd is not None:
-        widths.append((specs.l_fwd * specs.width, 1.0))
+        widths.append((specs.l_fwd * w, 1.0))
     disp_terms = []
     total = estimate.value + e_pdim
     for width, multiplier in widths:
         count_raw, count, value = _disp_term(
-            config, specs, width, n_rec, specs.kappa, 1, flags)
+            config, specs, width, delta, n_rec, specs.kappa, 1, flags)
         disp_terms.append({"width": width, "count_raw": count_raw,
                            "count": count, "value": value,
                            "multiplier": multiplier})
@@ -353,15 +357,16 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig) -> Agent
         "pdim_kind": spec_d.kind,
         "pdim_constant": spec_d.constant,
         "eps_pdim": e_pdim,
-        "width": specs.width,
+        "width": w,
         "disp_terms": disp_terms,
     }
-    return _agent_bound(estimate, "ex_interim", specs, config, body, total,
-                        flags)
+    return _agent_bound(estimate, "ex_interim", specs, config, delta, body,
+                        total, flags)
 
 
-def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentBound:
-    """Compose the ex ante certificate:
+def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig,
+                     w: float, delta_total: float) -> AgentBound:
+    """Compose the ex ante certificate at grid width w:
 
     total = empirical + 2 * eps_hoeffding
           + sum_k weight_k * min(1, tau_k + eps_pdim_cell_k + eps_disp_cell_k)
@@ -369,12 +374,13 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
     at confidence 1 - 4 delta. Empty cells contribute zero through their
     weight and skip the per-cell terms.
     """
-    spec_d, flags = _pdim_preamble(specs, config)
+    delta = split_delta("ex_ante", delta_total)
+    spec_d, flags = _pdim_preamble(specs, config, w)
     n = config.n_agents
     n_cells = len(estimate.br_terms)
     if len(specs.taus) != n_cells or len(specs.kappas) != n_cells:
         raise ValueError("per-cell tau/kappa lists must match the partition size")
-    e_hoeff = eps_hoeffding(estimate.n_records, n, specs.delta)
+    e_hoeff = eps_hoeffding(estimate.n_records, n, delta)
     sources = specs.tau_sources or tuple("" for _ in range(n_cells))
 
     cells = []
@@ -402,10 +408,10 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
         tau = specs.taus[k]
         if tau is None:
             raise ValueError(f"cell {k} has no tau")
-        e_pdim_cell = eps_pdim_ex_ante(n_cell, spec_d.value, n, specs.delta,
+        e_pdim_cell = eps_pdim_ex_ante(n_cell, spec_d.value, n, delta,
                                        specs.n_cells_max)
         count_raw, count, e_disp_cell = _disp_term(
-            config, specs, specs.width, n_cell, specs.kappas[k],
+            config, specs, w, delta, n_cell, specs.kappas[k],
             specs.n_cells_max, flags)
         inner = tau + e_pdim_cell + e_disp_cell
         contribution = term["weight"] * min(1.0, inner)
@@ -429,13 +435,13 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig) -> AgentB
         "pdim_value": spec_d.value,
         "pdim_kind": spec_d.kind,
         "pdim_constant": spec_d.constant,
-        "width": specs.width,
+        "width": w,
         "n_cells_max": specs.n_cells_max,
         "cells": cells,
         "cell_sum": cell_sum,
     }
-    return _agent_bound(estimate, "ex_ante", specs, config, body, total,
-                        flags)
+    return _agent_bound(estimate, "ex_ante", specs, config, delta, body,
+                        total, flags)
 
 
 def all_vacuous(agent_bounds) -> bool:

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class RunConfig:
     prior_model: object       # built from prior, or None
     profile: StrategyProfile  # built from strategies; None for bids-only
     partitions: dict          # ex ante: agent -> Partition; else None
-    specs: tuple              # per agent, its certificate inputs (width None)
+    specs: tuple              # per agent, its certificate inputs
 
     def to_dict(self) -> dict:
         mech = self.game.mechanism
@@ -207,21 +207,19 @@ def _check_candidate_work(game, widths, markets, bids, gain_rows, records=0,
                  f"market (cap {BID_COORD_CAP})")
 
 
-def _agent_specs(game, mode, prior, profile, partitions, kappa, l_inv_max,
-                 delta_total, pdim_constant, disp_constant):
-    """Per agent, every input of its certificate but the grid width: an
-    InterimSpecs, or ex ante (partitions given) an ExAnteSpecs. kappa and
-    l_inv_max are the declared values, used where none can be derived; each
-    declared input is flagged. A kappa that is neither derived nor declared
-    is a ConfigError."""
+def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max,
+                 pdim_constant, disp_constant):
+    """Per agent, every input of its certificate but the grid width and
+    delta_total: an InterimSpecs, or ex ante (partitions given) an
+    ExAnteSpecs. kappa and l_inv_max are the declared values, used where
+    none can be derived; each declared input is flagged. A kappa that is
+    neither derived nor declared is a ConfigError."""
     if profile is None:   # bids-only: parse_config requires l_inv_max
         flags = [FLAG_DECLARED_LINV]
     else:
         l_inv_max = profile.l_inv_max
         flags = [] if profile.certified else [FLAG_UNCERTIFIED]
-    common = dict(width=None,
-                  delta=delta_total / bounds_mod.FAILURE_EVENTS[mode],
-                  l_inv_max=l_inv_max, pdim_constant=pdim_constant,
+    common = dict(l_inv_max=l_inv_max, pdim_constant=pdim_constant,
                   disp_constant=disp_constant)
     specs = []
     taus = {}   # agents whose partitions have the same cells share one tau
@@ -345,13 +343,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
              "mode must be ex_interim or ex_ante")
 
     delta_total = raw.get("delta_total")
-    _require(is_number(delta_total) and 0.0 < delta_total < 1.0,
-             "delta_total", "delta_total must lie in (0,1)")
-    delta_total = float(delta_total)
-    events = bounds_mod.FAILURE_EVENTS[mode]
-    _require(delta_total / events > 0.0, "delta_total",
-             f"delta_total / {events}, the probability of each failure "
-             "event, underflows to 0")
+    _require(is_number(delta_total), "delta_total",
+             "delta_total must lie in (0,1)")
+    _build("delta_total", bounds_mod.split_delta, mode, delta_total)
 
     grid_w = raw.get("grid_w")
     if is_number(grid_w):
@@ -490,8 +484,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     kappa = _positive(raw, "kappa")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
     disp_constant = _positive(raw, "disp_constant", 1.0)
-    specs = _agent_specs(game, mode, prior_model, profile, partitions, kappa,
-                         l_inv_max, delta_total, pdim_constant, disp_constant)
+    specs = _agent_specs(game, prior_model, profile, partitions, kappa,
+                         l_inv_max, pdim_constant, disp_constant)
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
@@ -598,19 +592,19 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
     agent_bounds = []
     plots = {}
     for agent, specs in enumerate(config.specs):
-        specs = replace(specs, width=width)
         if interim:
             est = estimate_ex_interim(ds, config.profile, grid, game, agent)
-            agent_bounds.append(bounds_mod.assemble_interim(est, specs, game))
+            assemble = bounds_mod.assemble_interim
             plots[agent] = (est.theta_points, est.per_point_gains)
         else:
             est = estimate_ex_ante(ds, config.profile, config.partitions[agent],
                                    grid, game, agent)
-            agent_bounds.append(bounds_mod.assemble_ex_ante(est, specs, game))
+            assemble = bounds_mod.assemble_ex_ante
             plots[agent] = (est.candidates, est.gain_curve)
+        agent_bounds.append(assemble(est, specs, game, width,
+                                     config.delta_total))
 
     vacuous = bounds_mod.all_vacuous(agent_bounds)
-    delta = config.specs[0].delta
     payload = {
         "mode": config.mode,
         "config_hash": config.hash(),
@@ -618,8 +612,8 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
         "seed": config.seed,
         "n_records": len(ds),
         "delta_total": config.delta_total,
-        "delta": delta,
-        "confidence": bounds_mod.confidence(config.mode, delta),
+        "delta": agent_bounds[0].payload["delta"],   # the same for all
+        "confidence": agent_bounds[0].payload["confidence"],
         "grid_width": width,
         "grid_points_per_axis": grid.points_per_axis,
         "utility_scale": game.utility_scale,

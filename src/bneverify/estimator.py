@@ -651,7 +651,8 @@ def estimate_ex_ante(ds: Dataset, profile, partition: Partition, grid: Grid,
     Strategy object is needed for the empirical part. Each cell builds the
     market of its own records, which gives that cell's share of the current
     utility (an exact sum, rounded once over all cells) and its outcomes;
-    no per-record array outlives the partition's labels.
+    no per-record array outlives the partition's labels. The per-cell arrays
+    reuse the heap freed by the dataset hash's 4 MB blocks (cli._HASH_BLOCK).
     """
     ds.validate(config)
     if grid.dim != config.mechanism.bid_dim:

@@ -12,7 +12,7 @@ from bneverify.bounds import (FLAG_ASYMPTOTIC, FLAG_DEGRADED_BOUND,
                               all_vacuous, assemble_ex_ante, assemble_interim,
                               clamp_dispersion_count, dispersion_count,
                               eps_disp, eps_hoeffding, eps_pdim_ex_ante,
-                              eps_pdim_interim, pdim)
+                              eps_pdim_interim, pdim, split_delta)
 from bneverify.estimator import ExAnteEstimate, ExInterimEstimate
 from bneverify.model import GameConfig, MechanismSpec
 
@@ -214,6 +214,16 @@ def test_width_limit_combinatorial_exponent():
 # ------------------------------------------------------------ composition
 
 
+def test_split_delta_divides_delta_total_over_the_failure_events():
+    assert split_delta("ex_interim", 0.07) == 0.07 / 3
+    assert split_delta("ex_ante", 0.07) == 0.07 / 4
+    for bad in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \(0,1\)"):
+            split_delta("ex_interim", bad)
+    with pytest.raises(ValueError, match="delta_total / 4, the probability"):
+        split_delta("ex_ante", 1e-323)
+
+
 def interim_estimate(value=0.01, n_records=10_000):
     return ExInterimEstimate(agent=0, value=value,
                              argmax_pair=((1.0,), (0.5,)),
@@ -223,9 +233,8 @@ def interim_estimate(value=0.01, n_records=10_000):
 
 
 def test_assemble_interim_total_recomposes_from_the_payload():
-    specs = InterimSpecs(width=0.02, delta=0.05 / 3, kappa=1.0,
-                         l_inv_max=2.0, l_fwd=0.5)
-    out = assemble_interim(interim_estimate(), specs, fpsb_game())
+    specs = InterimSpecs(kappa=1.0, l_inv_max=2.0, l_fwd=0.5)
+    out = assemble_interim(interim_estimate(), specs, fpsb_game(), 0.02, 0.05)
     p = out.payload
     total = p["empirical"] + p["eps_pdim"]
     for term in p["disp_terms"]:
@@ -233,7 +242,8 @@ def test_assemble_interim_total_recomposes_from_the_payload():
     assert total == p["total"] == out.total
     assert [t["width"] for t in p["disp_terms"]] == [0.02, 0.5 * 0.02]
     assert [t["multiplier"] for t in p["disp_terms"]] == [3.0, 1.0]
-    assert p["confidence"] == 1.0 - 3.0 * specs.delta
+    assert p["delta"] == 0.05 / 3
+    assert p["confidence"] == 1.0 - 3.0 * p["delta"]
     assert p["total_denormalized"] == p["total"] * p["utility_scale"]
     assert out.flags == ()
     assert list(p) == ["agent", "mode", "n_records", "empirical",
@@ -245,13 +255,13 @@ def test_assemble_interim_total_recomposes_from_the_payload():
 
 def test_assemble_interim_terms_recompute_from_the_formulas():
     n = 10_000
-    specs = InterimSpecs(width=0.02, delta=0.05 / 3, kappa=1.0,
-                         l_inv_max=2.0, l_fwd=0.5)
-    out = assemble_interim(interim_estimate(n_records=n), specs, fpsb_game())
+    specs = InterimSpecs(kappa=1.0, l_inv_max=2.0, l_fwd=0.5)
+    out = assemble_interim(interim_estimate(n_records=n), specs, fpsb_game(),
+                           0.02, 0.05)
     p = out.payload
-    assert p["eps_pdim"] == eps_pdim_interim(n, 2.0, 2, specs.delta)
+    assert p["eps_pdim"] == eps_pdim_interim(n, 2.0, 2, 0.05 / 3)
     base = p["disp_terms"][0]
-    raw = fpsb_count(0.02, n, 1.0, 2.0, specs.delta)
+    raw = fpsb_count(0.02, n, 1.0, 2.0, 0.05 / 3)
     assert base["count_raw"] == raw
     assert base["value"] == eps_disp(0.02, n, min(raw, n), 1.0)
     mapped = p["disp_terms"][1]
@@ -259,9 +269,8 @@ def test_assemble_interim_terms_recompute_from_the_formulas():
 
 
 def test_assemble_interim_without_forward_constant_is_degraded():
-    specs = InterimSpecs(width=0.02, delta=0.05 / 3, kappa=1.0,
-                         l_inv_max=2.0, l_fwd=None)
-    out = assemble_interim(interim_estimate(), specs, fpsb_game())
+    specs = InterimSpecs(kappa=1.0, l_inv_max=2.0, l_fwd=None)
+    out = assemble_interim(interim_estimate(), specs, fpsb_game(), 0.02, 0.05)
     assert FLAG_DEGRADED_BOUND in out.flags
     p = out.payload
     assert len(p["disp_terms"]) == 1
@@ -271,9 +280,8 @@ def test_assemble_interim_without_forward_constant_is_degraded():
 
 def test_assemble_interim_tiny_sample_is_vacuous():
     est = interim_estimate(value=0.0, n_records=50)
-    specs = InterimSpecs(width=0.5, delta=0.05 / 3, kappa=1.0,
-                         l_inv_max=2.0, l_fwd=1.0)
-    out = assemble_interim(est, specs, fpsb_game())
+    specs = InterimSpecs(kappa=1.0, l_inv_max=2.0, l_fwd=1.0)
+    out = assemble_interim(est, specs, fpsb_game(), 0.5, 0.05)
     assert FLAG_VACUOUS_DISPERSION in out.flags
     p = out.payload
     # both dispersion rows clamp and contribute the saturated value 2 each
@@ -290,8 +298,8 @@ def test_assemble_interim_tiny_sample_is_vacuous():
 def test_assemble_interim_width_validation():
     with pytest.raises(ValueError, match="width"):
         assemble_interim(interim_estimate(),
-                         InterimSpecs(width=0.0, delta=0.01, kappa=1.0,
-                                      l_inv_max=1.0), fpsb_game())
+                         InterimSpecs(kappa=1.0, l_inv_max=1.0), fpsb_game(),
+                         0.0, 0.03)
 
 
 def ex_ante_estimate(value=0.02, cell_records=(600, 400), weights=None,
@@ -309,10 +317,9 @@ def ex_ante_estimate(value=0.02, cell_records=(600, 400), weights=None,
 
 def test_assemble_ex_ante_total_recomposes_from_the_payload():
     est = ex_ante_estimate()
-    specs = ExAnteSpecs(width=0.01, delta=0.05 / 4, taus=(0.1, 0.2),
-                        kappas=(1.5, 2.5), l_inv_max=2.0, n_cells_max=2,
-                        tau_sources=("derived", "declared"))
-    out = assemble_ex_ante(est, specs, fpsb_game())
+    specs = ExAnteSpecs(taus=(0.1, 0.2), kappas=(1.5, 2.5), l_inv_max=2.0,
+                        n_cells_max=2, tau_sources=("derived", "declared"))
+    out = assemble_ex_ante(est, specs, fpsb_game(), 0.01, 0.05)
     p = out.payload
     total = p["empirical"] + p["hoeffding_multiplier"] * p["eps_hoeffding"]
     cell_sum = 0.0
@@ -324,15 +331,16 @@ def test_assemble_ex_ante_total_recomposes_from_the_payload():
         cell_sum += contribution
     assert cell_sum == p["cell_sum"]
     assert total + cell_sum == p["total"] == out.total
-    assert p["confidence"] == 1.0 - 4.0 * specs.delta
+    assert p["delta"] == 0.05 / 4
+    assert p["confidence"] == 1.0 - 4.0 * p["delta"]
     assert [c["tau_source"] for c in p["cells"]] == ["derived", "declared"]
 
 
 def test_assemble_ex_ante_saturated_cells_contribute_their_weight():
     est = ex_ante_estimate(cell_records=(900, 100))
-    specs = ExAnteSpecs(width=0.01, delta=0.05 / 4, taus=(0.0, 1.0),
-                        kappas=(1.0, 1.0), l_inv_max=2.0, n_cells_max=2)
-    out = assemble_ex_ante(est, specs, fpsb_game())
+    specs = ExAnteSpecs(taus=(0.0, 1.0), kappas=(1.0, 1.0), l_inv_max=2.0,
+                        n_cells_max=2)
+    out = assemble_ex_ante(est, specs, fpsb_game(), 0.01, 0.05)
     end_cell = out.payload["cells"][1]
     assert end_cell["clamped"]
     assert end_cell["contribution"] == end_cell["weight"]
@@ -340,9 +348,9 @@ def test_assemble_ex_ante_saturated_cells_contribute_their_weight():
 
 def test_assemble_ex_ante_empty_cells_are_inert():
     est = ex_ante_estimate(cell_records=(1000, 0), weights=(1.0, 0.0))
-    specs = ExAnteSpecs(width=0.01, delta=0.05 / 4, taus=(0.0, None),
-                        kappas=(1.0, None), l_inv_max=2.0, n_cells_max=2)
-    out = assemble_ex_ante(est, specs, fpsb_game())
+    specs = ExAnteSpecs(taus=(0.0, None), kappas=(1.0, None), l_inv_max=2.0,
+                        n_cells_max=2)
+    out = assemble_ex_ante(est, specs, fpsb_game(), 0.01, 0.05)
     empty = out.payload["cells"][1]
     assert empty["contribution"] == 0.0
     assert empty["eps_pdim"] is None and empty["tau"] is None
@@ -351,14 +359,14 @@ def test_assemble_ex_ante_empty_cells_are_inert():
 def test_assemble_ex_ante_validation():
     est = ex_ante_estimate()
     with pytest.raises(ValueError, match="must match the partition size"):
-        assemble_ex_ante(est, ExAnteSpecs(width=0.01, delta=0.01,
-                                          taus=(0.1,), kappas=(1.0,),
-                                          l_inv_max=1.0), fpsb_game())
+        assemble_ex_ante(est, ExAnteSpecs(taus=(0.1,), kappas=(1.0,),
+                                          l_inv_max=1.0), fpsb_game(),
+                         0.01, 0.04)
     with pytest.raises(ValueError, match="cell 1 has no tau"):
-        assemble_ex_ante(est, ExAnteSpecs(width=0.01, delta=0.01,
-                                          taus=(0.1, None),
+        assemble_ex_ante(est, ExAnteSpecs(taus=(0.1, None),
                                           kappas=(1.0, 1.0),
-                                          l_inv_max=1.0), fpsb_game())
+                                          l_inv_max=1.0), fpsb_game(),
+                         0.01, 0.04)
 
 
 def test_all_vacuous():

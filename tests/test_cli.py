@@ -1045,6 +1045,38 @@ def test_ex_ante_run_writes_per_cell_breakdowns(tmp_path):
     assert len(rows) - 1 == 4  # 2 agents x 2 cells
 
 
+@pytest.mark.parametrize("sweep", [None, "0.1,0.05"])
+@pytest.mark.parametrize("mode, events", [("ex_interim", 3), ("ex_ante", 4)])
+def test_reports_split_delta_total_evenly_over_the_failure_events(
+        tmp_path, mode, events, sweep):
+    # 0.07 / 3 and 1 - 3 * (0.07 / 3) are inexact, so any other expression
+    # for the split or the confidence shows in the last bit
+    delta_total = 0.07
+    raw = eq_raw(mode=mode, n_records=2000, delta_total=delta_total)
+    if mode == "ex_ante":
+        raw["partition"] = [{"cells": [{"lo": [0.0], "hi": [0.5]},
+                                       {"lo": [0.5], "hi": [1.0]}]}]
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = str(tmp_path / "out")
+    argv = ["verify", "--config", cfg_path, "--out", out]
+    names = ["report.json"]
+    if sweep is not None:
+        argv += ["--grid-sweep", sweep]
+        names = [f"report_w{w}.json" for w in sweep.split(",")]
+    assert main(argv) in (0, 3)
+    delta = delta_total / events
+    confidence = 1.0 - events * delta
+    for name in names:
+        report = read_json(out, name)
+        assert report["delta_total"] == delta_total
+        for entry in [report, *report["agents"]]:
+            assert entry["delta"].hex() == delta.hex()
+            assert entry["confidence"].hex() == confidence.hex()
+        first = report["agents"][0]
+        assert [report["delta"], report["confidence"]] \
+            == [first["delta"], first["confidence"]]
+
+
 def test_main_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error: config:" in capsys.readouterr().err
