@@ -15,26 +15,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND_NAME",
-    "Cell", "Dataset", "GameConfig", "Grid",
-    "MechanismSpec", "Partition", "load_dataset", "make_grid",
-    "save_dataset", "split_by_partition",
-    "Outcome", "eval", "multiunit_allocation", "winner_determination",
-    "Identity", "LinearShade", "PiecewiseLinearMonotone", "Power",
-    "Strategy", "StrategyProfile", "profile_from_config",
-    "pushforward_density_bound",
-    "Beta", "CorrelatedCommonValue", "IndependentProduct", "Uniform",
-    "sample_dataset", "tv_integral_bound", "tv_profile", "tv_radius",
-    "ExAnteEstimate", "ExInterimEstimate", "estimate_ex_ante",
-    "estimate_ex_interim",
-    "AgentBound", "ExAnteSpecs", "InterimSpecs", "assemble_ex_ante",
-    "assemble_interim", "eps_disp", "eps_hoeffding", "eps_pdim_ex_ante",
-    "eps_pdim_interim", "pdim",
-    "OracleResult", "analytic_fpsb_loss", "exhaustive_wd", "quadrature_tv",
-]
-
-# the module that defines each name in __all__
+# the module that defines each public name
 _SOURCES = {
     "BACKEND_NAME": "_backend",
     **dict.fromkeys(("Cell", "Dataset", "GameConfig", "Grid", "MechanismSpec",
@@ -58,6 +39,7 @@ _SOURCES = {
     **dict.fromkeys(("OracleResult", "analytic_fpsb_loss", "exhaustive_wd",
                      "quadrature_tv"), "oracle"),
 }
+__all__ = list(_SOURCES)
 _MODULES = frozenset({"_backend", "_kernels_py", "bounds", "cli", "estimator",
                       "mechanisms", "model", "oracle", "priors", "strategies"})
 

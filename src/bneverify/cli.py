@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .estimator import estimate_ex_ante, estimate_ex_interim
+from .estimator import estimate_ex_ante, estimate_ex_interim, search_cost
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
                     Partition, config_hash, file_hash, is_integer, is_number,
                     load_dataset, make_grid, number)
@@ -151,54 +151,21 @@ def _kappa(prior, declared, agent, cell=None):
     return declared, FLAG_DECLARED_KAPPA
 
 
-# Caps on the per-candidate work of one grid width, checked before any
-# record is sampled or loaded, and once more after a dataset is loaded,
-# when its record count is known. Each market (ex ante one per agent and
-# partition cell, ex interim one per agent) makes every bid's payment sum
-# exactly, in Python ints; ex interim, each candidate also fills one row of
-# K entries of the gain table. A bundles market also scores every bundle
-# option of each (candidate, record) pair. Measured on a 2-vCPU x86 host,
-# a payment sum takes about 1.1 us and 330 bytes per bid coordinate, a
-# gain-table entry about 25 ns, a bundle option about 18 ns. Work is
-# counted in gain-table entries.
-_PAYMENT_SUM_WORK = 45    # gain-table entries per payment sum
-WORK_CAP = 10 ** 9        # about 25 s on that host
+# Caps on one grid width's search (estimator.search_cost), checked before
+# any record is sampled or loaded, and once more after a dataset is loaded,
+# when its record count is known
+WORK_CAP = 10 ** 9        # work units, about 25 s on a 2-vCPU x86 host
 BID_COORD_CAP = 1 << 21   # bid coordinates per market, about 700 MB
 
 
-def _candidate_count(mech: MechanismSpec, grid) -> int:
-    """The number of lattice points valid_actions keeps: every point, or
-    for sorted bids the non-increasing ones (multisets of dim axis values)."""
-    if mech.sorted_bids:
-        return math.comb(grid.points_per_axis + grid.dim - 1, grid.dim)
-    return grid.points_per_axis ** grid.dim
-
-
-def _job_work(game, partitions, profile) -> dict:
-    """The markets, bids and gain_rows of _check_candidate_work for a job."""
-    if partitions is not None:
-        return dict(markets=sum(map(len, partitions.values())), bids=1,
-                    gain_rows=0)
-    return dict(markets=game.n_agents, bids=1 if profile is None else 2,
-                gain_rows=1)
-
-
-def _check_candidate_work(game, widths, markets, bids, gain_rows, records=0,
+def _check_candidate_work(game, profile, partitions, widths, records=0,
                           field=None):
-    """Refuse a grid width past WORK_CAP or BID_COORD_CAP, naming field, or
-    else the width's own field. The job builds markets markets; each
-    evaluates bids bid vectors per candidate (ex interim with strategies,
-    the candidate and the current bid at a grid point) and fills gain_rows
-    rows of the gain table per candidate. records is the job's record
-    count, 0 while unknown; each record sits in one market per agent."""
-    mech = game.mechanism
+    """Refuse a grid width whose search over records records (0 while
+    unknown) passes WORK_CAP or BID_COORD_CAP, naming field or the width."""
     for name, w in widths.items():
-        grid = make_grid(mech.bid_dim, w)
-        k = _candidate_count(mech, grid)
-        work = markets * k * (bids * _PAYMENT_SUM_WORK + gain_rows * k)
-        if mech.kind == "first_price_combinatorial":
-            work += game.n_agents * bids * k * records * mech.bid_dim
-        coords = bids * k * grid.dim
+        grid = make_grid(game.mechanism.bid_dim, w)
+        k, markets, work, coords = search_cost(game, grid, profile,
+                                               partitions, records)
         over = f" over {records} records" if records else ""
         _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field or name,
                  f"grid too fine: {k} candidates in {markets} markets{over} "
@@ -367,11 +334,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     else:
         raise ConfigError("grid_w",
                           "grid_w must be a number or a nonempty list")
-    for field, w in widths.items():
-        try:   # sizes the lattice without building it
-            make_grid(game.mechanism.bid_dim, w)
-        except ValueError as exc:
-            raise ConfigError(field, str(exc))
+    for field, w in widths.items():   # sizes the lattice without building it
+        _build(field, make_grid, game.mechanism.bid_dim, w)
 
     prior = raw.get("prior")
     dataset = raw.get("dataset")
@@ -475,11 +439,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
-    work = _job_work(game, partitions, profile)
-    _check_candidate_work(game, widths, **work)
+    _check_candidate_work(game, profile, partitions, widths)
     if n_records is not None:   # sampled: the record count is known now
-        _check_candidate_work(game, widths, **work, records=n_records,
-                              field="n_records")
+        _check_candidate_work(game, profile, partitions, widths, n_records,
+                              "n_records")
 
     kappa = _positive(raw, "kappa")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
@@ -568,10 +531,8 @@ def _resolve_dataset(config: RunConfig, widths):
         _require(config.mode == "ex_ante" or np.array_equal(ds.obs, ds.vals),
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
-        _check_candidate_work(config.game, dict(enumerate(widths)),
-                              **_job_work(config.game, config.partitions,
-                                          config.profile),
-                              records=len(ds), field="dataset")
+        _check_candidate_work(config.game, config.profile, config.partitions,
+                              dict(enumerate(widths)), len(ds), "dataset")
         return ds, file_hash(config.dataset)
     from . import priors as priors_mod
     try:   # numpy refuses, or fails to allocate, arrays of too many records

@@ -191,6 +191,21 @@ def number(x, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def json_value(x, kind: type, what: str):
+    """x if it has the JSON type kind, else ValueError naming what."""
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
+    return x
+
+
+def numbers(xs, what: str) -> list:
+    """xs as floats if it is a JSON list of numbers, else ValueError."""
+    return [number(x, what) for x in json_value(xs, list, what)]
+
+
 def _record_numbers(row: dict, n: int, dim: int):
     """The record's numbers, obs then vals then bids, as one flat list when
     every field is a list of n per-agent lists of dim JSON numbers; else
@@ -428,12 +443,13 @@ class Partition:
     @classmethod
     def from_dict(cls, d: dict) -> "Partition":
         cells = []
-        for k, raw in enumerate(d["cells"]):
+        for k, raw in enumerate(json_value(d["cells"], list, "cells")):
+            raw = json_value(raw, dict, f"cells[{k}]")
             tau = raw.get("tau")
             kappa = raw.get("kappa")
             cells.append(Cell(
-                lo=tuple(number(x, f"cells[{k}].lo") for x in raw["lo"]),
-                hi=tuple(number(x, f"cells[{k}].hi") for x in raw["hi"]),
+                lo=tuple(numbers(raw["lo"], f"cells[{k}].lo")),
+                hi=tuple(numbers(raw["hi"], f"cells[{k}].hi")),
                 tau=None if tau is None else number(tau, f"cells[{k}].tau"),
                 kappa=(None if kappa is None
                        else number(kappa, f"cells[{k}].kappa")),
@@ -460,7 +476,6 @@ class Grid:
     """Uniform lattice over [0,1]^dim; make_grid sizes it so that its points
     cover the cube within a given L1 distance."""
     dim: int
-    step: float
     points_per_axis: int
 
     @property
@@ -508,7 +523,7 @@ def make_grid(dim: int, radius: float, cap: int = GRID_POINT_CAP) -> Grid:
         raise ValueError(
             f"grid too large: {_short_count(total)} points exceed cap {cap} "
             f"(would need about {_short_count(total * dim * 8)} bytes)")
-    return Grid(dim=dim, step=1.0 / segments, points_per_axis=points_per_axis)
+    return Grid(dim=dim, points_per_axis=points_per_axis)
 
 
 def canonical_json(obj) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Cell, Dataset, Partition, is_integer, number
+from .model import Cell, Dataset, Partition, is_integer, json_value, number
 
 __all__ = [
     "Uniform",
@@ -33,10 +33,18 @@ __all__ = [
 
 FLAG_DECLARED_TAU = "tau declared, not derived"
 
-# midpoint-rule panels per piece in CorrelatedCommonValue.tv_pair
+# midpoint-rule panels per piece in CorrelatedCommonValue.tv_pair; a power
+# of 2, so that _halving_sum adds them in a fixed order, not numpy's
 _TV_PANELS = 4096
 # rows per block of CorrelatedCommonValue.sample's uniform draws
 _DRAW_BLOCK = 1 << 15
+
+
+def _halving_sum(x: np.ndarray) -> float:
+    """The sum of 2**k floats, adding neighbouring pairs until one is left."""
+    while len(x) > 1:
+        x = x[0::2] + x[1::2]
+    return float(x[0])
 
 
 class Uniform:
@@ -242,11 +250,11 @@ class CorrelatedCommonValue:
         panels = _TV_PANELS
         # on (s_lo, s_hi] only the low posterior has mass
         mid1 = s_lo + (np.arange(panels) + 0.5) * (s_hi - s_lo) / panels
-        part1 = float(np.sum(1.0 / (mid1 * c_lo))) * (s_hi - s_lo) / panels
+        part1 = _halving_sum(1.0 / (mid1 * c_lo)) * (s_hi - s_lo) / panels
         # on (s_hi, 1] the high posterior dominates pointwise
         mid2 = s_hi + (np.arange(panels) + 0.5) * (1.0 - s_hi) / panels
         gap = 1.0 / (mid2 * c_hi) - 1.0 / (mid2 * c_lo)
-        part2 = float(np.sum(gap)) * (1.0 - s_hi) / panels
+        part2 = _halving_sum(gap) * (1.0 - s_hi) / panels
         return 0.5 * (part1 + part2)
 
     def tv_radius(self, cell: Cell) -> float:
@@ -342,17 +350,20 @@ _MARGINALS = {
 
 
 def marginal_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = json_value(json_value(d, dict, "marginal").get("kind"), str,
+                      "marginal kind")
     if kind not in _MARGINALS:
         raise ValueError(f"unknown marginal kind: {kind!r}")
     return _MARGINALS[kind](d)
 
 
 def prior_from_dict(d: dict, n_agents: int = None):
-    kind = d.get("kind")
+    kind = json_value(d, dict, "prior").get("kind")
     if kind == "independent_product":
-        marginals = [[marginal_from_dict(m) for m in per_agent]
-                     for per_agent in d["marginals"]]
+        marginals = [[marginal_from_dict(m)
+                      for m in json_value(per_agent, list, f"marginals[{i}]")]
+                     for i, per_agent in enumerate(
+                         json_value(d["marginals"], list, "marginals"))]
         sort_desc = d.get("sort_desc", False)
         if not isinstance(sort_desc, bool):
             raise ValueError("sort_desc must be true or false")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import is_integer, number
+from .model import is_integer, json_value, number, numbers
 
 __all__ = [
     "Strategy",
@@ -196,16 +196,15 @@ _FAMILIES = {
     "linear_shade": lambda p: LinearShade(number(p["c"], "c")),
     "power": lambda p: Power(number(p["p"], "p")),
     "piecewise_linear": lambda p: PiecewiseLinearMonotone(
-        [number(x, "xs") for x in p["xs"]],
-        [number(y, "ys") for y in p["ys"]]),
+        numbers(p["xs"], "xs"), numbers(p["ys"], "ys")),
 }
 
 
 def strategy_from_dict(d: dict) -> Strategy:
-    family = d.get("family")
+    family = json_value(d.get("family"), str, "strategy family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown strategy family: {family!r}")
-    return _FAMILIES[family](d.get("params", {}))
+    return _FAMILIES[family](json_value(d.get("params", {}), dict, "params"))
 
 
 def profile_from_config(entries, n_agents: int) -> StrategyProfile:
@@ -217,7 +216,7 @@ def profile_from_config(entries, n_agents: int) -> StrategyProfile:
     """
     slots = {}
     for entry in entries:
-        i = entry["agent"]
+        i = json_value(entry, dict, "strategy entry")["agent"]
         if not (is_integer(i) and 0 <= i < n_agents):
             raise ValueError(f"strategy entry for unknown agent {i!r}")
         if i in slots:

@@ -19,9 +19,7 @@ from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
 from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
                            emit_plot_data, load_config, main, parse_config,
                            run)
-from bneverify.estimator import valid_actions
-from bneverify.model import (GameConfig, MechanismSpec, Partition,
-                             canonical_json, file_hash, make_grid)
+from bneverify.model import Partition, canonical_json, file_hash
 from bneverify.priors import (FLAG_DECLARED_TAU, Beta, CorrelatedCommonValue,
                               prior_from_dict, sample_dataset, tv_profile)
 from bneverify.strategies import (FLAG_UNCERTIFIED, LinearShade,
@@ -682,18 +680,6 @@ def test_a_bundles_job_past_the_cap_for_its_records_exits_2_after_loading(
     parse_config(dict(sampled, n_records=900))   # 9.3e8 work units
 
 
-@pytest.mark.parametrize("kind, size, width", [
-    ("discriminatory", {"units": 2}, 0.1),
-    ("uniform_price", {"units": 3}, 0.3),
-    ("first_price_combinatorial", {"items": 1}, 0.5)])
-def test_the_work_estimate_counts_the_candidates_the_estimator_keeps(
-        kind, size, width):
-    game = GameConfig(n_agents=2, mechanism=MechanismSpec(kind=kind, **size))
-    grid = make_grid(game.mechanism.bid_dim, width)
-    assert cli._candidate_count(game.mechanism, grid) == len(
-        valid_actions(game, grid.points()))
-
-
 def two_unit(**game):
     return {"n_agents": 2, "mechanism": {"kind": "discriminatory", "units": 2},
             **game}
@@ -1273,7 +1259,6 @@ def test_ex_ante_verify_loads_neither_fractions_nor_decimal(tmp_path,
 def test_every_public_name_resolves_lazily(src_env):
     import bneverify
     names = bneverify.__all__
-    assert sorted(bneverify._SOURCES) == sorted(names)
     # each fresh process reads every name first by one of the two routes
     run_fresh("import bneverify; "
               f"assert set({names!r}) <= set(dir(bneverify)); "

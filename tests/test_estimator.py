@@ -15,7 +15,7 @@ from bneverify import estimator, model
 from bneverify.cli import parse_config, run
 from bneverify.estimator import (FLAG_DEGRADED, estimate_ex_ante,
                                  estimate_ex_interim, profile_point_utilities,
-                                 valid_actions)
+                                 search_cost, valid_actions)
 from bneverify.mechanisms import winner_determination, eval as eval_game
 from bneverify.model import (Cell, Dataset, GameConfig, MechanismSpec,
                              Partition, make_grid, split_by_partition)
@@ -154,6 +154,23 @@ def test_valid_actions_filters_multiunit_lattice():
     axis = make_grid(1, 0.25).points()
     assert np.array_equal(valid_actions(one_unit, axis), axis)
 
+
+@pytest.mark.parametrize("kind, size, width", [
+    ("discriminatory", {"units": 2}, 0.1),
+    ("uniform_price", {"units": 3}, 0.3),
+    ("first_price_combinatorial", {"items": 1}, 0.5)])
+def test_search_cost_counts_kept_candidates(kind, size, width):
+    game = GameConfig(n_agents=2, mechanism=MechanismSpec(kind=kind, **size))
+    grid = make_grid(game.mechanism.bid_dim, width)
+    k = len(valid_actions(game, grid.points()))
+    # ex ante: one market per agent and cell, whose calls see the candidates
+    cells = [Cell(lo=(0.0,) * grid.dim, hi=(1.0,) * grid.dim)] * 3
+    parts = {0: Partition(0, cells), 1: Partition(1, cells[:2])}
+    count, markets, _, coords = search_cost(game, grid, partitions=parts)
+    assert (count, markets, coords) == (k, 5, k * grid.dim)
+    # ex interim with strategies: the current bids follow the candidates
+    count, markets, _, coords = search_cost(game, grid, profile=object())
+    assert (count, markets, coords) == (k, 2, 2 * k * grid.dim)
 
 # ------------------------------------------------------ ex interim estimate
 

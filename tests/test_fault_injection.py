@@ -1,6 +1,7 @@
-"""Fault injection over whole run configs: every leaf of two small configs
-is replaced in turn by a value of another JSON type, and each job must end
-in a normal exit, with any config error naming its field."""
+"""Fault injection over whole run configs: every value of two small
+configs, containers included, is replaced in turn by a value of another
+JSON type, and each job must end in a normal exit, with any config error
+naming its field and never in Python's own words for a wrong type."""
 import copy
 import json
 import re
@@ -61,15 +62,18 @@ REPLACEMENTS = [True, False, None, "0.5", -1, [], {}, 10**400, float("inf"),
 NOT_NUMBERS = [True, False, "0.5", [], {}]
 
 
-def leaves(node, path=()):
-    """The path of every scalar and every empty container in node."""
+# messages from Python's internals, which name no expected type
+INTERNAL = re.compile(r"unhashable type|'\w+' object (is not|has no)")
+
+
+def nodes(node, path=()):
+    """The path of every value in node, containers included, but not of
+    node itself."""
     children = (node.items() if isinstance(node, dict)
                 else enumerate(node) if isinstance(node, list) else ())
-    children = list(children)
-    if not children:
-        yield path
     for key, child in children:
-        yield from leaves(child, path + (key,))
+        yield path + (key,)
+        yield from nodes(child, path + (key,))
 
 
 def replaced(raw, path, value):
@@ -83,7 +87,7 @@ def replaced(raw, path, value):
 
 def cases():
     for name, raw in (("interim", INTERIM), ("ante", ANTE)):
-        for path in leaves(raw):
+        for path in nodes(raw):
             yield pytest.param(raw, path, id=f"{name}:" + ".".join(
                 map(str, path)))
 
@@ -105,6 +109,7 @@ def test_every_replaced_leaf_exits_normally(tmp_path, capsys, raw, path):
             named = re.match(r"error: ([\w.\[\]]+): ", err)
             assert named, (value, err)
             assert re.split(r"[.\[]", named.group(1))[0] in raw, (value, err)
+            assert not INTERNAL.search(err), (value, err)
         if held_number and value in NOT_NUMBERS:
             assert code == 2, (value, code)
 

@@ -14,8 +14,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bneverify"
 
 def unused_imports(source: str):
     """Names bound by the module's imports and never read. A name listed
-    in __all__ is a re-export, and `import a.b` without an alias is a
-    side-effect import (it loads the submodule); both count as used."""
+    in a literal __all__ is a re-export, and `import a.b` without an alias
+    is a side-effect import (it loads the submodule); both count as used.
+    A computed __all__ (the package's, list(_SOURCES)) counts none."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -31,7 +32,8 @@ def unused_imports(source: str):
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
+                        for t in node.targets)
+                and isinstance(node.value, ast.List)):
             used.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)

@@ -174,6 +174,25 @@ def test_correlated_tv_pair_matches_quadrature_reference():
     assert abs(got - ref.value) <= ref.resolution["refinement_delta"]
 
 
+def test_correlated_tv_pair_sums_without_numpy_reductions(monkeypatch):
+    # each quadrature piece is added in a fixed tree of pairs, so derived
+    # tau never depends on the order in which numpy reduces an array
+    prior = CorrelatedCommonValue(2)
+    with open(REPO / "configs" / "correlated_partition.json",
+              encoding="utf-8") as fh:
+        cells = Partition.from_dict(json.load(fh)).cells
+    pairs = [(c.lo[0], c.hi[0]) for c in cells
+             if 0.0 < c.lo[0] < c.hi[0] < 1.0]
+    assert len(pairs) == 6
+    want = [prior.tv_pair(lo, hi) for lo, hi in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.sum called")
+
+    monkeypatch.setattr(np, "sum", refuse)
+    assert [prior.tv_pair(lo, hi) for lo, hi in pairs] == want
+
+
 def test_correlated_tv_radius_edge_conventions():
     prior = CorrelatedCommonValue(2)
     assert prior.tv_radius(Cell(lo=(0.0,), hi=(0.1,))) == 1.0
