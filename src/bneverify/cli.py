@@ -8,6 +8,7 @@ Determinism: reports embed the config hash and dataset hash, never
 timestamps; report bytes are identical across reruns.
 """
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -60,59 +61,26 @@ def _require(cond, field, message):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; to_dict() round-trips byte-identically
-    through parse_config (defaults filled, stable key order). The raw fields
-    are what the report hashes; run uses the inputs built from them."""
+    """Resolved run configuration: settings, the normalized config with
+    defaults filled in a stable key order, which the report hashes and which
+    round-trips byte-identically through parse_config; and the inputs run
+    builds from it."""
 
+    settings: dict            # every key a config may hold
     game: GameConfig
-    mode: str
-    prior: dict               # raw dict or None
-    dataset: str              # path or None
-    strategies: object        # list of entries or "bids-only"
-    partition: list           # list of partition dicts or None
-    grid_w: object            # float or list of floats
-    delta_total: float
-    n_records: int
-    seed: int
-    kappa: float              # declared density bound or None
-    l_inv_max: float          # declared inverse slope bound or None
-    pdim_constant: float
-    disp_constant: float
-    out_dir: str
+    grids: dict               # grid width -> its Grid, in config order
     prior_model: object       # built from prior, or None
     profile: StrategyProfile  # built from strategies; None for bids-only
     partitions: dict          # ex ante: agent -> Partition; else None
     specs: tuple              # per agent, its certificate inputs
 
     def to_dict(self) -> dict:
-        mech = self.game.mechanism
-        return {
-            "game": {
-                "n_agents": self.game.n_agents,
-                "mechanism": {"kind": mech.kind, "items": mech.items,
-                              "units": mech.units},
-                "utility_scale": self.game.utility_scale,
-            },
-            "mode": self.mode,
-            "prior": self.prior,
-            "dataset": self.dataset,
-            "strategies": self.strategies,
-            "partition": self.partition,
-            "grid_w": self.grid_w,
-            "delta_total": self.delta_total,
-            "n_records": self.n_records,
-            "seed": self.seed,
-            "kappa": self.kappa,
-            "l_inv_max": self.l_inv_max,
-            "pdim_constant": self.pdim_constant,
-            "disp_constant": self.disp_constant,
-            "out_dir": self.out_dir,
-        }
+        return copy.deepcopy(self.settings)
 
     def hash(self) -> str:
-        d = self.to_dict()
-        d.pop("out_dir")  # output location must not change the result hash
-        return config_hash(d)
+        # the output location must not change the result hash
+        return config_hash({key: value for key, value in self.settings.items()
+                            if key != "out_dir"})
 
 
 def _build(field, fn, *args):
@@ -141,13 +109,9 @@ def _kappa(prior, declared, agent, cell=None):
     else the declared top-level one, which may be None."""
     if cell is not None and cell.kappa is not None:
         return cell.kappa, FLAG_DECLARED_KAPPA
-    if prior is not None:   # recorded data has no prior
-        from . import priors as priors_mod
-        if isinstance(prior, priors_mod.IndependentProduct):
-            return prior.kappa_opponents(agent), None
-        if cell is not None and isinstance(prior,
-                                           priors_mod.CorrelatedCommonValue):
-            return prior.kappa_cell(cell), None
+    derived = None if prior is None else prior.kappa(agent, cell)
+    if derived is not None:
+        return derived, None
     return declared, FLAG_DECLARED_KAPPA
 
 
@@ -158,12 +122,11 @@ WORK_CAP = 10 ** 9        # work units, about 25 s on a 2-vCPU x86 host
 BID_COORD_CAP = 1 << 21   # bid coordinates per market, about 700 MB
 
 
-def _check_candidate_work(game, profile, partitions, widths, records=0,
+def _check_candidate_work(game, profile, partitions, grids, records=0,
                           field=None):
-    """Refuse a grid width whose search over records records (0 while
-    unknown) passes WORK_CAP or BID_COORD_CAP, naming field or the width."""
-    for name, w in widths.items():
-        grid = make_grid(game.mechanism.bid_dim, w)
+    """Refuse a grid whose search over records records (0 while unknown)
+    passes WORK_CAP or BID_COORD_CAP, naming field or its key in grids."""
+    for name, grid in grids.items():
         k, markets, work, coords = search_cost(game, grid, profile,
                                                partitions, records)
         over = f" over {records} records" if records else ""
@@ -334,8 +297,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     else:
         raise ConfigError("grid_w",
                           "grid_w must be a number or a nonempty list")
-    for field, w in widths.items():   # sizes the lattice without building it
-        _build(field, make_grid, game.mechanism.bid_dim, w)
+    # each width's lattice, sized without building its points
+    named = {field: _build(field, make_grid, game.mechanism.bid_dim, w)
+             for field, w in widths.items()}
 
     prior = raw.get("prior")
     dataset = raw.get("dataset")
@@ -439,9 +403,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
-    _check_candidate_work(game, profile, partitions, widths)
+    _check_candidate_work(game, profile, partitions, named)
     if n_records is not None:   # sampled: the record count is known now
-        _check_candidate_work(game, profile, partitions, widths, n_records,
+        _check_candidate_work(game, profile, partitions, named, n_records,
                               "n_records")
 
     kappa = _positive(raw, "kappa")
@@ -454,12 +418,27 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
              "out_dir must be a nonempty path")
 
-    return RunConfig(game=game, mode=mode, prior=prior, dataset=dataset,
-                     strategies=strategies, partition=partition,
-                     grid_w=grid_w, delta_total=delta_total,
-                     n_records=n_records, seed=seed, kappa=kappa,
-                     l_inv_max=l_inv_max, pdim_constant=pdim_constant,
-                     disp_constant=disp_constant, out_dir=out_dir,
+    mech = game.mechanism
+    # a copy, so that later edits to raw cannot change the hash
+    settings = copy.deepcopy({
+        "game": {"n_agents": game.n_agents,
+                 "mechanism": {"kind": mech.kind, "items": mech.items,
+                               "units": mech.units},
+                 "utility_scale": game.utility_scale},
+        "mode": mode, "prior": prior, "dataset": dataset,
+        "strategies": strategies, "partition": partition, "grid_w": grid_w,
+        "delta_total": delta_total, "n_records": n_records, "seed": seed,
+        "kappa": kappa, "l_inv_max": l_inv_max,
+        "pdim_constant": pdim_constant, "disp_constant": disp_constant,
+        "out_dir": out_dir,
+    })
+    # last, so that a missing or malformed field is named first
+    for key in raw:
+        _require(key in settings, key,
+                 f"unknown config key {key!r}; a config may hold "
+                 f"{', '.join(settings)}")
+    return RunConfig(settings=settings, game=game,
+                     grids=dict(zip(widths.values(), named.values())),
                      prior_model=prior_model, profile=profile,
                      partitions=partitions, specs=specs)
 
@@ -522,34 +501,37 @@ class RunReport:
                           allow_nan=False) + "\n"
 
 
-def _resolve_dataset(config: RunConfig, widths):
-    if config.dataset is not None:
+def _resolve_dataset(config: RunConfig):
+    path = config.settings["dataset"]
+    if path is not None:
         try:
-            ds = load_dataset(config.dataset, config.game)
+            ds = load_dataset(path, config.game)
         except (OSError, ValueError) as exc:
             raise ConfigError("dataset", str(exc)) from None
-        _require(config.mode == "ex_ante" or np.array_equal(ds.obs, ds.vals),
+        _require(config.settings["mode"] == "ex_ante"
+                 or np.array_equal(ds.obs, ds.vals),
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
         _check_candidate_work(config.game, config.profile, config.partitions,
-                              dict(enumerate(widths)), len(ds), "dataset")
-        return ds, file_hash(config.dataset)
+                              config.grids, len(ds), "dataset")
+        return ds, file_hash(path)
     from . import priors as priors_mod
     try:   # numpy refuses, or fails to allocate, arrays of too many records
         ds = priors_mod.sample_dataset(config.prior_model, config.profile,
-                                       config.n_records, config.seed)
+                                       config.settings["n_records"],
+                                       config.settings["seed"])
     except (ValueError, MemoryError) as exc:
         raise ConfigError("n_records",
                           f"too many records to sample: {exc}") from None
     return ds, _array_hash(ds.obs, ds.vals, ds.bids)
 
 
-def _run_single_width(config: RunConfig, width: float, ds: Dataset,
+def _run_single_width(config: RunConfig, width: float, grid, ds: Dataset,
                       ds_hash: str) -> RunReport:
-    """One report at one grid width."""
+    """One report at one grid width, whose lattice is grid."""
     game = config.game
-    grid = make_grid(game.mechanism.bid_dim, width)
-    interim = config.mode == "ex_interim"
+    settings = config.settings
+    interim = settings["mode"] == "ex_interim"
     agent_bounds = []
     plots = {}
     for agent, specs in enumerate(config.specs):
@@ -563,16 +545,16 @@ def _run_single_width(config: RunConfig, width: float, ds: Dataset,
             assemble = bounds_mod.assemble_ex_ante
             plots[agent] = (est.candidates, est.gain_curve)
         agent_bounds.append(assemble(est, specs, game, width,
-                                     config.delta_total))
+                                     settings["delta_total"]))
 
     vacuous = bounds_mod.all_vacuous(agent_bounds)
     payload = {
-        "mode": config.mode,
+        "mode": settings["mode"],
         "config_hash": config.hash(),
         "dataset_hash": ds_hash,
-        "seed": config.seed,
+        "seed": settings["seed"],
         "n_records": len(ds),
-        "delta_total": config.delta_total,
+        "delta_total": settings["delta_total"],
         "delta": agent_bounds[0].payload["delta"],   # the same for all
         "confidence": agent_bounds[0].payload["confidence"],
         "grid_width": width,
@@ -632,6 +614,12 @@ def emit_density_diagnostic(marginal, strategy, path: str, bins: int = 200,
                              repr(float(bound))])
 
 
+# the numeric columns of cells.csv, per mode, each written by _csv_num
+_CELL_COLUMNS = ("weight", "tau", "kappa", "eps_pdim", "disp_count",
+                 "eps_disp", "inner_sum", "contribution")
+_TERM_COLUMNS = ("width", "count_raw", "count", "value", "multiplier")
+
+
 def _emit_cells_csv(report: RunReport, path: str, partitions):
     """Per-cell (ex ante) or per-term (ex interim) rows of a report;
     partitions maps each agent to its Partition in ex ante."""
@@ -640,36 +628,24 @@ def _emit_cells_csv(report: RunReport, path: str, partitions):
         writer = csv.writer(fh, lineterminator="\n")
         if payload["mode"] == "ex_ante":
             writer.writerow(["agent", "cell", "lo", "hi", "n_records",
-                             "weight", "tau", "kappa", "eps_pdim",
-                             "disp_count", "eps_disp", "inner_sum",
-                             "contribution"])
+                             *_CELL_COLUMNS])
             for entry in payload["agents"]:
                 agent = entry["agent"]
-                cells_geo = partitions[agent].cells
                 for cell in entry["cells"]:
                     k = cell["cell"]
-                    lo = ";".join(repr(float(x)) for x in cells_geo[k].lo)
-                    hi = ";".join(repr(float(x)) for x in cells_geo[k].hi)
+                    box = partitions[agent].cells[k]
                     writer.writerow([
-                        agent, k, lo, hi, cell["n_records"],
-                        repr(float(cell["weight"])),
-                        _csv_num(cell["tau"]), _csv_num(cell["kappa"]),
-                        _csv_num(cell["eps_pdim"]),
-                        _csv_num(cell["disp_count"]),
-                        _csv_num(cell["eps_disp"]),
-                        _csv_num(cell["inner_sum"]),
-                        repr(float(cell["contribution"]))])
+                        agent, k, ";".join(map(_csv_num, box.lo)),
+                        ";".join(map(_csv_num, box.hi)), cell["n_records"],
+                        *(_csv_num(cell[c]) for c in _CELL_COLUMNS)])
         else:
-            writer.writerow(["agent", "term", "width", "count_raw", "count",
-                             "value", "multiplier"])
+            writer.writerow(["agent", "term", *_TERM_COLUMNS])
             for entry in payload["agents"]:
                 agent = entry["agent"]
                 for j, term in enumerate(entry["disp_terms"]):
                     writer.writerow([
-                        agent, f"disp_{j}", repr(float(term["width"])),
-                        _csv_num(term["count_raw"]), _csv_num(term["count"]),
-                        repr(float(term["value"])),
-                        repr(float(term["multiplier"]))])
+                        agent, f"disp_{j}",
+                        *(_csv_num(term[c]) for c in _TERM_COLUMNS)])
 
 
 def _csv_num(x):
@@ -721,34 +697,33 @@ def _oracle_block(config: RunConfig):
 def run(config: RunConfig, oracle: bool = False) -> int:
     """Execute a run config; writes report/CSV files and returns the exit
     code (0 ok, 3 all-vacuous)."""
+    out_dir = config.settings["out_dir"]
     try:   # before the records are sampled or loaded
-        os.makedirs(config.out_dir, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create out_dir: {exc}") from None
-    widths = config.grid_w if isinstance(config.grid_w, list) else [config.grid_w]
-    sweep = isinstance(config.grid_w, list)
-    ds, ds_hash = _resolve_dataset(config, widths)
+    sweep = isinstance(config.settings["grid_w"], list)
+    ds, ds_hash = _resolve_dataset(config)
 
     reports = []
-    for w in widths:
-        report = _run_single_width(config, w, ds, ds_hash)
+    for w, grid in config.grids.items():
+        report = _run_single_width(config, w, grid, ds, ds_hash)
         reports.append(report)
         suffix = _width_suffix(w) if sweep else ""
-        report_path = os.path.join(config.out_dir, f"report{suffix}.json")
+        report_path = os.path.join(out_dir, f"report{suffix}.json")
         with open(report_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.to_json())
-        _emit_cells_csv(report,
-                        os.path.join(config.out_dir, f"cells{suffix}.csv"),
+        _emit_cells_csv(report, os.path.join(out_dir, f"cells{suffix}.csv"),
                         config.partitions)
         for agent in range(config.game.n_agents):
             emit_plot_data(
                 report,
-                os.path.join(config.out_dir, f"plot_agent{agent}{suffix}.csv"),
+                os.path.join(out_dir, f"plot_agent{agent}{suffix}.csv"),
                 agent=agent)
 
     if oracle:
         block = _oracle_block(config)
-        with open(os.path.join(config.out_dir, "oracle.json"), "w",
+        with open(os.path.join(out_dir, "oracle.json"), "w",
                   encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(_json_safe(block), indent=2) + "\n")
 

@@ -15,6 +15,7 @@ from .mechanisms import assignment_value
 __all__ = [
     "OracleResult",
     "analytic_fpsb_loss",
+    "analytic_fpsb_ex_ante_loss",
     "exhaustive_wd",
     "quadrature_tv",
 ]
@@ -60,6 +61,27 @@ def analytic_fpsb_loss(n_agents: int, c: float) -> OracleResult:
 
     value = max(0.0, gain(1.0), gain(min(1.0, c_star / c)))
     return OracleResult(value=value, method="closed_form")
+
+
+def analytic_fpsb_ex_ante_loss(n_agents: int, c: float) -> OracleResult:
+    """Ex ante loss of a linear shade c in the game of analytic_fpsb_loss:
+    its per-type gain integrated over theta in [0, 1]. The best response
+    earns theta^n/n, which integrates to 1/(n(n+1)). The shade earns
+    (1-c) theta min(1, r theta)^(n-1) with r = c/c*; above t0 = min(1, c*/c)
+    it always wins, so it integrates to
+    (1-c) (r^(n-1) t0^(n+1)/(n+1) + (1-t0^2)/2).
+    """
+    if n_agents < 2:
+        raise ValueError("need at least two agents")
+    if not (0.0 < c <= 1.0):
+        raise ValueError("shade factor must lie in (0, 1]")
+    n = n_agents
+    c_star = (n - 1) / n
+    t0 = min(1.0, c_star / c)
+    shade = (1.0 - c) * ((c / c_star) ** (n - 1) * t0 ** (n + 1) / (n + 1)
+                         + (1.0 - t0 * t0) / 2.0)
+    return OracleResult(value=1.0 / (n * (n + 1)) - shade,
+                        method="closed_form")
 
 
 def exhaustive_wd(bids: np.ndarray, items: int) -> np.ndarray:

@@ -145,8 +145,8 @@ class IndependentProduct:
             worst *= _order_statistic_factor(self.dim)
         return worst
 
-    def kappa_opponents(self, agent: int) -> float:
-        """Bound on any opponent's per-coordinate observation density."""
+    def kappa(self, agent: int, cell: Cell = None) -> float:
+        """Any opponent's per-coordinate density bound, whatever the cell."""
         return max(self.kappa_agent(j)
                    for j in range(self.n_agents) if j != agent)
 
@@ -223,13 +223,15 @@ class CorrelatedCommonValue:
             return 0.0
         return (1.0 / s - 1.0) / (-math.log(s))
 
-    def kappa_cell(self, cell: Cell) -> float:
-        """Conditional opponent density bound over a 1-D observation cell.
+    def kappa(self, agent: int, cell: Cell = None) -> float:
+        """Opponent density bound conditional on a 1-D cell; None without one.
 
         The pointwise bound decreases in the conditioning observation, so the
         cell supremum sits at the lower edge; a cell touching 0 has no finite
         bound.
         """
+        if cell is None:
+            return None
         lo = float(cell.lo[0])
         if lo <= 0.0:
             return math.inf

@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -125,6 +126,23 @@ def test_parse_config_field_errors():
                                partition={"cells": [{"lo": [0.0],
                                                      "hi": [1.0]}]}),
                         "delta_total", r"delta_total / 4, the probability")
+
+
+@pytest.mark.parametrize("key", ["utility_scale", "grid_width", "delta"])
+def test_unknown_top_level_keys_exit_2_naming_the_key(tmp_path, capsys, key):
+    # each would otherwise be ignored without a word: utility_scale belongs
+    # under game, and grid_width and delta are not the config's names
+    raw = eq_raw(**{key: 4.0})
+    expect_config_error(raw, key, f"unknown config key '{key}'")
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+    assert (f"error: {key}: unknown config key '{key}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a missing or malformed field is still named first
+    expect_config_error(dict(raw, seed=-1), "seed", "nonnegative integer")
+    expect_config_error(dict(raw, out_dir=""), "out_dir", "nonempty path")
 
 
 @pytest.mark.parametrize("field", [
@@ -363,7 +381,7 @@ def test_dataset_ex_ante_cells_must_declare_tau(tmp_path, capsys):
     assert "error: partition[0].cells[1].tau: tau must be declared" \
         in capsys.readouterr().err
     cells[1]["tau"] = 0.0
-    assert parse_config(raw).partition[0]["cells"][1]["tau"] == 0.0
+    assert parse_config(raw).settings["partition"][0]["cells"][1]["tau"] == 0.0
 
 
 def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
@@ -384,15 +402,15 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
     # a kappa on every cell, a top-level kappa or a built-in prior suffices
     for cell in cells:
         cell["kappa"] = 2.0
-    assert parse_config(ante).kappa is None
+    assert parse_config(ante).settings["kappa"] is None
     cells[1]["kappa"] = None
     expect_config_error(ante, "kappa", "declare it per cell")
-    assert parse_config(dict(ante, kappa=2.0)).kappa == 2.0
-    assert parse_config(dict(interim, kappa=2.0)).kappa == 2.0
+    assert parse_config(dict(ante, kappa=2.0)).settings["kappa"] == 2.0
+    assert parse_config(dict(interim, kappa=2.0)).settings["kappa"] == 2.0
     correlated = eq_raw(prior={"kind": "correlated_common_value",
                                "n_agents": 2}, mode="ex_ante",
                         partition={"cells": [{"lo": [0.0], "hi": [1.0]}]})
-    assert parse_config(correlated).kappa is None
+    assert parse_config(correlated).settings["kappa"] is None
 
 
 def game_of_dim(dim):
@@ -435,7 +453,7 @@ def test_partition_tiling_is_checked_exactly():
     for cells in (line, grid):
         raw = eq_raw(mode="ex_ante", partition={"cells": cells},
                      **game_of_dim(len(cells[0]["lo"])))
-        assert parse_config(raw).partition[0]["cells"] == cells
+        assert parse_config(raw).settings["partition"][0]["cells"] == cells
     # a sliver between 0.3 and the next float up is a gap
     cells = [{"lo": [0.0], "hi": [0.3]},
              {"lo": [float(np.nextafter(0.3, 1.0))], "hi": [1.0]}]
@@ -449,7 +467,7 @@ def test_parse_config_reads_partition_files_relative_to_the_config(tmp_path):
         json.dump(part, fh)
     raw = eq_raw(mode="ex_ante", partition="cells.json")
     config = parse_config(raw, base_dir=str(tmp_path))
-    assert config.partition == [part]
+    assert config.settings["partition"] == [part]
 
 
 def test_run_config_round_trips_with_defaults_filled():
@@ -467,6 +485,29 @@ def test_run_config_round_trips_with_defaults_filled():
     assert canonical_json(again) == canonical_json(d)
 
 
+def test_readme_run_configuration_lists_every_config_key():
+    # the top-level keys of the jsonc block under "## Run configuration",
+    # comments and "..." placeholders removed, are the keys a config may hold
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Run configuration", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(re.sub(r"//[^\n]*", "", block).replace("...", ""))
+    assert list(documented) == list(parse_config(eq_raw()).to_dict())
+
+
+def test_run_config_settings_are_its_own():
+    # the hash describes the inputs built at parse time, so editing the raw
+    # dict or a to_dict() copy afterwards must not change it
+    raw = eq_raw()
+    config = parse_config(raw)
+    want = config.hash()
+    raw["strategies"][0]["params"]["c"] = 0.9
+    config.to_dict()["strategies"][1]["params"]["c"] = 0.9
+    assert config.hash() == want
+    assert config.to_dict()["strategies"] == eq_raw()["strategies"]
+
+
 def test_run_config_hash_ignores_the_output_directory():
     a = parse_config(eq_raw(out_dir="out/a"))
     b = parse_config(eq_raw(out_dir="out/b"))
@@ -482,7 +523,7 @@ def test_load_config_resolves_dataset_paths(tmp_path):
                  kappa=1.0)
     cfg_path = write_config(tmp_path / "cfg.json", raw)
     config = load_config(cfg_path)
-    assert config.dataset == os.path.normpath(str(ds_path))
+    assert config.settings["dataset"] == os.path.normpath(str(ds_path))
 
 
 # ------------------------------------------------------- end-to-end runs
@@ -841,7 +882,7 @@ def test_bids_only_without_l_inv_max_is_rejected_before_loading(
         json.dumps({"obs": [[0.5], [0.4]], "vals": [[0.5], [0.4]],
                     "bids": [[0.25], [0.2]]}) + "\n")
     config = parse_config(dict(raw, l_inv_max=2.0), base_dir=str(tmp_path))
-    assert config.l_inv_max == 2.0
+    assert config.settings["l_inv_max"] == 2.0
 
 
 @pytest.mark.parametrize("field,bad", [("bids", "NaN"),
@@ -944,7 +985,7 @@ def test_per_agent_partitions_default_each_agent_to_its_position(tmp_path):
     whole = [{"lo": [0.0], "hi": [1.0]}]
     raw = correlated_ante_raw([{"cells": halves}, {"cells": whole}], 0.1)
     config = parse_config(raw)
-    assert [e["agent"] for e in config.partition] == [0, 1]
+    assert [e["agent"] for e in config.settings["partition"]] == [0, 1]
     assert {a: (p.agent, len(p)) for a, p in config.partitions.items()} \
         == {0: (0, 2), 1: (1, 1)}
     cfg_path = write_config(tmp_path / "config.json", raw)

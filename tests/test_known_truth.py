@@ -1,36 +1,63 @@
 """Certified totals against a known truth. In single-item first price with
-two bidders and uniform values, against an opponent at the equilibrium
-shade c* = 1/2, oracle.analytic_fpsb_loss gives a linear shade's exact ex
-interim gain. A certificate holds with the report's confidence, so across
-independent runs the totals may fall below the truth only about as often
-as its failure probability allows."""
+uniform values and opponents at the equilibrium shade c* = (n-1)/n,
+oracle.analytic_fpsb_loss gives a linear shade's exact ex interim gain and
+oracle.analytic_fpsb_ex_ante_loss its exact ex ante gain. A certificate
+holds with the report's confidence, so across independent runs the totals
+may fall below the truth only about as often as its failure probability
+allows."""
 import math
 
-from bneverify.bounds import assemble_interim
+from bneverify.bounds import assemble_ex_ante, assemble_interim
 from bneverify.cli import parse_config
-from bneverify.estimator import estimate_ex_interim
-from bneverify.model import make_grid
-from bneverify.oracle import analytic_fpsb_loss
+from bneverify.estimator import estimate_ex_ante, estimate_ex_interim
+from bneverify.oracle import analytic_fpsb_ex_ante_loss, analytic_fpsb_loss
 from bneverify.priors import sample_dataset
 
 UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
-SHADES = (0.3, 0.5, 0.8)    # agent 0's; agent 1 plays c* = 0.5
-SEEDS = range(40)           # per shade, fixed before any run
+SHADES = (0.3, 0.5, 0.8)    # agent 0's; the opponents play c*
+SEEDS = range(40)           # per job, fixed before any run
 N_RECORDS, WIDTH, DELTA_TOTAL = 2000, 0.02, 0.05
 
 
-def job(shade):
-    return parse_config({
-        "game": {"n_agents": 2,
+def job(shade, n_agents=2, partition=None):
+    """Agent 0 at shade, its n_agents - 1 opponents at c*; ex ante when a
+    partition is given."""
+    c_star = (n_agents - 1) / n_agents
+    raw = {
+        "game": {"n_agents": n_agents,
                  "mechanism": {"kind": "first_price_single_item"}},
         "mode": "ex_interim",
         "prior": {"kind": "independent_product",
-                  "marginals": [[UNIFORM], [UNIFORM]]},
+                  "marginals": [[UNIFORM]] * n_agents},
         "strategies": [
-            {"agent": 0, "family": "linear_shade", "params": {"c": shade}},
-            {"agent": 1, "family": "linear_shade", "params": {"c": 0.5}}],
+            {"agent": a, "family": "linear_shade",
+             "params": {"c": shade if a == 0 else c_star}}
+            for a in range(n_agents)],
         "grid_w": WIDTH, "delta_total": DELTA_TOTAL,
-        "n_records": N_RECORDS, "seed": 0})
+        "n_records": N_RECORDS, "seed": 0}
+    if partition is not None:
+        raw.update(mode="ex_ante", partition=partition)
+    return parse_config(raw)
+
+
+def margins(config, truth):
+    """Agent 0's certified total minus truth, once per seed's records, and
+    the certificate's confidence."""
+    grid = config.grids[WIDTH]
+    game, specs = config.game, config.specs[0]
+    out = []
+    for seed in SEEDS:
+        ds = sample_dataset(config.prior_model, config.profile, N_RECORDS,
+                            seed)
+        if config.partitions is None:
+            est = estimate_ex_interim(ds, config.profile, grid, game, 0)
+            bound = assemble_interim(est, specs, game, WIDTH, DELTA_TOTAL)
+        else:
+            est = estimate_ex_ante(ds, config.profile, config.partitions[0],
+                                   grid, game, 0)
+            bound = assemble_ex_ante(est, specs, game, WIDTH, DELTA_TOTAL)
+        out.append(bound.total - truth)
+    return out, bound.payload["confidence"]
 
 
 def binomial_quantile(n, p, q):
@@ -43,22 +70,37 @@ def binomial_quantile(n, p, q):
     return n
 
 
-def test_certified_totals_rarely_fall_below_the_true_gain():
-    grid = make_grid(1, WIDTH)
-    margins = []
-    for shade in SHADES:
-        config = job(shade)
-        truth = analytic_fpsb_loss(2, shade).value
-        for seed in SEEDS:
-            ds = sample_dataset(config.prior_model, config.profile, N_RECORDS,
-                                seed)
-            est = estimate_ex_interim(ds, config.profile, grid, config.game, 0)
-            bound = assemble_interim(est, config.specs[0], config.game, WIDTH,
-                                     DELTA_TOTAL)
-            margins.append(bound.total - truth)
-    failure = 1.0 - bound.payload["confidence"]
-    misses = sum(m < 0.0 for m in margins)
-    allowed = binomial_quantile(len(margins), failure, 0.999)
-    print(f"{misses} of {len(margins)} totals below the truth (at most "
-          f"{allowed} allowed); smallest margin {min(margins):.4f}")
+def assert_rarely_below_the_truth(jobs):
+    """jobs: (config, truth) pairs. Fail when more totals fall below the
+    truth than the certificates' failure probability allows, at the 0.999
+    quantile."""
+    all_margins = []
+    for config, truth in jobs:
+        found, confidence = margins(config, truth)
+        all_margins += found
+    misses = sum(m < 0.0 for m in all_margins)
+    allowed = binomial_quantile(len(all_margins), 1.0 - confidence, 0.999)
+    print(f"{misses} of {len(all_margins)} totals below the truth (at most "
+          f"{allowed} allowed); smallest margin {min(all_margins):.4f}")
     assert misses <= allowed
+
+
+def test_certified_totals_rarely_fall_below_the_true_gain():
+    assert_rarely_below_the_truth(
+        (job(shade), analytic_fpsb_loss(2, shade).value) for shade in SHADES)
+
+
+def test_ex_ante_totals_rarely_fall_below_the_true_gain():
+    # one cell, and four equal cells
+    partitions = [{"cells": [{"lo": [k / m], "hi": [(k + 1) / m]}
+                             for k in range(m)]} for m in (1, 4)]
+    assert_rarely_below_the_truth(
+        (job(shade, partition=partition),
+         analytic_fpsb_ex_ante_loss(2, shade).value)
+        for partition in partitions for shade in SHADES)
+
+
+def test_three_bidder_totals_rarely_fall_below_the_true_gain():
+    assert_rarely_below_the_truth(
+        (job(shade, n_agents=3), analytic_fpsb_loss(3, shade).value)
+        for shade in SHADES)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bneverify.mechanisms import assignment_value, winner_determination
-from bneverify.oracle import analytic_fpsb_loss, exhaustive_wd, quadrature_tv
+from bneverify.oracle import (analytic_fpsb_ex_ante_loss, analytic_fpsb_loss,
+                              exhaustive_wd, quadrature_tv)
 
 # --------------------------------------------------------- closed-form loss
 
@@ -80,6 +81,41 @@ def test_analytic_loss_validation():
         analytic_fpsb_loss(2, 0.0)
     with pytest.raises(ValueError, match=r"shade factor must lie in \(0, 1\]"):
         analytic_fpsb_loss(2, 1.5)
+
+
+def scanned_fpsb_ex_ante_loss(n, c, points=200_000):
+    """The per-type gain of analytic_fpsb_loss, theta^n/n minus the shade's
+    utility (1-c) theta min(1, c theta/c*)^(n-1), integrated over [0, 1] by
+    the midpoint rule."""
+    c_star = (n - 1) / n
+    theta = (np.arange(points) + 0.5) / points
+    win = np.minimum(1.0, c * theta / c_star) ** (n - 1)
+    return float(np.mean(theta ** n / n - (1.0 - c) * theta * win))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("c", [0.3, 0.5, 2.0 / 3.0, 0.8, 0.9])
+def test_closed_form_ex_ante_loss_matches_a_dense_scan(n, c):
+    value = analytic_fpsb_ex_ante_loss(n, c)
+    assert value.method == "closed_form"
+    assert value.value == pytest.approx(scanned_fpsb_ex_ante_loss(n, c),
+                                        abs=1e-6)
+    # the integral of a gain never exceeds its sup
+    assert -1e-15 <= value.value <= analytic_fpsb_loss(n, c).value + 1e-15
+
+
+def test_equilibrium_shade_has_zero_ex_ante_loss():
+    for n in (2, 3, 5):
+        assert analytic_fpsb_ex_ante_loss(n, (n - 1) / n).value == \
+            pytest.approx(0.0, abs=1e-15)
+
+
+def test_analytic_ex_ante_loss_validation():
+    with pytest.raises(ValueError, match="need at least two agents"):
+        analytic_fpsb_ex_ante_loss(1, 0.5)
+    for c in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"shade factor must lie"):
+            analytic_fpsb_ex_ante_loss(2, c)
 
 
 # ------------------------------------------------ exhaustive assignments

@@ -73,8 +73,8 @@ def test_independent_product_kappas():
     prior = IndependentProduct([[Uniform()], [Uniform(0.0, 0.5)]])
     assert prior.kappa_agent(0) == 1.0
     assert prior.kappa_agent(1) == 2.0
-    assert prior.kappa_opponents(0) == 2.0
-    assert prior.kappa_opponents(1) == 1.0
+    assert prior.kappa(0) == 2.0
+    assert prior.kappa(1) == 1.0
 
 
 def test_sorted_coordinates_carry_an_order_statistic_factor():
@@ -160,8 +160,9 @@ def test_correlated_opponent_density_bound():
     s = 0.2
     want = (1.0 / s - 1.0) / (-math.log(s))
     assert prior.opponent_density_bound(s) == pytest.approx(want, abs=1e-15)
-    assert prior.kappa_cell(Cell(lo=(0.2,), hi=(0.4,))) == pytest.approx(want)
-    assert prior.kappa_cell(Cell(lo=(0.0,), hi=(0.1,))) == math.inf
+    assert prior.kappa(0, Cell(lo=(0.2,), hi=(0.4,))) == pytest.approx(want)
+    assert prior.kappa(0, Cell(lo=(0.0,), hi=(0.1,))) == math.inf
+    assert prior.kappa(0) is None   # no cell, no conditional bound
 
 
 def test_correlated_tv_pair_matches_quadrature_reference():
