@@ -25,11 +25,10 @@ _SOURCES = {
                      "winner_determination"), "mechanisms"),
     **dict.fromkeys(("Identity", "LinearShade", "PiecewiseLinearMonotone",
                      "Power", "Strategy", "StrategyProfile",
-                     "profile_from_config", "pushforward_density_bound"),
-                    "strategies"),
+                     "profile_from_config"), "strategies"),
     **dict.fromkeys(("Beta", "CorrelatedCommonValue", "IndependentProduct",
                      "Uniform", "sample_dataset", "tv_integral_bound",
-                     "tv_profile", "tv_radius"), "priors"),
+                     "tv_profile"), "priors"),
     **dict.fromkeys(("ExAnteEstimate", "ExInterimEstimate", "estimate_ex_ante",
                      "estimate_ex_interim"), "estimator"),
     **dict.fromkeys(("AgentBound", "ExAnteSpecs", "InterimSpecs",

@@ -153,7 +153,15 @@ def dispersion_count(config: GameConfig, w: float, n_in_cell: int,
 
     scale * (w N kappa l_inv^e + sqrt(2 N log_union) + 4 sqrt(N t log(e N/2)))
 
-    with the mechanism's row (_row). Returns (count, flags): an asymptotic
+    with the mechanism's row (_row). kappa l_inv^e bounds the density of
+    the bids the jumps sit at, by the pushforward lemma: a bid is a type
+    pushed through a strictly monotone coordinatewise map whose inverse is
+    l_inv-Lipschitz, so a joint type density below kappa over e coordinates
+    becomes a joint bid density below kappa l_inv^e. The row's e is 1 for
+    the slot rules and 2^(items+1), two agents' bid vectors, for the
+    combinatorial rule. This is the only place the product is formed.
+
+    Returns (count, flags): an asymptotic
     row's flag, after the width-range flag past 1 / (kappa l_inv^e sqrt(N))."""
     if w < 0:
         raise ValueError("w must be nonnegative")

@@ -23,9 +23,8 @@ from . import bounds as bounds_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim, search_cost
 from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
                     Partition, config_hash, file_hash, is_integer, is_number,
-                    load_dataset, make_grid, number)
-from .strategies import (FLAG_UNCERTIFIED, StrategyProfile,
-                         profile_from_config, pushforward_density_bound)
+                    known_keys, load_dataset, make_grid, number)
+from .strategies import FLAG_UNCERTIFIED, StrategyProfile, profile_from_config
 
 __all__ = [
     "ConfigError",
@@ -35,7 +34,6 @@ __all__ = [
     "load_config",
     "run",
     "emit_plot_data",
-    "emit_density_diagnostic",
     "main",
 ]
 
@@ -170,13 +168,13 @@ def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max,
         key = tuple(part.cells)
         if key not in taus:
             taus[key] = priors_mod.tv_profile(prior, part)
-        tau = taus[key]
-        if "declared" in tau.sources:
+        values, sources = taus[key]
+        if "declared" in sources:
             extra.append(priors_mod.FLAG_DECLARED_TAU)
         specs.append(bounds_mod.ExAnteSpecs(
-            taus=tau.values, kappas=tuple(k for k, _ in resolved),
+            taus=values, kappas=tuple(k for k, _ in resolved),
             n_cells_max=max(map(len, partitions.values())),
-            tau_sources=tau.sources, extra_flags=tuple(extra), **common))
+            tau_sources=sources, extra_flags=tuple(extra), **common))
     return tuple(specs)
 
 
@@ -206,6 +204,8 @@ def _parse_game(d) -> GameConfig:
         _require(items >= 1, "game.mechanism.items",
                  "game.mechanism.items must be >= 1 for the combinatorial rule")
     mech = MechanismSpec(kind=kind, items=items, units=units)
+    _build("game.mechanism", known_keys, mech_d, ("kind", "items", "units"),
+           "game.mechanism")
     payoff_range = mech.default_utility_scale
     scale = d.get("utility_scale")
     if scale is None:
@@ -216,6 +216,8 @@ def _parse_game(d) -> GameConfig:
              "game.utility_scale",
              f"game.utility_scale must be a finite number no less than the "
              f"payoff range {payoff_range!r} of {kind}")
+    _build("game", known_keys, d, ("n_agents", "mechanism", "utility_scale"),
+           "game")
     return GameConfig(n_agents=n, mechanism=mech,
                       utility_scale=_build("game.utility_scale", number, scale,
                                            "game.utility_scale"))
@@ -584,34 +586,6 @@ def emit_plot_data(report: RunReport, path: str, agent: int = 0):
         writer.writerows([";".join(map(repr, coords)), repr(gain)]
                          for coords, gain in zip(points.tolist(),
                                                  gains.tolist()))
-
-
-def emit_density_diagnostic(marginal, strategy, path: str, bins: int = 200,
-                            n_samples: int = 1_000_000, seed: int = 0,
-                            kappa: float = None):
-    """Histogram of a strategy pushforward against its certified density
-    bound; CSV columns (bid, density_estimate, certified_bound).
-
-    kappa is the declared prior density bound; it defaults to the marginal's
-    analytic maximum, but a declared bound should include sampling headroom
-    (a histogram bin at the density peak overshoots the exact maximum about
-    half the time).
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    theta = marginal.sample(rng, n_samples)
-    bids = strategy.apply(theta)
-    hist, edges = np.histogram(bids, bins=bins, range=(0.0, 1.0))
-    density = hist / (n_samples * (1.0 / bins))
-    if kappa is None:
-        kappa = marginal.density_max
-    bound = pushforward_density_bound(kappa, strategy)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bid", "density_estimate", "certified_bound"])
-        for j in range(bins):
-            center = 0.5 * (edges[j] + edges[j + 1])
-            writer.writerow([repr(float(center)), repr(float(density[j])),
-                             repr(float(bound))])
 
 
 # the numeric columns of cells.csv, per mode, each written by _csv_num

@@ -118,15 +118,18 @@ class Dataset:
         self.bids = bids
         self.seed = seed
         self._in_range = None   # per field, set by the first validate
+        self._rising = None     # whether a bid vector increases, likewise
 
     def __len__(self) -> int:
         return len(self.obs)
 
     def validate(self, config: GameConfig):
-        """Check the arrays' shapes against config and every coordinate
-        against [0, 1]. The coordinates are scanned on the first call only,
-        once per distinct buffer; from then on the dataset's arrays are
-        read-only views, so the scan cannot go stale through them."""
+        """Check the arrays' shapes against config, every coordinate
+        against [0, 1] and, under a rule with sorted bids, that no bid
+        vector increases, as load_dataset does. The coordinates are scanned
+        on the first call only, once per distinct buffer, and the bids'
+        order once; from then on the dataset's arrays are read-only views,
+        so the scans cannot go stale through them."""
         if self._in_range is None:
             self._in_range, scanned = {}, {}
             for name in _DATASET_FIELDS:
@@ -139,6 +142,9 @@ class Dataset:
                 if key not in scanned:
                     scanned[key] = _in_unit_range(arr)
                 self._in_range[name] = scanned[key]
+            bids = self.bids
+            self._rising = bool(np.greater(bids[..., 1:], bids[..., :-1])
+                                .any())
         want = (config.n_agents, config.mechanism.bid_dim)
         for name in _DATASET_FIELDS:
             arr = getattr(self, name)
@@ -148,6 +154,8 @@ class Dataset:
             if not self._in_range[name]:
                 raise ValueError(f"{name} coordinate out of range or not "
                                  "a number")
+        if config.mechanism.sorted_bids and self._rising:
+            raise ValueError("bids must be non-increasing across units")
 
 
 def _in_unit_range(arr: np.ndarray) -> bool:
@@ -199,6 +207,15 @@ def json_value(x, kind: type, what: str):
     if not isinstance(x, kind):
         raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
     return x
+
+
+def known_keys(d: dict, keys, what: str):
+    """Refuse a key of the JSON object d outside keys, naming it and what;
+    called once d's known fields are read, so their faults come first."""
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}; it may hold "
+                             f"{', '.join(keys) or 'no key'}")
 
 
 def numbers(xs, what: str) -> list:
@@ -454,8 +471,10 @@ class Partition:
                 kappa=(None if kappa is None
                        else number(kappa, f"cells[{k}].kappa")),
             ))
+            known_keys(raw, ("lo", "hi", "tau", "kappa"), f"cells[{k}]")
         if not is_integer(d["agent"]):
             raise ValueError("agent must be an integer")
+        known_keys(d, ("agent", "cells"), "the partition")
         return cls(agent=d["agent"], cells=cells)
 
 

@@ -11,20 +11,18 @@ agent plus one shared stream, so datasets are reproducible across platforms
 and may be regenerated in parallel without changing results.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Cell, Dataset, Partition, is_integer, json_value, number
+from .model import (Cell, Dataset, Partition, is_integer, json_value,
+                    known_keys, number)
 
 __all__ = [
     "Uniform",
     "Beta",
     "IndependentProduct",
     "CorrelatedCommonValue",
-    "TvProfile",
     "sample_dataset",
-    "tv_radius",
     "tv_profile",
     "tv_integral_bound",
     "prior_from_dict",
@@ -139,16 +137,15 @@ class IndependentProduct:
     def n_agents(self) -> int:
         return len(self.marginals)
 
-    def kappa_agent(self, agent: int) -> float:
-        worst = max(m.density_max for m in self.marginals[agent])
+    def kappa(self, agent: int, cell: Cell = None) -> float:
+        """Any opponent's per-coordinate density bound, whatever the cell:
+        the largest density over the opponents' marginals, times the
+        order-statistic factor when sorted coordinates carry one."""
+        worst = max(m.density_max for j, per_agent in enumerate(self.marginals)
+                    if j != agent for m in per_agent)
         if self.sort_desc and self.dim > 1:
             worst *= _order_statistic_factor(self.dim)
         return worst
-
-    def kappa(self, agent: int, cell: Cell = None) -> float:
-        """Any opponent's per-coordinate density bound, whatever the cell."""
-        return max(self.kappa_agent(j)
-                   for j in range(self.n_agents) if j != agent)
 
     def sample(self, n_records: int, seed: int):
         streams = _agent_streams(seed, self.n_agents)
@@ -268,10 +265,11 @@ class CorrelatedCommonValue:
         conditioning observation, so mixing through that common kernel cannot
         increase TV and the value-posterior distance is an upper bound.
 
-        Cells touching 0 or 1 get radius 1 (the posterior family degenerates
-        at both ends: unbounded density at 0, a point mass in the limit at
-        1). Elsewhere the radius is tv_pair at the cell's corner pair
-        (lo, hi). For observations s < t in (0, 1) the exact distance is
+        A degenerate cell (lo == hi) holds one observation and gets radius
+        0. Other cells touching 0 or 1 get radius 1 (the posterior family
+        degenerates at both ends: unbounded density at 0, a point mass in
+        the limit at 1). Elsewhere the radius is tv_pair at the cell's
+        corner pair (lo, hi). For observations s < t in (0, 1) the exact distance is
         1 - ln(t)/ln(s), which rises as s falls (ln(s) grows in magnitude)
         and as t rises (ln(t) shrinks toward 0), so over pairs in the cell
         it is largest at s = lo, t = hi. Since tv_pair falls short of the
@@ -281,10 +279,10 @@ class CorrelatedCommonValue:
         """
         lo = float(cell.lo[0])
         hi = float(cell.hi[0])
-        if lo <= 0.0 or hi >= 1.0:
-            return 1.0
         if lo == hi:
             return 0.0
+        if lo <= 0.0 or hi >= 1.0:
+            return 1.0
         return self.tv_pair(lo, hi)
 
 
@@ -302,36 +300,18 @@ def sample_dataset(prior, profile, n_records: int, seed: int) -> Dataset:
     return Dataset(obs, vals, bids, seed=int(seed))
 
 
-def tv_radius(prior, cell: Cell) -> float:
-    """Certified conditional-TV radius of a cell under the given prior."""
-    if cell.lo == cell.hi:
-        return 0.0
-    return prior.tv_radius(cell)
-
-
-@dataclass(frozen=True)
-class TvProfile:
-    """Per-cell TV radii with their provenance ('derived' or 'declared')."""
-    values: tuple
-    sources: tuple
-
-    def __post_init__(self):
-        for t in self.values:
-            if not (0.0 <= t <= 1.0):
-                raise ValueError("tau must lie in [0,1]")
-
-
-def tv_profile(prior, partition: Partition) -> TvProfile:
-    """Resolve per-cell tau: declared values win, the rest are derived."""
+def tv_profile(prior, partition: Partition):
+    """Per-cell tau and its provenance, as (values, sources): a declared
+    tau wins ("declared"), the rest are the prior's tv_radius ("derived")."""
     values, sources = [], []
     for cell in partition.cells:
         if cell.tau is not None:
             values.append(float(cell.tau))
             sources.append("declared")
         else:
-            values.append(float(tv_radius(prior, cell)))
+            values.append(float(prior.tv_radius(cell)))
             sources.append("derived")
-    return TvProfile(values=tuple(values), sources=tuple(sources))
+    return tuple(values), tuple(sources)
 
 
 def tv_integral_bound(g_sup: float, tau: float) -> float:
@@ -343,11 +323,14 @@ def tv_integral_bound(g_sup: float, tau: float) -> float:
     return 2.0 * g_sup * tau
 
 
+# per marginal kind: its builder and the keys its object may hold
 _MARGINALS = {
-    "uniform": lambda d: Uniform(number(d.get("a", 0.0), "a"),
-                                 number(d.get("b", 1.0), "b")),
-    "beta": lambda d: Beta(number(d["alpha"], "alpha"),
-                           number(d["beta"], "beta")),
+    "uniform": (lambda d: Uniform(number(d.get("a", 0.0), "a"),
+                                  number(d.get("b", 1.0), "b")),
+                ("kind", "a", "b")),
+    "beta": (lambda d: Beta(number(d["alpha"], "alpha"),
+                            number(d["beta"], "beta")),
+             ("kind", "alpha", "beta")),
 }
 
 
@@ -356,7 +339,10 @@ def marginal_from_dict(d: dict):
                       "marginal kind")
     if kind not in _MARGINALS:
         raise ValueError(f"unknown marginal kind: {kind!r}")
-    return _MARGINALS[kind](d)
+    build, keys = _MARGINALS[kind]
+    marginal = build(d)
+    known_keys(d, keys, f"the {kind} marginal")
+    return marginal
 
 
 def prior_from_dict(d: dict, n_agents: int = None):
@@ -370,10 +356,13 @@ def prior_from_dict(d: dict, n_agents: int = None):
         if not isinstance(sort_desc, bool):
             raise ValueError("sort_desc must be true or false")
         prior = IndependentProduct(marginals, sort_desc=sort_desc)
+        keys = ("kind", "marginals", "sort_desc")
     elif kind == "correlated_common_value":
         prior = CorrelatedCommonValue(d.get("n_agents", n_agents or 2))
+        keys = ("kind", "n_agents")
     else:
         raise ValueError(f"unknown prior kind: {kind!r}")
+    known_keys(d, keys, f"the {kind} prior")
     if n_agents is not None and prior.n_agents != n_agents:
         raise ValueError(
             f"prior declares {prior.n_agents} agents, game has {n_agents}")

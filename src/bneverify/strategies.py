@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import is_integer, json_value, number, numbers
+from .model import is_integer, json_value, known_keys, number, numbers
 
 __all__ = [
     "Strategy",
@@ -21,7 +21,6 @@ __all__ = [
     "Power",
     "PiecewiseLinearMonotone",
     "StrategyProfile",
-    "pushforward_density_bound",
     "strategy_from_dict",
     "profile_from_config",
     "FLAG_UNCERTIFIED",
@@ -129,25 +128,6 @@ class PiecewiseLinearMonotone(Strategy):
             return (float(slopes.max()), float(1.0 / slopes.min()))
 
 
-def pushforward_density_bound(kappa: float, strategies, dim: int = 1) -> float:
-    """Density bound for observations pushed through bi-Lipschitz bid maps.
-
-    A kappa-bounded density composed with maps of inverse Lipschitz constants
-    L_1, ..., L_k over a dim-dimensional coordinatewise action stays below
-    kappa * prod(L_j ** dim). Pass one strategy for a single marginal, or a
-    pair for a joint two-agent marginal.
-    """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    if isinstance(strategies, Strategy):
-        strategies = [strategies]
-    bound = float(kappa)
-    for s in strategies:
-        _, l_inv = s.lipschitz_constants()
-        bound *= l_inv ** dim
-    return bound
-
-
 @dataclass(frozen=True)
 class StrategyProfile:
     """One strategy per agent; aggregate constants are always recomputed."""
@@ -191,12 +171,13 @@ class StrategyProfile:
         return bids
 
 
+# per family: its builder and the keys its params may hold
 _FAMILIES = {
-    "identity": lambda p: Identity(),
-    "linear_shade": lambda p: LinearShade(number(p["c"], "c")),
-    "power": lambda p: Power(number(p["p"], "p")),
-    "piecewise_linear": lambda p: PiecewiseLinearMonotone(
-        numbers(p["xs"], "xs"), numbers(p["ys"], "ys")),
+    "identity": (lambda p: Identity(), ()),
+    "linear_shade": (lambda p: LinearShade(number(p["c"], "c")), ("c",)),
+    "power": (lambda p: Power(number(p["p"], "p")), ("p",)),
+    "piecewise_linear": (lambda p: PiecewiseLinearMonotone(
+        numbers(p["xs"], "xs"), numbers(p["ys"], "ys")), ("xs", "ys")),
 }
 
 
@@ -204,7 +185,11 @@ def strategy_from_dict(d: dict) -> Strategy:
     family = json_value(d.get("family"), str, "strategy family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown strategy family: {family!r}")
-    return _FAMILIES[family](json_value(d.get("params", {}), dict, "params"))
+    build, keys = _FAMILIES[family]
+    params = json_value(d.get("params", {}), dict, "params")
+    strategy = build(params)
+    known_keys(params, keys, f"params of {family}")
+    return strategy
 
 
 def profile_from_config(entries, n_agents: int) -> StrategyProfile:
@@ -222,6 +207,8 @@ def profile_from_config(entries, n_agents: int) -> StrategyProfile:
         if i in slots:
             raise ValueError(f"duplicate strategy entry for agent {i}")
         slots[i] = strategy_from_dict(entry)
+        known_keys(entry, ("agent", "family", "params"),
+                   f"the strategy entry for agent {i}")
     if len(slots) < n_agents:
         # the first ten missing agents lie below len(slots) + 10
         missing = [i for i in range(min(n_agents, len(slots) + 10))

@@ -17,14 +17,12 @@ import pytest
 
 from bneverify import cli, priors
 from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
-from bneverify.cli import (ConfigError, RunReport, emit_density_diagnostic,
-                           emit_plot_data, load_config, main, parse_config,
-                           run)
+from bneverify.cli import (ConfigError, RunReport, emit_plot_data, load_config,
+                           main, parse_config, run)
 from bneverify.model import Partition, canonical_json, file_hash
-from bneverify.priors import (FLAG_DECLARED_TAU, Beta, CorrelatedCommonValue,
+from bneverify.priors import (FLAG_DECLARED_TAU, CorrelatedCommonValue,
                               prior_from_dict, sample_dataset, tv_profile)
-from bneverify.strategies import (FLAG_UNCERTIFIED, LinearShade,
-                                  profile_from_config)
+from bneverify.strategies import FLAG_UNCERTIFIED, profile_from_config
 
 
 def eq_raw(**overrides):
@@ -143,6 +141,75 @@ def test_unknown_top_level_keys_exit_2_naming_the_key(tmp_path, capsys, key):
     # a missing or malformed field is still named first
     expect_config_error(dict(raw, seed=-1), "seed", "nonnegative integer")
     expect_config_error(dict(raw, out_dir=""), "out_dir", "nonempty path")
+
+
+def nested_job(name):
+    """A valid config whose objects cover every kind the parser knows:
+    "shade" (linear shades, uniform marginals), "identity" (identity bids,
+    Beta marginals) and "correlated" (ex ante, a declared and a derived
+    tau)."""
+    if name == "correlated":
+        return correlated_ante_raw({"agent": 0, "cells": [
+            {"lo": [0.0], "hi": [0.5], "tau": 1.0},
+            {"lo": [0.5], "hi": [1.0]}]}, 0.1)
+    if name == "identity":
+        beta = {"kind": "beta", "alpha": 2.0, "beta": 2.0}
+        return eq_raw(prior={"kind": "independent_product",
+                             "marginals": [[beta]] * 2},
+                      strategies=[{"agent": a, "family": "identity",
+                                   "params": {}} for a in range(2)])
+    return eq_raw()
+
+
+@pytest.mark.parametrize("job, path, field, owner", [
+    ("identity", ("game",), "game", "in game;"),
+    ("identity", ("game", "mechanism"), "game.mechanism",
+     "in game.mechanism;"),
+    ("identity", ("prior",), "prior", "in the independent_product prior;"),
+    ("identity", ("prior", "marginals", 1, 0), "prior",
+     "in the beta marginal;"),
+    ("shade", ("prior", "marginals", 0, 0), "prior",
+     "in the uniform marginal;"),
+    ("identity", ("strategies", 1), "strategies",
+     "in the strategy entry for agent 1;"),
+    ("identity", ("strategies", 0, "params"), "strategies",
+     "in params of identity;"),
+    ("shade", ("strategies", 0, "params"), "strategies",
+     "in params of linear_shade;"),
+    ("correlated", ("prior",), "prior",
+     "in the correlated_common_value prior;"),
+    ("correlated", ("partition",), "partition[0]", "in the partition;"),
+    ("correlated", ("partition", "cells", 1), "partition[0]",
+     "in cells[1];"),
+])
+def test_unknown_keys_inside_objects_exit_2_naming_object_and_key(
+        tmp_path, capsys, job, path, field, owner):
+    # each would otherwise be ignored without a word; "cc" is hashed but
+    # leaves the shade at 0.5, "utilty_scale" leaves the hash unchanged
+    raw = nested_job(job)
+    parse_config(raw)   # valid without the stray key
+    node = raw
+    for key in path:
+        node = node[key]
+    node["cc"] = 0.9
+    expect_config_error(raw, field, re.escape(f"unknown key 'cc' {owner}"))
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {field}: unknown key 'cc' {owner}"
+            in capsys.readouterr().err)
+
+
+def test_an_objects_own_faults_are_named_before_its_unknown_keys():
+    raw = eq_raw()
+    raw["game"].update(n_agents=1, cc=0.9)
+    expect_config_error(raw, "game.n_agents", "integer >= 2")
+    raw = eq_raw()
+    raw["strategies"][0]["params"].update(c=2.0, cc=0.9)
+    expect_config_error(raw, "strategies", "shading factor")
+    raw = correlated_ante_raw({"cells": [{"lo": [0.0], "hi": [1.0],
+                                          "tau": 2.0, "cc": 0.9}]}, 0.1)
+    expect_config_error(raw, "partition[0]", "tau must lie in")
 
 
 @pytest.mark.parametrize("field", [
@@ -960,7 +1027,7 @@ def test_per_agent_partitions_get_their_own_taus(tmp_path):
     report = read_json(out, "report.json")
     prior = CorrelatedCommonValue(2)
     for agent, entry in enumerate(partition):
-        want = tv_profile(prior, Partition.from_dict(entry)).values
+        want = tv_profile(prior, Partition.from_dict(entry))[0]
         got = tuple(c["tau"] for c in report["agents"][agent]["cells"])
         assert got == want
         assert 0.0 < min(want[1:-1])   # interior cells are derived, not 0
@@ -1372,16 +1439,3 @@ def test_emit_plot_data_bytes_match_a_row_by_row_writer(tmp_path, dim):
     emit_plot_data(report, str(path), agent=0)
     assert path.read_bytes().decode("utf-8") == row_by_row_plot_csv(points,
                                                                     gains)
-
-
-def test_density_diagnostic_stays_under_the_certified_bound(tmp_path):
-    path = str(tmp_path / "density.csv")
-    emit_density_diagnostic(Beta(2.0, 5.0), LinearShade(0.5), path,
-                            kappa=2.5)
-    with open(path, encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["bid", "density_estimate", "certified_bound"]
-    assert len(rows) - 1 == 200
-    bounds_col = {float(r[2]) for r in rows[1:]}
-    assert bounds_col == {5.0}
-    assert all(float(r[1]) <= 5.0 for r in rows[1:])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bneverify import model
+from bneverify.estimator import estimate_ex_interim
 from bneverify.model import (Cell, Dataset, GameConfig, Grid, MechanismSpec,
                              Partition, canonical_json, config_hash,
                              file_hash, load_dataset, make_grid, save_dataset,
@@ -169,6 +170,32 @@ def test_dataset_validate_range_and_shape():
         Dataset(arr, arr, bad).validate(game)
     with pytest.raises(ValueError, match="does not match config"):
         Dataset(np.full((2, 2, 2), 0.5), arr, arr).validate(game)
+
+
+def test_dataset_validate_refuses_increasing_multi_unit_bids():
+    two_unit = GameConfig(n_agents=2, mechanism=MechanismSpec(
+        kind="discriminatory", units=2))
+    rng = np.random.Generator(np.random.Philox(3))
+    rising = np.sort(rng.random((50, 2, 2)), axis=2)
+    falling = rising[:, :, ::-1]
+    ds = Dataset(falling, falling, rising)
+    with pytest.raises(ValueError, match="^bids must be non-increasing "
+                                         "across units$"):
+        ds.validate(two_unit)
+    # the estimators validate their dataset, so the API path refuses them
+    # too, as load_dataset does
+    with pytest.raises(ValueError, match="^bids must be non-increasing"):
+        estimate_ex_interim(ds, None, make_grid(2, 0.25), two_unit, 0)
+    # a range fault is named first
+    bad = falling.copy()
+    bad[0, 0, 0] = 1.5
+    with pytest.raises(ValueError, match="^obs coordinate out of range"):
+        Dataset(bad, falling, rising).validate(two_unit)
+    # a one-item bundle bid has no order; non-increasing unit bids pass
+    Dataset(rising, rising, rising).validate(GameConfig(
+        n_agents=2, mechanism=MechanismSpec(kind="first_price_combinatorial",
+                                            items=1)))
+    Dataset(falling, falling, falling).validate(two_unit)
 
 
 def test_unit_range_scan_agrees_with_two_comparisons():

@@ -14,7 +14,7 @@ from bneverify.priors import (_DRAW_BLOCK, Beta, CorrelatedCommonValue,
                               IndependentProduct, Uniform, _agent_streams,
                               _order_statistic_factor,
                               prior_from_dict, sample_dataset,
-                              tv_integral_bound, tv_profile, tv_radius)
+                              tv_integral_bound, tv_profile)
 from bneverify.strategies import Identity, LinearShade, StrategyProfile
 
 REPO = Path(__file__).resolve().parent.parent
@@ -71,8 +71,6 @@ def test_independent_product_sampling_is_seed_deterministic():
 
 def test_independent_product_kappas():
     prior = IndependentProduct([[Uniform()], [Uniform(0.0, 0.5)]])
-    assert prior.kappa_agent(0) == 1.0
-    assert prior.kappa_agent(1) == 2.0
     assert prior.kappa(0) == 2.0
     assert prior.kappa(1) == 1.0
 
@@ -82,7 +80,7 @@ def test_sorted_coordinates_carry_an_order_statistic_factor():
     assert _order_statistic_factor(2) == 2
     assert _order_statistic_factor(3) == 6
     prior = IndependentProduct([[Uniform(), Uniform()]] * 2, sort_desc=True)
-    assert prior.kappa_agent(0) == 2.0
+    assert prior.kappa(0) == 2.0
     obs, _ = prior.sample(50, seed=1)
     assert np.all(np.diff(obs, axis=2) <= 0.0)
 
@@ -98,7 +96,6 @@ def test_independent_product_cells_have_zero_tv_radius():
     prior = uniform_pair()
     cell = Cell(lo=(0.2,), hi=(0.7,))
     assert prior.tv_radius(cell) == 0.0
-    assert tv_radius(prior, cell) == 0.0
 
 
 # ------------------------------------------------------- correlated model
@@ -278,9 +275,7 @@ def test_tv_profile_prefers_declared_values():
     prior = CorrelatedCommonValue(2)
     part = Partition(0, [Cell(lo=(0.0,), hi=(0.5,), tau=0.33),
                          Cell(lo=(0.5,), hi=(1.0,))])
-    prof = tv_profile(prior, part)
-    assert prof.values == (0.33, 1.0)
-    assert prof.sources == ("declared", "derived")
+    assert tv_profile(prior, part) == ((0.33, 1.0), ("declared", "derived"))
 
 
 def test_tv_integral_bound_values():

@@ -11,7 +11,6 @@ from bneverify.priors import Beta
 from bneverify.strategies import (FLAG_UNCERTIFIED, Identity, LinearShade,
                                   PiecewiseLinearMonotone, Power,
                                   StrategyProfile, profile_from_config,
-                                  pushforward_density_bound,
                                   strategy_from_dict)
 
 
@@ -69,21 +68,10 @@ def test_piecewise_linear_validation():
         PiecewiseLinearMonotone(xs=[0.0, 0.5, 1.0], ys=[0.0, 0.6, 0.5])
 
 
-def test_pushforward_density_bound_scales_by_inverse_slope():
-    assert pushforward_density_bound(2.5, LinearShade(0.5)) == 5.0
-    assert pushforward_density_bound(1.7, Identity()) == 1.7
-    # several strategies compound; dim enters as a power per strategy
-    assert pushforward_density_bound(
-        1.5, [LinearShade(0.5), LinearShade(0.5)]) == 6.0
-    assert pushforward_density_bound(1.0, LinearShade(0.5), dim=2) == 4.0
-
-
 def test_beta_density_max_drives_the_bound():
     # mode of Beta(2,5) is 1/5 with density 30 * 0.2 * 0.8^4 = 2.4576
     marg = Beta(2.0, 5.0)
     assert marg.density_max == pytest.approx(2.4576, abs=1e-12)
-    assert pushforward_density_bound(marg.density_max, LinearShade(0.5)) \
-        == pytest.approx(4.9152, abs=1e-12)
 
 
 def test_profile_certificates():
