@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 FLAG_DECLARED_KAPPA = "kappa declared, not derived"
+FLAG_DECLARED_TAU = "tau declared, not derived"
 KAPPA_REQUIRED = "kappa is required: declare it or provide a built-in prior"
 KAPPA_REQUIRED_PER_CELL = ("kappa is required: declare it per cell or provide "
                            "a built-in prior")
@@ -76,8 +77,10 @@ class RunConfig:
         return copy.deepcopy(self.settings)
 
     def hash(self) -> str:
-        # the output location must not change the result hash
-        return config_hash({key: value for key, value in self.settings.items()
+        # where the output goes or the records sit must not change the
+        # result hash; dataset_hash identifies the records
+        return config_hash({key: None if key == "dataset" else value
+                            for key, value in self.settings.items()
                             if key != "out_dir"})
 
 
@@ -99,18 +102,6 @@ def _positive(raw, key, default=None):
         return default
     _require(is_number(value) and value > 0, key, f"{key} must be positive")
     return _build(key, number, value, key)
-
-
-def _kappa(prior, declared, agent, cell=None):
-    """The opponent density bound for agent, over one cell of its partition
-    in ex ante, and its flag: the cell's declared kappa, else the prior's,
-    else the declared top-level one, which may be None."""
-    if cell is not None and cell.kappa is not None:
-        return cell.kappa, FLAG_DECLARED_KAPPA
-    derived = None if prior is None else prior.kappa(agent, cell)
-    if derived is not None:
-        return derived, None
-    return declared, FLAG_DECLARED_KAPPA
 
 
 # Caps on one grid width's search (estimator.search_cost), checked before
@@ -139,42 +130,49 @@ def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max,
                  pdim_constant, disp_constant):
     """Per agent, every input of its certificate but the grid width and
     delta_total: an InterimSpecs, or ex ante (partitions given) an
-    ExAnteSpecs. kappa and l_inv_max are the declared values, used where
-    none can be derived; each declared input is flagged. A kappa that is
-    neither derived nor declared is a ConfigError."""
+    ExAnteSpecs. A prior derives kappa and tau, and strategies l_inv_max.
+    Recorded data declares them instead: each cell's tau, kappa per cell or
+    else the top-level kappa, and l_inv_max when bids-only; each declared
+    input is flagged, and a kappa declared nowhere is a ConfigError."""
     if profile is None:   # bids-only: parse_config requires l_inv_max
         flags = [FLAG_DECLARED_LINV]
     else:
         l_inv_max = profile.l_inv_max
         flags = [] if profile.certified else [FLAG_UNCERTIFIED]
+    if prior is None:
+        flags += [FLAG_DECLARED_KAPPA] + [FLAG_DECLARED_TAU] * bool(partitions)
     common = dict(l_inv_max=l_inv_max, pdim_constant=pdim_constant,
-                  disp_constant=disp_constant)
+                  disp_constant=disp_constant, extra_flags=tuple(flags))
     specs = []
     taus = {}   # agents whose partitions have the same cells share one tau
     for agent in range(game.n_agents):
         part = None if partitions is None else partitions[agent]
-        resolved = [_kappa(prior, kappa, agent, cell)
-                    for cell in ([None] if part is None else part.cells)]
-        _require(all(k is not None for k, _ in resolved), "kappa",
-                 KAPPA_REQUIRED if part is None else KAPPA_REQUIRED_PER_CELL)
-        extra = flags + [FLAG_DECLARED_KAPPA] * any(f for _, f in resolved)
+        cells = [None] if part is None else part.cells
+        if prior is None:
+            kappas = [kappa if cell is None or cell.kappa is None
+                      else cell.kappa for cell in cells]
+            _require(None not in kappas, "kappa", KAPPA_REQUIRED
+                     if part is None else KAPPA_REQUIRED_PER_CELL)
+        else:
+            kappas = [prior.kappa(agent, cell) for cell in cells]
         if part is None:
             specs.append(bounds_mod.InterimSpecs(
-                kappa=resolved[0][0], extra_flags=tuple(extra),
+                kappa=kappas[0],
                 l_fwd=None if profile is None else profile.l_fwd(agent),
                 **common))
             continue
-        from . import priors as priors_mod   # ex ante: tau lives there
-        key = tuple(part.cells)
-        if key not in taus:
-            taus[key] = priors_mod.tv_profile(prior, part)
-        values, sources = taus[key]
-        if "declared" in sources:
-            extra.append(priors_mod.FLAG_DECLARED_TAU)
+        if prior is None:
+            values, source = tuple(cell.tau for cell in cells), "declared"
+        else:
+            from . import priors as priors_mod   # tau is the prior's
+            key = tuple(cells)
+            if key not in taus:
+                taus[key] = priors_mod.tv_profile(prior, part)
+            values, source = taus[key], "derived"
         specs.append(bounds_mod.ExAnteSpecs(
-            taus=values, kappas=tuple(k for k, _ in resolved),
+            taus=values, kappas=tuple(kappas),
             n_cells_max=max(map(len, partitions.values())),
-            tau_sources=sources, extra_flags=tuple(extra), **common))
+            tau_sources=(source,) * len(cells), **common))
     return tuple(specs)
 
 
@@ -206,21 +204,17 @@ def _parse_game(d) -> GameConfig:
     mech = MechanismSpec(kind=kind, items=items, units=units)
     _build("game.mechanism", known_keys, mech_d, ("kind", "items", "units"),
            "game.mechanism")
-    payoff_range = mech.default_utility_scale
+    game = GameConfig(n_agents=n, mechanism=mech)
+    # the rule sets the scale; a config may restate it, as to_dict() does
     scale = d.get("utility_scale")
-    if scale is None:
-        scale = payoff_range
-    # every error term assumes normalized utilities in [-1, 1]; an infinite
-    # scale maps every payoff to 0 and so certifies nothing
-    _require(is_number(scale) and payoff_range <= scale < math.inf,
+    _require(scale is None or (is_number(scale)
+                               and scale == game.utility_scale),
              "game.utility_scale",
-             f"game.utility_scale must be a finite number no less than the "
-             f"payoff range {payoff_range!r} of {kind}")
+             f"game.utility_scale is the payoff range "
+             f"{game.utility_scale!r} of {kind}; a config may only restate it")
     _build("game", known_keys, d, ("n_agents", "mechanism", "utility_scale"),
            "game")
-    return GameConfig(n_agents=n, mechanism=mech,
-                      utility_scale=_build("game.utility_scale", number, scale,
-                                           "game.utility_scale"))
+    return game
 
 
 def _parse_partition_entry(entry, field, agent, dim):
@@ -355,6 +349,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     else:
         _require(isinstance(strategies, list), "strategies",
                  "strategies must be a list of entries or 'bids-only'")
+        _require(l_inv_max is None, "l_inv_max",
+                 "l_inv_max is derived from the strategies; a config may "
+                 "declare it only with 'bids-only'")
         profile = _build("strategies", profile_from_config, strategies,
                          game.n_agents)
 
@@ -390,14 +387,20 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                 _require(entry["agent"] == j, f"partition[{j}]",
                          "per-agent partitions must be listed in agent order")
             partitions = dict(enumerate(part for _, part in parsed))
-        if prior is None:
-            # tau is derived from the prior; recorded data has none
-            for j, (_, part) in enumerate(parsed):
-                for k, cell in enumerate(part.cells):
-                    _require(cell.tau is not None,
-                             f"partition[{j}].cells[{k}].tau",
+        # a prior derives each cell's tau and kappa; recorded data has none,
+        # so it declares every tau
+        for j, (_, part) in enumerate(parsed):
+            for k, cell in enumerate(part.cells):
+                field = f"partition[{j}].cells[{k}]"
+                if prior is None:
+                    _require(cell.tau is not None, f"{field}.tau",
                              "tau must be declared for every cell when the "
                              "records come from a dataset")
+                    continue
+                for name in ("tau", "kappa"):
+                    _require(getattr(cell, name) is None, f"{field}.{name}",
+                             f"{name} is derived from the prior; a cell may "
+                             f"declare it only with a dataset")
     else:
         partition = None
         if prior is not None and isinstance(prior_model,
@@ -411,6 +414,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                               "n_records")
 
     kappa = _positive(raw, "kappa")
+    _require(kappa is None or prior is None, "kappa",
+             "kappa is derived from the prior; a config may declare it only "
+             "with a dataset")
     pdim_constant = _positive(raw, "pdim_constant", 1.0)
     disp_constant = _positive(raw, "disp_constant", 1.0)
     specs = _agent_specs(game, prior_model, profile, partitions, kappa,

@@ -61,35 +61,29 @@ class MechanismSpec:
         return (self.kind in ("discriminatory", "uniform_price")
                 and self.units > 1)
 
-    @property
-    def default_utility_scale(self) -> float:
-        # multi-unit payoffs range over [-m, m]; dividing by the unit count
-        # keeps normalized utilities in [-1, 1]
-        if self.kind in ("discriminatory", "uniform_price"):
-            return float(self.units)
-        return 1.0
-
 
 @dataclass(frozen=True)
 class GameConfig:
     """Static description of the Bayesian auction game.
 
     Observations, valuations and bids live in [0,1]^bid_dim per agent, with
-    bid_dim the mechanism's; utility_scale H is the factor that maps raw
-    quasilinear payoffs into [-1, 1].
+    bid_dim the mechanism's.
     """
     n_agents: int
     mechanism: MechanismSpec
-    utility_scale: float = 0.0
 
     def __post_init__(self):
         if self.n_agents < 2:
             raise ValueError("n_agents must be at least 2")
-        if self.utility_scale == 0.0:
-            object.__setattr__(self, "utility_scale",
-                               self.mechanism.default_utility_scale)
-        if self.utility_scale <= 0:
-            raise ValueError("utility_scale must be positive")
+
+    @property
+    def utility_scale(self) -> float:
+        """The rule's payoff range H, which maps raw quasilinear payoffs
+        into [-1, 1]: multi-unit payoffs range over [-m, m] for m units,
+        the others over [-1, 1]."""
+        if self.mechanism.kind in ("discriminatory", "uniform_price"):
+            return float(self.mechanism.units)
+        return 1.0
 
 
 class Dataset:
@@ -369,9 +363,10 @@ def save_dataset(ds: Dataset, path, config_hash=None):
 class Cell:
     """Axis-aligned box [lo, hi), closed on a face where hi == 1.
 
-    tau is the cell's total-variation radius (None until derived or declared);
-    kappa bounds the conditional opponent observation density over the cell
-    (may be math.inf when no finite bound exists).
+    tau is the cell's total-variation radius and kappa bounds the
+    conditional opponent observation density over the cell (math.inf when
+    no finite bound exists). Both are declared only for recorded data; a
+    prior derives them, and its cells leave them None.
     """
     lo: tuple
     hi: tuple

@@ -1,10 +1,11 @@
 """Prior models: independent product samplers and a correlated
 common-value demo model.
 
-Each model declares the density bounds (kappa) and per-cell conditional
-total-variation radii (tau) that the certified error terms consume, derived
-analytically or by quadrature. Recorded datasets have no prior: their tau
-and kappa must be declared by the user and are flagged as such.
+Each model derives the density bounds (kappa) and per-cell conditional
+total-variation radii (tau) that the certified error terms consume,
+analytically or by quadrature; a config cannot declare them next to a
+prior. Recorded datasets have no prior: their tau and kappa must be
+declared by the user and are flagged as such.
 
 Sampling uses a counter-based generator (Philox) with one spawned stream per
 agent plus one shared stream, so datasets are reproducible across platforms
@@ -26,10 +27,7 @@ __all__ = [
     "tv_profile",
     "tv_integral_bound",
     "prior_from_dict",
-    "FLAG_DECLARED_TAU",
 ]
-
-FLAG_DECLARED_TAU = "tau declared, not derived"
 
 # midpoint-rule panels per piece in CorrelatedCommonValue.tv_pair; a power
 # of 2, so that _halving_sum adds them in a fixed order, not numpy's
@@ -300,18 +298,9 @@ def sample_dataset(prior, profile, n_records: int, seed: int) -> Dataset:
     return Dataset(obs, vals, bids, seed=int(seed))
 
 
-def tv_profile(prior, partition: Partition):
-    """Per-cell tau and its provenance, as (values, sources): a declared
-    tau wins ("declared"), the rest are the prior's tv_radius ("derived")."""
-    values, sources = [], []
-    for cell in partition.cells:
-        if cell.tau is not None:
-            values.append(float(cell.tau))
-            sources.append("declared")
-        else:
-            values.append(float(prior.tv_radius(cell)))
-            sources.append("derived")
-    return tuple(values), tuple(sources)
+def tv_profile(prior, partition: Partition) -> tuple:
+    """Each cell's tau, the prior's tv_radius."""
+    return tuple(float(prior.tv_radius(cell)) for cell in partition.cells)
 
 
 def tv_integral_bound(g_sup: float, tau: float) -> float:

@@ -283,14 +283,12 @@ def test_two_unit_worked_example_prices_exactly():
     bids = np.array([[0.8, 0.3], [0.6, 0.5]])
     theta = np.array([[1.0, 0.9], [1.0, 0.9]])
     uniform = GameConfig(
-        n_agents=2, mechanism=MechanismSpec(kind="uniform_price", units=2),
-        utility_scale=1.0)
+        n_agents=2, mechanism=MechanismSpec(kind="uniform_price", units=2))
     out = mechanisms.eval(uniform, theta, bids)
     assert out.allocation[0].tolist() == [1.0, 0.0]
     assert out.payments[0] == 0.5
     discriminatory = GameConfig(
-        n_agents=2, mechanism=MechanismSpec(kind="discriminatory", units=2),
-        utility_scale=1.0)
+        n_agents=2, mechanism=MechanismSpec(kind="discriminatory", units=2))
     out = mechanisms.eval(discriminatory, theta, bids)
     assert out.payments[0] == 0.8
 

@@ -17,11 +17,12 @@ import pytest
 
 from bneverify import cli, priors
 from bneverify.bounds import FLAG_DEGRADED_BOUND, FLAG_VACUOUS_DISPERSION
-from bneverify.cli import (ConfigError, RunReport, emit_plot_data, load_config,
-                           main, parse_config, run)
+from bneverify.cli import (FLAG_DECLARED_TAU, ConfigError, RunReport,
+                           emit_plot_data, load_config, main, parse_config,
+                           run)
 from bneverify.model import Partition, canonical_json, file_hash
-from bneverify.priors import (FLAG_DECLARED_TAU, CorrelatedCommonValue,
-                              prior_from_dict, sample_dataset, tv_profile)
+from bneverify.priors import (CorrelatedCommonValue, prior_from_dict,
+                              sample_dataset, tv_profile)
 from bneverify.strategies import FLAG_UNCERTIFIED, profile_from_config
 
 
@@ -50,6 +51,14 @@ def write_config(path, raw):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(raw, fh)
     return str(path)
+
+
+def write_records(path, n_records, seed):
+    """n_records of eq_raw's prior and strategies, saved as JSON lines."""
+    from bneverify.model import save_dataset
+    prior = prior_from_dict(eq_raw()["prior"], 2)
+    profile = profile_from_config(eq_raw()["strategies"], 2)
+    save_dataset(sample_dataset(prior, profile, n_records, seed), str(path))
 
 
 # ----------------------------------------------------------- config parsing
@@ -115,7 +124,8 @@ def test_parse_config_field_errors():
     expect_config_error(eq_raw(game={
         "n_agents": 2, "mechanism": {"kind": "first_price_single_item"},
         "utility_scale": float("inf")}), "game.utility_scale",
-        "must be a finite number no less than the payoff range")
+        "is the payoff range 1.0 of first_price_single_item; a config may "
+        "only restate it")
     # 5e-324 / 3 failure events is 0.0: no event would have a probability
     expect_config_error(eq_raw(delta_total=5e-324), "delta_total",
                         r"delta_total / 3, the probability of each failure "
@@ -146,11 +156,11 @@ def test_unknown_top_level_keys_exit_2_naming_the_key(tmp_path, capsys, key):
 def nested_job(name):
     """A valid config whose objects cover every kind the parser knows:
     "shade" (linear shades, uniform marginals), "identity" (identity bids,
-    Beta marginals) and "correlated" (ex ante, a declared and a derived
-    tau)."""
+    Beta marginals) and "correlated" (ex ante, two cells whose tau and
+    kappa the prior derives)."""
     if name == "correlated":
         return correlated_ante_raw({"agent": 0, "cells": [
-            {"lo": [0.0], "hi": [0.5], "tau": 1.0},
+            {"lo": [0.0], "hi": [0.5], "tau": None},
             {"lo": [0.5], "hi": [1.0]}]}, 0.1)
     if name == "identity":
         beta = {"kind": "beta", "alpha": 2.0, "beta": 2.0}
@@ -575,11 +585,29 @@ def test_run_config_settings_are_its_own():
     assert config.to_dict()["strategies"] == eq_raw()["strategies"]
 
 
-def test_run_config_hash_ignores_the_output_directory():
+def test_run_config_hash_ignores_the_output_directory(tmp_path):
     a = parse_config(eq_raw(out_dir="out/a"))
     b = parse_config(eq_raw(out_dir="out/b"))
     assert a.hash() == b.hash()
     assert parse_config(eq_raw(seed=1)).hash() != a.hash()
+    # nor the dataset's directory: dataset_hash identifies the records, so
+    # the same config and records in two directories give the same report
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="records.jsonl", kappa=1.0, grid_w=0.1)
+    reports = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        root.mkdir()
+        write_records(root / "records.jsonl", 500, seed=4)
+        config = parse_config(dict(raw, out_dir=str(root / "out")),
+                              base_dir=str(root))
+        assert config.settings["dataset"] == str(root / "records.jsonl")
+        assert run(config) in (0, 3)
+        reports.append(read_bytes(root, "out", "report.json"))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config_hash"] == config.hash()
+    assert config.hash() == parse_config(raw).hash()
+    assert config.hash() != parse_config(dict(raw, kappa=2.0)).hash()
 
 
 def test_load_config_resolves_dataset_paths(tmp_path):
@@ -781,9 +809,12 @@ def test_a_bundles_job_past_the_cap_for_its_records_exits_2_after_loading(
     assert err.startswith("error: dataset: grid too fine: 251001 candidates "
                           "in 2 markets over 1000 records need about 1.0e+09 "
                           "work units"), err
-    # a sampled job's record count is known while parsing
-    sampled = dict(raw, prior=prior, n_records=1000, seed=5)
-    del sampled["dataset"]
+    # a sampled job's record count is known while parsing; its prior
+    # derives kappa and tau
+    sampled = dict(raw, prior=prior, n_records=1000, seed=5,
+                   partition={"cells": [{"lo": [0.0, 0.0],
+                                         "hi": [1.0, 1.0]}]})
+    del sampled["dataset"], sampled["kappa"]
     expect_config_error(sampled, "n_records", "over 1000 records")
     parse_config(dict(sampled, n_records=900))   # 9.3e8 work units
 
@@ -818,6 +849,47 @@ def test_inconsistent_games_fail_before_sampling(tmp_path, capsys,
     assert main(["verify", "--config", cfg_path,
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def one_cell(**declared):
+    return {"cells": [{"lo": [0.0], "hi": [1.0], **declared}]}
+
+
+PRIOR_DERIVES = "is derived from the prior; a (config|cell) may declare it"
+
+
+@pytest.mark.parametrize("overrides, field, message", [
+    ({"game": {"n_agents": 2, "utility_scale": 10,
+               "mechanism": {"kind": "first_price_single_item"}}},
+     "game.utility_scale", "is the payoff range 1.0"),
+    ({"kappa": 1.0}, "kappa", PRIOR_DERIVES),
+    ({"mode": "ex_ante", "partition": one_cell(tau=0.0)},
+     "partition[0].cells[0].tau", PRIOR_DERIVES),
+    ({"mode": "ex_ante", "partition": one_cell(kappa=1.0)},
+     "partition[0].cells[0].kappa", PRIOR_DERIVES),
+    ({"mode": "ex_ante", "prior": {"kind": "correlated_common_value"},
+      "partition": [one_cell(), one_cell(tau=None, kappa=2.0)]},
+     "partition[1].cells[0].kappa", PRIOR_DERIVES),
+    ({"l_inv_max": 2.0}, "l_inv_max", "is derived from the strategies"),
+], ids=["utility_scale_10", "kappa_with_a_prior", "cell_tau_with_a_prior",
+        "cell_kappa_with_a_prior", "cell_kappa_with_the_correlated_prior",
+        "l_inv_max_with_strategies"])
+def test_derived_inputs_declared_anyway_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, overrides, field, message):
+    # the rule sets the utility scale, the prior kappa and tau, and the
+    # strategies l_inv_max; a second, declared value is refused
+    def refuse(*args):
+        raise AssertionError("records drawn before the config was checked")
+
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    raw = eq_raw(**overrides)
+    expect_config_error(raw, field, message)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def mechanism(kind, **size):
@@ -869,11 +941,21 @@ def test_oversized_jobs_exit_2_at_once_naming_the_field(tmp_path, capsys,
     assert err.startswith(f"error: {field}: ") and len(err) < 200, err
 
 
-def test_utility_scale_at_or_above_the_payoff_range_is_accepted():
-    for scale in (2, 2.5):
-        raw = eq_raw(**game_of_dim(2))
+def test_utility_scale_may_only_restate_the_payoff_range():
+    # the rule sets the scale; to_dict() writes it, so the payoff range,
+    # as an integer or a float, parses to the same settings and hash
+    raw = eq_raw(**game_of_dim(2))
+    want = parse_config(raw)
+    assert want.game.utility_scale == 2.0
+    for scale in (2, 2.0):
         raw["game"]["utility_scale"] = scale
-        assert parse_config(raw).game.utility_scale == float(scale)
+        config = parse_config(raw)
+        assert config.game.utility_scale == 2.0
+        assert config.hash() == want.hash()
+    for scale in (2.5, 1, 10**400, float("nan")):
+        raw["game"]["utility_scale"] = scale
+        expect_config_error(raw, "game.utility_scale",
+                            "is the payoff range 2.0 of discriminatory")
 
 
 def test_tiny_sample_run_is_reported_vacuous(tmp_path):
@@ -1027,24 +1109,39 @@ def test_per_agent_partitions_get_their_own_taus(tmp_path):
     report = read_json(out, "report.json")
     prior = CorrelatedCommonValue(2)
     for agent, entry in enumerate(partition):
-        want = tv_profile(prior, Partition.from_dict(entry))[0]
+        want = tv_profile(prior, Partition.from_dict(entry))
         got = tuple(c["tau"] for c in report["agents"][agent]["cells"])
         assert got == want
         assert 0.0 < min(want[1:-1])   # interior cells are derived, not 0
 
 
 def test_declared_tau_is_flagged_once_per_agent(tmp_path):
+    # recorded data declares every cell's tau; a prior derives every one
     declared = [{"lo": [0.0], "hi": [0.5], "tau": 0.25},
                 {"lo": [0.5], "hi": [1.0], "tau": 0.5}]
-    derived = [{"lo": [0.0], "hi": [1.0]}]
-    raw = correlated_ante_raw([{"cells": declared}, {"cells": derived}], 0.1)
+    whole = [{"lo": [0.0], "hi": [1.0], "tau": 0.0}]
+    write_records(tmp_path / "records.jsonl", 500, seed=4)
+    raw = eq_raw(prior=None, n_records=None, seed=None,
+                 dataset="records.jsonl", kappa=1.0, mode="ex_ante",
+                 grid_w=0.1, partition=[{"cells": declared},
+                                        {"cells": whole}])
     cfg_path = write_config(tmp_path / "config.json", raw)
     out = str(tmp_path / "out")
     assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
     agents = read_json(out, "report.json")["agents"]
-    assert agents[0]["flags"].count(FLAG_DECLARED_TAU) == 1
-    assert [c["tau_source"] for c in agents[0]["cells"]] == ["declared"] * 2
-    assert FLAG_DECLARED_TAU not in agents[1]["flags"]
+    for entry, cells in zip(agents, (declared, whole)):
+        assert entry["flags"].count(FLAG_DECLARED_TAU) == 1
+        assert [c["tau_source"] for c in entry["cells"]] \
+            == ["declared"] * len(cells)
+        assert [c["tau"] for c in entry["cells"]] == [c["tau"] for c in cells]
+    derived = [{"lo": [0.0], "hi": [0.5]}, {"lo": [0.5], "hi": [1.0]}]
+    raw = correlated_ante_raw([{"cells": derived},
+                               {"cells": [{"lo": [0.0], "hi": [1.0]}]}], 0.1)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
+    for entry in read_json(out, "report.json")["agents"]:
+        assert FLAG_DECLARED_TAU not in entry["flags"]
+        assert {c["tau_source"] for c in entry["cells"]} == {"derived"}
 
 
 def test_per_agent_partitions_default_each_agent_to_its_position(tmp_path):
@@ -1333,22 +1430,25 @@ def test_import_loads_no_module_of_the_package_and_not_numpy(src_env):
 
 def test_recorded_data_verify_loads_no_sampler_prior_or_oracle(tmp_path,
                                                                src_env):
-    from bneverify.model import save_dataset
-    prior = prior_from_dict(eq_raw()["prior"], 2)
-    profile = profile_from_config(eq_raw()["strategies"], 2)
-    save_dataset(sample_dataset(prior, profile, 500, seed=4),
-                 str(tmp_path / "records.jsonl"))
+    write_records(tmp_path / "records.jsonl", 500, seed=4)
     raw = eq_raw(prior=None, n_records=None, seed=None,
                  dataset="records.jsonl", kappa=1.0, grid_w=0.1)
-    cfg_path = write_config(tmp_path / "config.json", raw)
-    run_fresh("from bneverify.cli import main; "
-              f"rc = main(['verify', '--config', {cfg_path!r}]); "
-              "assert rc in (0, 3), rc; "
-              + not_loaded("numpy.random", "bneverify.priors",
-                           "bneverify.oracle", "bneverify._backend"),
-              src_env, cwd=str(tmp_path))
-    assert read_json(str(tmp_path / "out"), "report.json")["dataset_hash"] \
-        == file_hash(str(tmp_path / "records.jsonl"))
+    # ex ante, the cells declare their taus: no prior derives them
+    ante = dict(raw, mode="ex_ante", partition={"cells": [
+        {"lo": [0.0], "hi": [0.5], "tau": 0.1},
+        {"lo": [0.5], "hi": [1.0], "tau": 0.2}]})
+    for job in (raw, ante):
+        cfg_path = write_config(tmp_path / "config.json", job)
+        run_fresh("from bneverify.cli import main; "
+                  f"rc = main(['verify', '--config', {cfg_path!r}]); "
+                  "assert rc in (0, 3), rc; "
+                  + not_loaded("numpy.random", "bneverify.priors",
+                               "bneverify.oracle", "bneverify._backend"),
+                  src_env, cwd=str(tmp_path))
+        report = read_json(str(tmp_path / "out"), "report.json")
+        assert report["mode"] == job.get("mode", "ex_interim")
+        assert report["dataset_hash"] \
+            == file_hash(str(tmp_path / "records.jsonl"))
 
 
 def test_ex_ante_verify_loads_neither_fractions_nor_decimal(tmp_path,

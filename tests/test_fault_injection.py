@@ -1,4 +1,4 @@
-"""Fault injection over whole run configs: every value of two small
+"""Fault injection over whole run configs: every value of three small
 configs, containers included, is replaced in turn by a value of another
 JSON type, and each job must end in a normal exit, with any config error
 naming its field and never in Python's own words for a wrong type."""
@@ -11,6 +11,9 @@ import pytest
 
 from bneverify.bounds import FLAG_WIDTH_RANGE
 from bneverify.cli import main
+from bneverify.model import save_dataset
+from bneverify.priors import prior_from_dict, sample_dataset
+from bneverify.strategies import profile_from_config
 
 UNIFORM = {"kind": "uniform", "a": 0.0, "b": 1.0}
 
@@ -30,13 +33,14 @@ INTERIM = {
     "delta_total": 0.05,
     "n_records": 200,
     "seed": 1,
-    "kappa": 1.0,
+    "kappa": None,   # the prior derives it; a number here exits 2
     "pdim_constant": 1.0,
     "disp_constant": 1.0,
     "out_dir": "out",
 }
 
-# prior-mode, two-unit discriminatory, ex ante over two cells
+# prior-mode, two-unit discriminatory, ex ante over two cells, whose tau
+# and kappa the prior derives (a number in their place exits 2)
 ANTE = {
     "game": {"n_agents": 2,
              "mechanism": {"kind": "discriminatory", "units": 2}},
@@ -50,12 +54,41 @@ ANTE = {
          "params": {"xs": [0.0, 1.0], "ys": [0.0, 0.8]}}],
     "partition": {"agent": 0, "cells": [
         {"lo": [0.0, 0.0], "hi": [0.5, 1.0], "tau": None, "kappa": None},
-        {"lo": [0.5, 0.0], "hi": [1.0, 1.0], "tau": 0.5, "kappa": 4.0}]},
+        {"lo": [0.5, 0.0], "hi": [1.0, 1.0], "tau": None, "kappa": None}]},
     "grid_w": 0.25,
     "delta_total": 0.05,
     "n_records": 200,
     "seed": 2,
 }
+
+# recorded data, bids-only, ex ante over two cells: kappa, tau and the slope
+# bound, which a prior and strategies would derive, are all declared
+DATASET = {
+    "game": {"n_agents": 2,
+             "mechanism": {"kind": "first_price_single_item"}},
+    "mode": "ex_ante",
+    "prior": None,
+    "dataset": "records.jsonl",
+    "strategies": "bids-only",
+    "partition": {"agent": 0, "cells": [
+        {"lo": [0.0], "hi": [0.5], "tau": 0.1, "kappa": 2.0},
+        {"lo": [0.5], "hi": [1.0], "tau": 0.2, "kappa": 1.0}]},
+    "grid_w": 0.1,
+    "delta_total": 0.05,
+    "kappa": 1.0,
+    "l_inv_max": 2.0,
+}
+
+
+def write_records(path):
+    """200 records of uniform values, bid at half the value (seed 3)."""
+    prior = prior_from_dict({"kind": "independent_product",
+                             "marginals": [[UNIFORM], [UNIFORM]]}, 2)
+    profile = profile_from_config(
+        [{"agent": a, "family": "linear_shade", "params": {"c": 0.5}}
+         for a in range(2)], 2)
+    save_dataset(sample_dataset(prior, profile, 200, seed=3), str(path))
+
 
 REPLACEMENTS = [True, False, None, "0.5", -1, [], {}, 10**400, float("inf"),
                 5e-324]
@@ -86,7 +119,8 @@ def replaced(raw, path, value):
 
 
 def cases():
-    for name, raw in (("interim", INTERIM), ("ante", ANTE)):
+    for name, raw in (("interim", INTERIM), ("ante", ANTE),
+                      ("dataset", DATASET)):
         for path in nodes(raw):
             yield pytest.param(raw, path, id=f"{name}:" + ".".join(
                 map(str, path)))
@@ -98,6 +132,8 @@ def test_every_replaced_leaf_exits_normally(tmp_path, capsys, raw, path):
     for key in path:
         node = node[key]
     held_number = type(node) in (int, float)
+    if "dataset" in raw:   # read from the config's directory
+        write_records(tmp_path / "records.jsonl")
     cfg_path = tmp_path / "config.json"
     for value in REPLACEMENTS:
         cfg_path.write_text(json.dumps(replaced(raw, path, value)))

@@ -14,9 +14,8 @@ from bneverify.model import GameConfig, MechanismSpec
 from bneverify.oracle import exhaustive_wd
 
 
-def game(kind, n=2, utility_scale=0.0, **kw):
-    return GameConfig(n_agents=n, mechanism=MechanismSpec(kind=kind, **kw),
-                      utility_scale=utility_scale)
+def game(kind, n=2, **kw):
+    return GameConfig(n_agents=n, mechanism=MechanismSpec(kind=kind, **kw))
 
 
 def ex_post(config, theta_i, bids, i):
@@ -201,10 +200,11 @@ def test_wd_keeps_the_best_suffix_when_rounding_ties_the_totals():
 
 def test_discriminatory_worked_example():
     bids = np.array([[0.8, 0.3], [0.6, 0.5]])
-    # top-2 of all bids are 0.8 and 0.6: one unit each, paid at own bid
-    out = eval(game("discriminatory", units=2, utility_scale=1.0),
-               np.ones((2, 2)), bids)
-    assert out.utilities.tolist() == pytest.approx([1.0 - 0.8, 1.0 - 0.6])
+    # top-2 of all bids are 0.8 and 0.6: one unit each, paid at own bid;
+    # utilities are normalized by the payoff range, 2 units
+    out = eval(game("discriminatory", units=2), np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == pytest.approx([(1.0 - 0.8) / 2,
+                                                    (1.0 - 0.6) / 2])
     assert out.allocation.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert out.payments.tolist() == [0.8, 0.6]
     assert list(multiunit_allocation(bids)) == [1, 1]
@@ -223,9 +223,8 @@ def test_uniform_price_worked_example():
     bids = np.array([[0.8, 0.3], [0.6, 0.5]])
     # agent 0 wins one unit; price = max(own next bid 0.3, opponents' 0.5);
     # agent 1 wins one unit; price = max(own next bid 0.5, opponents' 0.3)
-    out = eval(game("uniform_price", units=2, utility_scale=1.0),
-               np.ones((2, 2)), bids)
-    assert out.utilities.tolist() == [1.0 - 0.5, 1.0 - 0.5]
+    out = eval(game("uniform_price", units=2), np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == [(1.0 - 0.5) / 2, (1.0 - 0.5) / 2]
     assert out.allocation.tolist() == [[1.0, 0.0], [1.0, 0.0]]
     assert out.payments.tolist() == [0.5, 0.5]
 
@@ -233,9 +232,8 @@ def test_uniform_price_worked_example():
 def test_uniform_price_sweep_against_zero_opponents_is_free():
     bids = np.array([[0.7, 0.6], [0.0, 0.0]])
     # winner of all units: both clearing-price candidates are out of range
-    out = ex_post(game("uniform_price", units=2, utility_scale=1.0),
-                  [0.9, 0.8], bids, 0)
-    assert out.utilities[0] == pytest.approx(1.7)
+    out = ex_post(game("uniform_price", units=2), [0.9, 0.8], bids, 0)
+    assert out.utilities[0] == pytest.approx(1.7 / 2)
     assert out.allocation.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     assert out.payments.tolist() == [0.0, 0.0]
 
@@ -244,9 +242,8 @@ def test_multiunit_identical_bids_break_ties_toward_lower_agent_index():
     bids = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert list(multiunit_allocation(bids)) == [2, 0]
     # loser pays nothing; winner's clearing price is the highest losing bid
-    out = eval(game("uniform_price", units=2, utility_scale=1.0),
-               np.ones((2, 2)), bids)
-    assert out.utilities.tolist() == [2.0 - 2 * 0.5, 0.0]
+    out = eval(game("uniform_price", units=2), np.ones((2, 2)), bids)
+    assert out.utilities.tolist() == [(2.0 - 2 * 0.5) / 2, 0.0]
     assert out.allocation.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     assert out.payments.tolist() == [2 * 0.5, 0.0]
 

@@ -42,16 +42,18 @@ def test_mechanism_validation():
 
 
 def test_default_utility_scale_covers_multiunit_payoff_range():
-    assert MechanismSpec(kind="uniform_price", units=3).default_utility_scale == 3.0
-    assert MechanismSpec(kind="first_price_single_item").default_utility_scale == 1.0
+    # the rule sets the scale: a game has no other
+    for mech, scale in ((MechanismSpec(kind="uniform_price", units=3), 3.0),
+                        (MechanismSpec(kind="first_price_single_item"), 1.0)):
+        assert GameConfig(n_agents=2, mechanism=mech).utility_scale == scale
 
 
 def test_game_config_dims_autofill_and_check():
     game = GameConfig(n_agents=2,
                       mechanism=MechanismSpec(kind="discriminatory", units=2))
     assert (game.mechanism.bid_dim, game.utility_scale) == (2, 2.0)
-    with pytest.raises(ValueError, match="utility_scale"):
-        GameConfig(n_agents=2, mechanism=game.mechanism, utility_scale=-1.0)
+    with pytest.raises(TypeError, match="utility_scale"):
+        GameConfig(n_agents=2, mechanism=game.mechanism, utility_scale=1.0)
     with pytest.raises(ValueError, match="n_agents"):
         GameConfig(n_agents=1,
                    mechanism=MechanismSpec(kind="first_price_single_item"))

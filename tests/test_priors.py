@@ -271,11 +271,13 @@ def test_correlated_sampling_holds_no_copy_of_a_field():
     assert peak < 8 * (3 * n_records + _DRAW_BLOCK) + (1 << 16), peak
 
 
-def test_tv_profile_prefers_declared_values():
+def test_tv_profile_is_the_priors_radius_per_cell():
+    # only recorded data declares a tau, and tv_profile reads the prior
     prior = CorrelatedCommonValue(2)
-    part = Partition(0, [Cell(lo=(0.0,), hi=(0.5,), tau=0.33),
+    part = Partition(0, [Cell(lo=(0.0,), hi=(0.25,), tau=0.33),
+                         Cell(lo=(0.25,), hi=(0.5,)),
                          Cell(lo=(0.5,), hi=(1.0,))])
-    assert tv_profile(prior, part) == ((0.33, 1.0), ("declared", "derived"))
+    assert tv_profile(prior, part) == (1.0, prior.tv_pair(0.25, 0.5), 1.0)
 
 
 def test_tv_integral_bound_values():
