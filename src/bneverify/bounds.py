@@ -6,9 +6,9 @@ utility class and the shape of its (w, k)-dispersion count (Balcan, Dick and
 Vitercik, FOCS 2018). The single-item first-price row is exact, with
 pseudo-dimension 2 and a count that holds at any width. The combinatorial
 and multi-unit (discriminatory, uniform price) rows are growth orders: they
-take a declared constant, are flagged asymptotic, and are stated only up to
-the width 1 / (kappa * l_inv^e * sqrt(N)), with e = 2^(l+1) for l items and
-e = 1 for m units; a wider width is flagged. Counts above the sample size
+take the declared constant ROW_CONSTANT, are flagged asymptotic, and are
+stated only up to the width 1 / (kappa * l_inv^e * sqrt(N)), with
+e = 2^(l+1) for l items and e = 1 for m units; a wider width is flagged. Counts above the sample size
 are clamped (they carry no information) and flagged. Totals are left folds
 over the stored terms so a reader can recompute them from the report to the
 last ulp.
@@ -27,6 +27,7 @@ __all__ = [
     "FLAG_ASYMPTOTIC",
     "FLAG_WIDTH_RANGE",
     "FLAG_DEGRADED_BOUND",
+    "ROW_CONSTANT",
     "PdimSpec",
     "InterimSpecs",
     "ExAnteSpecs",
@@ -56,6 +57,9 @@ _FAILURE_EVENTS = {"ex_interim": 3, "ex_ante": 4}
 
 # piecewise Lipschitz constant of the utility off its jump set, every rule
 UTILITY_LIPSCHITZ = 1.0
+
+# the asymptotic rows' constant, which no config can set (FLAG_ASYMPTOTIC)
+ROW_CONSTANT = 1.0
 
 
 def _check_delta(delta: float):
@@ -117,8 +121,8 @@ def clamp_dispersion_count(count: float, n_records: int):
 
 @dataclass(frozen=True)
 class _Row:
-    """One auction rule's certificate row. Asymptotic rows carry the
-    declared constant in pdim and scale; the exact row ignores it."""
+    """One auction rule's certificate row. Asymptotic rows carry
+    ROW_CONSTANT in pdim and scale; the exact row ignores it."""
     pdim: float             # before the floor at 1
     exact: bool
     scale: float            # of the dispersion count
@@ -126,28 +130,27 @@ class _Row:
     tail_factor: int = 1     # t in the tail term
 
 
-def _row(config: GameConfig, constant: float) -> _Row:
+def _row(config: GameConfig) -> _Row:
     """The mechanism's row (see the module docstring)."""
-    _check_positive("constant", constant)
     mech = config.mechanism
     n = config.n_agents
     if mech.kind == "first_price_single_item":
         return _Row(2.0, True, n - 1)
     if mech.kind == "first_price_combinatorial":
         items = mech.items
-        return _Row(constant * items * 2 ** items * math.log(n), False,
-                    constant * float((n + 1) ** (2 * items)),
+        return _Row(ROW_CONSTANT * items * 2 ** items * math.log(n), False,
+                    ROW_CONSTANT * float((n + 1) ** (2 * items)),
                     2 ** (items + 1), items)
     if mech.kind in ("discriminatory", "uniform_price"):
         m = mech.units
-        return _Row(constant * m * math.log(n * m), False,
-                    constant * n * m ** 2)
+        return _Row(ROW_CONSTANT * m * math.log(n * m), False,
+                    ROW_CONSTANT * n * m ** 2)
     raise ValueError(f"unknown mechanism kind: {mech.kind}")
 
 
 def dispersion_count(config: GameConfig, w: float, n_in_cell: int,
                      kappa: float, l_inv_max: float, delta: float,
-                     n_cells_max: int = 1, constant: float = 1.0):
+                     n_cells_max: int = 1):
     """High-probability bound on the records whose jumps land in one width-w
     interval, over n_in_cell records and a union over n_cells_max cells:
 
@@ -169,7 +172,7 @@ def dispersion_count(config: GameConfig, w: float, n_in_cell: int,
     _check_positive("kappa", kappa)
     _check_positive("l_inv_max", l_inv_max)
     _check_delta(delta)
-    row = _row(config, constant)
+    row = _row(config)
     n = config.n_agents
     nb = float(n_in_cell)
     width_term = w * nb * kappa * l_inv_max ** row.width_exponent
@@ -213,18 +216,16 @@ class PdimSpec:
     """Pseudo-dimension of the one-agent utility class for a mechanism."""
     value: float
     kind: str       # "exact" or "asymptotic (constant declared)"
-    constant: float = 1.0
 
 
-def pdim(config: GameConfig, constant: float = 1.0) -> PdimSpec:
+def pdim(config: GameConfig) -> PdimSpec:
     """Pseudo-dimension per mechanism (_row), floored at 1: exact for the
-    single-item first-price rule, a growth order with the declared constant
+    single-item first-price rule, a growth order with ROW_CONSTANT
     otherwise."""
-    row = _row(config, constant)
+    row = _row(config)
     if row.exact:
-        return PdimSpec(row.pdim, "exact", 1.0)
-    return PdimSpec(max(1.0, row.pdim), "asymptotic (constant declared)",
-                    constant)
+        return PdimSpec(row.pdim, "exact")
+    return PdimSpec(max(1.0, row.pdim), "asymptotic (constant declared)")
 
 
 def split_delta(mode: str, delta_total: float) -> float:
@@ -246,8 +247,6 @@ class InterimSpecs:
     kappa: float            # opponent prior density bound
     l_inv_max: float        # max inverse-strategy Lipschitz constant
     l_fwd: float = None     # agent's own forward Lipschitz constant
-    pdim_constant: float = 1.0
-    disp_constant: float = 1.0
     extra_flags: tuple = ()
 
 
@@ -257,8 +256,6 @@ class ExAnteSpecs:
     taus: tuple             # per cell, None allowed only on empty cells
     kappas: tuple           # per cell
     l_inv_max: float
-    pdim_constant: float = 1.0
-    disp_constant: float = 1.0
     n_cells_max: int = 1    # max cell count across all agents' partitions
     tau_sources: tuple = ()
     extra_flags: tuple = ()
@@ -283,12 +280,12 @@ class AgentBound:
         return out
 
 
-def _pdim_preamble(specs, config: GameConfig, width: float):
+def _pdim_preamble(config: GameConfig, width: float):
     """Checks shared by both certificates; returns the pseudo-dimension and
     the certificate's flag list, which starts with the asymptotic flag when
     the pseudo-dimension is only a growth order."""
     _check_positive("width", width)
-    spec_d = pdim(config, specs.pdim_constant)
+    spec_d = pdim(config)
     return spec_d, [FLAG_ASYMPTOTIC] if spec_d.kind != "exact" else []
 
 
@@ -299,7 +296,7 @@ def _disp_term(config: GameConfig, specs, width: float, delta: float,
     flag (when clamped) and then the count's own flags to flags."""
     count_raw, d_flags = dispersion_count(
         config, width, n_records, kappa, specs.l_inv_max, delta,
-        n_cells_max=n_cells_max, constant=specs.disp_constant)
+        n_cells_max=n_cells_max)
     count, clamped = clamp_dispersion_count(count_raw, n_records)
     if clamped:
         flags.append(FLAG_VACUOUS_DISPERSION)
@@ -341,7 +338,7 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig,
     mapped-width term cannot be evaluated; it is omitted and flagged.
     """
     delta = split_delta("ex_interim", delta_total)
-    spec_d, flags = _pdim_preamble(specs, config, w)
+    spec_d, flags = _pdim_preamble(config, w)
     n_rec = estimate.n_records
     e_pdim = eps_pdim_interim(n_rec, spec_d.value, config.n_agents, delta)
     widths = [(w, 3.0)]
@@ -363,7 +360,7 @@ def assemble_interim(estimate, specs: InterimSpecs, config: GameConfig,
         "argmax_bid": list(estimate.argmax_pair[1]),
         "pdim_value": spec_d.value,
         "pdim_kind": spec_d.kind,
-        "pdim_constant": spec_d.constant,
+        "pdim_constant": ROW_CONSTANT,
         "eps_pdim": e_pdim,
         "width": w,
         "disp_terms": disp_terms,
@@ -383,7 +380,7 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig,
     weight and skip the per-cell terms.
     """
     delta = split_delta("ex_ante", delta_total)
-    spec_d, flags = _pdim_preamble(specs, config, w)
+    spec_d, flags = _pdim_preamble(config, w)
     n = config.n_agents
     n_cells = len(estimate.br_terms)
     if len(specs.taus) != n_cells or len(specs.kappas) != n_cells:
@@ -442,7 +439,7 @@ def assemble_ex_ante(estimate, specs: ExAnteSpecs, config: GameConfig,
         "hoeffding_multiplier": 2.0,
         "pdim_value": spec_d.value,
         "pdim_kind": spec_d.kind,
-        "pdim_constant": spec_d.constant,
+        "pdim_constant": ROW_CONSTANT,
         "width": w,
         "n_cells_max": specs.n_cells_max,
         "cells": cells,

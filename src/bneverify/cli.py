@@ -95,11 +95,11 @@ def _build(field, fn, *args):
         raise ConfigError(field, str(exc)) from None
 
 
-def _positive(raw, key, default=None):
-    """raw[key] as a positive float; default when it is absent or null."""
+def _positive(raw, key):
+    """raw[key] as a positive float; None when it is absent or null."""
     value = raw.get(key)
     if value is None:
-        return default
+        return None
     _require(is_number(value) and value > 0, key, f"{key} must be positive")
     return _build(key, number, value, key)
 
@@ -126,8 +126,7 @@ def _check_candidate_work(game, profile, partitions, grids, records=0,
                  f"market (cap {BID_COORD_CAP})")
 
 
-def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max,
-                 pdim_constant, disp_constant):
+def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max):
     """Per agent, every input of its certificate but the grid width and
     delta_total: an InterimSpecs, or ex ante (partitions given) an
     ExAnteSpecs. A prior derives kappa and tau, and strategies l_inv_max.
@@ -141,8 +140,7 @@ def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max,
         flags = [] if profile.certified else [FLAG_UNCERTIFIED]
     if prior is None:
         flags += [FLAG_DECLARED_KAPPA] + [FLAG_DECLARED_TAU] * bool(partitions)
-    common = dict(l_inv_max=l_inv_max, pdim_constant=pdim_constant,
-                  disp_constant=disp_constant, extra_flags=tuple(flags))
+    common = dict(l_inv_max=l_inv_max, extra_flags=tuple(flags))
     specs = []
     taus = {}   # agents whose partitions have the same cells share one tau
     for agent in range(game.n_agents):
@@ -310,10 +308,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                  f"prior observations have dimension {prior_model.dim}, "
                  f"bids under {game.mechanism.kind} have "
                  f"{game.mechanism.bid_dim}")
-        # only an independent_product prior has more than one dimension
-        _require(not game.mechanism.sorted_bids or prior_model.sort_desc,
-                 "prior.sort_desc", "prior.sort_desc must be true: bids for "
-                 "more than one unit must be non-increasing")
+        sort_desc = game.mechanism.sorted_bids   # the rule fixes the order
+        _require(getattr(prior_model, "sort_desc", False) == sort_desc,
+                 "prior.sort_desc", f"prior.sort_desc must be "
+                 f"{json.dumps(sort_desc)}: bids are non-increasing exactly "
+                 f"when they hold more than one unit's bids")
         n_records = raw.get("n_records")
         _require(is_integer(n_records) and n_records >= 1, "n_records",
                  "n_records must be a positive integer in simulation mode")
@@ -323,6 +322,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(isinstance(dataset, str), "dataset",
                  "dataset must be a file path")
         dataset = os.path.normpath(os.path.join(base_dir, dataset))
+        _require(raw.get("n_records") is None, "n_records",
+                 "n_records is read only in simulation mode; a dataset "
+                 "holds its own records")
         prior_model = n_records = None
         _require(seed is None or (is_integer(seed) and seed >= 0), "seed",
                  "seed must be a nonnegative integer or absent in dataset "
@@ -379,6 +381,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                  "partition must have one entry or one per agent")
         partition = [entry for entry, _ in parsed]
         if len(parsed) == 1:   # one partition for every agent
+            _require(0 <= partition[0]["agent"] < game.n_agents,
+                     "partition[0].agent", f"partition agent "
+                     f"{partition[0]['agent']} is not an agent of the game")
             cells = parsed[0][1].cells
             partitions = {a: Partition(a, cells)
                           for a in range(game.n_agents)}
@@ -402,7 +407,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                              f"{name} is derived from the prior; a cell may "
                              f"declare it only with a dataset")
     else:
-        partition = None
+        _require(partition is None, "partition",
+                 "a partition is read only in mode ex_ante")
         if prior is not None and isinstance(prior_model,
                                             priors_mod.CorrelatedCommonValue):
             raise ConfigError(
@@ -417,10 +423,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _require(kappa is None or prior is None, "kappa",
              "kappa is derived from the prior; a config may declare it only "
              "with a dataset")
-    pdim_constant = _positive(raw, "pdim_constant", 1.0)
-    disp_constant = _positive(raw, "disp_constant", 1.0)
+    # the rule fixes the asymptotic rows' constant; a config may restate it
+    constant = bounds_mod.ROW_CONSTANT
+    for key in ("pdim_constant", "disp_constant"):
+        value = raw.get(key)
+        _require(value is None or (is_number(value) and value == constant),
+                 key, f"{key} is the rule's constant {constant!r}; a config "
+                 f"may only restate it")
     specs = _agent_specs(game, prior_model, profile, partitions, kappa,
-                         l_inv_max, pdim_constant, disp_constant)
+                         l_inv_max)
 
     out_dir = raw.get("out_dir", "out")
     _require(isinstance(out_dir, str) and out_dir, "out_dir",
@@ -436,9 +447,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         "mode": mode, "prior": prior, "dataset": dataset,
         "strategies": strategies, "partition": partition, "grid_w": grid_w,
         "delta_total": delta_total, "n_records": n_records, "seed": seed,
-        "kappa": kappa, "l_inv_max": l_inv_max,
-        "pdim_constant": pdim_constant, "disp_constant": disp_constant,
-        "out_dir": out_dir,
+        "kappa": kappa, "l_inv_max": l_inv_max, "pdim_constant": constant,
+        "disp_constant": constant, "out_dir": out_dir,
     })
     # last, so that a missing or malformed field is named first
     for key in raw:
@@ -741,6 +751,8 @@ def main(argv=None) -> int:
         ("mode", args.mode), ("grid_w", args.grid_w),
         ("delta_total", args.delta), ("seed", args.seed),
         ("out_dir", args.out)) if value is not None}
+    if args.mode == "ex_interim":   # an ex ante config's cells go unread
+        overrides["partition"] = None
     try:
         if args.grid_sweep is not None:
             try:

@@ -150,6 +150,8 @@ def ref_eps_pdim_ex_ante(nb, d, n, delta, cells):
 
 def test_error_term_formulas_match_an_independent_coding():
     rng = np.random.default_rng(42)
+    constant = 1.0   # the asymptotic rows' constant, which the rule fixes
+    assert bounds.ROW_CONSTANT == constant
     for _ in range(100):
         n_rec = int(rng.integers(10, 1_000_000))
         d = float(rng.uniform(1.0, 20.0))
@@ -163,7 +165,6 @@ def test_error_term_formulas_match_an_independent_coding():
         lip = float(rng.uniform(0.1, 10.0))
         items = int(rng.integers(1, 4))
         units = int(rng.integers(1, 5))
-        constant = float(rng.uniform(0.05, 5.0))
         fpsb = GameConfig(n_agents=n, mechanism=MechanismSpec(
             kind="first_price_single_item"))
         comb = GameConfig(n_agents=n, mechanism=MechanismSpec(
@@ -175,26 +176,25 @@ def test_error_term_formulas_match_an_independent_coding():
             mech = game.mechanism
             value, exact = ref_pdim(mech.kind, n, mech.items, mech.units,
                                     constant)
-            spec = bounds.pdim(game, constant)
+            spec = bounds.pdim(game)
             assert math.isclose(spec.value, value, rel_tol=1e-12)
             assert (spec.kind == "exact") == exact
-            assert spec.constant == (1.0 if exact else constant)
         pairs = [
             (bounds.eps_pdim_interim(n_rec, d, n, delta),
              ref_eps_pdim_interim(n_rec, d, n, delta)),
             (bounds.eps_disp(w, n_rec, count, lip),
              ref_eps_disp(w, n_rec, count, lip)),
             (bounds.dispersion_count(fpsb, w, n_rec, kappa, l_inv, delta,
-                                     cells, constant)[0],
+                                     cells)[0],
              ref_dispersion_count_fpsb(w, n_rec, n, kappa, l_inv, delta,
                                        cells)),
             (bounds.dispersion_count(comb, w, n_rec, kappa, l_inv, delta,
-                                     cells, constant)[0],
+                                     cells)[0],
              ref_dispersion_count_combinatorial(w, n_rec, n, items, kappa,
                                                 l_inv, delta, cells,
                                                 constant)),
             (bounds.dispersion_count(multi, w, n_rec, kappa, l_inv, delta,
-                                     cells, constant)[0],
+                                     cells)[0],
              ref_dispersion_count_multiunit(w, n_rec, n, units, kappa, l_inv,
                                             delta, cells, constant)),
             (bounds.eps_hoeffding(n_rec, n, delta),

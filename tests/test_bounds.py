@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bneverify.bounds import (FLAG_ASYMPTOTIC, FLAG_DEGRADED_BOUND,
                               FLAG_VACUOUS_DISPERSION, FLAG_WIDTH_RANGE,
-                              AgentBound, ExAnteSpecs, InterimSpecs,
+                              ROW_CONSTANT, AgentBound, ExAnteSpecs, InterimSpecs,
                               all_vacuous, assemble_ex_ante, assemble_interim,
                               clamp_dispersion_count, dispersion_count,
                               eps_disp, eps_hoeffding, eps_pdim_ex_ante,
@@ -159,21 +159,22 @@ def test_certified_dispersion_slack_shrinks_with_more_records(n, w):
 
 def test_pdim_single_item_is_exact():
     spec = pdim(fpsb_game())
-    assert (spec.value, spec.kind, spec.constant) == (2.0, "exact", 1.0)
+    assert (spec.value, spec.kind) == (2.0, "exact")
 
 
 def test_pdim_growth_orders_with_declared_constants():
+    # the declared constant is the rule's, 1; no config sets it
+    assert ROW_CONSTANT == 1.0
     comb = pdim(comb_game(n=3, items=2))
     assert comb.kind == "asymptotic (constant declared)"
     assert comb.value == pytest.approx(2 * 4 * math.log(3), abs=1e-12)
     mu = pdim(mu_game(n=2, units=2))
     assert mu.value == pytest.approx(2 * math.log(4), abs=1e-12)
-    assert pdim(comb_game(n=3, items=2), constant=2.0).value \
-        == pytest.approx(2 * 2 * 4 * math.log(3), abs=1e-12)
 
 
 def test_pdim_floors_at_one():
-    tiny = pdim(mu_game(n=2, units=1, kind="uniform_price"), constant=0.1)
+    # one unit among two agents: ln 2 < 1
+    tiny = pdim(mu_game(n=2, units=1, kind="uniform_price"))
     assert tiny.value == 1.0
 
 

@@ -119,7 +119,8 @@ def test_parse_config_field_errors():
     expect_config_error(eq_raw(l_inv_max=0.0), "l_inv_max",
                         "must be positive")
     expect_config_error(eq_raw(pdim_constant=-2.0), "pdim_constant",
-                        "must be positive")
+                        "is the rule's constant 1.0; a config may only "
+                        "restate it")
     expect_config_error(eq_raw(out_dir=""), "out_dir", "nonempty path")
     expect_config_error(eq_raw(game={
         "n_agents": 2, "mechanism": {"kind": "first_price_single_item"},
@@ -492,12 +493,15 @@ def test_missing_kappa_is_rejected_before_any_loading(tmp_path, capsys):
 
 def game_of_dim(dim):
     """Overrides for a two-agent game whose observations have dim
-    coordinates: the game and a prior of that dimension."""
+    coordinates: the game and a prior of that dimension, sorted (as the
+    rule requires) when dim > 1."""
     uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+    prior = {"kind": "independent_product", "marginals": [[uniform] * dim] * 2}
+    if dim > 1:
+        prior["sort_desc"] = True
     return {"game": {"n_agents": 2,
                      "mechanism": {"kind": "discriminatory", "units": dim}},
-            "prior": {"kind": "independent_product",
-                      "marginals": [[uniform] * dim] * 2, "sort_desc": True}}
+            "prior": prior}
 
 
 @pytest.mark.parametrize("cells, message", [
@@ -730,6 +734,16 @@ def test_grid_sweep_writes_one_report_per_width(tmp_path):
     assert os.path.exists(os.path.join(out, "plot_agent1_w0.05.csv"))
 
 
+def test_a_malformed_grid_sweep_exits_2_naming_grid_w(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "config.json", eq_raw())
+    out = tmp_path / "sweep"
+    assert main(["verify", "--config", cfg_path, "--out", str(out),
+                 "--grid-sweep", "0.1,,0.05"]) == 2
+    assert capsys.readouterr().err \
+        == "error: grid_w: grid sweep must be comma-separated numbers\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("width", ["1e-9", "1e-300", "5e-324"])
 def test_oversized_sweep_width_fails_before_anything_is_written(
         tmp_path, capsys, monkeypatch, width):
@@ -890,6 +904,108 @@ def test_derived_inputs_declared_anyway_exit_2_before_sampling(
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+TESTS = Path(__file__).resolve().parent
+DROP = object()   # in place of a value: the key is removed
+
+
+def frozen_job(name):
+    """A golden or shipped job's raw config, its partition file read
+    inline, and the config_hash of its frozen report."""
+    path = TESTS / "golden" / f"{name}_config.json"
+    if not path.exists():
+        path = TESTS.parent / "configs" / f"{name}.json"
+    raw = read_json(path)
+    if isinstance(raw.get("partition"), str):
+        raw["partition"] = read_json(path.parent, raw["partition"])
+    return raw, read_json(TESTS, "golden", f"{name}_report.json")[
+        "config_hash"]
+
+
+def edited(name, path, value):
+    """frozen_job(name) with the key at path set to value (or dropped)."""
+    raw, frozen = frozen_job(name)
+    *parents, key = path
+    node = raw
+    for step in parents:
+        node = node[step]
+    if value is DROP:
+        node.pop(key, None)
+    else:
+        node[key] = value
+    return raw, frozen
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    # the rule fixes the asymptotic rows' constant ...
+    ("uniform_price_interim", ("pdim_constant",), 1e-6, "pdim_constant"),
+    ("uniform_price_interim", ("disp_constant",), 1e-6, "disp_constant"),
+    ("fpsb_eq", ("pdim_constant",), 7.0, "pdim_constant"),
+    ("fpsb_eq", ("disp_constant",), 0.001, "disp_constant"),
+    # ... and the prior's coordinate order
+    ("combinatorial_interim", ("prior", "sort_desc"), True,
+     "prior.sort_desc"),
+    ("fpsb_eq", ("prior", "sort_desc"), True, "prior.sort_desc"),
+    ("uniform_price_ante", ("prior", "sort_desc"), DROP, "prior.sort_desc"),
+    # keys the run would never read
+    ("bids_only_ante", ("n_records",), 5, "n_records"),
+    ("fpsb_eq", ("partition",), one_cell(), "partition"),
+    ("correlated_demo", ("partition", "agent"), 7, "partition[0].agent"),
+    ("correlated_demo", ("partition", "agent"), -1, "partition[0].agent"),
+], ids=["pdim_constant_tiny", "disp_constant_tiny", "pdim_constant_fpsb",
+        "disp_constant_fpsb", "sort_desc_on_bundles", "sort_desc_on_one_coord",
+        "sort_desc_absent_on_two_units", "n_records_with_a_dataset",
+        "partition_ex_interim", "shared_partition_agent_7",
+        "shared_partition_agent_negative"])
+def test_a_fixed_or_unread_key_exits_2_before_any_record(
+        tmp_path, capsys, monkeypatch, name, path, value, field):
+    def refuse(*args):
+        raise AssertionError("records drawn before the config was checked")
+
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    raw, _ = edited(name, path, value)
+    cfg_path = write_config(tmp_path / "config.json", raw)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, path, value", [
+    *[("uniform_price_interim", (key,), value)
+      for key in ("pdim_constant", "disp_constant")
+      for value in (1, 1.0, None)],
+    ("discriminatory_interim", ("prior", "sort_desc"), True),
+    ("bids_only_ante", ("n_records",), None),
+    ("fpsb_eq", ("partition",), None),
+    ("correlated_demo", ("partition", "agent"), 0),
+])
+def test_restating_a_fixed_or_unread_key_keeps_the_frozen_hash(
+        tmp_path, name, path, value):
+    # the records file only has to exist: the hash does not read it
+    (tmp_path / "records.jsonl").write_text(" " * 64, encoding="utf-8")
+    raw, frozen = edited(name, path, value)
+    config = parse_config(raw, base_dir=str(tmp_path))
+    assert config.hash() == frozen
+    assert config.settings["pdim_constant"] == 1.0
+    assert config.settings["disp_constant"] == 1.0
+
+
+def test_mode_ex_interim_override_drops_the_partition(tmp_path, capsys):
+    # the partition of an ex ante config goes unread ex interim
+    cfg_path = write_config(tmp_path / "config.json", eq_raw(
+        mode="ex_ante", partition=one_cell(), n_records=500, grid_w=0.1))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path, "--out", str(out),
+                 "--mode", "ex_interim"]) in (0, 3)
+    assert read_json(out, "report.json")["mode"] == "ex_interim"
+    # correlated values still have no ex interim certificate
+    shipped = str(TESTS.parent / "configs" / "correlated_demo.json")
+    assert main(["verify", "--config", shipped, "--out", str(out),
+                 "--mode", "ex_interim"]) == 2
+    assert capsys.readouterr().err.startswith("error: mode: ")
 
 
 def mechanism(kind, **size):

@@ -437,6 +437,14 @@ def test_eval_rejects_mismatched_profiles():
         eval(g, np.zeros((2, 1)), np.zeros((2, 3)))
 
 
+def test_eval_rejects_a_valuation_profile_of_the_wrong_shape():
+    g = game("uniform_price", units=2)
+    bids = np.array([[0.6, 0.3], [0.5, 0.2]])
+    with pytest.raises(ValueError, match=r"^valuation profile shaped \(2, 1\), "
+                                         r"expected \(2, 2\)$"):
+        eval(g, np.ones((2, 1)), bids)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_utilities_stay_normalized_across_mechanisms(seed):

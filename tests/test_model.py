@@ -233,6 +233,25 @@ def test_dataset_file_round_trip_is_bit_exact(tmp_path):
     assert header == {"seed": 11, "config_hash": "ab12"}
 
 
+def test_blank_lines_in_a_dataset_file_are_skipped(tmp_path):
+    game = fpsb_game()
+    ds = make_dataset(n=20, seed=3)
+    path = tmp_path / "records.jsonl"
+    save_dataset(ds, path)
+    header, *rows = path.read_text().splitlines()
+    # a blank line, a line of spaces and tabs, and a trailing blank line
+    path.write_text("\n".join([header, "", *rows[:10], " \t ", *rows[10:],
+                               ""]) + "\n")
+    again = load_dataset(path, game)
+    for field in ("obs", "vals", "bids"):
+        assert np.array_equal(getattr(again, field), getattr(ds, field))
+    # a fault is still named by its line in the file, blank lines counted
+    rows[12] = rows[12].replace('"bids": [[', '"bids": [["x", ', 1)
+    path.write_text("\n".join([header, "", *rows[:10], "", *rows[10:]]))
+    with pytest.raises(ValueError, match="^malformed row, line 16: "):
+        load_dataset(path, game)
+
+
 @pytest.mark.parametrize("mechanism", [
     MechanismSpec(kind="first_price_combinatorial", items=1),
     MechanismSpec(kind="uniform_price", units=2)],

@@ -48,6 +48,17 @@ def test_beta_density_max_is_the_mode_value():
         Beta(0.5, 2.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 3.0), (4.0, 1.0), (1.0, 1.5)])
+def test_beta_density_max_with_a_unit_shape_is_an_endpoint_value(alpha,
+                                                                  beta):
+    # with alpha or beta at 1 the density is monotone, its supremum the
+    # limit at 0 or at 1
+    b = Beta(alpha, beta)
+    peak = float(b.density(np.linspace(1e-9, 1.0 - 1e-9, 20001)).max())
+    assert peak <= b.density_max == pytest.approx(peak, abs=1e-6)
+    assert b.density_max == max(alpha, beta)
+
+
 def test_marginal_samples_respect_support():
     rng = np.random.Generator(np.random.Philox(0))
     xs = Uniform(0.25, 0.75).sample(rng, 1000)
