@@ -21,9 +21,10 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .estimator import estimate_ex_ante, estimate_ex_interim, search_cost
-from .model import (Dataset, GameConfig, MECHANISM_KINDS, MechanismSpec,
-                    Partition, config_hash, file_hash, is_integer, is_number,
-                    known_keys, load_dataset, make_grid, number)
+from .model import (Dataset, GameConfig, Grid, MECHANISM_KINDS,
+                    MechanismSpec, Partition, config_hash, file_hash,
+                    is_integer, is_number, known_keys, load_dataset,
+                    make_grid, number)
 from .strategies import FLAG_UNCERTIFIED, StrategyProfile, profile_from_config
 
 __all__ = [
@@ -67,7 +68,7 @@ class RunConfig:
 
     settings: dict            # every key a config may hold
     game: GameConfig
-    grids: dict               # grid width -> its Grid, in config order
+    grid: Grid                # the lattice at settings["grid_w"]
     prior_model: object       # built from prior, or None
     profile: StrategyProfile  # built from strategies; None for bids-only
     partitions: dict          # ex ante: agent -> Partition; else None
@@ -104,26 +105,25 @@ def _positive(raw, key):
     return _build(key, number, value, key)
 
 
-# Caps on one grid width's search (estimator.search_cost), checked before
+# Caps on the grid's search (estimator.search_cost), checked before
 # any record is sampled or loaded, and once more after a dataset is loaded,
 # when its record count is known
 WORK_CAP = 10 ** 9        # work units, about 25 s on a 2-vCPU x86 host
 BID_COORD_CAP = 1 << 21   # bid coordinates per market, about 700 MB
 
 
-def _check_candidate_work(game, profile, partitions, grids, records=0,
-                          field=None):
+def _check_candidate_work(game, profile, partitions, grid, records=0,
+                          field="grid_w"):
     """Refuse a grid whose search over records records (0 while unknown)
-    passes WORK_CAP or BID_COORD_CAP, naming field or its key in grids."""
-    for name, grid in grids.items():
-        k, markets, work, coords = search_cost(game, grid, profile,
-                                               partitions, records)
-        over = f" over {records} records" if records else ""
-        _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field or name,
-                 f"grid too fine: {k} candidates in {markets} markets{over} "
-                 f"need about {float(work):.1e} work units "
-                 f"(cap {WORK_CAP:.0e}) and {coords} bid coordinates per "
-                 f"market (cap {BID_COORD_CAP})")
+    passes WORK_CAP or BID_COORD_CAP, naming field."""
+    k, markets, work, coords = search_cost(game, grid, profile, partitions,
+                                           records)
+    over = f" over {records} records" if records else ""
+    _require(work <= WORK_CAP and coords <= BID_COORD_CAP, field,
+             f"grid too fine: {k} candidates in {markets} markets{over} "
+             f"need about {float(work):.1e} work units "
+             f"(cap {WORK_CAP:.0e}) and {coords} bid coordinates per "
+             f"market (cap {BID_COORD_CAP})")
 
 
 def _agent_specs(game, prior, profile, partitions, kappa, l_inv_max):
@@ -271,29 +271,15 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
              "delta_total must lie in (0,1)")
     _build("delta_total", bounds_mod.split_delta, mode, delta_total)
 
+    # the certificate's confidence covers one width, so a run has one
     grid_w = raw.get("grid_w")
-    if is_number(grid_w):
-        _require(0.0 < grid_w <= 1.0, "grid_w", "grid_w must lie in (0, 1]")
-        grid_w = float(grid_w)
-        widths = {"grid_w": grid_w}
-    elif isinstance(grid_w, list) and grid_w:
-        for j, w in enumerate(grid_w):
-            _require(is_number(w) and 0.0 < w <= 1.0,
-                     f"grid_w[{j}]", "grid widths must lie in (0, 1]")
-        grid_w = [float(w) for w in grid_w]
-        widths = {f"grid_w[{j}]": w for j, w in enumerate(grid_w)}
-        suffixes = {}   # each width's report files carry its suffix
-        for j, w in enumerate(grid_w):
-            first = suffixes.setdefault(_width_suffix(w), j)
-            _require(first == j, f"grid_w[{j}]",
-                     f"grid width {w!r} shares the output suffix "
-                     f"{_width_suffix(w)} with grid_w[{first}]")
-    else:
-        raise ConfigError("grid_w",
-                          "grid_w must be a number or a nonempty list")
-    # each width's lattice, sized without building its points
-    named = {field: _build(field, make_grid, game.mechanism.bid_dim, w)
-             for field, w in widths.items()}
+    _require(is_number(grid_w), "grid_w",
+             "grid_w must be one number: a run certifies one grid width, "
+             "so compare widths with one run per width")
+    _require(0.0 < grid_w <= 1.0, "grid_w", "grid_w must lie in (0, 1]")
+    grid_w = float(grid_w)
+    # the lattice, sized without building its points
+    grid = _build("grid_w", make_grid, game.mechanism.bid_dim, grid_w)
 
     prior = raw.get("prior")
     dataset = raw.get("dataset")
@@ -381,9 +367,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
                  "partition must have one entry or one per agent")
         partition = [entry for entry, _ in parsed]
         if len(parsed) == 1:   # one partition for every agent
-            _require(0 <= partition[0]["agent"] < game.n_agents,
-                     "partition[0].agent", f"partition agent "
-                     f"{partition[0]['agent']} is not an agent of the game")
+            _require(partition[0]["agent"] == 0, "partition[0].agent",
+                     f"partition agent {partition[0]['agent']}: a single "
+                     f"partition serves every agent, so its agent may only "
+                     f"restate 0")
             cells = parsed[0][1].cells
             partitions = {a: Partition(a, cells)
                           for a in range(game.n_agents)}
@@ -414,9 +401,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ConfigError(
                 "mode", "mode ex_interim requires independent private values")
 
-    _check_candidate_work(game, profile, partitions, named)
+    _check_candidate_work(game, profile, partitions, grid)
     if n_records is not None:   # sampled: the record count is known now
-        _check_candidate_work(game, profile, partitions, named, n_records,
+        _check_candidate_work(game, profile, partitions, grid, n_records,
                               "n_records")
 
     kappa = _positive(raw, "kappa")
@@ -455,8 +442,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         _require(key in settings, key,
                  f"unknown config key {key!r}; a config may hold "
                  f"{', '.join(settings)}")
-    return RunConfig(settings=settings, game=game,
-                     grids=dict(zip(widths.values(), named.values())),
+    return RunConfig(settings=settings, game=game, grid=grid,
                      prior_model=prior_model, profile=profile,
                      partitions=partitions, specs=specs)
 
@@ -509,10 +495,9 @@ def _json_safe(obj):
 class RunReport:
     """In-memory run result: the JSON payload plus per-agent plot arrays."""
 
-    def __init__(self, payload: dict, plots: dict, vacuous: bool):
+    def __init__(self, payload: dict, plots: dict):
         self.payload = payload
         self.plots = plots      # agent -> (points (K, d), gains (K,))
-        self.vacuous = vacuous
 
     def to_json(self) -> str:
         return json.dumps(_json_safe(self.payload), indent=2,
@@ -531,7 +516,7 @@ def _resolve_dataset(config: RunConfig):
                  "dataset", "ex interim estimation requires private values "
                  "(observations identical to valuations)")
         _check_candidate_work(config.game, config.profile, config.partitions,
-                              config.grids, len(ds), "dataset")
+                              config.grid, len(ds), "dataset")
         return ds, file_hash(path)
     from . import priors as priors_mod
     try:   # numpy refuses, or fails to allocate, arrays of too many records
@@ -544,11 +529,11 @@ def _resolve_dataset(config: RunConfig):
     return ds, _array_hash(ds.obs, ds.vals, ds.bids)
 
 
-def _run_single_width(config: RunConfig, width: float, grid, ds: Dataset,
-                      ds_hash: str) -> RunReport:
-    """One report at one grid width, whose lattice is grid."""
-    game = config.game
+def _build_report(config: RunConfig, ds: Dataset, ds_hash: str) -> RunReport:
+    """The run's report: every agent's certificate at the config's width."""
+    game, grid = config.game, config.grid
     settings = config.settings
+    width = settings["grid_w"]
     interim = settings["mode"] == "ex_interim"
     agent_bounds = []
     plots = {}
@@ -565,7 +550,6 @@ def _run_single_width(config: RunConfig, width: float, grid, ds: Dataset,
         agent_bounds.append(assemble(est, specs, game, width,
                                      settings["delta_total"]))
 
-    vacuous = bounds_mod.all_vacuous(agent_bounds)
     payload = {
         "mode": settings["mode"],
         "config_hash": config.hash(),
@@ -580,9 +564,9 @@ def _run_single_width(config: RunConfig, width: float, grid, ds: Dataset,
         "utility_scale": game.utility_scale,
         "n_cells_max": None if interim else config.specs[0].n_cells_max,
         "agents": [ab.to_dict() for ab in agent_bounds],
-        "vacuous": vacuous,
+        "vacuous": bounds_mod.all_vacuous(agent_bounds),
     }
-    return RunReport(payload=payload, plots=plots, vacuous=vacuous)
+    return RunReport(payload=payload, plots=plots)
 
 
 def emit_plot_data(report: RunReport, path: str, agent: int = 0):
@@ -644,10 +628,6 @@ def _csv_num(x):
     return repr(float(x))
 
 
-def _width_suffix(w: float) -> str:
-    return f"_w{w:g}"
-
-
 def _oracle_block(config: RunConfig):
     """Closed-form reference losses where the model admits them: single-item
     first-price, uniform i.i.d. values, linear-shade opponents at the
@@ -692,24 +672,17 @@ def run(config: RunConfig, oracle: bool = False) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create out_dir: {exc}") from None
-    sweep = isinstance(config.settings["grid_w"], list)
     ds, ds_hash = _resolve_dataset(config)
 
-    reports = []
-    for w, grid in config.grids.items():
-        report = _run_single_width(config, w, grid, ds, ds_hash)
-        reports.append(report)
-        suffix = _width_suffix(w) if sweep else ""
-        report_path = os.path.join(out_dir, f"report{suffix}.json")
-        with open(report_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_json())
-        _emit_cells_csv(report, os.path.join(out_dir, f"cells{suffix}.csv"),
-                        config.partitions)
-        for agent in range(config.game.n_agents):
-            emit_plot_data(
-                report,
-                os.path.join(out_dir, f"plot_agent{agent}{suffix}.csv"),
-                agent=agent)
+    report = _build_report(config, ds, ds_hash)
+    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(report.to_json())
+    _emit_cells_csv(report, os.path.join(out_dir, "cells.csv"),
+                    config.partitions)
+    for agent in range(config.game.n_agents):
+        emit_plot_data(report, os.path.join(out_dir, f"plot_agent{agent}.csv"),
+                       agent=agent)
 
     if oracle:
         block = _oracle_block(config)
@@ -717,9 +690,7 @@ def run(config: RunConfig, oracle: bool = False) -> int:
                   encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(_json_safe(block), indent=2) + "\n")
 
-    if all(r.vacuous for r in reports):
-        return 3
-    return 0
+    return 3 if report.payload["vacuous"] else 0
 
 
 def main(argv=None) -> int:
@@ -734,11 +705,8 @@ def main(argv=None) -> int:
                           help="path to the run config JSON")
     p_verify.add_argument("--mode", choices=["ex_interim", "ex_ante"],
                           help="override the config's mode")
-    grid_group = p_verify.add_mutually_exclusive_group()
-    grid_group.add_argument("--grid-w", type=float,
-                            help="override grid width")
-    grid_group.add_argument("--grid-sweep",
-                            help="comma-separated grid widths")
+    p_verify.add_argument("--grid-w", type=float,
+                          help="override grid width")
     p_verify.add_argument("--delta", type=float,
                           help="override total failure probability")
     p_verify.add_argument("--seed", type=int, help="override the seed")
@@ -754,13 +722,6 @@ def main(argv=None) -> int:
     if args.mode == "ex_interim":   # an ex ante config's cells go unread
         overrides["partition"] = None
     try:
-        if args.grid_sweep is not None:
-            try:
-                overrides["grid_w"] = [float(x)
-                                       for x in args.grid_sweep.split(",")]
-            except ValueError:
-                raise ConfigError("grid_w",
-                                  "grid sweep must be comma-separated numbers")
         config = load_config(args.config, overrides)
         return run(config, oracle=args.oracle)
     except ConfigError as exc:

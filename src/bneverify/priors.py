@@ -94,9 +94,14 @@ class Beta:
     def density(self, x):
         x = np.asarray(x, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_pdf = ((self.alpha - 1.0) * np.log(x)
-                       + (self.beta - 1.0) * np.log1p(-x) - self._log_norm)
-            pdf = np.exp(log_pdf)
+            # 0 * log 0 is 0: a unit shape adds no term, so the density
+            # keeps its value at the endpoint where that term's log is -inf
+            log_pdf = 0.0
+            if self.alpha != 1.0:
+                log_pdf = (self.alpha - 1.0) * np.log(x)
+            if self.beta != 1.0:
+                log_pdf = log_pdf + (self.beta - 1.0) * np.log1p(-x)
+            pdf = np.exp(log_pdf - self._log_norm)
         inside = (x >= 0.0) & (x <= 1.0)
         return np.where(inside, np.nan_to_num(pdf, posinf=0.0), 0.0)
 

@@ -86,13 +86,9 @@ def test_parse_config_field_errors():
                         r"delta_total must lie in \(0,1\)")
     expect_config_error(eq_raw(grid_w=0.0), "grid_w",
                         r"grid_w must lie in \(0, 1\]")
-    expect_config_error(eq_raw(grid_w=[]), "grid_w",
-                        "number or a nonempty list")
-    expect_config_error(eq_raw(grid_w=[0.1, 2.0]), "grid_w[1]",
-                        r"grid widths must lie in \(0, 1\]")
-    # both widths would write report_w0.1.json
-    expect_config_error(eq_raw(grid_w=[0.05, 0.1, 0.1000001]), "grid_w[2]",
-                        r"shares the output suffix _w0.1 with grid_w\[1\]")
+    expect_config_error(eq_raw(grid_w=[0.1, 0.05]), "grid_w",
+                        "grid_w must be one number: a run certifies one "
+                        "grid width")
     expect_config_error(eq_raw(grid_w=1e-9), "grid_w",
                         "grid too large: 500000001 points")
     expect_config_error(eq_raw(dataset="x.jsonl"), "prior",
@@ -225,7 +221,7 @@ def test_an_objects_own_faults_are_named_before_its_unknown_keys():
 
 @pytest.mark.parametrize("field", [
     "game.n_agents", "game.mechanism.items", "game.mechanism.units",
-    "game.utility_scale", "grid_w", "grid_w[1]", "delta_total",
+    "game.utility_scale", "grid_w", "delta_total",
     "n_records", "seed", "kappa", "l_inv_max", "pdim_constant",
     "disp_constant", "cells[0].tau", "cells[0].kappa", "dataset seed",
     "prior.sort_desc"])
@@ -235,9 +231,7 @@ def test_json_booleans_are_not_numbers(tmp_path, capsys, field, flag):
     # be rejected wherever a number is wanted, and a string where a boolean is
     raw = eq_raw()
     named = field
-    if field == "grid_w[1]":
-        raw["grid_w"] = [0.1, flag]
-    elif field.startswith("game."):
+    if field.startswith("game."):
         raw["game"] = {"n_agents": 2, "mechanism": {
             "kind": "first_price_combinatorial", "items": 1}}
         *parents, key = field.split(".")[1:]
@@ -718,30 +712,52 @@ def test_oracle_block_is_null_outside_its_domain():
     assert cli._oracle_block(parse_config(raw)) == {"0": None, "1": None}
 
 
-def test_grid_sweep_writes_one_report_per_width(tmp_path):
-    cfg_path = write_config(tmp_path / "config.json", eq_raw())
-    out = str(tmp_path / "sweep")
-    rc = main(["verify", "--config", cfg_path, "--out", out,
-               "--grid-sweep", "0.1,0.05"])
-    assert rc == 0
-    coarse = read_json(out, "report_w0.1.json")
-    fine = read_json(out, "report_w0.05.json")
-    assert coarse["grid_width"] == 0.1 and fine["grid_width"] == 0.05
-    for a in range(2):
-        # the finer lattice contains the coarse one, so the sup cannot drop
-        assert fine["agents"][a]["empirical"] \
-            >= coarse["agents"][a]["empirical"]
-    assert os.path.exists(os.path.join(out, "plot_agent1_w0.05.csv"))
+def exit_code(argv):
+    """main's exit code, also when argparse refuses argv by raising
+    SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_a_malformed_grid_sweep_exits_2_naming_grid_w(tmp_path, capsys):
-    cfg_path = write_config(tmp_path / "config.json", eq_raw())
-    out = tmp_path / "sweep"
-    assert main(["verify", "--config", cfg_path, "--out", str(out),
-                 "--grid-sweep", "0.1,,0.05"]) == 2
-    assert capsys.readouterr().err \
-        == "error: grid_w: grid sweep must be comma-separated numbers\n"
-    assert not out.exists()
+@pytest.mark.parametrize("grid_w, argv, message", [
+    ([0.1], [], "error: grid_w: grid_w must be one number"),
+    ([], [], "error: grid_w: grid_w must be one number"),
+    (0.1, ["--grid-sweep", "0.1,0.05"],
+     "unrecognized arguments: --grid-sweep 0.1,0.05"),
+], ids=["one_width_list", "empty_list", "grid_sweep_flag"])
+def test_more_than_one_width_exits_2_before_any_record(
+        tmp_path, capsys, monkeypatch, grid_w, argv, message):
+    # the confidence a report claims covers one width, so a run certifies one
+    def refuse(*args):
+        raise AssertionError("records drawn before the config was checked")
+
+    monkeypatch.setattr(priors, "sample_dataset", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    cfg_path = write_config(tmp_path / "config.json", eq_raw(grid_w=grid_w))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert exit_code(["verify", "--config", cfg_path, "--out", str(out),
+                      *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_grid_w_flag_replaces_a_list_before_it_is_parsed(tmp_path):
+    one = write_config(tmp_path / "one.json", eq_raw(n_records=2000,
+                                                     grid_w=0.1))
+    listed = write_config(tmp_path / "listed.json",
+                          eq_raw(n_records=2000, grid_w=[0.5, 0.05]))
+    out_one, out_listed = tmp_path / "one", tmp_path / "listed"
+    rc = main(["verify", "--config", one, "--out", str(out_one)])
+    assert main(["verify", "--config", listed, "--out", str(out_listed),
+                 "--grid-w", "0.1"]) == rc
+    assert read_json(str(out_listed), "report.json")["grid_width"] == 0.1
+    names = sorted(os.listdir(out_one))
+    assert sorted(os.listdir(out_listed)) == names
+    for name in names:
+        assert (out_listed / name).read_bytes() == (out_one / name).read_bytes()
 
 
 @pytest.mark.parametrize("width", ["1e-9", "1e-300", "5e-324"])
@@ -756,9 +772,9 @@ def test_oversized_sweep_width_fails_before_anything_is_written(
     out = tmp_path / "out"
     out.mkdir()
     assert main(["verify", "--config", cfg_path, "--out", str(out),
-                 "--grid-sweep", f"0.1,{width}"]) == 2
+                 "--grid-w", width]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid_w[1]: grid too large: ")
+    assert err.startswith("error: grid_w: grid too large: ")
     assert len(err) < 200
     assert list(out.iterdir()) == []
 
@@ -783,8 +799,6 @@ def test_too_fine_a_grid_for_the_job_exits_2_before_sampling(
     # ex interim each candidate also fills a gain-table row per agent
     expect_config_error(eq_raw(grid_w=1e-5), "grid_w",
                         "grid too fine: 50001 candidates in 2 markets")
-    expect_config_error(eq_raw(grid_w=[0.1, 1e-5]), "grid_w[1]",
-                        "grid too fine: ")
     parse_config(eq_raw(grid_w=5e-5))   # 10,001 candidates
     parse_config(correlated_ante_raw({"cells": [   # 500,001 candidates
         {"lo": [0.0], "hi": [0.5]}, {"lo": [0.5], "hi": [1.0]}]}, 1e-6))
@@ -953,11 +967,12 @@ def edited(name, path, value):
     ("fpsb_eq", ("partition",), one_cell(), "partition"),
     ("correlated_demo", ("partition", "agent"), 7, "partition[0].agent"),
     ("correlated_demo", ("partition", "agent"), -1, "partition[0].agent"),
+    ("correlated_demo", ("partition", "agent"), 1, "partition[0].agent"),
 ], ids=["pdim_constant_tiny", "disp_constant_tiny", "pdim_constant_fpsb",
         "disp_constant_fpsb", "sort_desc_on_bundles", "sort_desc_on_one_coord",
         "sort_desc_absent_on_two_units", "n_records_with_a_dataset",
         "partition_ex_interim", "shared_partition_agent_7",
-        "shared_partition_agent_negative"])
+        "shared_partition_agent_negative", "shared_partition_agent_1"])
 def test_a_fixed_or_unread_key_exits_2_before_any_record(
         tmp_path, capsys, monkeypatch, name, path, value, field):
     def refuse(*args):
@@ -1198,19 +1213,18 @@ def test_tau_is_derived_once_per_distinct_partition(tmp_path, monkeypatch):
     prior = CorrelatedCommonValue(2)
     for cell in Partition.from_dict({"agent": 0, "cells": cells}).cells:
         prior.tv_radius(cell)   # cells touching 0 or 1 make no calls
-    one_sweep = len(calls)
-    assert one_sweep == 2   # two interior cells, one corner pair each
+    one_pass = len(calls)
+    assert one_pass == 2   # two interior cells, one corner pair each
     calls.clear()
-    raw = correlated_ante_raw({"cells": cells}, [0.1, 0.05])
+    raw = correlated_ante_raw({"cells": cells}, 0.1)
     cfg_path = write_config(tmp_path / "config.json", raw)
     out = str(tmp_path / "out")
     assert main(["verify", "--config", cfg_path, "--out", out]) in (0, 3)
-    # two agents share the partition, and two widths share the taus
-    assert len(calls) == one_sweep
-    taus = [[c["tau"] for c in read_json(out, name)["agents"][a]["cells"]]
-            for name in ("report_w0.1.json", "report_w0.05.json")
-            for a in range(2)]
-    assert all(t == taus[0] for t in taus)
+    # two agents share the partition, and so its taus
+    assert len(calls) == one_pass
+    agents = read_json(out, "report.json")["agents"]
+    taus = [[c["tau"] for c in agents[a]["cells"]] for a in range(2)]
+    assert taus[0] == taus[1]
 
 
 def test_per_agent_partitions_get_their_own_taus(tmp_path):
@@ -1320,7 +1334,7 @@ def test_each_run_input_is_built_once_per_job(tmp_path, monkeypatch):
     count(priors, "prior_from_dict")
     count(cli, "profile_from_config")
     count(Partition, "from_dict")
-    raw = eq_raw(mode="ex_ante", n_records=2000, grid_w=[0.1, 0.05],
+    raw = eq_raw(mode="ex_ante", n_records=2000, grid_w=0.1,
                  partition={"cells": [{"lo": [0.0], "hi": [0.5]},
                                       {"lo": [0.5], "hi": [1.0]}]})
     cfg_path = write_config(tmp_path / "config.json", raw)
@@ -1352,10 +1366,10 @@ def test_ex_ante_run_writes_per_cell_breakdowns(tmp_path):
     assert len(rows) - 1 == 4  # 2 agents x 2 cells
 
 
-@pytest.mark.parametrize("sweep", [None, "0.1,0.05"])
+@pytest.mark.parametrize("grid_w", [None, "0.05"])
 @pytest.mark.parametrize("mode, events", [("ex_interim", 3), ("ex_ante", 4)])
 def test_reports_split_delta_total_evenly_over_the_failure_events(
-        tmp_path, mode, events, sweep):
+        tmp_path, mode, events, grid_w):
     # 0.07 / 3 and 1 - 3 * (0.07 / 3) are inexact, so any other expression
     # for the split or the confidence shows in the last bit
     delta_total = 0.07
@@ -1366,22 +1380,19 @@ def test_reports_split_delta_total_evenly_over_the_failure_events(
     cfg_path = write_config(tmp_path / "config.json", raw)
     out = str(tmp_path / "out")
     argv = ["verify", "--config", cfg_path, "--out", out]
-    names = ["report.json"]
-    if sweep is not None:
-        argv += ["--grid-sweep", sweep]
-        names = [f"report_w{w}.json" for w in sweep.split(",")]
+    if grid_w is not None:   # the split does not depend on the width
+        argv += ["--grid-w", grid_w]
     assert main(argv) in (0, 3)
     delta = delta_total / events
     confidence = 1.0 - events * delta
-    for name in names:
-        report = read_json(out, name)
-        assert report["delta_total"] == delta_total
-        for entry in [report, *report["agents"]]:
-            assert entry["delta"].hex() == delta.hex()
-            assert entry["confidence"].hex() == confidence.hex()
-        first = report["agents"][0]
-        assert [report["delta"], report["confidence"]] \
-            == [first["delta"], first["confidence"]]
+    report = read_json(out, "report.json")
+    assert report["delta_total"] == delta_total
+    for entry in [report, *report["agents"]]:
+        assert entry["delta"].hex() == delta.hex()
+        assert entry["confidence"].hex() == confidence.hex()
+    first = report["agents"][0]
+    assert [report["delta"], report["confidence"]] \
+        == [first["delta"], first["confidence"]]
 
 
 def test_main_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
@@ -1611,15 +1622,14 @@ def test_names_the_benchmark_reads_resolve(src_env):
 
 def test_emit_plot_data_writes_a_bare_header_without_data(tmp_path):
     path = str(tmp_path / "plot.csv")
-    emit_plot_data(RunReport(payload={}, plots={}, vacuous=False), path)
+    emit_plot_data(RunReport(payload={}, plots={}), path)
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "x,empirical_gain\n"
 
 
 def test_emit_plot_data_joins_multidimensional_points(tmp_path):
     report = RunReport(payload={}, plots={
-        0: (np.array([[0.0, 0.0], [0.5, 0.25]]), np.array([0.1, 0.2]))},
-        vacuous=False)
+        0: (np.array([[0.0, 0.0], [0.5, 0.25]]), np.array([0.1, 0.2]))})
     path = str(tmp_path / "plot.csv")
     emit_plot_data(report, path, agent=0)
     with open(path, encoding="utf-8") as fh:
@@ -1650,7 +1660,7 @@ def test_emit_plot_data_bytes_match_a_row_by_row_writer(tmp_path, dim):
     shape = (n,) if dim is None else (n, dim)
     points = rng.random(shape)
     points.flat[:len(special)] = special
-    report = RunReport(payload={}, plots={0: (points, gains)}, vacuous=False)
+    report = RunReport(payload={}, plots={0: (points, gains)})
     path = tmp_path / "plot.csv"
     emit_plot_data(report, str(path), agent=0)
     assert path.read_bytes().decode("utf-8") == row_by_row_plot_csv(points,

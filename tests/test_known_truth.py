@@ -50,7 +50,7 @@ def job(shade, n_agents=2, partition=None):
 def margins(config, truth):
     """Agent 0's certified total minus truth, once per seed's records, and
     the certificate's confidence."""
-    grid = config.grids[WIDTH]
+    grid = config.grid
     game, specs = config.game, config.specs[0]
     out = []
     for seed in SEEDS:
